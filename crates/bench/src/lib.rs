@@ -3,7 +3,7 @@
 //! The [`figures`] module computes the data series behind each figure; the `figures` binary
 //! prints them as CSV to stdout (one block per figure), and the Criterion benches under
 //! `benches/` time the computational kernels (model fitting, DP checkpoint planning,
-//! policy evaluation, the cloud simulation and the workload kernels).
+//! policy evaluation and the cloud simulation).
 //!
 //! Run everything with:
 //!

@@ -11,8 +11,6 @@
 //!   preemptions (Figure 4).
 //! * [`phases`] — empirical phase detection and model-drift change-point detection
 //!   (Section 8, "What if preemption characteristics change?").
-//! * [`registry`] — a model registry keyed by VM type / zone / time-of-day / workload, the
-//!   component the batch service uses to parameterise its policies.
 //! * [`lifetime`] — the model-generic API: the [`lifetime::LifetimeModel`]
 //!   trait that carries *every* lifetime family (bathtub, Weibull, exponential, phased,
 //!   empirical, mixtures) through the policy stack, and
@@ -31,7 +29,6 @@ pub mod fit;
 pub mod lifetime;
 pub mod model;
 pub mod phases;
-pub mod registry;
 
 pub use analysis::{
     expected_increase_in_running_time, expected_makespan, expected_makespan_from_age,
@@ -42,4 +39,3 @@ pub use fit::{fit_bathtub_model, fit_model_comparison, ModelComparison, ModelFit
 pub use lifetime::{LifetimeCurves, LifetimeModel, SharedLifetimeModel, TabulatedLifetime};
 pub use model::BathtubModel;
 pub use phases::{detect_phases, ChangePointDetector, PhaseBreakdown};
-pub use registry::ModelRegistry;

@@ -227,8 +227,8 @@ impl HistogramSnapshot {
     /// snapshot's max and the upper bound of the highest non-empty *delta* bucket
     /// (0 for an empty delta).  Without that clamp a per-run delta would report
     /// `max` — and `quantile(1.0)`, which returns it — from all prior history:
-    /// exactly the cross-iteration contamination `serve-bench` percentiles must
-    /// not have.
+    /// exactly the cross-window contamination the SLO engine's windowed
+    /// percentiles must not have.
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let count = self.count.saturating_sub(earlier.count);
         let buckets: Vec<u64> = self
@@ -264,7 +264,7 @@ impl HistogramSnapshot {
 
     /// The recording rate between `earlier` and `self`, in samples per second over
     /// `elapsed_secs` (0 for a degenerate interval).  Thin wrapper over
-    /// [`crate::rate_per_sec`] so every windowed-rate consumer (serve-bench,
+    /// [`crate::rate_per_sec`] so every windowed-rate consumer (`advise top`,
     /// `sweep --heartbeat`, the SLO engine) shares one definition.
     pub fn rate_per_sec(&self, earlier: &HistogramSnapshot, elapsed_secs: f64) -> f64 {
         crate::rate_per_sec(self.count.saturating_sub(earlier.count), elapsed_secs)
@@ -425,8 +425,8 @@ mod tests {
 
     #[test]
     fn delta_quantiles_are_not_contaminated_by_prior_history() {
-        // Regression for the serve-bench per-worker-count report: run 1 records a
-        // huge outlier, run 2 records only small samples.  Run 2's delta snapshot
+        // Regression for per-window percentile reports: run 1 records a huge
+        // outlier, run 2 records only small samples.  Run 2's delta snapshot
         // must not surface run 1's max through `max` or `quantile(1.0)` — that was
         // exactly how earlier iterations bled into later per-run percentiles.
         let h = Histogram::new();

@@ -93,7 +93,7 @@ use std::time::Instant;
 /// A count delta over an elapsed wall-clock interval as an events-per-second rate
 /// (0 when the interval is non-positive or degenerate).
 ///
-/// This is *the* windowed-rate definition for the workspace: `serve-bench` qps,
+/// This is *the* windowed-rate definition for the workspace: `advise top` qps,
 /// the sweep heartbeat's trials-per-second, and the SLO engine's `rate` signals
 /// all divide the same way, so their numbers agree on the same window.
 pub fn rate_per_sec(count_delta: u64, elapsed_secs: f64) -> f64 {

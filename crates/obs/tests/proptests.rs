@@ -136,8 +136,8 @@ proptest! {
     // delta_since / merge round-trip under concurrent recording: with one
     // histogram shard per thread, the delta of the merged shards equals the merge
     // of the per-shard deltas — so sharded collection and interval measurement
-    // commute, which is what lets serve-bench difference a merged advisor
-    // snapshot per worker count.
+    // commute, which is what lets the SLO engine difference a merged advisor
+    // snapshot per window.
     #[test]
     fn delta_of_merge_equals_merge_of_deltas(
         warmup in proptest::collection::vec(1u64..1_000_000, 0..60),

@@ -5,12 +5,9 @@
 //! advise build --per-cell --catalog catalog.json --out multi.json [knobs]
 //! advise gen   --pack pack.json --count N [--seed S] [--out requests.ndjson]
 //! advise serve --pack pack.json --input requests.ndjson [--output FILE] [--threads N]
-//! advise bench --pack pack.json [--requests N] [--threads N] [--seed S]
 //! advise listen --pack pack.json [--addr HOST:PORT] [--workers N] [--max-inflight M]
 //! advise connect --addr HOST:PORT [--input FILE] [--send LINE]... [--output FILE]
 //! advise top   --addr HOST:PORT [--interval S] [--once]
-//! advise serve-bench --pack pack.json [--requests N] [--clients C] [--workers 1,2,4]
-//!                    [--profile-hz N]
 //! ```
 //!
 //! `build` precomputes the tables offline — from a sweep spec (single pack) or, with
@@ -27,16 +24,13 @@
 //! transitions as JSON lines); `connect` is the matching one-connection client;
 //! `top` is a live terminal dashboard polling `!metrics` / `!health` / `!profile`
 //! (`--once` for a single machine-readable snapshot); `gen` emits a
-//! deterministic load; `bench` measures the in-process serving path and
-//! `serve-bench` the loopback TCP path across worker counts with registry-backed
-//! latency percentiles and counting-allocator allocs/op + bytes/op.
+//! deterministic load.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// The counting allocator (off by default: one relaxed load per allocator
-/// call) backs `listen --profile-file`'s allocation attribution and
-/// `serve-bench`'s allocs/op + bytes/op columns.
+/// call) backs `listen --profile-file`'s allocation attribution.
 #[global_allocator]
 static ALLOC: tcp_obs::profile::CountingAlloc = tcp_obs::profile::CountingAlloc::new();
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,7 +42,7 @@ use tcp_advisor::{
 };
 use tcp_calibrate::RegimeCatalog;
 use tcp_scenarios::SweepSpec;
-use tcp_serve::{loopback_bench, run_client, run_top, ServeOptions, Server, TopOptions};
+use tcp_serve::{run_client, run_top, ServeOptions, Server, TopOptions};
 
 const USAGE: &str = "usage: advise <command> [options]
 
@@ -132,25 +126,7 @@ commands:
       --interval S               seconds between polls = the rate/quantile window
                                  (default 2)
       --once                     take two samples one interval apart, print one
-                                 machine-readable JSON snapshot line, exit
-
-  serve-bench                  loopback TCP throughput across worker counts, with
-                               per-run p50/p90/p99/p999 latency from the advisor's
-                               registry histograms, counting-allocator allocs/op +
-                               bytes/op deltas, and a one-line JSON summary
-      --pack FILE                model pack (required)
-      --requests N               corpus size (default 100000)
-      --clients C                concurrent client connections (default 4)
-      --workers LIST             comma-separated worker counts (default 1,2,4)
-      --seed S                   load-generator seed (default 2020)
-      --profile-hz N             arm the wall-clock sampler for the whole bench,
-                                 to measure continuous profiling's qps cost
-
-  bench                        measure the in-process serving path
-      --pack FILE                model pack (required)
-      --requests N               batch size (default 100000)
-      --threads N                worker threads for throughput (default 0)
-      --seed S                   load-generator seed (default 2020)";
+                                 machine-readable JSON snapshot line, exit";
 
 fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
     it.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -254,7 +230,6 @@ struct IoArgs {
     input: Option<PathBuf>,
     output: Option<PathBuf>,
     count: usize,
-    requests: usize,
     threads: usize,
     seed: u64,
     cells: bool,
@@ -266,7 +241,6 @@ fn parse_io_args(argv: &[String]) -> Result<IoArgs, String> {
         input: None,
         output: None,
         count: 10_000,
-        requests: 100_000,
         threads: 0,
         seed: 2020,
         cells: false,
@@ -278,7 +252,6 @@ fn parse_io_args(argv: &[String]) -> Result<IoArgs, String> {
             "--input" => args.input = Some(PathBuf::from(next_value(&mut it, arg)?)),
             "--output" | "--out" => args.output = Some(PathBuf::from(next_value(&mut it, arg)?)),
             "--count" => args.count = parse(next_value(&mut it, arg)?, arg)?,
-            "--requests" => args.requests = parse(next_value(&mut it, arg)?, arg)?,
             "--threads" => args.threads = parse(next_value(&mut it, arg)?, arg)?,
             "--seed" => args.seed = parse(next_value(&mut it, arg)?, arg)?,
             "--cells" => args.cells = true,
@@ -567,178 +540,6 @@ fn cmd_connect(argv: &[String]) -> Result<(), String> {
     write_or_print(&output, &response)
 }
 
-fn cmd_serve_bench(argv: &[String]) -> Result<(), String> {
-    let mut pack: Option<PathBuf> = None;
-    let mut requests = 100_000usize;
-    let mut clients = 4usize;
-    let mut worker_counts: Vec<usize> = vec![1, 2, 4];
-    let mut seed = 2020u64;
-    let mut profile_hz: Option<u64> = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--pack" => pack = Some(PathBuf::from(next_value(&mut it, arg)?)),
-            "--requests" => requests = parse(next_value(&mut it, arg)?, arg)?,
-            "--clients" => clients = parse(next_value(&mut it, arg)?, arg)?,
-            "--seed" => seed = parse(next_value(&mut it, arg)?, arg)?,
-            "--profile-hz" => profile_hz = Some(parse(next_value(&mut it, arg)?, arg)?),
-            "--workers" => {
-                worker_counts = next_value(&mut it, arg)?
-                    .split(',')
-                    .map(|v| parse(v.trim(), arg))
-                    .collect::<Result<Vec<usize>, String>>()?;
-                if worker_counts.is_empty() {
-                    return Err("--workers needs at least one count".to_string());
-                }
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let path = pack.as_ref().ok_or("--pack is required")?;
-    let pack_json = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let advisor = MultiAdvisor::from_json(&pack_json).map_err(|e| e.to_string())?;
-    let corpus = requests_to_ndjson(&generate_requests(advisor.pooled().pack(), requests, seed));
-    drop(advisor);
-
-    println!("loopback serve-bench: {requests} requests over {clients} client connections");
-    // The loopback server runs in-process, so the counting global allocator this
-    // binary installs sees every allocation of a run; per-worker-count deltas of
-    // the process totals give allocs/op and bytes/op alongside the latency columns.
-    tcp_obs::profile::set_counting(true);
-    // --profile-hz arms the wall sampler for the whole bench — the direct way to
-    // measure what continuous profiling costs in qps against a run without it.
-    if let Some(hz) = profile_hz {
-        tcp_obs::profile::arm(hz);
-    }
-    let mut baseline: Option<f64> = None;
-    let mut summary = format!(
-        "{{\"bench\":\"serve-bench\",\"clients\":{clients},\"requests\":{requests},\"results\":["
-    );
-    for (i, &workers) in worker_counts.iter().enumerate() {
-        // The loopback server runs in-process, so the advisor's per-query latencies
-        // land in this process's global registry; a *fresh* before/after snapshot
-        // delta per worker count isolates just this run's samples — reusing one
-        // baseline across iterations would fold earlier runs into later quantiles.
-        let before = advisor_latency_snapshot();
-        let alloc_before = tcp_obs::profile::alloc_totals();
-        let report = loopback_bench(&pack_json, &corpus, workers, clients)?;
-        let delta = advisor_latency_snapshot().delta_since(&before);
-        let alloc_after = tcp_obs::profile::alloc_totals();
-        let ops = (report.requests as f64).max(1.0);
-        let allocs_per_op = (alloc_after.allocs - alloc_before.allocs) as f64 / ops;
-        let bytes_per_op = (alloc_after.bytes - alloc_before.bytes) as f64 / ops;
-        let speedup = match baseline {
-            Some(base) => report.qps / base,
-            None => {
-                baseline = Some(report.qps);
-                1.0
-            }
-        };
-        let (p50, p90, p99, p999) = (
-            delta.quantile(0.50) / 1e3,
-            delta.quantile(0.90) / 1e3,
-            delta.quantile(0.99) / 1e3,
-            delta.quantile(0.999) / 1e3,
-        );
-        println!(
-            "  workers {:>2}: {:>9.0} q/s  ({:.3}s wall, {:.2}x vs workers {})  \
-             latency p50 {:.2}us p90 {:.2}us p99 {:.2}us p999 {:.2}us  \
-             alloc {:.1}/op {:.0} B/op",
-            report.workers,
-            report.qps,
-            report.seconds,
-            speedup,
-            worker_counts[0],
-            p50,
-            p90,
-            p99,
-            p999,
-            allocs_per_op,
-            bytes_per_op,
-        );
-        if i > 0 {
-            summary.push(',');
-        }
-        summary.push_str(&format!(
-            "{{\"allocs_per_op\":{allocs_per_op:.1},\"bytes_per_op\":{bytes_per_op:.1},\
-             \"p50_us\":{p50:.3},\"p90_us\":{p90:.3},\"p99_us\":{p99:.3},\
-             \"p999_us\":{p999:.3},\"qps\":{:.1},\"seconds\":{:.4},\"workers\":{workers}}}",
-            report.qps, report.seconds,
-        ));
-    }
-    if profile_hz.is_some() {
-        tcp_obs::profile::disarm();
-    }
-    summary.push_str("]}");
-    // One line of JSON for BENCH_*.json trajectory tracking.
-    println!("{summary}");
-    Ok(())
-}
-
-/// The advisor's four per-kind latency histograms from the global registry, merged
-/// into one snapshot (empty for any not yet registered).
-fn advisor_latency_snapshot() -> tcp_obs::HistogramSnapshot {
-    let mut merged = tcp_obs::HistogramSnapshot::empty();
-    for kind in [
-        "should_reuse",
-        "checkpoint_plan",
-        "expected_cost_makespan",
-        "best_policy",
-    ] {
-        let name = format!("advisor.latency.{kind}");
-        if let Some(snapshot) = tcp_obs::Registry::global().histogram_snapshot(&name) {
-            merged.merge(&snapshot);
-        }
-    }
-    merged
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-fn cmd_bench(argv: &[String]) -> Result<(), String> {
-    let args = parse_io_args(argv)?;
-    let advisor = load_advisor(&args.pack)?;
-    let requests = generate_requests(advisor.pooled().pack(), args.requests, args.seed);
-
-    // Throughput: one big batch over the worker pool.
-    let started = Instant::now();
-    let responses = advisor.advise_batch(&requests, args.threads);
-    let elapsed = started.elapsed().as_secs_f64();
-    let failures = responses.iter().filter(|r| r.is_err()).count();
-
-    // Latency: per-query timing on one thread (no batching overhead in the numbers).
-    let sample = &requests[..requests.len().min(20_000)];
-    let mut latencies = Vec::with_capacity(sample.len());
-    for request in sample {
-        let t0 = Instant::now();
-        let _ = advisor.advise(request);
-        latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-
-    println!(
-        "batch: {} queries in {elapsed:.3}s -> {:.0} queries/sec ({failures} failures)",
-        requests.len(),
-        requests.len() as f64 / elapsed.max(1e-9),
-    );
-    println!(
-        "latency (single-thread, {} samples): p50 {:.2}us  p90 {:.2}us  p99 {:.2}us  max {:.2}us",
-        latencies.len(),
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.90),
-        percentile(&latencies, 0.99),
-        percentile(&latencies, 1.0),
-    );
-    Ok(())
-}
-
 fn cmd_top(argv: &[String]) -> Result<(), String> {
     let mut options = TopOptions::default();
     let mut it = argv.iter();
@@ -769,8 +570,6 @@ fn main() -> ExitCode {
         Some("listen") => cmd_listen(&argv[1..]),
         Some("connect") => cmd_connect(&argv[1..]),
         Some("top") => cmd_top(&argv[1..]),
-        Some("serve-bench") => cmd_serve_bench(&argv[1..]),
-        Some("bench") => cmd_bench(&argv[1..]),
         Some("--help" | "-h") | None => return tcp_obs::cli::usage_error(USAGE),
         Some(other) => {
             return tcp_obs::cli::usage_error(format_args!("unknown command `{other}`\n\n{USAGE}"))

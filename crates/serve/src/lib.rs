@@ -14,14 +14,11 @@
 //!   a silent drop), `!reload` hot-swaps packs without a restart, `!stats` / `!metrics`
 //!   answer health probes, and `!shutdown` drains in-flight requests before exit;
 //! * [`client`] — a minimal loopback client (one connection, concurrent writer/reader)
-//!   used by the `advise connect` CLI, the tests and CI smoke;
-//! * [`mod@bench`] — a loopback throughput benchmark fanning concurrent client threads at
-//!   a freshly started server, used by `advise serve-bench` to demonstrate scaling
-//!   across worker counts and report registry-backed latency percentiles.
+//!   used by the `advise connect` CLI, the tests and CI smoke.
 //!
 //! The `advise` binary lives here (it needs both the advisor and the server): the
-//! offline commands (`build` / `gen` / `serve` / `bench`) are unchanged, and `listen` /
-//! `connect` / `serve-bench` add the network path.  `advise listen --metrics-file
+//! offline commands (`build` / `gen` / `serve`) are unchanged, and `listen` /
+//! `connect` add the network path.  `advise listen --metrics-file
 //! <path> [--metrics-interval <s>]` additionally writes the process-global
 //! [`tcp_obs::Registry`] as a Prometheus text exposition on a timer (atomic
 //! write-then-rename; one final write after the drain), and `--trace-file <path>
@@ -112,12 +109,10 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod bench;
 pub mod client;
 pub mod server;
 pub mod top;
 
-pub use bench::{loopback_bench, LoopbackBenchReport};
 pub use client::run_client;
 pub use server::{OverloadLine, ServeOptions, Server, ServerReport, ShutdownLine};
 pub use top::{run_top, TopOptions};

@@ -9,7 +9,7 @@ use tcp_advisor::{
     generate_requests, requests_to_ndjson, serve_session, AdvisorHandle, MultiAdvisor, PackBuilder,
 };
 use tcp_scenarios::SweepSpec;
-use tcp_serve::{loopback_bench, run_client, ServeOptions, Server};
+use tcp_serve::{run_client, ServeOptions, Server};
 
 /// Builds a small single-regime pack as JSON.
 fn tiny_pack_json(name: &str, regime: &str, mean_hours: f64) -> String {
@@ -65,26 +65,39 @@ fn concurrent_clients_get_byte_identical_responses() {
     let expected = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 1);
     assert_eq!(expected.lines().count(), 505);
 
-    let server = start(&json, ServeOptions::default());
-    let addr = server.local_addr().to_string();
-    let outputs: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let addr = addr.clone();
-                let corpus = corpus.clone();
-                scope.spawn(move || run_client(&addr, &corpus).unwrap())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for output in &outputs {
-        assert_eq!(output, &expected, "socket bytes must match batch mode");
+    // Every request is answered whether the four connections share one worker, two,
+    // or the default pool.
+    for workers in [1, 2, ServeOptions::default().workers] {
+        let server = start(
+            &json,
+            ServeOptions {
+                workers,
+                ..ServeOptions::default()
+            },
+        );
+        let addr = server.local_addr().to_string();
+        let outputs: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let addr = addr.clone();
+                    let corpus = corpus.clone();
+                    scope.spawn(move || run_client(&addr, &corpus).unwrap())
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for output in &outputs {
+            assert_eq!(
+                output, &expected,
+                "socket bytes must match batch mode (workers {workers})"
+            );
+        }
+        server.shutdown();
+        let report = server.join();
+        assert_eq!(report.connections, 4);
+        assert_eq!(report.requests, 4 * 505);
+        assert_eq!(report.overload_responses, 0);
     }
-    server.shutdown();
-    let report = server.join();
-    assert_eq!(report.connections, 4);
-    assert_eq!(report.requests, 4 * 505);
-    assert_eq!(report.overload_responses, 0);
 }
 
 #[test]
@@ -277,16 +290,4 @@ fn shutdown_drains_even_with_an_active_streaming_connection() {
     let mut rest = String::new();
     use std::io::Read;
     let _ = reader.read_to_string(&mut rest);
-}
-
-#[test]
-fn loopback_bench_accounts_for_every_request() {
-    let json = tiny_pack_json("bench", "exp8", 8.0);
-    let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 2000, 11));
-    for workers in [1usize, 2] {
-        let report = loopback_bench(&json, &corpus, workers, 4).unwrap();
-        assert_eq!(report.requests, 2000);
-        assert_eq!(report.workers, workers);
-        assert!(report.qps > 0.0);
-    }
 }

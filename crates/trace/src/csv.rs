@@ -22,6 +22,10 @@ pub const CSV_HEADER: &str =
 pub const CSV_HEADER_HOURS: &str =
     "vm_type,zone,time_of_day,workload,lifetime_hours,preempted_before_deadline,launch_hour";
 
+/// The largest lifetime a preempted record is written with: the last six-decimal value
+/// below the 24 h deadline.
+const MAX_PREEMPTED_LIFETIME: f64 = 23.999_999;
+
 /// Serialises records to a CSV string (with header).  The launch-hour column appears
 /// only when at least one record carries a launch hour, so hour-free datasets keep the
 /// original six-column layout byte for byte.
@@ -35,14 +39,18 @@ pub fn records_to_csv_string(records: &[PreemptionRecord]) -> String {
     });
     out.push('\n');
     for r in records {
+        // `{:.6}` rounds a preempted lifetime within 5e-7 h of the deadline up to
+        // `24.000000`, which reads back as a deadline survival; such rows are written
+        // as the largest six-decimal value below the deadline instead.  Every other
+        // row renders exactly as plain `{:.6}` would.
+        let lifetime = if r.preempted_before_deadline {
+            r.lifetime_hours.min(MAX_PREEMPTED_LIFETIME)
+        } else {
+            r.lifetime_hours
+        };
         out.push_str(&format!(
             "{},{},{},{},{:.6},{}",
-            r.vm_type,
-            r.zone,
-            r.time_of_day,
-            r.workload,
-            r.lifetime_hours,
-            r.preempted_before_deadline
+            r.vm_type, r.zone, r.time_of_day, r.workload, lifetime, r.preempted_before_deadline
         ));
         if with_hours {
             out.push(',');
@@ -194,6 +202,38 @@ mod tests {
             assert!((a.lifetime_hours - b.lifetime_hours).abs() < 1e-6);
             assert_eq!(a.preempted_before_deadline, b.preempted_before_deadline);
         }
+    }
+
+    #[test]
+    fn lifetime_just_under_the_deadline_round_trips() {
+        let make = |lifetime| {
+            PreemptionRecord::new(
+                VmType::N1HighCpu16,
+                Zone::UsEast1B,
+                TimeOfDay::Day,
+                WorkloadKind::NonIdle,
+                lifetime,
+            )
+            .unwrap()
+        };
+        let records = vec![make(24.0 - 1e-7), make(23.999_999_4), make(24.0)];
+        assert!(records[0].preempted_before_deadline);
+        let csv = records_to_csv_string(&records);
+        let tails: Vec<&str> = csv
+            .lines()
+            .skip(1)
+            .map(|row| row.split_once(",non-idle,").unwrap().1)
+            .collect();
+        // The first row is clamped below the deadline; the other two already
+        // round-tripped and keep their bytes.
+        assert_eq!(
+            tails,
+            ["23.999999,true", "23.999999,true", "24.000000,false"]
+        );
+        let parsed = records_from_csv_str(&csv).unwrap();
+        let flags: Vec<bool> = parsed.iter().map(|r| r.preempted_before_deadline).collect();
+        assert_eq!(flags, [true, true, false]);
+        assert!((parsed[0].lifetime_hours - records[0].lifetime_hours).abs() < 1e-6);
     }
 
     #[test]

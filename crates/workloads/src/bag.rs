@@ -16,7 +16,7 @@ use tcp_numerics::{NumericsError, Result};
 pub struct JobSpec {
     /// Identifier unique within the bag.
     pub id: u64,
-    /// Application name (matches the kernel / profile name).
+    /// Application name (matches the profile name).
     pub application: String,
     /// Estimated uninterrupted running time, hours.
     pub estimated_runtime_hours: f64,

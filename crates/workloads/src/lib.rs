@@ -1,20 +1,12 @@
-//! Checkpointable scientific workloads and the bag-of-jobs abstraction.
+//! The paper's application job profiles and the bag-of-jobs abstraction.
 //!
 //! The paper's evaluation (Section 6.3) runs three scientific applications on its batch
 //! service: **Nanoconfinement** (molecular dynamics of ions in nanoscale confinement),
 //! **Shapes** (MD-based shape optimisation of charged nanoparticles), and **LULESH**
-//! (Livermore unstructured Lagrangian explicit shock hydrodynamics).  We cannot run the
-//! original codes, so this crate provides laptop-scale kernels with the same structure —
-//! time-stepped simulations whose full state can be checkpointed and restored — plus the
-//! declarative job profiles (running time, cluster shape) used for the cost experiments.
+//! (Livermore unstructured Lagrangian explicit shock hydrodynamics).  They enter the
+//! evaluation only through their running times and cluster shapes, so this crate holds
+//! those declarative profiles plus the bags of jobs the service schedules.
 //!
-//! * [`job`] — the [`job::CheckpointableJob`] trait: run N steps,
-//!   serialize state, restore.
-//! * [`md`] — the nanoconfinement molecular-dynamics kernel (velocity-Verlet, Lennard-Jones
-//!   plus confining walls).
-//! * [`shapes`] — the shape-optimisation kernel (gradient descent on a charged-shell
-//!   energy).
-//! * [`hydro`] — the LULESH-like 1-D Lagrangian hydrodynamics kernel (Sod shock tube).
 //! * [`bag`] — bags of jobs: parameter sweeps with near-homogeneous running times, as the
 //!   service assumes.
 //! * [`profiles`] — the paper's per-application job profiles (running time on the paper's
@@ -28,15 +20,7 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod bag;
-pub mod hydro;
-pub mod job;
-pub mod md;
 pub mod profiles;
-pub mod shapes;
 
 pub use bag::{BagOfJobs, JobSpec};
-pub use hydro::HydroJob;
-pub use job::{CheckpointableJob, JobProgress};
-pub use md::NanoconfinementJob;
 pub use profiles::{ApplicationProfile, PAPER_APPLICATIONS};
-pub use shapes::ShapesJob;

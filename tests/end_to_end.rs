@@ -2,8 +2,9 @@
 //! -> batch service, checking the paper's headline qualitative results.
 
 use constrained_preemption::batch::{BatchService, ServiceConfig};
+use constrained_preemption::calibrate::{Calibrator, CellKey, TodSlot};
 use constrained_preemption::model::analysis::running_time_analysis;
-use constrained_preemption::model::{fit_model_comparison, ModelRegistry};
+use constrained_preemption::model::fit_model_comparison;
 use constrained_preemption::policy::checkpoint::simulate::{
     simulate_checkpointed_job, SimulationOptions,
 };
@@ -39,9 +40,20 @@ fn figure1_bathtub_model_fits_best_end_to_end() {
 fn registry_built_from_full_study_serves_policies() {
     let mut generator = TraceGenerator::new(5);
     let records = generator.generate_paper_study().unwrap();
-    let registry = ModelRegistry::from_records(&records).unwrap();
-    assert!(!registry.is_empty());
-    let model = registry.lookup(&ConfigKey::figure1());
+    let catalog = Calibrator::new("paper-study")
+        .calibrate(&records, "generate_paper_study(seed 5)", 2)
+        .unwrap();
+    assert!(!catalog.cells.is_empty());
+    let figure1 = ConfigKey::figure1();
+    let cell = CellKey {
+        vm_type: figure1.vm_type,
+        zone: figure1.zone,
+        time_of_day: TodSlot::Named(figure1.time_of_day),
+    };
+    let model = catalog
+        .find(&cell.to_string())
+        .and_then(|fit| fit.bathtub_model())
+        .expect("the Figure 1 cell has a bathtub fit");
     // the fitted model's expected lifetime should be well inside the 24 h constraint
     let lifetime = model.expected_lifetime();
     assert!(
