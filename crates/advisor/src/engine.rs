@@ -59,18 +59,10 @@ macro_rules! wire_enum {
             pub fn as_str(self) -> &'static str {
                 match self { $($ty::$variant => $name),+ }
             }
-        }
-        impl serde::Serialize for $ty {
-            fn serialize(&self) -> serde::Value {
-                serde::Value::Str(self.as_str().to_string())
-            }
-        }
-        impl serde::Deserialize for $ty {
-            fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-                let s = value
-                    .as_str()
-                    .ok_or_else(|| serde::Error::expected("a string", stringify!($ty), value))?;
-                match s {
+
+            /// The value a wire name names; both deserialization paths match here.
+            fn from_wire(name: &str) -> std::result::Result<Self, serde::Error> {
+                match name {
                     $($name => Ok($ty::$variant),)+
                     other => Err(serde::Error::custom(format!(
                         concat!("unknown ", stringify!($ty), " `{}` (expected one of: {})"),
@@ -78,6 +70,22 @@ macro_rules! wire_enum {
                         [$($name),+].join(", ")
                     ))),
                 }
+            }
+        }
+        impl serde::Serialize for $ty {
+            fn serialize<S: serde::Serializer>(&self, out: &mut S) {
+                out.str(self.as_str());
+            }
+        }
+        impl serde::Deserialize for $ty {
+            fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
+                let s = value
+                    .as_str()
+                    .ok_or_else(|| serde::Error::expected("a string", stringify!($ty), value))?;
+                Self::from_wire(s)
+            }
+            fn deserialize_from<S: serde::Source>(src: &mut S) -> std::result::Result<Self, serde::Error> {
+                Self::from_wire(src.str()?)
             }
         }
         impl std::fmt::Display for $ty {

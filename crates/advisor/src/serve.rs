@@ -102,10 +102,11 @@ fn pack_age_secs() -> f64 {
     (tcp_obs::log::now_monotonic_secs() - loaded_at).max(0.0)
 }
 
-/// Serializes one NDJSON reply line.  A serializer failure is impossible for the
-/// line types used here, but a serving worker must never abort on a response
+/// Serializes one NDJSON reply line — the one renderer of every serving front end
+/// (this module and `tcp-serve`'s TCP server).  A serializer failure is impossible
+/// for the line types used here, but a serving worker must never abort on a response
 /// path, so it degrades to a well-formed error line instead of panicking.
-fn render_line<T: Serialize>(value: &T) -> String {
+pub fn render_line<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value)
         .unwrap_or_else(|_| "{\"error\":\"internal: response serialization failed\"}".to_string())
 }
@@ -561,6 +562,21 @@ not json at all
         );
         assert!(lines[2].contains("parse error"), "{}", lines[2]);
         assert!(lines[3].contains("best-policy"), "{}", lines[3]);
+    }
+
+    #[test]
+    fn deeply_nested_line_is_a_parse_error_and_serving_goes_on() {
+        let a = advisor();
+        // 200k `[` once overflowed the recursive parser's stack and aborted the process.
+        assert_eq!(
+            respond_line(&a, &"[".repeat(200_000)),
+            r#"{"error":"parse error: nesting deeper than 128 levels at byte 128","id":null}"#
+        );
+        let next = respond_line(&a, r#"{"kind": "best-policy", "regime": "exp8", "id": 5}"#);
+        assert!(
+            next.starts_with(r#"{"kind":"best-policy","id":5,"#),
+            "{next}"
+        );
     }
 
     #[test]

@@ -89,12 +89,12 @@ impl FromStr for TodSlot {
 // ("Day"/"Night" variant strings), so catalogs written before the launch-hour mode
 // existed load unchanged; `Hours` serializes as its display form ("h08-12").
 impl Serialize for TodSlot {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Str(match self {
-            TodSlot::Named(TimeOfDay::Day) => "Day".to_string(),
-            TodSlot::Named(TimeOfDay::Night) => "Night".to_string(),
-            TodSlot::Hours { .. } => self.to_string(),
-        })
+    fn serialize<S: serde::Serializer>(&self, out: &mut S) {
+        match self {
+            TodSlot::Named(TimeOfDay::Day) => out.str("Day"),
+            TodSlot::Named(TimeOfDay::Night) => out.str("Night"),
+            TodSlot::Hours { .. } => out.str(&self.to_string()),
+        }
     }
 }
 
@@ -254,16 +254,22 @@ mod tests {
             let value = serde::Value::Str(text.to_string());
             assert_eq!(TodSlot::deserialize(&value).unwrap(), slot);
         }
-        // Round trip through the Serialize impl.
-        for slot in [
-            TodSlot::Named(TimeOfDay::Day),
-            TodSlot::Named(TimeOfDay::Night),
-            TodSlot::Hours {
-                start: 18,
-                width: 6,
-            },
+        // Round trip through the Serialize impl, on both deserialization paths.
+        for (slot, json) in [
+            (TodSlot::Named(TimeOfDay::Day), "\"Day\""),
+            (TodSlot::Named(TimeOfDay::Night), "\"Night\""),
+            (
+                TodSlot::Hours {
+                    start: 18,
+                    width: 6,
+                },
+                "\"h18-24\"",
+            ),
         ] {
-            assert_eq!(TodSlot::deserialize(&slot.serialize()).unwrap(), slot);
+            assert_eq!(serde_json::to_string(&slot).unwrap(), json);
+            assert_eq!(serde_json::from_str::<TodSlot>(json).unwrap(), slot);
+            let value = serde_json::parse_value(json).unwrap();
+            assert_eq!(TodSlot::deserialize(&value).unwrap(), slot);
         }
     }
 

@@ -30,7 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tcp_advisor::{AdvisorHandle, MultiAdvisor, Session};
+use tcp_advisor::{render_line, AdvisorHandle, MultiAdvisor, Session};
 use tcp_obs::{Counter, Gauge};
 
 /// How long a worker blocks in a read before re-checking the shutdown flag.
@@ -382,13 +382,6 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 
 /// Refuses a connection with one typed overload line (best effort — the client may
 /// already be gone, which is fine).
-/// Serializes one reply line; a serializer failure (impossible for these line
-/// types) degrades to a well-formed error line instead of aborting the worker.
-fn render_line<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string(value)
-        .unwrap_or_else(|_| "{\"error\":\"internal: response serialization failed\"}".to_string())
-}
-
 fn refuse(stream: TcpStream, error: String) {
     let line = render_line(&OverloadLine {
         error,
