@@ -326,16 +326,33 @@ impl PackBuilder {
         let curves = model.tabulate(&ages);
         let family = model.family().to_string();
 
+        // One DP policy per checkpoint cost, solved once.  The policy card scores the
+        // reference job with the first cost's policy, so that one is solved for the
+        // longer of the grid's largest job and the reference job: row `j` of the DP
+        // depends only on the rows below it, so the cell and the card read the same
+        // bits a solve of their own would produce.
         let mut checkpoint_cells = Vec::with_capacity(checkpoint_costs.len());
+        let mut card_policy = None;
         for &cost_minutes in checkpoint_costs {
+            let config = Self::checkpoint_config(cost_minutes, dp_step_minutes);
+            let policy = DpCheckpointPolicy::from_model(model.clone(), config)?;
+            let mut longest_job = self.max_checkpoint_job_hours;
+            if card_policy.is_none() {
+                longest_job = longest_job.max(self.reference_job_len);
+            }
+            policy.expected_makespan(longest_job, 0.0)?;
             checkpoint_cells.push(self.build_checkpoint_cell(
-                model,
+                &policy,
                 cost_minutes,
                 dp_step_minutes,
             )?);
+            card_policy.get_or_insert(policy);
         }
+        let card_policy = card_policy.ok_or_else(|| {
+            AdvisorError::Pack("at least one checkpoint cost is required".to_string())
+        })?;
 
-        let policy_card = self.build_policy_card(model, &checkpoint_cells[0])?;
+        let policy_card = self.build_policy_card(model, &card_policy)?;
 
         Ok(RegimePack {
             name: name.to_string(),
@@ -366,15 +383,16 @@ impl PackBuilder {
         }
     }
 
+    /// Tabulates one checkpoint cell from `policy`, whose DP is already solved for the
+    /// grid's largest job: every grid point reads the cached tables.
     fn build_checkpoint_cell(
         &self,
-        model: &Arc<dyn LifetimeModel>,
+        policy: &DpCheckpointPolicy,
         cost_minutes: f64,
         dp_step_minutes: f64,
     ) -> Result<CheckpointCell> {
-        let config = Self::checkpoint_config(cost_minutes, dp_step_minutes);
-        let policy = DpCheckpointPolicy::from_model(model.clone(), config)?;
-        let horizon = model.horizon();
+        let config = policy.config();
+        let horizon = policy.model().horizon();
         // `DpCheckpointPolicy::schedule` requires start ages strictly inside the horizon;
         // queries past the last knot clamp to it, which is the right answer there anyway.
         let ages = linspace(0.0, 0.9 * horizon, self.checkpoint_age_points);
@@ -384,11 +402,6 @@ impl PackBuilder {
             self.max_checkpoint_job_hours,
             self.checkpoint_job_points,
         );
-
-        // Solve the DP once for the largest job; every smaller job and later age reads
-        // the same cached tables.
-        let largest = *job_lens.last().expect("non-empty job grid");
-        policy.expected_makespan(largest, 0.0)?;
 
         let mut expected = Vec::with_capacity(ages.len() * job_lens.len());
         for &age in &ages {
@@ -418,11 +431,12 @@ impl PackBuilder {
 
     /// Precomputes the best-policy ranking: scheduling policies by average job-failure
     /// probability over uniformly distributed start ages (the Figure 6 metric), and
-    /// checkpointing policies by expected makespan of the reference job on a fresh VM.
+    /// checkpointing policies by expected makespan of the reference job on a fresh VM
+    /// (`dp` is the first checkpoint cost's solved policy).
     fn build_policy_card(
         &self,
         model: &Arc<dyn LifetimeModel>,
-        cell: &CheckpointCell,
+        dp: &DpCheckpointPolicy,
     ) -> Result<PolicyCard> {
         let job = self.reference_job_len;
         let model_driven = ModelDrivenScheduler::from_model(model.clone());
@@ -438,8 +452,7 @@ impl PackBuilder {
             },
         ];
 
-        let config = Self::checkpoint_config(cell.checkpoint_cost_minutes, cell.dp_step_minutes);
-        let dp = DpCheckpointPolicy::from_model(model.clone(), config)?;
+        let config = dp.config();
         let young_daly = YoungDalyPolicy::from_initial_failure_rate(
             model.as_ref(),
             config.checkpoint_cost_hours,
@@ -717,6 +730,67 @@ dp_step_minutes = 15.0
         let pooled = &multi.pooled.regimes[0];
         assert_eq!(pooled.served_family, "mixture");
         assert_eq!(pooled.dp_family, "mixture");
+    }
+
+    #[test]
+    fn cells_and_card_match_fresh_policies_bit_for_bit() {
+        // Each regime solves one DP per checkpoint cost; the card's model-driven score
+        // and every cell entry must equal what a fresh, separately solved policy gives,
+        // whether the reference job lies beyond the grid's largest job or inside it.
+        let model: Arc<dyn LifetimeModel> =
+            Arc::new(tcp_core::BathtubModel::paper_representative());
+        let costs = [1.0, 5.0];
+        // The grid's largest job is 4 h: one reference job beyond it, one inside it.
+        for reference_job_len in [6.0, 2.5] {
+            let builder = PackBuilder {
+                reference_job_len,
+                ..small_catalog_builder()
+            };
+            let regime = builder
+                .build_regime_tables(
+                    "probe",
+                    &model,
+                    None,
+                    PricingModel::gcp_n1_highcpu(),
+                    VmType::N1HighCpu16,
+                    &costs,
+                    15.0,
+                )
+                .unwrap();
+            let fresh = |cost: f64| {
+                DpCheckpointPolicy::from_model(
+                    model.clone(),
+                    PackBuilder::checkpoint_config(cost, 15.0),
+                )
+                .unwrap()
+            };
+            let card_score = regime
+                .policy_card
+                .checkpointing
+                .iter()
+                .find(|score| score.name == "model-driven")
+                .unwrap()
+                .score;
+            let want = fresh(costs[0])
+                .expected_makespan(reference_job_len, 0.0)
+                .unwrap();
+            assert_eq!(
+                card_score.to_bits(),
+                want.to_bits(),
+                "reference job {reference_job_len} h: card {card_score} vs fresh {want}"
+            );
+            for (cell, &cost) in regime.checkpoint_cells.iter().zip(&costs) {
+                let policy = fresh(cost);
+                let mut want = Vec::new();
+                for &age in &cell.ages {
+                    for &job in &cell.job_lens {
+                        want.push(policy.expected_makespan(job, age).unwrap().to_bits());
+                    }
+                }
+                let got: Vec<u64> = cell.expected_makespan.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "cost {cost} min");
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,11 @@
 //! Experiment harness: regenerates every table and figure of the paper's evaluation.
 //!
 //! The [`figures`] module computes the data series behind each figure; the `figures` binary
-//! prints them as CSV to stdout (one block per figure), and the Criterion benches under
-//! `benches/` time the computational kernels (model fitting, DP checkpoint planning,
-//! policy evaluation and the cloud simulation).
-//!
-//! Run everything with:
+//! prints them as CSV to stdout (one block per figure).  Timing lives in `perfbench/`,
+//! the repository's one benchmark harness.
 //!
 //! ```text
 //! cargo run --release -p tcp-bench --bin figures -- all
-//! cargo bench --workspace
 //! ```
 
 #![forbid(unsafe_code)]

@@ -43,7 +43,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -67,6 +67,12 @@ const NO_SITE: u32 = u32::MAX;
 /// from outside.  Only the owning thread writes.  The sequence tag is odd
 /// while a push/pop is in flight; a reader that observes an odd tag, or a tag
 /// change across its copy, drops the sample as torn.
+///
+/// The fences make this a sound seqlock: the writer's `Release` fence after the
+/// odd tag orders that tag before its relaxed data stores, and the reader's
+/// `Acquire` fence before the re-check orders its relaxed data loads before the
+/// second tag load.  So a reader that saw any of a write's data also sees the
+/// tag change, and discards the copy.
 struct StackMirror {
     seq: AtomicU64,
     depth: AtomicU64,
@@ -92,6 +98,7 @@ impl StackMirror {
     fn push(&self, site: u32) {
         let seq = self.seq.load(Ordering::Relaxed);
         self.seq.store(seq.wrapping_add(1), Ordering::Release);
+        fence(Ordering::Release);
         let depth = self.depth.load(Ordering::Relaxed) as usize;
         if depth < MAX_STACK_DEPTH {
             self.sites[depth].store(site, Ordering::Relaxed);
@@ -105,6 +112,7 @@ impl StackMirror {
     fn pop(&self) -> u32 {
         let seq = self.seq.load(Ordering::Relaxed);
         self.seq.store(seq.wrapping_add(1), Ordering::Release);
+        fence(Ordering::Release);
         let depth = self.depth.load(Ordering::Relaxed).saturating_sub(1);
         self.depth.store(depth, Ordering::Relaxed);
         self.seq.store(seq.wrapping_add(2), Ordering::Release);
@@ -131,6 +139,7 @@ impl StackMirror {
         for slot in &self.sites[..stored] {
             path.push(slot.load(Ordering::Relaxed));
         }
+        fence(Ordering::Acquire);
         if self.seq.load(Ordering::Acquire) != before {
             return Sampled::Torn;
         }
@@ -921,6 +930,44 @@ mod tests {
         }
         assert_eq!(mirror.pop(), 3);
         assert_eq!(mirror.pop(), NO_SITE);
+        assert!(matches!(mirror.sample(), Sampled::Idle));
+    }
+
+    #[test]
+    fn concurrent_samples_never_return_a_torn_stack() {
+        // The writer builds generation `g` as `DEPTH` frames of site `g`, then pops
+        // them all, until the reader has checked enough stacks; every stack it ever
+        // exposes is 1..=DEPTH copies of one site.  A copy that mixed two generations
+        // would be a torn read the tag missed.
+        const DEPTH: u32 = 6;
+        const STACKS: u32 = 5_000;
+        let mirror = Arc::new(StackMirror::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (mirror, stop) = (Arc::clone(&mirror), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut g = 0u32;
+                while !stop.load(Ordering::Acquire) {
+                    for _ in 0..DEPTH {
+                        mirror.push(g);
+                    }
+                    for _ in 0..DEPTH {
+                        mirror.pop();
+                    }
+                    g = g.wrapping_add(1);
+                }
+            })
+        };
+        let mut stacks = 0;
+        while stacks < STACKS {
+            if let Sampled::Stack(path) = mirror.sample() {
+                assert!((1..=DEPTH as usize).contains(&path.len()), "{path:?}");
+                assert!(path.iter().all(|&site| site == path[0]), "torn: {path:?}");
+                stacks += 1;
+            }
+        }
+        stop.store(true, Ordering::Release);
+        writer.join().unwrap();
         assert!(matches!(mirror.sample(), Sampled::Idle));
     }
 

@@ -41,7 +41,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -230,7 +230,10 @@ pub struct SpanRecord {
 /// One thread's flight-recorder lane: a fixed ring of records stored as atomic
 /// words.  Only the owning thread writes; any thread may snapshot.  Each slot
 /// carries a sequence tag that is poisoned during a rewrite, so a concurrent
-/// snapshot drops a torn slot instead of reporting garbage.
+/// snapshot drops a torn slot instead of reporting garbage.  As in a seqlock, a
+/// `Release` fence after the poison store orders it before the relaxed word
+/// stores, and an `Acquire` fence before the reader's tag re-check orders the
+/// relaxed word loads before it.
 struct Ring {
     lane: u16,
     words: Box<[AtomicU64]>,
@@ -256,6 +259,7 @@ impl Ring {
         // Poison the tag first so a concurrent snapshot never sees a half-written
         // slot with a plausible tag.
         w[base + 7].store(u64::MAX, Ordering::Release);
+        fence(Ordering::Release);
         w[base].store(r.trace_id, Ordering::Relaxed);
         w[base + 1].store(r.span_id, Ordering::Relaxed);
         w[base + 2].store(r.parent_id, Ordering::Relaxed);
@@ -294,6 +298,7 @@ impl Ring {
                 arg: w[base + 6].load(Ordering::Relaxed),
             };
             // Re-check the tag: if the writer lapped us mid-copy, drop the slot.
+            fence(Ordering::Acquire);
             if w[base + 7].load(Ordering::Acquire) == seq {
                 out.push(record);
             }
@@ -828,6 +833,60 @@ mod tests {
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
         GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    #[test]
+    fn concurrent_snapshots_never_return_a_torn_record() {
+        // Every field of record `n` derives from `n`, so a record assembled from two
+        // different writes is detectable.
+        fn record(n: u64) -> SpanRecord {
+            SpanRecord {
+                trace_id: n,
+                span_id: n.wrapping_mul(3),
+                parent_id: !n,
+                site: n as u32,
+                lane: 1,
+                flags: (n % 2) as u16,
+                start_ns: n.wrapping_mul(7),
+                dur_ns: n ^ 0x5555,
+                arg: n.wrapping_add(11),
+            }
+        }
+        // The writer laps the ring at least twice, and keeps writing until the
+        // reader has checked enough snapshots.
+        const SNAPSHOTS: usize = 200;
+        let min_writes = 2 * RING_CAPACITY as u64;
+        let ring = Arc::new(Ring::new(1));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let (ring, stop) = (Arc::clone(&ring), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut n = 0;
+                while n < min_writes || !stop.load(Ordering::Acquire) {
+                    ring.push(&record(n));
+                    n += 1;
+                }
+                n
+            })
+        };
+        let mut snapshots = 0;
+        let mut out = Vec::new();
+        while snapshots < SNAPSHOTS {
+            out.clear();
+            ring.collect(&mut out);
+            for r in &out {
+                assert_eq!(*r, record(r.trace_id), "torn record");
+            }
+            if !out.is_empty() {
+                snapshots += 1;
+            }
+        }
+        stop.store(true, Ordering::Release);
+        let writes = writer.join().unwrap();
+        out.clear();
+        ring.collect(&mut out);
+        assert_eq!(out.len(), RING_CAPACITY);
+        assert_eq!(out[0], record(writes - RING_CAPACITY as u64));
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! the same remaining work) is resolved by a fixed-point iteration per `j`; the map is a
 //! contraction because the failure probability of the chosen action is strictly below one.
 //!
+//! The transition terms `p_succ(t, w)`, `p_fail(t, w)`, `E[lost | fail]` and the age bin
+//! of `t + w` depend only on the window (the step count `i`) and the age bin, never on
+//! `j` or `V(j, 0)`.  A solve therefore tabulates them once per `(i, bin)` — `J · bins`
+//! model evaluations in one flat table — and runs the recursion over that table, instead
+//! of re-querying the model for every `(j, i, bin)`.
+//!
 //! The DP is **generic in the hazard**: it consumes any [`LifetimeModel`] — the
 //! closed-form bathtub fit (the fast path, via [`DpCheckpointPolicy::new`]), or any
 //! other family materialised as quadrature tables
@@ -115,10 +121,12 @@ pub struct DpCheckpointPolicy {
     config: CheckpointConfig,
     age_step: f64,
     age_bins: usize,
-    /// Cache of solved DP tables, keyed by the number of job steps they cover.  The tables
-    /// for `j` steps contain every smaller job as a sub-problem, so the largest solve is
-    /// reused for all subsequent (re-)planning calls — which the Monte-Carlo evaluator and
-    /// the batch service issue constantly.
+    /// Cache of solved DP tables, keyed by the number of job steps they cover.  Row `j`
+    /// depends only on rows below it, so the tables for `J` steps answer every job of at
+    /// most `J` steps bit-identically to a solve of that job alone: one solve for the
+    /// largest job serves all later (re-)planning calls — which the Monte-Carlo
+    /// evaluator, the batch service and the pack builder issue constantly.  A longer
+    /// job re-solves from scratch.
     cache: std::sync::Mutex<Option<SolvedTables>>,
 }
 
@@ -126,6 +134,22 @@ pub struct DpCheckpointPolicy {
 type ValueTable = std::sync::Arc<Vec<Vec<f64>>>;
 /// DP argmin table (steps to run before the next checkpoint), aligned with [`ValueTable`].
 type ChoiceTable = std::sync::Arc<Vec<Vec<usize>>>;
+
+/// One precomputed step of the recursion: from a checkpoint at age `t`, run `i` steps
+/// and checkpoint again (window `w = iΔ + δ`).  These terms depend only on `(i, t)`,
+/// never on the remaining work `j` or on `V(j, 0)`, so [`DpCheckpointPolicy::solve`]
+/// evaluates the model once per entry instead of once per `(j, i, t)`.
+#[derive(Debug, Clone, Copy)]
+struct Transition {
+    /// Probability the window completes without a preemption.
+    p_succ: f64,
+    /// `1 − p_succ`.
+    p_fail: f64,
+    /// Expected work lost (hours since the window start) given a preemption.
+    lost: f64,
+    /// Age bin of `t + w`, where the success branch continues.
+    next_bin: usize,
+}
 
 #[derive(Debug, Clone)]
 struct SolvedTables {
@@ -247,23 +271,49 @@ impl DpCheckpointPolicy {
         (first_moment / mass).clamp(0.0, w)
     }
 
+    /// Tabulates every transition the recursion can take for jobs of up to
+    /// `job_steps` steps: entry `bin * job_steps + (i − 1)` describes running `i` steps
+    /// plus one checkpoint from the age of `bin`.  Only these `job_steps · bins`
+    /// entries touch the model; the recursion itself is arithmetic over the table.
+    fn transitions(&self, job_steps: usize) -> Vec<Transition> {
+        let delta = self.config.checkpoint_cost_hours;
+        let step = self.config.step_hours;
+        let mut table = Vec::with_capacity(job_steps * self.age_bins);
+        for bin in 0..self.age_bins {
+            let t = self.age_of_bin(bin);
+            for i in 1..=job_steps {
+                let w = i as f64 * step + delta;
+                let p_succ = self.window_survival(t, w);
+                table.push(Transition {
+                    p_succ,
+                    p_fail: 1.0 - p_succ,
+                    lost: self.expected_lost_given_failure(t, w),
+                    next_bin: self.bin_of_age(t + w),
+                });
+            }
+        }
+        table
+    }
+
     /// Computes the full DP tables for a job of `job_steps` steps.  Returns
     /// `(value, choice)` tables indexed `[j][age_bin]`.
     fn solve(&self, job_steps: usize) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
         let delta = self.config.checkpoint_cost_hours;
         let step = self.config.step_hours;
-        let restart = self.config.restart_overhead_hours;
         let bins = self.age_bins;
+        let transitions = self.transitions(job_steps);
+        // The first `j` transitions out of `bin`: the actions open to a `j`-step job.
+        let actions = |bin: usize, j: usize| &transitions[bin * job_steps..bin * job_steps + j];
 
         let mut value = vec![vec![0.0f64; bins]; job_steps + 1];
         let mut choice = vec![vec![1usize; bins]; job_steps + 1];
 
         for j in 1..=job_steps {
             // Fixed-point for v0 = V(j, 0): the failure branch of every state returns to a
-            // fresh VM with the same remaining work.
+            // fresh VM with the same remaining work.  Age 0 is exactly bin 0.
             let mut v0 = j as f64 * step + delta; // optimistic seed
             for _ in 0..60 {
-                let (new_v0, _) = self.best_action(j, 0.0, v0, &value);
+                let (new_v0, _) = self.best_action(actions(0, j), v0, &value);
                 if (new_v0 - v0).abs() < 1e-9 {
                     v0 = new_v0;
                     break;
@@ -272,38 +322,32 @@ impl DpCheckpointPolicy {
             }
             // Fill the row with v0 fixed.
             for bin in 0..bins {
-                let t = self.age_of_bin(bin);
-                let (v, best_i) = self.best_action(j, t, v0, &value);
+                let (v, best_i) = self.best_action(actions(bin, j), v0, &value);
                 value[j][bin] = v;
                 choice[j][bin] = best_i;
             }
-            let _ = restart; // restart is consumed inside best_action
         }
         (value, choice)
     }
 
-    /// Evaluates `min_i Q(j, t, i)` given the lower rows of the value table and the current
-    /// estimate of `V(j, 0)`.
-    fn best_action(&self, j: usize, t: f64, v0: f64, value: &[Vec<f64>]) -> (f64, usize) {
+    /// Evaluates `min_i Q(j, t, i)` over the `j` transitions out of one age bin, given
+    /// the lower rows of the value table and the current estimate of `V(j, 0)`.
+    fn best_action(&self, actions: &[Transition], v0: f64, value: &[Vec<f64>]) -> (f64, usize) {
         let delta = self.config.checkpoint_cost_hours;
         let step = self.config.step_hours;
         let restart = self.config.restart_overhead_hours;
+        let j = actions.len();
 
         let mut best = f64::INFINITY;
         let mut best_i = 1;
-        for i in 1..=j {
-            let work = i as f64 * step;
-            let w = work + delta;
-            let p_succ = self.window_survival(t, w);
-            let p_fail = 1.0 - p_succ;
-            let lost = self.expected_lost_given_failure(t, w);
-            let next_age = t + w;
+        for (i, action) in (1..=j).zip(actions) {
+            let w = i as f64 * step + delta;
             let cont = if j - i == 0 {
                 0.0
             } else {
-                value[j - i][self.bin_of_age(next_age)]
+                value[j - i][action.next_bin]
             };
-            let q = p_succ * (w + cont) + p_fail * (lost + restart + v0);
+            let q = action.p_succ * (w + cont) + action.p_fail * (action.lost + restart + v0);
             if q < best {
                 best = q;
                 best_i = i;
@@ -380,6 +424,146 @@ mod tests {
 
     fn policy(config: CheckpointConfig) -> DpCheckpointPolicy {
         DpCheckpointPolicy::new(BathtubModel::paper_representative(), config).unwrap()
+    }
+
+    /// The evaluation `solve` replaced: every `(j, i, bin)` queries the model directly.
+    /// Kept only as the oracle the tabulated recursion must match bit for bit.
+    fn reference_best_action(
+        p: &DpCheckpointPolicy,
+        j: usize,
+        t: f64,
+        v0: f64,
+        value: &[Vec<f64>],
+    ) -> (f64, usize) {
+        let delta = p.config.checkpoint_cost_hours;
+        let step = p.config.step_hours;
+        let restart = p.config.restart_overhead_hours;
+        let mut best = f64::INFINITY;
+        let mut best_i = 1;
+        for i in 1..=j {
+            let w = i as f64 * step + delta;
+            let p_succ = p.window_survival(t, w);
+            let p_fail = 1.0 - p_succ;
+            let lost = p.expected_lost_given_failure(t, w);
+            let cont = if j - i == 0 {
+                0.0
+            } else {
+                value[j - i][p.bin_of_age(t + w)]
+            };
+            let q = p_succ * (w + cont) + p_fail * (lost + restart + v0);
+            if q < best {
+                best = q;
+                best_i = i;
+            }
+        }
+        (best, best_i)
+    }
+
+    fn reference_solve(
+        p: &DpCheckpointPolicy,
+        job_steps: usize,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
+        let bins = p.age_bins;
+        let mut value = vec![vec![0.0f64; bins]; job_steps + 1];
+        let mut choice = vec![vec![1usize; bins]; job_steps + 1];
+        for j in 1..=job_steps {
+            let mut v0 = j as f64 * p.config.step_hours + p.config.checkpoint_cost_hours;
+            for _ in 0..60 {
+                let (new_v0, _) = reference_best_action(p, j, 0.0, v0, &value);
+                if (new_v0 - v0).abs() < 1e-9 {
+                    v0 = new_v0;
+                    break;
+                }
+                v0 = new_v0;
+            }
+            for bin in 0..bins {
+                let (v, best_i) = reference_best_action(p, j, p.age_of_bin(bin), v0, &value);
+                value[j][bin] = v;
+                choice[j][bin] = best_i;
+            }
+        }
+        (value, choice)
+    }
+
+    /// Every family the advisor serves: the bathtub closed form plus tabulated
+    /// Weibull, exponential, phased, empirical and mixture models.
+    fn served_families() -> Vec<Arc<dyn tcp_core::LifetimeModel>> {
+        let horizon = 24.0;
+        let exponential: Arc<dyn tcp_dists::LifetimeDistribution> =
+            Arc::new(tcp_dists::Exponential::new(1.0 / 8.0).unwrap());
+        let weibull: Arc<dyn tcp_dists::LifetimeDistribution> =
+            Arc::new(tcp_dists::Weibull::new(0.12, 1.4).unwrap());
+        let phased: Arc<dyn tcp_dists::LifetimeDistribution> =
+            Arc::new(tcp_dists::PhasedHazard::representative());
+        let empirical: Arc<dyn tcp_dists::LifetimeDistribution> = Arc::new(
+            tcp_dists::EmpiricalLifetime::new(
+                &[0.4, 1.1, 2.0, 3.5, 5.0, 7.5, 11.0, 16.0, 21.0, 24.0],
+                Some(horizon),
+            )
+            .unwrap(),
+        );
+        let tabulate = |family: &str, dist: &Arc<dyn tcp_dists::LifetimeDistribution>| {
+            Arc::new(
+                tcp_core::TabulatedLifetime::from_distribution(family, dist.as_ref(), horizon, 241)
+                    .unwrap(),
+            ) as Arc<dyn tcp_core::LifetimeModel>
+        };
+        vec![
+            Arc::new(BathtubModel::paper_representative()),
+            tabulate("weibull", &weibull),
+            tabulate("exponential", &exponential),
+            tabulate("phased", &phased),
+            tabulate("empirical", &empirical),
+            Arc::new(
+                tcp_core::TabulatedLifetime::from_mixture(
+                    &[(0.5, weibull), (0.3, phased), (0.2, empirical)],
+                    horizon,
+                    241,
+                )
+                .unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn tabulated_solve_matches_the_per_state_evaluation_bit_for_bit() {
+        let configs = [
+            // (config, job steps): 15-minute steps with 1-minute checkpoints, and
+            // 5-minute steps with 5-minute checkpoints.
+            (CheckpointConfig::coarse(), 24),
+            (
+                CheckpointConfig {
+                    checkpoint_cost_hours: 5.0 / 60.0,
+                    step_hours: 5.0 / 60.0,
+                    restart_overhead_hours: 1.0 / 60.0,
+                },
+                16,
+            ),
+        ];
+        for model in served_families() {
+            let family = model.family().to_string();
+            for &(config, job_steps) in &configs {
+                let p = DpCheckpointPolicy::from_model(model.clone(), config).unwrap();
+                let (value, choice) = p.solve(job_steps);
+                let (want_value, want_choice) = reference_solve(&p, job_steps);
+                assert_eq!(choice, want_choice, "{family} {config:?}: choice");
+                for (j, (row, want_row)) in value.iter().zip(&want_value).enumerate() {
+                    let bits: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u64> = want_row.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(bits, want, "{family} {config:?}: value row {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn age_zero_is_exactly_bin_zero() {
+        // The `V(j, 0)` fixed point reads the bin-0 transitions in place of age 0.
+        for model in served_families() {
+            let p =
+                DpCheckpointPolicy::from_model(model, CheckpointConfig::paper_defaults()).unwrap();
+            assert_eq!(p.age_of_bin(0).to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

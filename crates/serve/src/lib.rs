@@ -114,5 +114,5 @@ pub mod server;
 pub mod top;
 
 pub use client::run_client;
-pub use server::{OverloadLine, ServeOptions, Server, ServerReport, ShutdownLine};
+pub use server::{OverloadLine, ServeOptions, Server, ServerReport, ShutdownLine, MAX_LINE_BYTES};
 pub use top::{run_top, TopOptions};

@@ -13,6 +13,9 @@
 //! 503-style [`OverloadLine`] — responses are never silently dropped, and output
 //! order always matches input order.
 //!
+//! A line longer than [`MAX_LINE_BYTES`] is answered in place with a typed error line
+//! and the connection resynchronises at the next `\n`.
+//!
 //! Control lines: `!reload <path>`, `!stats`, and `!metrics` are handled by the
 //! shared session engine (any connection is an admin connection); `!shutdown` is
 //! handled here — it acknowledges, stops the accept loop, lets every worker drain the
@@ -30,11 +33,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tcp_advisor::{render_line, AdvisorHandle, MultiAdvisor, Session};
+use tcp_advisor::{render_line, AdvisorHandle, ErrorLine, MultiAdvisor, Session};
 use tcp_obs::{Counter, Gauge};
 
 /// How long a worker blocks in a read before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
+
+/// Longest line (bytes before its `\n`) a connection buffers.  A longer line is
+/// discarded up to its terminator and answered in place with one typed error line,
+/// so an unterminated stream cannot grow a worker's memory without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +154,7 @@ struct ServerMetrics {
     inflight: &'static Gauge,
     requests_served: &'static Counter,
     requests_shed: &'static Counter,
+    rejected_line_too_long: &'static Counter,
 }
 
 impl ServerMetrics {
@@ -158,6 +167,7 @@ impl ServerMetrics {
             inflight: tcp_obs::gauge("serve.inflight"),
             requests_served: tcp_obs::counter("serve.requests.served"),
             requests_shed: tcp_obs::counter("serve.requests.shed"),
+            rejected_line_too_long: tcp_obs::counter("serve.rejected.line_too_long"),
         }
     }
 }
@@ -245,6 +255,8 @@ enum Slot {
     Line(String, bool),
     /// A request line shed by admission control.
     Overloaded,
+    /// A line longer than [`MAX_LINE_BYTES`], discarded unread.
+    LineTooLong,
 }
 
 /// A running advisor server.  Dropping the handle does **not** stop the server; call
@@ -447,6 +459,12 @@ fn queue_line(line_bytes: Vec<u8>, pending: &mut Vec<Slot>, shared: &Shared) -> 
     true
 }
 
+/// Queues the in-place answer to a discarded over-long line.
+fn reject_long_line(pending: &mut Vec<Slot>, shared: &Shared) {
+    shared.metrics.rejected_line_too_long.incr();
+    pending.push(Slot::LineTooLong);
+}
+
 /// Decrements `serve.connections.active` on every exit path of [`serve_connection`].
 struct ActiveConnectionGuard<'a>(&'a Gauge);
 
@@ -494,13 +512,17 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
     let mut pending: Vec<Slot> = Vec::new();
     // Bytes of a line whose terminator has not arrived yet.  Lines are assembled at
     // the byte level (not via `read_line`) so a read timeout can never discard
-    // partially received multi-byte characters mid-line.
+    // partially received multi-byte characters mid-line.  It never exceeds
+    // `MAX_LINE_BYTES`: past that, `discarding` drops the rest of the line.
     let mut partial: Vec<u8> = Vec::new();
+    let mut discarding = false;
     loop {
         let chunk_len = match reader.fill_buf() {
             Ok([]) => {
                 // EOF: the unterminated tail is still one request, then drain.
-                if !partial.is_empty()
+                if discarding {
+                    reject_long_line(&mut pending, shared);
+                } else if !partial.is_empty()
                     && !queue_line(std::mem::take(&mut partial), &mut pending, shared)
                 {
                     shutdown_connection(&mut session, &mut pending, &mut writer, shared);
@@ -512,17 +534,24 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
             Ok(chunk) => {
                 let mut consumed = 0usize;
                 while let Some(offset) = chunk[consumed..].iter().position(|&b| b == b'\n') {
-                    let mut line_bytes = std::mem::take(&mut partial);
-                    line_bytes.extend_from_slice(&chunk[consumed..consumed + offset]);
-                    // Strip an optional `\r` exactly like `str::lines` in batch mode —
-                    // parse-error byte offsets must match it.
-                    if line_bytes.last() == Some(&b'\r') {
-                        line_bytes.pop();
-                    }
+                    let line = &chunk[consumed..consumed + offset];
                     consumed += offset + 1;
-                    if !queue_line(line_bytes, &mut pending, shared) {
-                        shutdown_connection(&mut session, &mut pending, &mut writer, shared);
-                        return;
+                    if discarding || partial.len() + line.len() > MAX_LINE_BYTES {
+                        discarding = false;
+                        partial.clear();
+                        reject_long_line(&mut pending, shared);
+                    } else {
+                        let mut line_bytes = std::mem::take(&mut partial);
+                        line_bytes.extend_from_slice(line);
+                        // Strip an optional `\r` exactly like `str::lines` in batch
+                        // mode — parse-error byte offsets must match it.
+                        if line_bytes.last() == Some(&b'\r') {
+                            line_bytes.pop();
+                        }
+                        if !queue_line(line_bytes, &mut pending, shared) {
+                            shutdown_connection(&mut session, &mut pending, &mut writer, shared);
+                            return;
+                        }
                     }
                     if pending.len() >= batch_cap
                         && flush_batch(&mut session, &mut pending, &mut writer, shared).is_err()
@@ -530,7 +559,13 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                         return;
                     }
                 }
-                partial.extend_from_slice(&chunk[consumed..]);
+                let tail = &chunk[consumed..];
+                if discarding || partial.len() + tail.len() > MAX_LINE_BYTES {
+                    discarding = true;
+                    partial = Vec::new();
+                } else {
+                    partial.extend_from_slice(tail);
+                }
                 chunk.len()
             }
             Err(e)
@@ -613,20 +648,31 @@ fn flush_batch(
                     served += 1;
                 }
             }
-            Slot::Overloaded => {
+            Slot::Overloaded | Slot::LineTooLong => {
+                // Answered in place: the lines queued before it are answered first.
                 session.process(&run, &mut out);
                 run.clear();
-                let line = render_line(&OverloadLine {
-                    error: format!(
-                        "overloaded: in-flight budget exhausted (max {}); retry later",
-                        shared.options.max_inflight
-                    ),
-                    code: 503,
-                    id: None,
-                });
+                let line = if let Slot::Overloaded = slot {
+                    overloaded += 1;
+                    render_line(&OverloadLine {
+                        error: format!(
+                            "overloaded: in-flight budget exhausted (max {}); retry later",
+                            shared.options.max_inflight
+                        ),
+                        code: 503,
+                        id: None,
+                    })
+                } else {
+                    render_line(&ErrorLine {
+                        error: format!(
+                            "line too long: more than {MAX_LINE_BYTES} bytes before its \
+                             newline; discarded"
+                        ),
+                        id: None,
+                    })
+                };
                 out.push_str(&line);
                 out.push('\n');
-                overloaded += 1;
             }
         }
     }

@@ -291,3 +291,36 @@ fn shutdown_drains_even_with_an_active_streaming_connection() {
     use std::io::Read;
     let _ = reader.read_to_string(&mut rest);
 }
+
+#[test]
+fn over_long_lines_are_answered_in_place_and_the_connection_resyncs() {
+    let json = tiny_pack_json("long-line", "exp8", 8.0);
+    let query = "{\"kind\":\"best-policy\",\"regime\":\"exp8\",\"id\":7}\n";
+    let expected = serve_session(&AdvisorHandle::new(advisor(&json)), query, 1);
+    let rejected = tcp_obs::counter("serve.rejected.line_too_long");
+    let before = rejected.get();
+    let server = start(&json, ServeOptions::default());
+    let addr = server.local_addr().to_string();
+
+    // 2 MiB with no newline, then the newline, then a valid request.
+    let long = "x".repeat(2 * tcp_serve::MAX_LINE_BYTES);
+    let out = run_client(&addr, &format!("{long}\n{query}")).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out:.200}");
+    let error: tcp_advisor::ErrorLine = serde_json::from_str(lines[0]).unwrap();
+    assert!(error.error.starts_with("line too long"), "{}", error.error);
+    assert_eq!(error.id, None);
+    assert_eq!(format!("{}\n", lines[1]), expected);
+    assert!(rejected.get() > before);
+
+    // A line just under the cap is served as usual, and an unterminated over-long
+    // tail at EOF is still one answered line.
+    let at_cap = " ".repeat(tcp_serve::MAX_LINE_BYTES - query.len()) + query;
+    let out = run_client(&addr, &format!("{at_cap}{long}")).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out:.200}");
+    assert_eq!(format!("{}\n", lines[0]), expected);
+    assert!(lines[1].contains("line too long"), "{}", lines[1]);
+    server.shutdown();
+    server.join();
+}

@@ -80,14 +80,21 @@ pub fn records_from_csv_str(text: &str) -> Result<Vec<PreemptionRecord>> {
             )))
         }
     };
-    let mut records = Vec::new();
+    // Each record is one line, so the newline count bounds the record count.
+    let mut records = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count());
+    let mut fields = [""; 7];
     for (line_no, line) in lines.enumerate() {
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != expected_fields {
+        let mut found = 0;
+        for field in line.split(',') {
+            if let Some(slot) = fields.get_mut(found) {
+                *slot = field;
+            }
+            found += 1;
+        }
+        if found != expected_fields {
             return Err(NumericsError::invalid(format!(
-                "line {}: expected {expected_fields} fields, found {}",
+                "line {}: expected {expected_fields} fields, found {found}",
                 line_no + 2,
-                fields.len()
             )));
         }
         let parse_err = |what: &str, detail: String| {
@@ -305,6 +312,168 @@ mod tests {
         let inconsistent_flag =
             format!("{CSV_HEADER}\nn1-highcpu-16,us-east1-b,day,non-idle,3.0,false\n");
         assert!(records_from_csv_str(&inconsistent_flag).is_err());
+    }
+
+    #[test]
+    fn error_messages_are_pinned() {
+        let cases = [
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.2",
+                "line 2: expected 6 fields, found 5",
+            ),
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.2,true,1,2",
+                "line 2: expected 6 fields, found 8",
+            ),
+            (
+                CSV_HEADER_HOURS,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.2,true",
+                "line 2: expected 7 fields, found 6",
+            ),
+            (
+                CSV_HEADER,
+                "n9-mega-64,us-east1-b,day,non-idle,3.2,true",
+                "line 2: bad vm_type: unknown VM type: n9-mega-64",
+            ),
+            (
+                CSV_HEADER,
+                "n1-highcpu-16, Mars-1a ,day,non-idle,3.2,true",
+                "line 2: bad zone: unknown zone: Mars-1a",
+            ),
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,Dusk,non-idle,3.2,true",
+                "line 2: bad time_of_day: unknown time of day: dusk",
+            ),
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,day, Sleeping ,3.2,true",
+                "line 2: bad workload: unknown workload kind: sleeping",
+            ),
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,day,non-idle,notanumber,true",
+                "line 2: bad lifetime_hours: invalid float literal",
+            ),
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,day,non-idle,31.0,true",
+                "line 2: bad record: lifetime 31 exceeds the 24 h constraint",
+            ),
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.0,false",
+                "line 2: bad preempted_before_deadline: inconsistent with lifetime 3",
+            ),
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.0,yes",
+                "line 2: bad preempted_before_deadline: provided string was not `true` or \
+                 `false`",
+            ),
+            (
+                CSV_HEADER_HOURS,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.2,true,noon",
+                "line 2: bad launch_hour: invalid digit found in string",
+            ),
+            (
+                CSV_HEADER_HOURS,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.2,true,24",
+                "line 2: bad launch_hour: launch hour must lie in 0..24, got 24",
+            ),
+            (
+                CSV_HEADER_HOURS,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.2,true,23",
+                "line 2: bad launch_hour: launch hour 23 is inconsistent with time of day `day`",
+            ),
+            // Blank lines are not counted: the bad row after one is still "line 3".
+            (
+                CSV_HEADER,
+                "n1-highcpu-16,us-east1-b,day,non-idle,3.2,true\n\nbad",
+                "line 3: expected 6 fields, found 1",
+            ),
+        ];
+        for (header, rows, want) in cases {
+            let err = records_from_csv_str(&format!("{header}\n{rows}\n")).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid argument: {want}"),
+                "{rows:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lenient_rows_are_accepted() {
+        let csv = format!(
+            "{CSV_HEADER}\r\n\
+             n1-highcpu-16,us-east1-b,DAY,non-idle,3.2,true\r\n\
+             \r\n\
+             n1-highcpu-2,us-west1-a,Night,Non-Idle,24,false\n\
+             \n\
+             n1-highcpu-4,us-central1-c,night,BUSY,1.5,true\n\
+             \x20n1-highcpu-8 , us-central1-f ,\tday , idle , 2.25 , true \n"
+        );
+        let parsed = records_from_csv_str(&csv).unwrap();
+        let got: Vec<(VmType, Zone, TimeOfDay, WorkloadKind, f64, bool)> = parsed
+            .iter()
+            .map(|r| {
+                (
+                    r.vm_type,
+                    r.zone,
+                    r.time_of_day,
+                    r.workload,
+                    r.lifetime_hours,
+                    r.preempted_before_deadline,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (
+                    VmType::N1HighCpu16,
+                    Zone::UsEast1B,
+                    TimeOfDay::Day,
+                    WorkloadKind::NonIdle,
+                    3.2,
+                    true
+                ),
+                (
+                    VmType::N1HighCpu2,
+                    Zone::UsWest1A,
+                    TimeOfDay::Night,
+                    WorkloadKind::NonIdle,
+                    24.0,
+                    false
+                ),
+                (
+                    VmType::N1HighCpu4,
+                    Zone::UsCentral1C,
+                    TimeOfDay::Night,
+                    WorkloadKind::NonIdle,
+                    1.5,
+                    true
+                ),
+                (
+                    VmType::N1HighCpu8,
+                    Zone::UsCentral1F,
+                    TimeOfDay::Day,
+                    WorkloadKind::Idle,
+                    2.25,
+                    true
+                ),
+            ]
+        );
+        // A padded, mixed-case launch-hour row parses too.
+        let hours =
+            format!("{CSV_HEADER_HOURS}\nn1-highcpu-16,us-east1-b,Day,Idle,3.2,true, 9 \r\n");
+        assert_eq!(
+            records_from_csv_str(&hours).unwrap()[0].launch_hour,
+            Some(9)
+        );
     }
 
     #[test]

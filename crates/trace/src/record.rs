@@ -174,11 +174,15 @@ impl fmt::Display for TimeOfDay {
 
 impl FromStr for TimeOfDay {
     type Err = String;
+    /// Case-insensitive; the error names the input lowercased.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "day" => Ok(TimeOfDay::Day),
-            "night" => Ok(TimeOfDay::Night),
-            other => Err(format!("unknown time of day: {other}")),
+        let s = s.trim();
+        if s.eq_ignore_ascii_case("day") {
+            Ok(TimeOfDay::Day)
+        } else if s.eq_ignore_ascii_case("night") {
+            Ok(TimeOfDay::Night)
+        } else {
+            Err(format!("unknown time of day: {}", s.to_ascii_lowercase()))
         }
     }
 }
@@ -210,11 +214,19 @@ impl fmt::Display for WorkloadKind {
 
 impl FromStr for WorkloadKind {
     type Err = String;
+    /// Case-insensitive (`non-idle`, `nonidle` and `busy` all mean
+    /// [`WorkloadKind::NonIdle`]); the error names the input lowercased.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "idle" => Ok(WorkloadKind::Idle),
-            "non-idle" | "nonidle" | "busy" => Ok(WorkloadKind::NonIdle),
-            other => Err(format!("unknown workload kind: {other}")),
+        let s = s.trim();
+        if s.eq_ignore_ascii_case("idle") {
+            Ok(WorkloadKind::Idle)
+        } else if ["non-idle", "nonidle", "busy"]
+            .iter()
+            .any(|name| s.eq_ignore_ascii_case(name))
+        {
+            Ok(WorkloadKind::NonIdle)
+        } else {
+            Err(format!("unknown workload kind: {}", s.to_ascii_lowercase()))
         }
     }
 }
