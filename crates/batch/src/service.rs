@@ -4,17 +4,23 @@
 //! drains a bag of jobs through a bounded cluster of simulated VMs, reacting to job
 //! completions, VM preemptions and hot-spare expiries, and applying the model-driven
 //! scheduling and checkpointing policies.
+//!
+//! Each trial runs in buffers (provider, event queue, job and assignment tables) borrowed
+//! from a per-thread scratch that carries only capacity between trials, never values:
+//! every buffer is cleared or rebuilt before use, so a report never depends on what the
+//! thread ran before.
 
 use crate::config::{CheckpointingMode, SchedulingMode, ServiceConfig};
 use crate::report::RunReport;
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use tcp_cloudsim::{BillingClass, EventQueue, ProviderTemplate, VmId};
+use tcp_cloudsim::{BillingClass, CloudProvider, EventQueue, ProviderTemplate, VmId};
 use tcp_core::LifetimeModel;
 use tcp_numerics::{NumericsError, Result};
 use tcp_policy::{
     CheckpointPlanner, DpCheckpointPolicy, MemorylessScheduler, ModelDrivenScheduler,
-    SchedulerPolicy, SchedulingDecision, YoungDalyPolicy,
+    NoCheckpointPlanner, SchedulerPolicy, SchedulingDecision, YoungDalyPolicy,
 };
 use tcp_workloads::BagOfJobs;
 
@@ -83,12 +89,124 @@ struct JobState {
     completed: bool,
 }
 
+/// The running assignments, at index `vm.0`: a trial's provider hands out VM ids densely
+/// from 0, so a slot table replaces a map keyed by `VmId`.
+#[derive(Debug, Default)]
+struct Assignments {
+    slots: Vec<Option<Assignment>>,
+    /// Number of occupied slots.
+    busy: usize,
+}
+
+impl Assignments {
+    fn len(&self) -> usize {
+        self.busy
+    }
+
+    fn get(&self, vm: VmId) -> Option<&Assignment> {
+        self.slots.get(vm.0 as usize)?.as_ref()
+    }
+
+    fn insert(&mut self, vm: VmId, assignment: Assignment) {
+        let index = vm.0 as usize;
+        if index >= self.slots.len() {
+            self.slots.resize_with(index + 1, || None);
+        }
+        if self.slots[index].replace(assignment).is_none() {
+            self.busy += 1;
+        }
+    }
+
+    fn remove(&mut self, vm: VmId) -> Option<Assignment> {
+        let removed = self.slots.get_mut(vm.0 as usize)?.take();
+        if removed.is_some() {
+            self.busy -= 1;
+        }
+        removed
+    }
+
+    fn vms(&self) -> impl Iterator<Item = VmId> + '_ {
+        (0u64..)
+            .zip(&self.slots)
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(id, _)| VmId(id))
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.busy = 0;
+    }
+}
+
+/// Idle hot spares with the generation they went idle in, sorted by VM id so dispatch
+/// always offers the lowest-id spare first.  A cluster holds few of them, so a sorted
+/// `Vec` beats a tree map.
+#[derive(Debug, Default)]
+struct IdleVms(Vec<(VmId, u64)>);
+
+impl IdleVms {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn first(&self) -> Option<VmId> {
+        self.0.first().map(|&(vm, _)| vm)
+    }
+
+    fn generation(&self, vm: VmId) -> Option<u64> {
+        let index = self.0.binary_search_by_key(&vm, |&(id, _)| id).ok()?;
+        Some(self.0[index].1)
+    }
+
+    fn insert(&mut self, vm: VmId, generation: u64) {
+        match self.0.binary_search_by_key(&vm, |&(id, _)| id) {
+            Ok(index) => self.0[index].1 = generation,
+            Err(index) => self.0.insert(index, (vm, generation)),
+        }
+    }
+
+    fn remove(&mut self, vm: VmId) {
+        if let Ok(index) = self.0.binary_search_by_key(&vm, |&(id, _)| id) {
+            self.0.remove(index);
+        }
+    }
+
+    fn vms(&self) -> impl Iterator<Item = VmId> + '_ {
+        self.0.iter().map(|&(vm, _)| vm)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// The working buffers of one trial, reused across the trials a thread runs.
+#[derive(Default)]
+struct Scratch {
+    provider: Option<CloudProvider>,
+    queue: EventQueue<Event>,
+    jobs: Vec<JobState>,
+    pending: VecDeque<usize>,
+    assignments: Assignments,
+    idle_vms: IdleVms,
+    /// Interval buffers of finished or interrupted assignments, for the next dispatches.
+    interval_pool: Vec<Vec<f64>>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
 /// The batch computing service.
 pub struct BatchService {
     config: ServiceConfig,
     model: Arc<dyn LifetimeModel>,
     scheduler: Box<dyn SchedulerPolicy>,
-    planner: Option<Box<dyn CheckpointPlanner>>,
+    planner: Box<dyn CheckpointPlanner>,
 }
 
 impl BatchService {
@@ -104,18 +222,16 @@ impl BatchService {
             }
             SchedulingMode::Memoryless => Box::new(MemorylessScheduler),
         };
-        let planner: Option<Box<dyn CheckpointPlanner>> = match config.checkpointing {
-            CheckpointingMode::None => None,
-            CheckpointingMode::ModelDriven => Some(Box::new(DpCheckpointPolicy::from_model(
+        let planner: Box<dyn CheckpointPlanner> = match config.checkpointing {
+            CheckpointingMode::None => Box::new(NoCheckpointPlanner),
+            CheckpointingMode::ModelDriven => Box::new(DpCheckpointPolicy::from_model(
                 model.clone(),
                 config.checkpoint_config,
-            )?)),
-            CheckpointingMode::YoungDaly => {
-                Some(Box::new(YoungDalyPolicy::from_initial_failure_rate(
-                    model.as_ref(),
-                    config.checkpoint_config.checkpoint_cost_hours,
-                )?))
-            }
+            )?),
+            CheckpointingMode::YoungDaly => Box::new(YoungDalyPolicy::from_initial_failure_rate(
+                model.as_ref(),
+                config.checkpoint_config.checkpoint_cost_hours,
+            )?),
         };
         Ok(BatchService {
             config,
@@ -135,14 +251,12 @@ impl BatchService {
         self.model.as_ref()
     }
 
-    fn plan_intervals(&self, remaining: f64, vm_age: f64) -> Result<(Vec<f64>, f64)> {
-        match &self.planner {
-            Some(planner) => Ok((
-                planner.plan(remaining, vm_age.min(self.model.horizon() - 1e-6))?,
-                planner.checkpoint_cost(),
-            )),
-            None => Ok((vec![remaining], 0.0)),
-        }
+    /// Plans `remaining` hours of work on a VM of age `vm_age` into `intervals` and
+    /// returns the cost of one checkpoint.
+    fn plan_intervals(&self, remaining: f64, vm_age: f64, intervals: &mut Vec<f64>) -> Result<f64> {
+        let age = vm_age.min(self.model.horizon() - 1e-6);
+        self.planner.plan_into(remaining, age, intervals)?;
+        Ok(self.planner.checkpoint_cost())
     }
 
     /// Runs a bag of jobs to completion and reports cost/performance metrics, using the
@@ -161,6 +275,20 @@ impl BatchService {
         template: &ProviderTemplate,
         seed: u64,
     ) -> Result<RunReport> {
+        let mut scratch = SCRATCH.take();
+        let report = self.run_trial(bag, template, seed, &mut scratch);
+        SCRATCH.set(scratch);
+        report
+    }
+
+    /// One trial of [`BatchService::run_bag_with`] in the buffers of `scratch`.
+    fn run_trial(
+        &self,
+        bag: &BagOfJobs,
+        template: &ProviderTemplate,
+        seed: u64,
+        scratch: &mut Scratch,
+    ) -> Result<RunReport> {
         if bag.is_empty() {
             return Err(NumericsError::invalid("bag must contain at least one job"));
         }
@@ -169,24 +297,35 @@ impl BatchService {
         } else {
             BillingClass::OnDemand
         };
-        let mut provider = template.build(seed);
-        let mut queue: EventQueue<Event> = EventQueue::new();
-
-        let mut jobs: Vec<JobState> = bag
-            .jobs
-            .iter()
-            .map(|j| JobState {
-                remaining_work: j.estimated_runtime_hours,
-                restarts: 0,
-                completed: false,
-            })
-            .collect();
-        let mut pending: VecDeque<usize> = (0..jobs.len()).collect();
+        let Scratch {
+            provider,
+            queue,
+            jobs,
+            pending,
+            assignments,
+            idle_vms,
+            interval_pool,
+        } = scratch;
+        let provider = match provider {
+            Some(provider) => {
+                template.build_into(provider, seed);
+                provider
+            }
+            None => provider.insert(template.build(seed)),
+        };
+        queue.clear();
+        jobs.clear();
+        jobs.extend(bag.jobs.iter().map(|j| JobState {
+            remaining_work: j.estimated_runtime_hours,
+            restarts: 0,
+            completed: false,
+        }));
+        pending.clear();
+        pending.extend(0..jobs.len());
 
         // VM bookkeeping.
-        let mut assignments: BTreeMap<VmId, Assignment> = BTreeMap::new();
-        // VM -> idle generation; BTreeMap keeps dispatch order deterministic across runs
-        let mut idle_vms: BTreeMap<VmId, u64> = BTreeMap::new();
+        assignments.clear();
+        idle_vms.clear();
         let mut live_vms: usize = 0;
         let mut next_assignment_id: u64 = 0;
         let mut idle_generation: u64 = 0;
@@ -218,7 +357,7 @@ impl BatchService {
                     // Choose a VM: prefer an idle hot spare if the policy approves reuse.
                     let mut chosen: Option<VmId> = None;
                     let mut launch_fresh = false;
-                    if let Some((&vm_id, _)) = idle_vms.iter().next() {
+                    if let Some(vm_id) = idle_vms.first() {
                         let age = provider.get(vm_id).map(|vm| vm.age_at(now)).unwrap_or(0.0);
                         let alive = provider.is_running(vm_id, now);
                         if alive && self.config.use_preemptible {
@@ -227,7 +366,7 @@ impl BatchService {
                                 SchedulingDecision::LaunchFresh => {
                                     // relinquish the stale VM and fall through to a fresh launch
                                     provider.terminate(vm_id, now);
-                                    idle_vms.remove(&vm_id);
+                                    idle_vms.remove(vm_id);
                                     live_vms = live_vms.saturating_sub(1);
                                     launch_fresh = true;
                                 }
@@ -235,7 +374,7 @@ impl BatchService {
                         } else if alive {
                             chosen = Some(vm_id);
                         } else {
-                            idle_vms.remove(&vm_id);
+                            idle_vms.remove(vm_id);
                             live_vms = live_vms.saturating_sub(1);
                         }
                     }
@@ -256,11 +395,12 @@ impl BatchService {
                     }
 
                     let vm_id = chosen.expect("vm chosen or launched");
-                    idle_vms.remove(&vm_id);
+                    idle_vms.remove(vm_id);
                     pending.pop_front();
 
                     let vm_age = provider.get(vm_id).map(|vm| vm.age_at(now)).unwrap_or(0.0);
-                    let (intervals, checkpoint_cost) = self.plan_intervals(job_len, vm_age)?;
+                    let mut intervals = interval_pool.pop().unwrap_or_default();
+                    let checkpoint_cost = self.plan_intervals(job_len, vm_age, &mut intervals)?;
                     let assignment = Assignment {
                         assignment_id: next_assignment_id,
                         job_index,
@@ -311,18 +451,18 @@ impl BatchService {
             match event {
                 Event::JobFinished { vm, assignment } => {
                     let matches = assignments
-                        .get(&vm)
-                        .map(|a| a.assignment_id == assignment)
-                        .unwrap_or(false);
+                        .get(vm)
+                        .is_some_and(|a| a.assignment_id == assignment);
                     if !matches {
                         continue; // stale completion from a preempted assignment
                     }
-                    let a = assignments.remove(&vm).expect("checked above");
+                    let a = assignments.remove(vm).expect("checked above");
                     let job = &mut jobs[a.job_index];
                     job.remaining_work = 0.0;
                     job.completed = true;
                     completed_jobs += 1;
                     last_completion_time = now;
+                    interval_pool.push(a.intervals);
 
                     // The VM becomes a hot spare (only meaningful for preemptible VMs that
                     // are still alive).
@@ -347,8 +487,8 @@ impl BatchService {
                         continue;
                     }
                     live_vms = live_vms.saturating_sub(1);
-                    idle_vms.remove(&vm);
-                    if let Some(a) = assignments.remove(&vm) {
+                    idle_vms.remove(vm);
+                    if let Some(a) = assignments.remove(vm) {
                         // the preemption interrupted a running job
                         preemptions_hitting_jobs += 1;
                         let elapsed = (now - a.started_at).max(0.0);
@@ -360,12 +500,13 @@ impl BatchService {
                         job.restarts += 1;
                         total_restarts += 1;
                         pending.push_back(a.job_index);
+                        interval_pool.push(a.intervals);
                     }
                     dispatch!(now);
                 }
                 Event::HotSpareExpired { vm, idle_since } => {
-                    if idle_vms.get(&vm) == Some(&idle_since) {
-                        idle_vms.remove(&vm);
+                    if idle_vms.generation(vm) == Some(idle_since) {
+                        idle_vms.remove(vm);
                         provider.terminate(vm, now);
                         live_vms = live_vms.saturating_sub(1);
                     }
@@ -375,10 +516,10 @@ impl BatchService {
 
         // Terminate any remaining VMs so billing stops at the makespan.
         let end = last_completion_time;
-        for (&vm, _) in idle_vms.iter() {
+        for vm in idle_vms.vms() {
             provider.terminate(vm, end);
         }
-        for (&vm, _) in assignments.iter() {
+        for vm in assignments.vms() {
             provider.terminate(vm, end);
         }
         let usage = provider.usage_report(end);
@@ -556,6 +697,69 @@ mod tests {
         assert!((a.total_cost - b.total_cost).abs() < 1e-9);
         assert_eq!(a.preemptions, b.preemptions);
         assert_eq!(a.vms_launched, b.vms_launched);
+    }
+
+    /// Every field of a report, floats as their bit patterns.
+    fn report_bits(r: &RunReport) -> [u64; 9] {
+        [
+            r.jobs as u64,
+            r.makespan_hours.to_bits(),
+            r.ideal_makespan_hours.to_bits(),
+            r.preemptions as u64,
+            r.job_restarts as u64,
+            r.vms_launched as u64,
+            r.total_cost.to_bits(),
+            r.total_work_hours.to_bits(),
+            r.vm_hours.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn reused_scratch_reproduces_a_fresh_thread_bit_for_bit() {
+        let catalog = ProviderTemplate {
+            catalog_scale: 2.0,
+            ..ProviderTemplate::default()
+        };
+        let exponential = ProviderTemplate::from_distribution(Arc::new(
+            tcp_dists::Exponential::new(1.0 / 3.0).unwrap(),
+        ));
+        let modes = [
+            CheckpointingMode::None,
+            CheckpointingMode::ModelDriven,
+            CheckpointingMode::YoungDaly,
+        ];
+        for (k, mode) in modes.into_iter().enumerate() {
+            // A: catalog preemptions; B: a larger exponential-regime run under the next
+            // mode, leaving every scratch buffer bigger and full of other values.
+            let a_service = BatchService::new(
+                ServiceConfig {
+                    checkpointing: mode,
+                    ..base_config(21)
+                },
+                model(),
+            )
+            .unwrap();
+            let b_service = BatchService::new(
+                ServiceConfig {
+                    cluster_size: 24,
+                    checkpointing: modes[(k + 1) % modes.len()],
+                    scheduling: SchedulingMode::Memoryless,
+                    ..ServiceConfig::paper_cost_experiment(5)
+                },
+                model(),
+            )
+            .unwrap();
+            let a_bag = small_bag(30);
+            let b_bag = small_bag(90);
+            let a = |seed| a_service.run_bag_with(&a_bag, &catalog, seed).unwrap();
+            let first = a(7);
+            let b = b_service.run_bag_with(&b_bag, &exponential, 8).unwrap();
+            let again = a(7);
+            let fresh = std::thread::scope(|scope| scope.spawn(|| a(7)).join().unwrap());
+            assert!(first.preemptions > 0 && b.preemptions > 0, "{mode:?}");
+            assert_eq!(report_bits(&again), report_bits(&first), "{mode:?}");
+            assert_eq!(report_bits(&fresh), report_bits(&first), "{mode:?}");
+        }
     }
 
     #[test]

@@ -110,6 +110,14 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
+
+    /// Drops every pending event and resets the clock and the tie-break sequence, so the
+    /// queue behaves exactly like [`EventQueue::new`] while keeping its allocation.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.next_seq = 0;
+        self.now = 0.0;
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +175,23 @@ mod tests {
         // non-finite times are also clamped
         q.schedule_at(f64::NAN, "nan");
         assert_eq!(q.pop().unwrap().0, 10.0);
+    }
+
+    #[test]
+    fn cleared_queue_behaves_like_a_new_one() {
+        let mut q = EventQueue::new();
+        q.schedule_at(7.0, "old");
+        q.schedule_at(9.0, "older");
+        q.pop();
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.now(), 0.0);
+        assert_eq!(q.peek_time(), None);
+        // the clock and the tie-break sequence restart: equal times pop in insertion order
+        q.schedule_at(1.0, "a");
+        q.schedule_at(1.0, "b");
+        assert_eq!(q.pop(), Some((1.0, "a")));
+        assert_eq!(q.pop(), Some((1.0, "b")));
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::vm::{BillingClass, VmId, VmInstance, VmState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use tcp_dists::LifetimeDistribution;
 use tcp_numerics::{NumericsError, Result};
@@ -111,6 +110,16 @@ impl ProviderTemplate {
         provider.catalog_scale = self.catalog_scale;
         provider
     }
+
+    /// Rebuilds `provider` in place into exactly what [`ProviderTemplate::build`] returns
+    /// for `seed`.  Only the allocation of its VM table carries over, never a value, so a
+    /// simulation loop can reuse one provider across trials without allocating.
+    pub fn build_into(&self, provider: &mut CloudProvider, seed: u64) {
+        let mut vms = std::mem::take(&mut provider.vms);
+        vms.clear();
+        *provider = self.build(seed);
+        provider.vms = vms;
+    }
 }
 
 impl std::fmt::Debug for ProviderTemplate {
@@ -135,11 +144,12 @@ pub struct CloudProvider {
     override_truth: Option<Arc<dyn LifetimeDistribution>>,
     catalog_scale: f64,
     rng: StdRng,
-    // BTreeMap, not HashMap: `usage_report` sums costs while iterating, and the random
-    // per-process hash seed would make those float sums differ between runs in the last
-    // ulp, breaking byte-identical sweep reports.
-    vms: BTreeMap<VmId, VmInstance>,
-    next_id: u64,
+    // Every VM ever launched, at index `id.0`: `launch` hands out ids densely from 0 and
+    // nothing is ever removed.  `usage_report` sums costs while iterating, so the
+    // iteration order is part of the output: it must stay ascending id order (what a
+    // `BTreeMap<VmId, _>` gave), or the float sums differ in the last ulp and sweep
+    // reports stop being byte-identical.
+    vms: Vec<VmInstance>,
     workload_kind: WorkloadKind,
     time_of_day: TimeOfDay,
 }
@@ -153,8 +163,7 @@ impl CloudProvider {
             override_truth: None,
             catalog_scale: 1.0,
             rng: StdRng::seed_from_u64(seed),
-            vms: BTreeMap::new(),
-            next_id: 0,
+            vms: Vec::new(),
             workload_kind: WorkloadKind::NonIdle,
             time_of_day: TimeOfDay::Day,
         }
@@ -215,8 +224,7 @@ impl CloudProvider {
                 "launch time must be finite and non-negative",
             ));
         }
-        let id = VmId(self.next_id);
-        self.next_id += 1;
+        let id = VmId(self.vms.len() as u64);
         let launch_time = now + self.config.provisioning_delay_hours;
         let preemption_time = match billing {
             BillingClass::OnDemand => None,
@@ -252,25 +260,29 @@ impl CloudProvider {
             state: VmState::Running,
             stop_time: None,
         };
-        self.vms.insert(id, vm);
+        self.vms.push(vm);
         Ok(vm)
     }
 
     /// Looks up a VM by id.
     pub fn get(&self, id: VmId) -> Option<&VmInstance> {
-        self.vms.get(&id)
+        self.vms.get(usize::try_from(id.0).ok()?)
+    }
+
+    fn get_mut(&mut self, id: VmId) -> Option<&mut VmInstance> {
+        self.vms.get_mut(usize::try_from(id.0).ok()?)
     }
 
     /// The hidden preemption time of a VM (used by simulation drivers to schedule the
     /// preemption event; a real controller would only receive the advance warning).
     pub fn preemption_time(&self, id: VmId) -> Option<f64> {
-        self.vms.get(&id).and_then(|vm| vm.preemption_time)
+        self.get(id).and_then(|vm| vm.preemption_time)
     }
 
     /// Marks a VM as preempted at time `now` (no-op if it is not running).
     /// Returns true when the VM transitioned from running to preempted.
     pub fn preempt(&mut self, id: VmId, now: f64) -> bool {
-        if let Some(vm) = self.vms.get_mut(&id) {
+        if let Some(vm) = self.get_mut(id) {
             if vm.state == VmState::Running {
                 vm.state = VmState::Preempted;
                 vm.stop_time = Some(now.max(vm.launch_time));
@@ -283,7 +295,7 @@ impl CloudProvider {
     /// Terminates a VM at the user's request.
     /// Returns true when the VM transitioned from running to terminated.
     pub fn terminate(&mut self, id: VmId, now: f64) -> bool {
-        if let Some(vm) = self.vms.get_mut(&id) {
+        if let Some(vm) = self.get_mut(id) {
             if vm.state == VmState::Running {
                 vm.state = VmState::Terminated;
                 vm.stop_time = Some(now.max(vm.launch_time));
@@ -295,10 +307,7 @@ impl CloudProvider {
 
     /// Whether the VM is running (not yet preempted/terminated) at time `now`.
     pub fn is_running(&self, id: VmId, now: f64) -> bool {
-        self.vms
-            .get(&id)
-            .map(|vm| vm.running_at(now))
-            .unwrap_or(false)
+        self.get(id).is_some_and(|vm| vm.running_at(now))
     }
 
     /// Builds the usage/cost report as of time `now` (running VMs are billed up to `now`).
@@ -307,7 +316,7 @@ impl CloudProvider {
             vms_launched: self.vms.len(),
             ..UsageReport::default()
         };
-        for vm in self.vms.values() {
+        for vm in &self.vms {
             let hours = vm.billed_hours_at(now);
             let cost = self.config.pricing.cost(vm.vm_type, vm.billing, hours);
             report.total_cost += cost;
@@ -524,6 +533,38 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(va.preemption_time, vb.preemption_time);
+        }
+    }
+
+    #[test]
+    fn build_into_matches_a_fresh_build() {
+        let run = |p: &mut CloudProvider| {
+            let vms: Vec<VmInstance> = (0..20)
+                .map(|i| {
+                    p.launch(
+                        VmType::N1HighCpu16,
+                        Zone::UsEast1B,
+                        BillingClass::Preemptible,
+                        i as f64 * 0.25,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            p.preempt(vms[3].id, 4.0);
+            p.terminate(vms[5].id, 2.0);
+            (vms, p.usage_report(6.0))
+        };
+        let template = ProviderTemplate {
+            catalog_scale: 1.5,
+            ..ProviderTemplate::default()
+        };
+        let mut reused = ProviderTemplate::default().build(3);
+        run(&mut reused);
+        for seed in [11, 12] {
+            template.build_into(&mut reused, seed);
+            assert_eq!(reused.vm_count(), 0);
+            assert!(reused.get(VmId(0)).is_none());
+            assert_eq!(run(&mut reused), run(&mut template.build(seed)));
         }
     }
 

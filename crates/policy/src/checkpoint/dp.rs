@@ -378,6 +378,17 @@ impl DpCheckpointPolicy {
     /// Computes the optimal checkpoint schedule for a job of length `job_len` hours
     /// starting at VM age `start_age` hours.
     pub fn schedule(&self, job_len: f64, start_age: f64) -> Result<CheckpointSchedule> {
+        self.schedule_into(job_len, start_age, Vec::new())
+    }
+
+    /// [`DpCheckpointPolicy::schedule`], building the intervals in `intervals` (cleared
+    /// first) so a caller that plans repeatedly can hand the same allocation back in.
+    pub(crate) fn schedule_into(
+        &self,
+        job_len: f64,
+        start_age: f64,
+        mut intervals: Vec<f64>,
+    ) -> Result<CheckpointSchedule> {
         if !(job_len > 0.0) || !job_len.is_finite() {
             return Err(NumericsError::invalid("job length must be positive"));
         }
@@ -391,7 +402,7 @@ impl DpCheckpointPolicy {
         let (value, choice) = self.solved(job_steps);
 
         // Extract the success-path schedule.
-        let mut intervals = Vec::new();
+        intervals.clear();
         let mut j = job_steps;
         let mut age = start_age;
         while j > 0 {
@@ -592,6 +603,25 @@ mod tests {
         );
         assert!(sched.intervals_hours.iter().all(|&i| i > 0.0));
         assert!(sched.expected_makespan >= sched.job_len);
+    }
+
+    #[test]
+    fn plan_into_a_dirty_buffer_matches_a_fresh_schedule() {
+        use crate::CheckpointPlanner;
+        let reused = policy(CheckpointConfig::coarse());
+        let mut out = vec![f64::NAN; 300];
+        for job_len in [2.75, 0.1, 9.5, 0.6, 4.0, 1.0] {
+            for age in [0.0, 0.3, 3.0, 12.5, 23.9] {
+                reused.plan_into(job_len, age, &mut out).unwrap();
+                let fresh = policy(CheckpointConfig::coarse())
+                    .schedule(job_len, age)
+                    .unwrap()
+                    .intervals_hours;
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&fresh), "job {job_len} h at age {age} h");
+                out.resize(out.len() + 7, -1.0);
+            }
+        }
     }
 
     #[test]

@@ -17,12 +17,14 @@ use tcp_numerics::{NumericsError, Result};
 /// A policy that can plan checkpoint intervals for a piece of remaining work.
 ///
 /// Both the DP policy and the Young–Daly baseline implement this, so the simulator can
-/// replay either one.  `plan` is re-invoked after every failure with the remaining work and
-/// the (fresh) VM age, mirroring how the paper's service recomputes schedules on restart.
+/// replay either one.  `plan_into` is re-invoked after every failure with the remaining
+/// work and the (fresh) VM age, mirroring how the paper's service recomputes schedules on
+/// restart.
 pub trait CheckpointPlanner: Send + Sync {
     /// Plans the work intervals (hours) between checkpoints for `remaining` hours of work
-    /// starting at VM age `vm_age`.
-    fn plan(&self, remaining: f64, vm_age: f64) -> Result<Vec<f64>>;
+    /// starting at VM age `vm_age`, replacing the contents of `out`.  Only `out`'s
+    /// allocation is reused, so callers that plan repeatedly need not allocate.
+    fn plan_into(&self, remaining: f64, vm_age: f64, out: &mut Vec<f64>) -> Result<()>;
 
     /// Cost of writing one checkpoint, hours.
     fn checkpoint_cost(&self) -> f64;
@@ -32,8 +34,11 @@ pub trait CheckpointPlanner: Send + Sync {
 }
 
 impl CheckpointPlanner for DpCheckpointPolicy {
-    fn plan(&self, remaining: f64, vm_age: f64) -> Result<Vec<f64>> {
-        Ok(self.schedule(remaining, vm_age)?.intervals_hours)
+    fn plan_into(&self, remaining: f64, vm_age: f64, out: &mut Vec<f64>) -> Result<()> {
+        *out = self
+            .schedule_into(remaining, vm_age, std::mem::take(out))?
+            .intervals_hours;
+        Ok(())
     }
 
     fn checkpoint_cost(&self) -> f64 {
@@ -46,8 +51,11 @@ impl CheckpointPlanner for DpCheckpointPolicy {
 }
 
 impl CheckpointPlanner for YoungDalyPolicy {
-    fn plan(&self, remaining: f64, vm_age: f64) -> Result<Vec<f64>> {
-        Ok(self.schedule(remaining, vm_age)?.intervals_hours)
+    fn plan_into(&self, remaining: f64, vm_age: f64, out: &mut Vec<f64>) -> Result<()> {
+        *out = self
+            .schedule_into(remaining, vm_age, std::mem::take(out))?
+            .intervals_hours;
+        Ok(())
     }
 
     fn checkpoint_cost(&self) -> f64 {
@@ -64,11 +72,13 @@ impl CheckpointPlanner for YoungDalyPolicy {
 pub struct NoCheckpointPlanner;
 
 impl CheckpointPlanner for NoCheckpointPlanner {
-    fn plan(&self, remaining: f64, _vm_age: f64) -> Result<Vec<f64>> {
+    fn plan_into(&self, remaining: f64, _vm_age: f64, out: &mut Vec<f64>) -> Result<()> {
         if !(remaining > 0.0) {
             return Err(NumericsError::invalid("remaining work must be positive"));
         }
-        Ok(vec![remaining])
+        out.clear();
+        out.push(remaining);
+        Ok(())
     }
 
     fn checkpoint_cost(&self) -> f64 {
@@ -154,6 +164,7 @@ pub fn simulate_checkpointed_job<R: Rng + ?Sized>(
     let mut overheads = Welford::new();
     let mut preemptions_acc = Welford::new();
     let mut unfinished = 0usize;
+    let mut intervals = Vec::new();
 
     for _ in 0..options.trials {
         let mut elapsed = 0.0f64;
@@ -164,7 +175,7 @@ pub fn simulate_checkpointed_job<R: Rng + ?Sized>(
         let mut finished = false;
 
         'job: while preemptions <= options.max_preemptions_per_trial {
-            let intervals = planner.plan(remaining, vm_age)?;
+            planner.plan_into(remaining, vm_age, &mut intervals)?;
             let mut completed_any = false;
             for &work in intervals.iter() {
                 // the final segment of the whole job does not need a trailing checkpoint
@@ -329,7 +340,9 @@ mod tests {
             simulate_checkpointed_job(&yd, m.dist(), 0.0, 0.0, &options(10), &mut rng).is_err()
         );
         assert!(simulate_checkpointed_job(&yd, m.dist(), 1.0, 0.0, &options(0), &mut rng).is_err());
-        assert!(NoCheckpointPlanner.plan(0.0, 0.0).is_err());
+        assert!(NoCheckpointPlanner
+            .plan_into(0.0, 0.0, &mut Vec::new())
+            .is_err());
     }
 
     #[test]

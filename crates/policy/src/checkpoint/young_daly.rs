@@ -75,11 +75,22 @@ impl YoungDalyPolicy {
     /// The expected-makespan field uses the classical first-order approximation
     /// `T · (1 + δ/τ + τ/(2·MTTF))`, which is what systems using Young–Daly plan around.
     pub fn schedule(&self, job_len: f64, start_age: f64) -> Result<CheckpointSchedule> {
+        self.schedule_into(job_len, start_age, Vec::new())
+    }
+
+    /// [`YoungDalyPolicy::schedule`], building the intervals in `intervals` (cleared
+    /// first) so a caller that plans repeatedly can hand the same allocation back in.
+    pub(crate) fn schedule_into(
+        &self,
+        job_len: f64,
+        start_age: f64,
+        mut intervals: Vec<f64>,
+    ) -> Result<CheckpointSchedule> {
         if !(job_len > 0.0) || !job_len.is_finite() {
             return Err(NumericsError::invalid("job length must be positive"));
         }
         let tau = self.interval_hours();
-        let mut intervals = Vec::new();
+        intervals.clear();
         let mut remaining = job_len;
         while remaining > tau {
             intervals.push(tau);
@@ -145,6 +156,22 @@ mod tests {
             assert!((i - tau).abs() < 1e-12);
         }
         assert!(p.schedule(0.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn plan_into_a_dirty_buffer_matches_a_fresh_schedule() {
+        use crate::CheckpointPlanner;
+        let p = YoungDalyPolicy::new(1.7, 0.02).unwrap();
+        let mut out = vec![f64::NAN; 300];
+        for job_len in [2.75, 0.1, 9.5, 0.6, 4.0, 1.0] {
+            for age in [0.0, 0.3, 3.0, 12.5, 23.9] {
+                p.plan_into(job_len, age, &mut out).unwrap();
+                let fresh = p.schedule(job_len, age).unwrap().intervals_hours;
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&fresh), "job {job_len} h at age {age} h");
+                out.resize(out.len() + 7, -1.0);
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod scheduling;
 
 pub use checkpoint::dp::{CheckpointConfig, CheckpointSchedule, DpCheckpointPolicy};
 pub use checkpoint::simulate::{
-    simulate_checkpointed_job, CheckpointExecutionStats, CheckpointPlanner,
+    simulate_checkpointed_job, CheckpointExecutionStats, CheckpointPlanner, NoCheckpointPlanner,
 };
 pub use checkpoint::young_daly::YoungDalyPolicy;
 pub use scheduling::{

@@ -43,7 +43,9 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The deterministic provider seed for one `(base_seed, scenario, trial)` cell.
+/// The deterministic provider seed for one `(base_seed, scenario, trial)` cell.  The
+/// trial index fills the low 20 bits, so cells stay distinct only for trials below
+/// [`MAX_TRIALS`](crate::spec::MAX_TRIALS), the cap `SweepSpec::validate` enforces.
 pub fn trial_seed(base_seed: u64, scenario_id: usize, trial: usize) -> u64 {
     mix(base_seed ^ mix((scenario_id as u64) << 20 | trial as u64))
 }

@@ -50,6 +50,11 @@ use tcp_trace::{ConfigKey, TimeOfDay, TraceCatalog, WorkloadKind};
 /// Default number of Monte-Carlo trials per scenario.
 pub const DEFAULT_TRIALS: usize = 5;
 
+/// Most Monte-Carlo trials per scenario: [`crate::trial_seed`] packs the trial index
+/// into the low 20 bits beside the scenario id, so a larger trial count would make two
+/// scenarios share provider seeds.
+pub const MAX_TRIALS: usize = 1 << 20;
+
 /// Default base seed when the spec does not pin one.
 pub const DEFAULT_BASE_SEED: u64 = 2020;
 
@@ -236,6 +241,13 @@ impl SweepSpec {
         }
         if self.trials() == 0 {
             return Err(NumericsError::invalid("sweep.trials must be at least 1"));
+        }
+        if self.trials() > MAX_TRIALS {
+            return Err(NumericsError::invalid(format!(
+                "sweep.trials must be at most {MAX_TRIALS} (2^20): trial seeds hold the \
+                 trial index in 20 bits, got {}",
+                self.trials()
+            )));
         }
         match self.sweep.model.as_deref() {
             None | Some("paper-representative") | Some("fitted") | Some("calibrated") => {}
@@ -685,6 +697,15 @@ checkpointing = ["none", "young-daly"]
     fn bad_specs_are_rejected() {
         assert!(SweepSpec::from_toml("[sweep]\nname = \"\"\n").is_err());
         assert!(SweepSpec::from_toml("[sweep]\nname = \"x\"\ntrials = 0\n").is_err());
+        // Trial seeds pack the trial index into 20 bits: one more would collide.
+        let trials =
+            |n: usize| SweepSpec::from_toml(&format!("[sweep]\nname = \"x\"\ntrials = {n}\n"));
+        assert_eq!(trials(MAX_TRIALS).unwrap().trials(), 1 << 20);
+        let err = trials(MAX_TRIALS + 1).unwrap_err().to_string();
+        assert!(
+            err.contains("sweep.trials must be at most 1048576"),
+            "{err}"
+        );
         assert!(SweepSpec::from_toml("[sweep]\nname = \"x\"\nmodel = \"psychic\"\n").is_err());
         // Unknown keys are typos, not extensions.
         assert!(SweepSpec::from_toml("[sweep]\nname = \"x\"\ntrails = 3\n").is_err());
