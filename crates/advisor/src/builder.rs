@@ -9,8 +9,8 @@
 
 use crate::error::{AdvisorError, Result};
 use crate::pack::{
-    CellPackEntry, CheckpointCell, ModelPack, MultiPack, PackSchedule, PolicyCard, PolicyScore,
-    RegimePack, MULTI_PACK_FORMAT_VERSION, PACK_FORMAT_VERSION,
+    BathtubReference, CellPackEntry, CheckpointCell, ModelPack, MultiPack, PackSchedule,
+    PolicyCard, PolicyScore, RegimePack, MULTI_PACK_FORMAT_VERSION, PACK_FORMAT_VERSION,
 };
 use std::sync::Arc;
 use tcp_calibrate::RegimeCatalog;
@@ -172,7 +172,7 @@ impl PackBuilder {
             name: String,
             model: Arc<dyn LifetimeModel>,
             /// The cell's bathtub candidate fit, recorded in the pack for audits.
-            reference: Option<tcp_core::BathtubModel>,
+            reference: Option<tcp_dists::ConstrainedBathtub>,
             vm_type: VmType,
         }
         let mut cells: Vec<CellPlan> = Vec::new();
@@ -307,7 +307,7 @@ impl PackBuilder {
         &self,
         name: &str,
         model: &Arc<dyn LifetimeModel>,
-        reference: Option<tcp_core::BathtubModel>,
+        reference: Option<tcp_dists::ConstrainedBathtub>,
         pricing: PricingModel,
         vm_type: VmType,
         checkpoint_costs: &[f64],
@@ -356,7 +356,7 @@ impl PackBuilder {
 
         Ok(RegimePack {
             name: name.to_string(),
-            model: reference,
+            model: reference.map(|dist| BathtubReference { dist }),
             served_family: family.clone(),
             dp_family: family,
             horizon_hours: horizon,
@@ -738,7 +738,7 @@ dp_step_minutes = 15.0
         // and every cell entry must equal what a fresh, separately solved policy gives,
         // whether the reference job lies beyond the grid's largest job or inside it.
         let model: Arc<dyn LifetimeModel> =
-            Arc::new(tcp_core::BathtubModel::paper_representative());
+            Arc::new(tcp_dists::ConstrainedBathtub::paper_representative());
         let costs = [1.0, 5.0];
         // The grid's largest job is 4 h: one reference job beyond it, one inside it.
         for reference_job_len in [6.0, 2.5] {

@@ -53,7 +53,8 @@ pub use engine::{
 };
 pub use error::{AdvisorError, Result};
 pub use pack::{
-    CellPackEntry, CheckpointCell, ModelPack, MultiPack, PackSchedule, PolicyCard, RegimePack,
+    BathtubReference, CellPackEntry, CheckpointCell, ModelPack, MultiPack, PackSchedule,
+    PolicyCard, RegimePack,
 };
 pub use router::{AdvisorHandle, MultiAdvisor};
 pub use serve::{

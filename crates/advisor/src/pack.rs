@@ -10,7 +10,7 @@
 
 use crate::error::{AdvisorError, Result};
 use serde::{Deserialize, Serialize};
-use tcp_core::BathtubModel;
+use tcp_dists::ConstrainedBathtub;
 
 /// Current pack format version. Bumped whenever the schema changes shape.
 /// Version 2 added [`RegimePack::served_family`]; version 3 added
@@ -37,6 +37,14 @@ pub struct ModelPack {
     pub regimes: Vec<RegimePack>,
 }
 
+/// How a pack file records the bathtub reference fit: `{"dist": {"params": …,
+/// "saturation": …}}`.  A method-less record of the file format, not a model.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct BathtubReference {
+    /// The Equation 1 fit.
+    pub dist: ConstrainedBathtub,
+}
+
 /// Precomputed tables for one preemption regime.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegimePack {
@@ -46,7 +54,7 @@ pub struct RegimePack {
     /// audits and drift comparisons.  `None` when the cell had no bathtub candidate
     /// (e.g. too few records for parametric fits) — since format v3 the policy tables
     /// no longer need one.
-    pub model: Option<BathtubModel>,
+    pub model: Option<BathtubReference>,
     /// Which distribution family the `survival`/`first_moment` curves were tabulated
     /// from: `bathtub` for spec-built packs, the cell's goodness-of-fit winner
     /// (`empirical`, `phased`, `weibull`, `exponential`, `bathtub`) for catalog-built

@@ -1,5 +1,5 @@
 //! Integration and property tests for the advisor: table answers must match direct
-//! `tcp_core::analysis` / `tcp_policy` evaluation within interpolation tolerance, tables
+//! `tcp_core::LifetimeModel` / `tcp_policy` evaluation within interpolation tolerance, tables
 //! must be monotone where the math says they must be, and the serving path must be
 //! byte-deterministic across thread counts.
 
@@ -9,14 +9,14 @@ use tcp_advisor::{
     generate_requests, requests_to_ndjson, serve_ndjson, AdviceRequest, Advisor, Decision,
     ModelPack, PackBuilder,
 };
-use tcp_core::analysis::expected_makespan_from_age;
-use tcp_core::BathtubModel;
+use tcp_core::LifetimeModel;
+use tcp_dists::{ConstrainedBathtub, LifetimeDistribution};
 use tcp_policy::{CheckpointConfig, DpCheckpointPolicy};
 use tcp_scenarios::SweepSpec;
 
 /// The reference model behind the `paper` regime of the test pack.
-fn model() -> BathtubModel {
-    BathtubModel::paper_representative()
+fn model() -> ConstrainedBathtub {
+    ConstrainedBathtub::paper_representative()
 }
 
 fn test_spec() -> SweepSpec {
@@ -81,7 +81,7 @@ proptest! {
             .advise(&AdviceRequest::expected_cost_makespan("paper", age, job))
             .unwrap();
         let tabled = response.expected_makespan_hours.unwrap();
-        let direct = expected_makespan_from_age(model().dist(), age, job);
+        let direct = model().makespan_from_age(age, job);
         prop_assert!(
             (tabled - direct).abs() < TOLERANCE,
             "age {age} job {job}: tabled {tabled} direct {direct}"
@@ -160,8 +160,8 @@ proptest! {
             .advise(&AdviceRequest::should_reuse("paper", age, job))
             .unwrap();
         let dist = model();
-        let fresh = expected_makespan_from_age(dist.dist(), 0.0, job);
-        let reuse = expected_makespan_from_age(dist.dist(), age, job);
+        let fresh = dist.makespan_from_age(0.0, job);
+        let reuse = dist.makespan_from_age(age, job);
         // Near the decision boundary interpolation may legitimately flip the choice;
         // away from it (margin > table tolerance) the decisions must agree.
         if (reuse - fresh).abs() > 2.0 * TOLERANCE {
@@ -190,7 +190,7 @@ fn checkpoint_tables_are_exact_at_grid_points() {
         restart_overhead_hours: cell.restart_overhead_minutes / 60.0,
     };
     let policy =
-        DpCheckpointPolicy::new(regime.model.expect("bathtub reference fit"), config).unwrap();
+        DpCheckpointPolicy::new(regime.model.expect("bathtub reference fit").dist, config).unwrap();
     for (i, &age) in cell.ages.iter().enumerate() {
         for (j, &job) in cell.job_lens.iter().enumerate() {
             let tabled = cell.expected_makespan[i * cell.job_lens.len() + j];
@@ -219,7 +219,7 @@ fn checkpoint_plan_interpolates_between_grid_points() {
         restart_overhead_hours: cell.restart_overhead_minutes / 60.0,
     };
     let policy =
-        DpCheckpointPolicy::new(regime.model.expect("bathtub reference fit"), config).unwrap();
+        DpCheckpointPolicy::new(regime.model.expect("bathtub reference fit").dist, config).unwrap();
     for &(job, age) in &[(2.2, 0.0), (3.7, 5.0), (5.1, 10.0)] {
         let response = a
             .advise(&AdviceRequest::checkpoint_plan("paper", age, job))

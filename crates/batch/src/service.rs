@@ -565,7 +565,7 @@ mod tests {
     use tcp_workloads::profiles::profile_by_name;
 
     fn model() -> Arc<dyn LifetimeModel> {
-        Arc::new(tcp_core::BathtubModel::paper_representative())
+        Arc::new(tcp_dists::ConstrainedBathtub::paper_representative())
     }
 
     fn small_bag(count: usize) -> BagOfJobs {

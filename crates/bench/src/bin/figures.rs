@@ -8,7 +8,7 @@
 
 use std::process::ExitCode;
 use tcp_bench::figures;
-use tcp_core::BathtubModel;
+use tcp_dists::{ConstrainedBathtub, LifetimeDistribution};
 
 fn print_fig(fig: &figures::FigureData) {
     println!("{}", fig.to_csv());
@@ -29,7 +29,7 @@ fn run(which: &str) -> Result<(), String> {
             p.tau2,
             p.b,
             p.horizon,
-            model.expected_lifetime()
+            model.mean()
         );
     }
     if run_all || which == "fig1" {
@@ -65,7 +65,7 @@ fn run(which: &str) -> Result<(), String> {
         print_fig(&figures::figure6(&model, 24).map_err(|e| format!("fig6: {e}"))?);
     }
     if run_all || which == "fig7" {
-        let suboptimal = BathtubModel::from_parts(0.49, 0.55, 0.9, 23.2)
+        let suboptimal = ConstrainedBathtub::from_parts(0.49, 0.55, 0.9, 23.2)
             .map_err(|e| format!("suboptimal model: {e}"))?;
         print_fig(&figures::figure7(&model, &suboptimal, 24).map_err(|e| format!("fig7: {e}"))?);
     }

@@ -6,7 +6,8 @@
 
 use tcp_batch::{BatchService, ServiceConfig};
 use tcp_core::analysis::{running_time_analysis, RunningTimeAnalysis};
-use tcp_core::{fit_bathtub_model, fit_model_comparison, BathtubModel, ModelComparison};
+use tcp_core::{fit_bathtub_model, fit_model_comparison, LifetimeModel, ModelComparison};
+use tcp_dists::ConstrainedBathtub;
 use tcp_numerics::Result;
 use tcp_policy::checkpoint::simulate::{simulate_checkpointed_job, SimulationOptions};
 use tcp_policy::{
@@ -136,7 +137,7 @@ pub fn figure2(seed: u64, per_cell: usize, grid_points: usize) -> Result<[Figure
 }
 
 /// Fits the model used by the policy figures (from a fresh synthetic study).
-pub fn fitted_model(seed: u64) -> Result<BathtubModel> {
+pub fn fitted_model(seed: u64) -> Result<ConstrainedBathtub> {
     let mut gen = TraceGenerator::new(seed);
     let records = gen.generate_for(ConfigKey::figure1(), STUDY_SAMPLES)?;
     let lifetimes: Vec<f64> = records.iter().map(|r| r.lifetime_hours).collect();
@@ -145,10 +146,10 @@ pub fn fitted_model(seed: u64) -> Result<BathtubModel> {
 
 /// Figure 4a/4b: wasted computation and expected increase in running time vs job length.
 pub fn figure4(
-    model: &BathtubModel,
+    model: &ConstrainedBathtub,
     steps: usize,
 ) -> Result<(FigureData, FigureData, RunningTimeAnalysis)> {
-    let analysis = running_time_analysis(model.dist(), model.horizon(), steps)?;
+    let analysis = running_time_analysis(model, model.horizon(), steps)?;
     let mut fig4a = FigureData::new("fig4a", &["job_length_hours", "wasted_hours"]);
     let mut fig4b = FigureData::new("fig4b", &["job_length_hours", "expected_increase_hours"]);
     for p in &analysis.points {
@@ -161,7 +162,7 @@ pub fn figure4(
 }
 
 /// Figure 5: failure probability of a 6-hour job vs its start time, both policies.
-pub fn figure5(model: &BathtubModel, job_len: f64, steps: usize) -> FigureData {
+pub fn figure5(model: &ConstrainedBathtub, job_len: f64, steps: usize) -> FigureData {
     let ours = ModelDrivenScheduler::new(*model);
     let memoryless = MemorylessScheduler;
     let mut fig = FigureData::new("fig5", &["start_time_hours", "failure_probability"]);
@@ -183,7 +184,7 @@ pub fn figure5(model: &BathtubModel, job_len: f64, steps: usize) -> FigureData {
 }
 
 /// Figure 6: average failure probability vs job length, both policies.
-pub fn figure6(model: &BathtubModel, steps: usize) -> Result<FigureData> {
+pub fn figure6(model: &ConstrainedBathtub, steps: usize) -> Result<FigureData> {
     let ours = ModelDrivenScheduler::new(*model);
     let memoryless = MemorylessScheduler;
     let mut fig = FigureData::new("fig6", &["job_length_hours", "failure_probability"]);
@@ -209,8 +210,8 @@ pub fn figure6(model: &BathtubModel, steps: usize) -> Result<FigureData> {
 
 /// Figure 7: best-fit vs deliberately suboptimal bathtub model vs memoryless.
 pub fn figure7(
-    truth: &BathtubModel,
-    suboptimal: &BathtubModel,
+    truth: &ConstrainedBathtub,
+    suboptimal: &ConstrainedBathtub,
     steps: usize,
 ) -> Result<FigureData> {
     let best = ModelDrivenScheduler::new(*truth);
@@ -245,7 +246,7 @@ pub fn figure7(
 }
 
 /// Section 4.3 example: the non-uniform checkpoint schedule of a 5-hour job at VM age 0.
-pub fn checkpoint_schedule_example(model: &BathtubModel) -> Result<FigureData> {
+pub fn checkpoint_schedule_example(model: &ConstrainedBathtub) -> Result<FigureData> {
     let policy = DpCheckpointPolicy::new(*model, CheckpointConfig::paper_defaults())?;
     let schedule = policy.schedule(5.0, 0.0)?;
     let mut fig = FigureData::new("ckpt_schedule", &["interval_index", "interval_minutes"]);
@@ -256,7 +257,7 @@ pub fn checkpoint_schedule_example(model: &BathtubModel) -> Result<FigureData> {
 }
 
 /// Figure 8a: % increase in running time vs job start time (4-hour job), DP vs Young–Daly.
-pub fn figure8a(model: &BathtubModel, trials: usize) -> Result<FigureData> {
+pub fn figure8a(model: &ConstrainedBathtub, trials: usize) -> Result<FigureData> {
     let dp = DpCheckpointPolicy::new(*model, CheckpointConfig::paper_defaults())?;
     let yd = YoungDalyPolicy::paper_baseline();
     let options = SimulationOptions {
@@ -267,9 +268,8 @@ pub fn figure8a(model: &BathtubModel, trials: usize) -> Result<FigureData> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(808);
     use rand::SeedableRng;
     for start in [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0] {
-        let ours = simulate_checkpointed_job(&dp, model.dist(), 4.0, start, &options, &mut rng)?;
-        let baseline =
-            simulate_checkpointed_job(&yd, model.dist(), 4.0, start, &options, &mut rng)?;
+        let ours = simulate_checkpointed_job(&dp, model, 4.0, start, &options, &mut rng)?;
+        let baseline = simulate_checkpointed_job(&yd, model, 4.0, start, &options, &mut rng)?;
         fig.push(
             "Our Policy",
             vec![start, 100.0 * ours.mean_overhead_fraction],
@@ -283,7 +283,7 @@ pub fn figure8a(model: &BathtubModel, trials: usize) -> Result<FigureData> {
 }
 
 /// Figure 8b: % increase in running time vs job length (start at VM age 0).
-pub fn figure8b(model: &BathtubModel, trials: usize) -> Result<FigureData> {
+pub fn figure8b(model: &ConstrainedBathtub, trials: usize) -> Result<FigureData> {
     let dp = DpCheckpointPolicy::new(*model, CheckpointConfig::paper_defaults())?;
     let yd = YoungDalyPolicy::paper_baseline();
     let options = SimulationOptions {
@@ -294,9 +294,8 @@ pub fn figure8b(model: &BathtubModel, trials: usize) -> Result<FigureData> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(809);
     use rand::SeedableRng;
     for job_len in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0] {
-        let ours = simulate_checkpointed_job(&dp, model.dist(), job_len, 0.0, &options, &mut rng)?;
-        let baseline =
-            simulate_checkpointed_job(&yd, model.dist(), job_len, 0.0, &options, &mut rng)?;
+        let ours = simulate_checkpointed_job(&dp, model, job_len, 0.0, &options, &mut rng)?;
+        let baseline = simulate_checkpointed_job(&yd, model, job_len, 0.0, &options, &mut rng)?;
         fig.push(
             "Our Policy",
             vec![job_len, 100.0 * ours.mean_overhead_fraction],
@@ -311,7 +310,7 @@ pub fn figure8b(model: &BathtubModel, trials: usize) -> Result<FigureData> {
 
 /// Figure 9a: cost per job of the service on preemptible VMs vs on-demand, per application.
 pub fn figure9a(
-    model: &BathtubModel,
+    model: &ConstrainedBathtub,
     jobs_per_bag: usize,
     cluster_size: usize,
 ) -> Result<FigureData> {
@@ -351,7 +350,7 @@ pub fn figure9a(
 
 /// Figure 9b: % increase in running time vs number of preemptions observed (repeated runs).
 pub fn figure9b(
-    model: &BathtubModel,
+    model: &ConstrainedBathtub,
     jobs_per_bag: usize,
     cluster_size: usize,
     repetitions: usize,
@@ -394,7 +393,7 @@ mod tests {
 
     #[test]
     fn figure4_crossover_present() {
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let (_a, b, analysis) = figure4(&model, 48).unwrap();
         assert!(analysis.crossover_job_len.is_some());
         assert!(b.rows.len() == 2 * 48);
@@ -402,7 +401,7 @@ mod tests {
 
     #[test]
     fn figure5_and_6_policy_gap() {
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let fig5 = figure5(&model, 6.0, 24);
         assert_eq!(fig5.rows.len(), 48);
         let fig6 = figure6(&model, 12).unwrap();
@@ -416,7 +415,7 @@ mod tests {
 
     #[test]
     fn checkpoint_example_has_increasing_intervals() {
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let fig = checkpoint_schedule_example(&model).unwrap();
         assert!(fig.rows.len() >= 3);
         let first = fig.rows.first().unwrap()[1];
@@ -426,7 +425,7 @@ mod tests {
 
     #[test]
     fn figure9a_shows_cost_advantage() {
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let fig = figure9a(&model, 30, 8).unwrap();
         // every "Our Service" row must report a cost ratio comfortably above 1
         for (label, row) in fig.labels.iter().zip(&fig.rows) {

@@ -8,10 +8,9 @@
 //! options produce byte-identical JSON for every thread count.
 
 use crate::cell::{CellKey, TodSlot};
-use crate::fit::{CalibratedModel, CandidateFit, FitOptions};
+use crate::fit::{bathtub_from_params, CalibratedModel, CandidateFit, FitOptions};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use tcp_core::BathtubModel;
 use tcp_dists::ConstrainedBathtub;
 use tcp_numerics::{NumericsError, Result};
 use tcp_trace::{VmType, Zone};
@@ -49,26 +48,14 @@ pub struct CellFit {
 }
 
 impl CellFit {
-    /// The cell's bathtub fit as a policy-ready [`BathtubModel`], regardless of which
-    /// family won the selection (the sweep/advisor policy stack is built on Equation 1,
-    /// so it consumes the bathtub candidate even when e.g. `phased` models the ground
-    /// truth better).  `None` when the cell was too small for parametric fits.
-    pub fn bathtub_model(&self) -> Option<BathtubModel> {
-        if let Some(model) = self.model.bathtub() {
-            return Some(model);
-        }
-        let candidate = self.candidates.iter().find(|c| c.family == "bathtub")?;
-        if candidate.params.len() != 4 {
-            return None;
-        }
-        ConstrainedBathtub::from_parts(
-            candidate.params[0],
-            candidate.params[1],
-            candidate.params[2],
-            candidate.params[3],
-        )
-        .ok()
-        .map(BathtubModel::from_distribution)
+    /// The cell's bathtub fit as a [`ConstrainedBathtub`], regardless of which family won
+    /// the selection — the Equation 1 parameters a pack records next to its winner as an
+    /// audit reference.  `None` when the cell was too small for parametric fits.
+    pub fn bathtub_model(&self) -> Option<ConstrainedBathtub> {
+        self.model.bathtub().or_else(|| {
+            let candidate = self.candidates.iter().find(|c| c.family == "bathtub")?;
+            bathtub_from_params(&candidate.params)
+        })
     }
 
     /// The cell key, when this is a real cell (not the pooled entry).

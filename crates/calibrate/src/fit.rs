@@ -21,7 +21,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tcp_core::{BathtubModel, LifetimeModel, TabulatedLifetime};
+use tcp_core::{LifetimeModel, TabulatedLifetime};
 use tcp_dists::bathtub::BathtubParams;
 use tcp_dists::fit::{fit_distribution, DistributionFamily};
 use tcp_dists::phased::PhasedHazardParams;
@@ -191,19 +191,21 @@ impl CalibratedModel {
         )?))
     }
 
-    /// The winning model as a [`BathtubModel`], when the winner is the bathtub family.
-    pub fn bathtub(&self) -> Option<BathtubModel> {
-        if self.family != "bathtub" || self.params.len() != 4 {
+    /// The winning model as a [`ConstrainedBathtub`], when the winner is the bathtub family.
+    pub fn bathtub(&self) -> Option<ConstrainedBathtub> {
+        if self.family != "bathtub" {
             return None;
         }
-        ConstrainedBathtub::from_parts(
-            self.params[0],
-            self.params[1],
-            self.params[2],
-            self.params[3],
-        )
-        .ok()
-        .map(BathtubModel::from_distribution)
+        bathtub_from_params(&self.params)
+    }
+}
+
+/// The Equation 1 model behind a fitted bathtub parameter vector `[A, τ1, τ2, b]`, or
+/// `None` when the vector is malformed or the parameters are invalid.
+pub(crate) fn bathtub_from_params(params: &[f64]) -> Option<ConstrainedBathtub> {
+    match *params {
+        [a, tau1, tau2, b] => ConstrainedBathtub::from_parts(a, tau1, tau2, b).ok(),
+        _ => None,
     }
 }
 

@@ -8,7 +8,8 @@
 //! * **Expected makespan** (Equation 7):
 //!   `E[T_total] = T + ∫_0^T t f(t) dt`
 //! * **Age-dependent expected makespan** (Equation 8), for a job starting at VM age `s`:
-//!   `E[T_s] = T + ∫_s^{s+T} t f(t) dt`
+//!   `E[T_s] = T + ∫_s^{s+T} t f(t) dt` — a constrained-lifetime quantity, so it lives on
+//!   the model as [`LifetimeModel::makespan_from_age`](crate::LifetimeModel::makespan_from_age).
 //!
 //! For the uniform strawman over `[0, L]` the same quantities reduce to `T/2` and
 //! `T²/(2L)` (= `T²/48` for the 24-hour horizon), which is the comparison of Figure 4.
@@ -38,17 +39,6 @@ pub fn expected_increase_in_running_time(dist: &dyn LifetimeDistribution, job_le
 /// (Equation 7), under the paper's single-preemption approximation.
 pub fn expected_makespan(dist: &dyn LifetimeDistribution, job_len: f64) -> f64 {
     job_len + expected_increase_in_running_time(dist, job_len)
-}
-
-/// Expected total running time of a job of length `T` starting at VM age `s`
-/// (Equation 8): `E[T_s] = T + ∫_s^{s+T} t f(t) dt`.
-pub fn expected_makespan_from_age(
-    dist: &dyn LifetimeDistribution,
-    vm_age: f64,
-    job_len: f64,
-) -> f64 {
-    let s = vm_age.max(0.0);
-    job_len + dist.partial_expectation(s, s + job_len.max(0.0))
 }
 
 /// Expected wasted work under uniformly distributed preemptions: `T/2` (Section 6.1).
@@ -149,10 +139,11 @@ pub fn uniform_strawman(horizon: f64) -> Result<UniformLifetime> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::BathtubModel;
+    use crate::LifetimeModel;
+    use tcp_dists::ConstrainedBathtub;
 
-    fn model() -> BathtubModel {
-        BathtubModel::paper_representative()
+    fn model() -> ConstrainedBathtub {
+        ConstrainedBathtub::paper_representative()
     }
 
     #[test]
@@ -170,16 +161,16 @@ mod tests {
     #[test]
     fn wasted_work_zero_for_zero_length_jobs() {
         let m = model();
-        assert_eq!(expected_wasted_work(m.dist(), 0.0), 0.0);
-        assert_eq!(expected_increase_in_running_time(m.dist(), 0.0), 0.0);
-        assert_eq!(expected_makespan(m.dist(), 0.0), 0.0);
+        assert_eq!(expected_wasted_work(&m, 0.0), 0.0);
+        assert_eq!(expected_increase_in_running_time(&m, 0.0), 0.0);
+        assert_eq!(expected_makespan(&m, 0.0), 0.0);
     }
 
     #[test]
     fn wasted_work_less_than_job_length() {
         let m = model();
         for j in [1.0, 4.0, 8.0, 16.0, 23.0] {
-            let w = expected_wasted_work(m.dist(), j);
+            let w = expected_wasted_work(&m, j);
             assert!(w > 0.0 && w < j, "j = {j}, w = {w}");
         }
     }
@@ -189,7 +180,7 @@ mod tests {
         let m = model();
         let mut prev = 0.0;
         for i in 1..=24 {
-            let e = expected_makespan(m.dist(), i as f64);
+            let e = expected_makespan(&m, i as f64);
             assert!(e > prev);
             prev = e;
         }
@@ -200,7 +191,7 @@ mod tests {
         // Figure 4b: short jobs do slightly worse under bathtub preemptions, long jobs do
         // much better; the crossover is around 5 hours and the advantage grows large.
         let m = model();
-        let analysis = running_time_analysis(m.dist(), 24.0, 96).unwrap();
+        let analysis = running_time_analysis(&m, 24.0, 96).unwrap();
         let crossover = analysis.crossover_job_len.expect("crossover should exist");
         assert!(
             crossover > 1.0 && crossover < 10.0,
@@ -243,21 +234,21 @@ mod tests {
         let m = model();
         let job = 6.0;
         // Starting in the stable middle phase is cheaper than starting fresh.
-        let fresh = expected_makespan_from_age(m.dist(), 0.0, job);
-        let stable = expected_makespan_from_age(m.dist(), 8.0, job);
+        let fresh = m.makespan_from_age(0.0, job);
+        let stable = m.makespan_from_age(8.0, job);
         assert!(stable < fresh, "stable {stable} fresh {fresh}");
         // Starting right before the deadline is the worst.
-        let near_deadline = expected_makespan_from_age(m.dist(), 20.0, job);
+        let near_deadline = m.makespan_from_age(20.0, job);
         assert!(near_deadline > stable);
         // Equation 8 reduces to Equation 7 at age 0.
-        assert!((fresh - expected_makespan(m.dist(), job)).abs() < 1e-9);
+        assert!((fresh - expected_makespan(&m, job)).abs() < 1e-9);
     }
 
     #[test]
     fn analysis_argument_validation() {
         let m = model();
-        assert!(running_time_analysis(m.dist(), 24.0, 1).is_err());
-        assert!(running_time_analysis(m.dist(), 0.0, 10).is_err());
+        assert!(running_time_analysis(&m, 24.0, 1).is_err());
+        assert!(running_time_analysis(&m, 0.0, 10).is_err());
     }
 
     #[test]
@@ -266,7 +257,7 @@ mod tests {
         // preemptions happen early.
         let m = model();
         let j = 20.0;
-        let bathtub = expected_wasted_work(m.dist(), j);
+        let bathtub = expected_wasted_work(&m, j);
         let uniform = uniform_expected_wasted_work(j);
         assert!(
             bathtub < 0.6 * uniform,

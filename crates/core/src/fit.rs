@@ -3,7 +3,6 @@
 //! This is the Figure 1 pipeline: observed lifetimes → empirical CDF on a grid → bounded
 //! least-squares fit of each candidate family → goodness-of-fit comparison.
 
-use crate::model::BathtubModel;
 use serde::{Deserialize, Serialize};
 use tcp_dists::bathtub::ConstrainedBathtub;
 use tcp_dists::fit::{fit_distribution, DistributionFamily, FittedDistribution};
@@ -17,7 +16,7 @@ pub const DEFAULT_FIT_GRID_POINTS: usize = 200;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelFit {
     /// The fitted model.
-    pub model: BathtubModel,
+    pub model: ConstrainedBathtub,
     /// Coefficient of determination of the CDF fit.
     pub r_squared: f64,
     /// Root-mean-square CDF error.
@@ -84,7 +83,7 @@ pub fn fit_bathtub_model(lifetimes: &[f64], horizon: f64) -> Result<ModelFit> {
         fitted.params[3],
     )?;
     Ok(ModelFit {
-        model: BathtubModel::from_distribution(dist),
+        model: dist,
         r_squared: fitted.r_squared,
         rmse: fitted.rmse,
         sample_count: lifetimes.len(),
@@ -124,7 +123,7 @@ pub fn fit_model_comparison(lifetimes: &[f64], horizon: f64) -> Result<ModelComp
         bathtub_fit.params[3],
     )?;
     let bathtub = ModelFit {
-        model: BathtubModel::from_distribution(dist),
+        model: dist,
         r_squared: bathtub_fit.r_squared,
         rmse: bathtub_fit.rmse,
         sample_count: lifetimes.len(),
@@ -148,7 +147,7 @@ impl ModelComparison {
     /// Evaluates every fitted CDF (plus the empirical CDF) on a grid — the data series of
     /// Figure 1.  Returns `(ts, per-series (label, values))`.
     pub fn cdf_series(&self, points: usize) -> (Vec<f64>, Vec<(String, Vec<f64>)>) {
-        let horizon = self.bathtub.model.horizon();
+        let horizon = self.bathtub.model.params().horizon;
         let ts = tcp_numerics::interp::linspace(0.0, horizon, points.max(2));
         let mut series = Vec::new();
         let emp: Vec<f64> = ts.iter().map(|&t| self.empirical.ecdf().eval(t)).collect();

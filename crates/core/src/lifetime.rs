@@ -1,29 +1,28 @@
 //! The model-generic lifetime API: [`LifetimeModel`] and [`TabulatedLifetime`].
 //!
 //! The paper's checkpointing DP (Equations 9–13) and policy selection are defined over
-//! an *arbitrary* lifetime distribution; only the bathtub fit (Equation 1) happens to
-//! have closed forms.  `LifetimeModel` is the trait that carries every family — bathtub,
-//! Weibull, exponential, phased, empirical, and mixtures — through the whole policy
-//! stack: it exposes exactly the quantities the policies consume,
+//! an *arbitrary* lifetime distribution under the 24 h constraint; only the bathtub fit
+//! (Equation 1) happens to have closed forms.  One hierarchy describes a lifetime:
 //!
-//! * survival `S(t)` and the CDF,
-//! * the first-moment curve `W(t) = ∫_0^t u f(u) du` (with the deadline reclamation
-//!   atom included once `t` reaches the temporal constraint `L`),
-//! * the hazard rate `h(t)`, density and quantile where a family has them,
-//! * Equation 8's age-dependent makespan and the conditional job-failure probability,
-//! * a tabulation hook ([`LifetimeModel::tabulate`]) for consumers that want dense
-//!   grids, and for families that only *exist* as quadrature tables.
+//! * [`tcp_dists::LifetimeDistribution`] — any lifetime law: survival,
+//!   CDF, density, hazard, truncated expectations, quantile and sampling;
+//! * [`LifetimeModel`] — its subtrait for a *constrained* lifetime, the type every
+//!   policy consumes.  It adds the horizon `L`, the first-moment curve
+//!   `W(t) = ∫_0^t u f(u) du` (deadline reclamation atom included once `t` reaches `L`)
+//!   and the atom itself, Equation 8's age-dependent makespan, the conditional
+//!   job-failure probability, phase boundaries and a tabulation hook
+//!   ([`LifetimeModel::tabulate`]).
 //!
-//! [`BathtubModel`](crate::BathtubModel) implements the trait with its closed forms —
-//! the fast path — while [`TabulatedLifetime`] adapts any
-//! [`tcp_dists::LifetimeDistribution`] (Weibull, exponential,
-//! phased, empirical) or weighted mixture to the constrained setting by quadrature:
-//! survival and `W` are precomputed once on a dense age grid and every subsequent query
-//! is an interpolated lookup, so the generic-hazard DP runs at table speed for every
-//! family.
+//! Two types implement `LifetimeModel`.  [`ConstrainedBathtub`] does so with its closed
+//! forms — the fast path.  [`TabulatedLifetime`] adapts any other distribution (Weibull,
+//! exponential, phased, empirical) or weighted mixture to the constrained setting by
+//! quadrature: survival and `W` are precomputed once on a dense age grid and every
+//! subsequent query is an interpolated lookup, so the generic-hazard DP runs at table
+//! speed for every family.  Unconstrained families never implement `LifetimeModel`
+//! themselves, so by type they reach the DP only with their deadline atom added.
 
 use std::sync::Arc;
-use tcp_dists::LifetimeDistribution;
+use tcp_dists::{ConstrainedBathtub, LifetimeDistribution};
 use tcp_numerics::interp::{linspace, LinearInterp};
 use tcp_numerics::{NumericsError, Result};
 
@@ -31,29 +30,23 @@ use tcp_numerics::{NumericsError, Result};
 /// spacing over a 24 h horizon).
 pub const DEFAULT_TABLE_POINTS: usize = 1441;
 
-/// A lifetime (time-to-preemption) model under a temporal constraint `L`, exposing the
-/// quantities the paper's policies are built on.
+/// A lifetime (time-to-preemption) model under a temporal constraint `L`: a
+/// [`LifetimeDistribution`] plus the quantities only a *constrained* lifetime has, which
+/// the paper's policies are built on.
 ///
-/// Implementations must provide [`family`](LifetimeModel::family),
-/// [`horizon`](LifetimeModel::horizon), [`survival`](LifetimeModel::survival),
-/// [`first_moment`](LifetimeModel::first_moment) and
-/// [`deadline_atom`](LifetimeModel::deadline_atom); everything else has a default
-/// derived from those five.  Closed-form families should override
-/// [`partial_expectation`](LifetimeModel::partial_expectation) (and
-/// [`hazard`](LifetimeModel::hazard)/[`density`](LifetimeModel::density)) so the DP and
-/// Equation 8 evaluate with their exact arithmetic.
-pub trait LifetimeModel: Send + Sync {
+/// Survival, CDF, hazard, truncated expectations, quantiles and sampling come from the
+/// supertrait.  Implementations must provide [`family`](LifetimeModel::family),
+/// [`horizon`](LifetimeModel::horizon), [`first_moment`](LifetimeModel::first_moment)
+/// and [`deadline_atom`](LifetimeModel::deadline_atom); everything else has a default.
+/// Unconstrained families (exponential, Weibull, …) do not implement this trait: they
+/// reach the policies only through [`TabulatedLifetime`], which adds their deadline atom.
+pub trait LifetimeModel: LifetimeDistribution {
     /// Family name (`bathtub`, `weibull`, `exponential`, `phased`, `empirical`,
     /// `mixture`, …) — recorded in packs and reports.
     fn family(&self) -> &str;
 
-    /// The temporal constraint `L` in hours (24 for GCP Preemptible VMs).  Every model
-    /// is constrained: unconstrained distributions are adapted by
-    /// [`TabulatedLifetime`], which moves their residual mass into a deadline atom.
+    /// The temporal constraint `L` in hours (24 for GCP Preemptible VMs).
     fn horizon(&self) -> f64;
-
-    /// Survival `S(t) = P(lifetime > t)`; zero at (and past) the horizon.
-    fn survival(&self, t: f64) -> f64;
 
     /// First-moment curve `W(t) = ∫_0^t u f(u) du`, *including* the deadline
     /// reclamation atom once `t` reaches the horizon — so `W(L)` is the full expected
@@ -63,59 +56,6 @@ pub trait LifetimeModel: Send + Sync {
 
     /// Probability mass reclaimed exactly at the deadline (survivors killed at `L`).
     fn deadline_atom(&self) -> f64;
-
-    /// CDF `F(t) = 1 − S(t)`.
-    fn cdf(&self, t: f64) -> f64 {
-        (1.0 - self.survival(t)).clamp(0.0, 1.0)
-    }
-
-    /// Truncated expectation `∫_a^b t f(t) dt` (atom included when `b` reaches the
-    /// horizon).  Default: a difference of [`first_moment`](LifetimeModel::first_moment)
-    /// lookups; closed-form families override with their exact antiderivative.
-    fn partial_expectation(&self, a: f64, b: f64) -> f64 {
-        let a = a.max(0.0).min(self.horizon());
-        let b = b.max(0.0).min(self.horizon());
-        if b <= a {
-            return 0.0;
-        }
-        (self.first_moment(b) - self.first_moment(a)).max(0.0)
-    }
-
-    /// Hazard rate `h(t) = f(t)/S(t)`.  Default: a centred finite difference of the
-    /// survival curve, which is exact enough for phase detection and reports; families
-    /// with a density should override.
-    fn hazard(&self, t: f64) -> f64 {
-        let s = self.survival(t);
-        if s <= 1e-12 {
-            return f64::INFINITY;
-        }
-        let h = 1e-4 * self.horizon().max(1.0);
-        let lo = (t - h).max(0.0);
-        let hi = (t + h).min(self.horizon());
-        if hi <= lo {
-            return f64::INFINITY;
-        }
-        let density = ((self.survival(lo) - self.survival(hi)) / (hi - lo)).max(0.0);
-        density / s
-    }
-
-    /// Probability density `f(t)`, where the family has one (`None` for empirical and
-    /// other purely tabulated curves).
-    fn density(&self, t: f64) -> Option<f64> {
-        let _ = t;
-        None
-    }
-
-    /// Quantile (inverse CDF), where the family has one.
-    fn quantile(&self, u: f64) -> Option<f64> {
-        let _ = u;
-        None
-    }
-
-    /// Expected lifetime including the deadline atom — the paper's MTTF substitute.
-    fn expected_lifetime(&self) -> f64 {
-        self.first_moment(self.horizon())
-    }
 
     /// Equation 8: expected makespan of a job of length `job_len` starting at VM age
     /// `vm_age`, `E[T_s] = T + W(min(s+T, L)) − W(s)` (single-preemption form).
@@ -186,7 +126,7 @@ pub trait LifetimeModel: Send + Sync {
     /// The closed-form bathtub fit behind this model, when that is what the model is —
     /// lets pack builders record the Equation 1 parameters next to generic tables
     /// without downcasting.  `None` for every other family.
-    fn as_bathtub(&self) -> Option<&crate::BathtubModel> {
+    fn as_bathtub(&self) -> Option<&ConstrainedBathtub> {
         None
     }
 
@@ -194,7 +134,7 @@ pub trait LifetimeModel: Send + Sync {
     ///
     /// Survival is forced to zero at (and past) the horizon; `W` carries the deadline
     /// atom once the grid reaches it (both already hold for any correct
-    /// [`survival`](LifetimeModel::survival)/[`first_moment`](LifetimeModel::first_moment)
+    /// [`survival`](LifetimeDistribution::survival)/[`first_moment`](LifetimeModel::first_moment)
     /// pair — the clamp makes the contract explicit at the table boundary).
     fn tabulate(&self, ages: &[f64]) -> LifetimeCurves {
         let horizon = self.horizon();
@@ -225,51 +165,6 @@ pub struct LifetimeCurves {
     pub survival: Vec<f64>,
     /// `W(age)` per grid knot.
     pub first_moment: Vec<f64>,
-}
-
-/// A shared, dynamically typed lifetime model — the form the policy stack passes around.
-pub type SharedLifetimeModel = Arc<dyn LifetimeModel>;
-
-impl LifetimeModel for Arc<dyn LifetimeModel> {
-    fn family(&self) -> &str {
-        (**self).family()
-    }
-    fn horizon(&self) -> f64 {
-        (**self).horizon()
-    }
-    fn survival(&self, t: f64) -> f64 {
-        (**self).survival(t)
-    }
-    fn first_moment(&self, t: f64) -> f64 {
-        (**self).first_moment(t)
-    }
-    fn deadline_atom(&self) -> f64 {
-        (**self).deadline_atom()
-    }
-    fn cdf(&self, t: f64) -> f64 {
-        (**self).cdf(t)
-    }
-    fn partial_expectation(&self, a: f64, b: f64) -> f64 {
-        (**self).partial_expectation(a, b)
-    }
-    fn hazard(&self, t: f64) -> f64 {
-        (**self).hazard(t)
-    }
-    fn density(&self, t: f64) -> Option<f64> {
-        (**self).density(t)
-    }
-    fn quantile(&self, u: f64) -> Option<f64> {
-        (**self).quantile(u)
-    }
-    fn phase_boundaries(&self) -> (f64, f64) {
-        (**self).phase_boundaries()
-    }
-    fn as_bathtub(&self) -> Option<&crate::BathtubModel> {
-        (**self).as_bathtub()
-    }
-    fn tabulate(&self, ages: &[f64]) -> LifetimeCurves {
-        (**self).tabulate(ages)
-    }
 }
 
 /// A lifetime model materialised as quadrature tables on a dense age grid.
@@ -412,10 +307,12 @@ impl TabulatedLifetime {
         Self::from_curves("mixture", &ages, survival, first_moment, horizon, atom)
     }
 
-    /// Builds a tabulated model from precomputed curves (e.g. a serialized pack's
-    /// grids).  The age grid must be strictly increasing and reach the horizon;
-    /// survival must end at zero and `W` must be non-decreasing.
-    pub fn from_curves(
+    /// Builds a tabulated model from the constructors' curves.  The age grid must be
+    /// strictly increasing and reach the horizon, and `W` must be non-decreasing.  The
+    /// survival curve's last knot holds the continuous limit `S(L⁻)` — the deadline atom
+    /// — not zero; [`survival`](LifetimeDistribution::survival) still reads zero at the
+    /// horizon.
+    fn from_curves(
         family: impl Into<String>,
         ages: &[f64],
         survival: Vec<f64>,
@@ -458,13 +355,17 @@ impl TabulatedLifetime {
     }
 }
 
-impl LifetimeModel for TabulatedLifetime {
-    fn family(&self) -> &str {
-        &self.family
+/// The constrained law the tables describe: survival is the table lookup, and the CDF,
+/// truncated expectations and hazard derive from the survival and `W` tables.  Quantile,
+/// sampling and mean come from the trait defaults, which is what makes every tabulated
+/// family (and mixture) samplable.
+impl LifetimeDistribution for TabulatedLifetime {
+    fn name(&self) -> &'static str {
+        "tabulated"
     }
 
-    fn horizon(&self) -> f64 {
-        self.horizon
+    fn cdf(&self, t: f64) -> f64 {
+        (1.0 - self.survival(t)).clamp(0.0, 1.0)
     }
 
     fn survival(&self, t: f64) -> f64 {
@@ -473,6 +374,47 @@ impl LifetimeModel for TabulatedLifetime {
         } else {
             self.survival.eval(t.max(0.0)).clamp(0.0, 1.0)
         }
+    }
+
+    /// A centred finite difference of the survival table.
+    fn hazard(&self, t: f64) -> f64 {
+        let s = self.survival(t);
+        if s <= 1e-12 {
+            return f64::INFINITY;
+        }
+        let h = 1e-4 * self.horizon.max(1.0);
+        let lo = (t - h).max(0.0);
+        let hi = (t + h).min(self.horizon);
+        if hi <= lo {
+            return f64::INFINITY;
+        }
+        let density = ((self.survival(lo) - self.survival(hi)) / (hi - lo)).max(0.0);
+        density / s
+    }
+
+    fn upper_bound(&self) -> f64 {
+        self.horizon
+    }
+
+    /// A difference of [`first_moment`](LifetimeModel::first_moment) lookups (atom
+    /// included when `b` reaches the horizon).
+    fn partial_expectation(&self, a: f64, b: f64) -> f64 {
+        let a = a.max(0.0).min(self.horizon);
+        let b = b.max(0.0).min(self.horizon);
+        if b <= a {
+            return 0.0;
+        }
+        (self.first_moment(b) - self.first_moment(a)).max(0.0)
+    }
+}
+
+impl LifetimeModel for TabulatedLifetime {
+    fn family(&self) -> &str {
+        &self.family
+    }
+
+    fn horizon(&self) -> f64 {
+        self.horizon
     }
 
     fn first_moment(&self, t: f64) -> f64 {
@@ -484,39 +426,237 @@ impl LifetimeModel for TabulatedLifetime {
     }
 }
 
+/// The closed-form fast path: every quantity evaluates through Equation 1's
+/// antiderivatives, so the generic-hazard DP and Equation 8 run on the bathtub's exact
+/// arithmetic.
+impl LifetimeModel for ConstrainedBathtub {
+    fn family(&self) -> &str {
+        "bathtub"
+    }
+
+    fn horizon(&self) -> f64 {
+        self.params().horizon
+    }
+
+    fn first_moment(&self, t: f64) -> f64 {
+        self.partial_expectation(0.0, t)
+    }
+
+    fn deadline_atom(&self) -> f64 {
+        ConstrainedBathtub::deadline_atom(self)
+    }
+
+    /// The interval probability `F(s+T) − F(s)` over the survival `S(s)`.
+    fn conditional_failure_probability(&self, start: f64, job_len: f64) -> f64 {
+        let alive = self.survival(start);
+        if alive <= 1e-12 {
+            return 1.0;
+        }
+        let fail_mass = self.interval_probability(start, (start + job_len).min(self.horizon()));
+        // jobs that would run past the deadline always fail
+        if start + job_len >= self.horizon() {
+            return 1.0;
+        }
+        (fail_mass / alive).clamp(0.0, 1.0)
+    }
+
+    /// The early phase ends once the initial process has decayed (3·τ1, capped at half
+    /// the horizon), and the deadline phase starts where the deadline term's preemption
+    /// rate climbs back to the rate observed at the end of the early phase — the
+    /// symmetric "walls of the bathtub" criterion.
+    fn phase_boundaries(&self) -> (f64, f64) {
+        let p = self.params();
+        let early_end = (3.0 * p.tau1).min(0.5 * p.horizon);
+        // Rate at the end of the early phase, from the initial (decaying) process.
+        let reference_rate = (p.a / p.tau1) * (-early_end / p.tau1).exp();
+        // Deadline term alone: (A/τ2) e^{(t−b)/τ2} = reference_rate  ⇒  closed form for t.
+        let deadline_start = if reference_rate > 0.0 {
+            p.b + p.tau2 * (reference_rate * p.tau2 / p.a).ln()
+        } else {
+            0.9 * p.horizon
+        };
+        let deadline_start = deadline_start.clamp(early_end, p.horizon);
+        (early_end, deadline_start)
+    }
+
+    fn as_bathtub(&self) -> Option<&ConstrainedBathtub> {
+        Some(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BathtubModel;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tcp_dists::{Exponential, PhasedHazard, Weibull};
 
     #[test]
     fn bathtub_closed_forms_drive_the_trait() {
-        let m = BathtubModel::paper_representative();
+        let m = ConstrainedBathtub::paper_representative();
         let model: &dyn LifetimeModel = &m;
         assert_eq!(model.family(), "bathtub");
         assert_eq!(model.horizon(), 24.0);
-        // Trait-level quantities match the closed-form accessors exactly.
-        for &t in &[0.0, 1.0, 8.0, 20.0, 23.9] {
-            assert_eq!(model.survival(t), m.survival(t));
-            assert_eq!(model.cdf(t), m.cdf(t));
-            assert_eq!(
-                model.partial_expectation(0.0, t),
-                m.dist().partial_expectation(0.0, t)
-            );
+        assert_eq!(model.as_bathtub(), Some(&m));
+        // The upcast distribution is the same closed form, and W is its first moment.
+        let dist: &dyn LifetimeDistribution = model;
+        for &t in &[0.0, 1.0, 8.0, 20.0, 23.9, 24.0] {
+            assert_eq!(dist.survival(t), m.survival(t));
+            assert_eq!(model.first_moment(t), m.partial_expectation(0.0, t));
         }
-        assert_eq!(model.deadline_atom(), m.dist().deadline_atom());
-        assert_eq!(model.phase_boundaries(), m.phase_boundaries());
-        assert!((model.expected_lifetime() - m.expected_lifetime()).abs() < 1e-9);
-        // Equation 8 through the trait equals the analysis-module form.
-        let direct = crate::analysis::expected_makespan_from_age(m.dist(), 3.0, 5.0);
-        assert!((model.makespan_from_age(3.0, 5.0) - direct).abs() < 1e-12);
+        assert_eq!(model.deadline_atom(), m.deadline_atom());
+        assert_eq!(model.first_moment(24.0), m.mean());
+        assert!(m.mean() > 5.0 && m.mean() < 20.0, "mean = {}", m.mean());
+        // Equation 8: E[T_s] = T + ∫_s^{s+T} t f(t) dt.
+        assert_eq!(
+            model.makespan_from_age(3.0, 5.0),
+            5.0 + m.partial_expectation(3.0, 8.0)
+        );
+    }
+
+    #[test]
+    fn bathtub_conditional_failure_probability_behaviour() {
+        let m = ConstrainedBathtub::paper_representative();
+        // jobs crossing the deadline always fail
+        assert_eq!(m.conditional_failure_probability(20.0, 6.0), 1.0);
+        assert_eq!(m.conditional_failure_probability(23.9, 0.5), 1.0);
+        // a job on a brand-new VM has a substantial failure probability (early phase)
+        let fresh = m.conditional_failure_probability(0.0, 6.0);
+        assert!(fresh > 0.2 && fresh < 0.9, "fresh = {fresh}");
+        // the same job on a VM that survived the early phase is much safer
+        let aged = m.conditional_failure_probability(6.0, 6.0);
+        assert!(aged < fresh, "aged {aged} fresh {fresh}");
+        // probabilities are in [0, 1]
+        for s in 0..24 {
+            for len in 1..12 {
+                let p = m.conditional_failure_probability(s as f64, len as f64);
+                assert!((0.0..=1.0).contains(&p));
+            }
+        }
+    }
+
+    #[test]
+    fn bathtub_interval_probability_additive() {
+        let m = ConstrainedBathtub::paper_representative();
+        let whole = m.interval_probability(0.0, 24.0);
+        let split = m.interval_probability(0.0, 8.0)
+            + m.interval_probability(8.0, 16.0)
+            + m.interval_probability(16.0, 24.0);
+        assert!((whole - split).abs() < 1e-9);
+        assert!((whole - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bathtub_phase_boundaries_ordering() {
+        let m = ConstrainedBathtub::paper_representative();
+        let (early_end, deadline_start) = m.phase_boundaries();
+        assert!(
+            early_end > 0.5 && early_end < 6.0,
+            "early_end = {early_end}"
+        );
+        assert!(
+            deadline_start > 15.0 && deadline_start < 24.0,
+            "deadline_start = {deadline_start}"
+        );
+        assert!(early_end < deadline_start);
+        // hazard at the boundaries reflects the bathtub: middle lower than both ends
+        let mid = 0.5 * (early_end + deadline_start);
+        assert!(m.hazard(mid) < m.hazard(0.1));
+        assert!(m.hazard(mid) < m.hazard(23.8));
+    }
+
+    #[test]
+    fn bathtub_representative_model_quantities() {
+        let m = ConstrainedBathtub::paper_representative();
+        let model: &dyn LifetimeModel = &m;
+        assert_eq!(model.horizon(), tcp_dists::DEFAULT_HORIZON_HOURS);
+        assert_eq!(m.cdf(0.0), 0.0);
+        assert_eq!(m.cdf(24.0), 1.0);
+        assert!(m.mean() > 5.0 && m.mean() < 20.0);
+        assert!(m.expected_lifetime_eq3() <= m.mean());
+    }
+
+    #[test]
+    fn bathtub_from_parts_and_params_round_trip() {
+        let m = ConstrainedBathtub::from_parts(0.45, 1.2, 0.8, 23.5).unwrap();
+        let p = m.params();
+        assert_eq!(p.a, 0.45);
+        assert_eq!(p.tau1, 1.2);
+        assert_eq!(p.horizon, 24.0);
+        assert!(ConstrainedBathtub::from_parts(2.0, 1.0, 0.8, 24.0).is_err());
+        let model: &dyn LifetimeModel = &m;
+        assert_eq!(model.as_bathtub().map(|b| b.params()), Some(p));
+    }
+
+    #[test]
+    fn bathtub_sampling_within_horizon() {
+        let m = ConstrainedBathtub::paper_representative();
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..200 {
+            let t = m.sample(&mut rng);
+            assert!((0.0..=24.0).contains(&t));
+        }
+    }
+
+    /// Draws lifetimes through [`LifetimeDistribution::sample`] and checks them against
+    /// the tables: the support, the deadline atom's share, and the K-S distance to `cdf`.
+    fn check_tabulated_sampling(tab: &TabulatedLifetime, seed: u64) {
+        let n = 4000;
+        let n_f = n as f64;
+        let horizon = tab.horizon();
+        let dist: &dyn LifetimeDistribution = tab;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut xs: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
+        assert!(xs.iter().all(|t| (0.0..=horizon).contains(t)));
+        // Inverting the CDF's jump at L lands within the root tolerance of L.
+        for x in &mut xs {
+            if *x > horizon - 1e-6 {
+                *x = horizon;
+            }
+        }
+        let atom = tab.deadline_atom();
+        let share = xs.iter().filter(|&&t| t == horizon).count() as f64 / n_f;
+        let sigma = (atom * (1.0 - atom) / n_f).sqrt();
+        assert!(
+            (share - atom).abs() <= 4.0 * sigma,
+            "{}: share at L {share} vs atom {atom}",
+            tab.family()
+        );
+        // One-sided K-S statistics; at the atom the left limit F(L⁻) is the reference.
+        xs.sort_by(f64::total_cmp);
+        let mut ks: f64 = 0.0;
+        for (i, &x) in xs.iter().enumerate() {
+            let left = if x >= horizon {
+                tab.cdf(horizon - 1e-9)
+            } else {
+                tab.cdf(x)
+            };
+            ks = ks
+                .max((i + 1) as f64 / n_f - tab.cdf(x))
+                .max(left - i as f64 / n_f);
+        }
+        let critical = 1.628 / n_f.sqrt();
+        assert!(ks < critical, "{}: K-S {ks} >= {critical}", tab.family());
+    }
+
+    #[test]
+    fn tabulated_families_sample_through_the_distribution_trait() {
+        let exp = Exponential::new(1.0 / 8.0).unwrap();
+        let tab = TabulatedLifetime::from_distribution("exponential", &exp, 24.0, 1441).unwrap();
+        assert!(tab.deadline_atom() > 0.04);
+        check_tabulated_sampling(&tab, 11);
+
+        let a: Arc<dyn LifetimeDistribution> = Arc::new(Exponential::new(1.0 / 8.0).unwrap());
+        let b: Arc<dyn LifetimeDistribution> = Arc::new(Weibull::new(0.1, 1.5).unwrap());
+        let mix = TabulatedLifetime::from_mixture(&[(0.3, a), (0.7, b)], 24.0, 1441).unwrap();
+        assert!(mix.deadline_atom() > 0.0);
+        check_tabulated_sampling(&mix, 12);
     }
 
     #[test]
     fn tabulated_bathtub_tracks_the_closed_form() {
-        let m = BathtubModel::paper_representative();
-        let tab = TabulatedLifetime::from_distribution("bathtub", m.dist(), 24.0, 1441).unwrap();
+        let m = ConstrainedBathtub::paper_representative();
+        let tab = TabulatedLifetime::from_distribution("bathtub", &m, 24.0, 1441).unwrap();
         for i in 0..=96 {
             let t = i as f64 * 0.25;
             assert!(
@@ -526,12 +666,12 @@ mod tests {
                 m.survival(t)
             );
             assert!(
-                (tab.first_moment(t) - m.dist().partial_expectation(0.0, t)).abs() < 5e-3,
+                (tab.first_moment(t) - m.partial_expectation(0.0, t)).abs() < 5e-3,
                 "W({t})"
             );
         }
-        assert!((tab.deadline_atom() - m.dist().deadline_atom()).abs() < 1e-6);
-        assert!((tab.expected_lifetime() - m.expected_lifetime()).abs() < 5e-3);
+        assert!((tab.deadline_atom() - m.deadline_atom()).abs() < 1e-6);
+        assert!((tab.mean() - m.mean()).abs() < 5e-3);
     }
 
     #[test]
@@ -657,8 +797,8 @@ mod tests {
 
     #[test]
     fn default_hazard_matches_closed_form_roughly() {
-        let m = BathtubModel::paper_representative();
-        let tab = TabulatedLifetime::from_distribution("bathtub", m.dist(), 24.0, 2881).unwrap();
+        let m = ConstrainedBathtub::paper_representative();
+        let tab = TabulatedLifetime::from_distribution("bathtub", &m, 24.0, 2881).unwrap();
         for &t in &[0.5, 4.0, 12.0, 20.0] {
             let approx = tab.hazard(t);
             let exact = m.hazard(t);

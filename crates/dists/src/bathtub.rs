@@ -114,6 +114,11 @@ impl ConstrainedBathtub {
         })
     }
 
+    /// The representative fit quoted in Section 3.2.2 (`A=0.45, τ1=1, τ2=0.8, b=24`).
+    pub fn paper_representative() -> Self {
+        ConstrainedBathtub::new(BathtubParams::paper_representative()).expect("valid params")
+    }
+
     /// The distribution parameters.
     pub fn params(&self) -> BathtubParams {
         self.params
@@ -204,8 +209,8 @@ impl LifetimeDistribution for ConstrainedBathtub {
         self.raw_pdf(t)
     }
 
-    fn horizon(&self) -> Option<f64> {
-        Some(self.params.horizon)
+    fn upper_bound(&self) -> f64 {
+        self.params.horizon
     }
 
     fn mean(&self) -> f64 {
@@ -279,6 +284,10 @@ mod tests {
         assert!(ConstrainedBathtub::from_parts(0.45, 1.0, 0.8, 0.0).is_err());
         assert!(ConstrainedBathtub::from_parts(0.45, f64::NAN, 0.8, 24.0).is_err());
         assert!(paper_dist().params().a > 0.0);
+        let p = ConstrainedBathtub::from_parts(0.45, 1.2, 0.8, 23.5)
+            .unwrap()
+            .params();
+        assert_eq!((p.a, p.tau1, p.b, p.horizon), (0.45, 1.2, 23.5, 24.0));
     }
 
     #[test]

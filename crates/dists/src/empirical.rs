@@ -90,10 +90,6 @@ impl LifetimeDistribution for EmpiricalLifetime {
         self.interp.eval(t).clamp(0.0, 1.0)
     }
 
-    fn horizon(&self) -> Option<f64> {
-        self.horizon
-    }
-
     fn upper_bound(&self) -> f64 {
         self.horizon
             .unwrap_or_else(|| *self.ecdf.sorted_values().last().unwrap())
@@ -137,7 +133,7 @@ mod tests {
         assert!(EmpiricalLifetime::new(&[f64::NAN], None).is_err());
         let d = EmpiricalLifetime::new(&samples(), Some(24.0)).unwrap();
         assert_eq!(d.sample_count(), 10);
-        assert_eq!(d.horizon(), Some(24.0));
+        assert_eq!(d.upper_bound(), 24.0);
     }
 
     #[test]
@@ -193,7 +189,7 @@ mod tests {
     #[test]
     fn works_without_horizon() {
         let d = EmpiricalLifetime::new(&[1.0, 2.0, 3.0], None).unwrap();
-        assert_eq!(d.horizon(), None);
+        assert_eq!(d.horizon, None);
         assert_eq!(d.upper_bound(), 3.0);
     }
 }

@@ -93,17 +93,12 @@ pub trait LifetimeDistribution: Send + Sync {
         }
     }
 
-    /// The temporal constraint (maximum lifetime) if one exists, in hours.
-    fn horizon(&self) -> Option<f64> {
-        None
-    }
-
     /// An upper bound of the support used for numeric integration and sampling.
     ///
-    /// For constrained distributions this is the horizon; for unconstrained ones it is a
-    /// point beyond which the remaining probability mass is negligible.
+    /// Constrained distributions override this with their horizon; for unconstrained ones
+    /// it is a point beyond which the remaining probability mass is negligible.
     fn upper_bound(&self) -> f64 {
-        self.horizon().unwrap_or(1e4)
+        1e4
     }
 
     /// Mean lifetime `E[T] = ∫ t f(t) dt` over the support.  Default: adaptive quadrature.

@@ -188,8 +188,8 @@ impl LifetimeDistribution for PhasedHazard {
         }
     }
 
-    fn horizon(&self) -> Option<f64> {
-        Some(self.params.horizon)
+    fn upper_bound(&self) -> f64 {
+        self.params.horizon
     }
 
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {

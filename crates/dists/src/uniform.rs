@@ -62,8 +62,8 @@ impl LifetimeDistribution for UniformLifetime {
         }
     }
 
-    fn horizon(&self) -> Option<f64> {
-        Some(self.horizon)
+    fn upper_bound(&self) -> f64 {
+        self.horizon
     }
 
     fn mean(&self) -> f64 {
@@ -99,7 +99,7 @@ mod tests {
         assert!(UniformLifetime::new(0.0).is_err());
         assert!(UniformLifetime::new(-5.0).is_err());
         assert!(UniformLifetime::new(f64::NAN).is_err());
-        assert_eq!(UniformLifetime::google_default().horizon(), Some(24.0));
+        assert_eq!(UniformLifetime::google_default().upper_bound(), 24.0);
     }
 
     #[test]

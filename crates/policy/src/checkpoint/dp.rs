@@ -36,7 +36,8 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tcp_core::{BathtubModel, LifetimeModel};
+use tcp_core::LifetimeModel;
+use tcp_dists::ConstrainedBathtub;
 use tcp_numerics::{NumericsError, Result};
 
 /// Configuration of the checkpointing policies.
@@ -182,7 +183,7 @@ impl std::fmt::Debug for DpCheckpointPolicy {
 
 impl DpCheckpointPolicy {
     /// Creates a policy for a fitted bathtub model — the closed-form fast path.
-    pub fn new(model: BathtubModel, config: CheckpointConfig) -> Result<Self> {
+    pub fn new(model: ConstrainedBathtub, config: CheckpointConfig) -> Result<Self> {
         Self::from_model(Arc::new(model), config)
     }
 
@@ -434,7 +435,7 @@ mod tests {
     use super::*;
 
     fn policy(config: CheckpointConfig) -> DpCheckpointPolicy {
-        DpCheckpointPolicy::new(BathtubModel::paper_representative(), config).unwrap()
+        DpCheckpointPolicy::new(ConstrainedBathtub::paper_representative(), config).unwrap()
     }
 
     /// The evaluation `solve` replaced: every `(j, i, bin)` queries the model directly.
@@ -520,7 +521,7 @@ mod tests {
             ) as Arc<dyn tcp_core::LifetimeModel>
         };
         vec![
-            Arc::new(BathtubModel::paper_representative()),
+            Arc::new(ConstrainedBathtub::paper_representative()),
             tabulate("weibull", &weibull),
             tabulate("exponential", &exponential),
             tabulate("phased", &phased),
@@ -579,7 +580,7 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let mut bad = CheckpointConfig::coarse();
         bad.checkpoint_cost_hours = 0.0;
         assert!(DpCheckpointPolicy::new(model, bad).is_err());
@@ -699,11 +700,11 @@ mod tests {
         // bathtub fit *tabulated by quadrature* (the exact path every non-bathtub
         // winner takes) reproduces the closed-form DP within 5e-3 across the grid,
         // including start ages whose windows cross the deadline.
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let closed = DpCheckpointPolicy::new(model, CheckpointConfig::coarse()).unwrap();
         let tabulated = tcp_core::TabulatedLifetime::from_distribution(
             "bathtub",
-            model.dist(),
+            &model,
             model.horizon(),
             1441,
         )
@@ -728,7 +729,7 @@ mod tests {
         // `new` wraps the same model the generic entry point receives; because every
         // bathtub trait method resolves to the Equation 1 antiderivatives, both paths
         // produce the *same* value table, not merely a close one.
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let a = DpCheckpointPolicy::new(model, CheckpointConfig::coarse()).unwrap();
         let b =
             DpCheckpointPolicy::from_model(Arc::new(model), CheckpointConfig::coarse()).unwrap();
@@ -745,7 +746,7 @@ mod tests {
         // A more expensive checkpoint can never make the optimal plan cheaper.
         let horizon = 24.0;
         let models: Vec<Arc<dyn tcp_core::LifetimeModel>> = vec![
-            Arc::new(BathtubModel::paper_representative()),
+            Arc::new(ConstrainedBathtub::paper_representative()),
             Arc::new(
                 tcp_core::TabulatedLifetime::from_distribution(
                     "exponential",

@@ -241,10 +241,10 @@ mod tests {
     use crate::checkpoint::dp::CheckpointConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tcp_core::BathtubModel;
+    use tcp_dists::ConstrainedBathtub;
 
-    fn model() -> BathtubModel {
-        BathtubModel::paper_representative()
+    fn model() -> ConstrainedBathtub {
+        ConstrainedBathtub::paper_representative()
     }
 
     fn options(trials: usize) -> SimulationOptions {
@@ -263,10 +263,9 @@ mod tests {
         let yd = YoungDalyPolicy::paper_baseline();
         let mut rng = StdRng::seed_from_u64(404);
         let job = 4.0;
-        let ours =
-            simulate_checkpointed_job(&dp, m.dist(), job, 8.0, &options(300), &mut rng).unwrap();
+        let ours = simulate_checkpointed_job(&dp, &m, job, 8.0, &options(300), &mut rng).unwrap();
         let baseline =
-            simulate_checkpointed_job(&yd, m.dist(), job, 8.0, &options(300), &mut rng).unwrap();
+            simulate_checkpointed_job(&yd, &m, job, 8.0, &options(300), &mut rng).unwrap();
         assert!(
             ours.mean_overhead_fraction < baseline.mean_overhead_fraction,
             "ours {} vs young-daly {}",
@@ -301,10 +300,9 @@ mod tests {
         let dp = DpCheckpointPolicy::new(m, CheckpointConfig::coarse()).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         // start on a fresh VM where the early failure rate makes checkpointing valuable
-        let bare =
-            simulate_checkpointed_job(&none, m.dist(), 6.0, 0.0, &options(300), &mut rng).unwrap();
+        let bare = simulate_checkpointed_job(&none, &m, 6.0, 0.0, &options(300), &mut rng).unwrap();
         let planned =
-            simulate_checkpointed_job(&dp, m.dist(), 6.0, 0.0, &options(300), &mut rng).unwrap();
+            simulate_checkpointed_job(&dp, &m, 6.0, 0.0, &options(300), &mut rng).unwrap();
         assert!(
             planned.mean_makespan < bare.mean_makespan,
             "planned {} vs bare {}",
@@ -322,8 +320,7 @@ mod tests {
         // Start inside the early high-hazard phase so some of the 200 trials are
         // guaranteed to see a preemption (at age 5 the stable phase is so quiet that a
         // 2 h job can finish untouched in every trial, making the std error zero).
-        let stats =
-            simulate_checkpointed_job(&yd, m.dist(), 4.0, 0.5, &options(200), &mut rng).unwrap();
+        let stats = simulate_checkpointed_job(&yd, &m, 4.0, 0.5, &options(200), &mut rng).unwrap();
         assert_eq!(stats.trials, 200);
         assert!(stats.mean_makespan >= 4.0);
         assert!(stats.makespan_std_error > 0.0);
@@ -336,10 +333,8 @@ mod tests {
         let m = model();
         let yd = YoungDalyPolicy::paper_baseline();
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(
-            simulate_checkpointed_job(&yd, m.dist(), 0.0, 0.0, &options(10), &mut rng).is_err()
-        );
-        assert!(simulate_checkpointed_job(&yd, m.dist(), 1.0, 0.0, &options(0), &mut rng).is_err());
+        assert!(simulate_checkpointed_job(&yd, &m, 0.0, 0.0, &options(10), &mut rng).is_err());
+        assert!(simulate_checkpointed_job(&yd, &m, 1.0, 0.0, &options(0), &mut rng).is_err());
         assert!(NoCheckpointPlanner
             .plan_into(0.0, 0.0, &mut Vec::new())
             .is_err());
@@ -362,10 +357,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         // A VM that has survived to age 10 can live at most 14 more hours.
         for _ in 0..100 {
-            let remaining = sample_remaining_lifetime(m.dist(), 10.0, &mut rng);
+            let remaining = sample_remaining_lifetime(&m, 10.0, &mut rng);
             assert!((0.0..=14.0 + 1e-9).contains(&remaining));
         }
         // A VM at the horizon has no remaining lifetime.
-        assert_eq!(sample_remaining_lifetime(m.dist(), 24.0, &mut rng), 0.0);
+        assert_eq!(sample_remaining_lifetime(&m, 24.0, &mut rng), 0.0);
     }
 }

@@ -112,7 +112,7 @@ impl YoungDalyPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcp_core::BathtubModel;
+    use tcp_dists::{ConstrainedBathtub, LifetimeDistribution};
 
     #[test]
     fn construction_validation() {
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn mttf_from_initial_failure_rate() {
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let p = YoungDalyPolicy::from_initial_failure_rate(&model, 1.0 / 60.0).unwrap();
         // With A=0.45, τ1=1 the first-hour failure probability is ≈ 0.285, so the inferred
         // MTTF is a few hours at most — far below the true expected lifetime.
@@ -185,7 +185,7 @@ mod tests {
             "mttf = {}",
             p.mttf_hours
         );
-        assert!(p.mttf_hours < model.expected_lifetime());
+        assert!(p.mttf_hours < model.mean());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tcp_core::{BathtubModel, LifetimeModel};
+use tcp_core::LifetimeModel;
+use tcp_dists::ConstrainedBathtub;
 use tcp_numerics::{NumericsError, Result};
 
 /// The decision produced by a scheduler for a ready job.
@@ -53,7 +54,7 @@ impl std::fmt::Debug for ModelDrivenScheduler {
 
 impl ModelDrivenScheduler {
     /// Creates a scheduler driven by a fitted bathtub model (the closed-form fast path).
-    pub fn new(model: BathtubModel) -> Self {
+    pub fn new(model: ConstrainedBathtub) -> Self {
         Self::from_model(Arc::new(model))
     }
 
@@ -170,8 +171,8 @@ pub fn average_failure_probability(
 mod tests {
     use super::*;
 
-    fn model() -> BathtubModel {
-        BathtubModel::paper_representative()
+    fn model() -> ConstrainedBathtub {
+        ConstrainedBathtub::paper_representative()
     }
 
     #[test]
@@ -267,7 +268,7 @@ mod tests {
         // because any bathtub-shaped model leads to the same reuse-vs-fresh decisions.
         let truth = model();
         // "suboptimal" model: parameters for a noticeably more aggressive VM type
-        let suboptimal = BathtubModel::from_parts(0.49, 0.55, 0.9, 23.2).unwrap();
+        let suboptimal = ConstrainedBathtub::from_parts(0.49, 0.55, 0.9, 23.2).unwrap();
         let best = ModelDrivenScheduler::new(truth);
         let misfit = ModelDrivenScheduler::new(suboptimal);
         let memoryless = MemorylessScheduler;
@@ -292,7 +293,8 @@ mod tests {
     #[test]
     fn expected_makespan_accessor_consistent_with_core() {
         let sched = ModelDrivenScheduler::new(model());
-        let direct = tcp_core::analysis::expected_makespan_from_age(model().dist(), 3.0, 5.0);
+        // Equation 8: E[T_s] = T + ∫_s^{s+T} t f(t) dt.
+        let direct = 5.0 + tcp_dists::LifetimeDistribution::partial_expectation(&model(), 3.0, 8.0);
         assert!((sched.expected_makespan(3.0, 5.0) - direct).abs() < 1e-12);
         assert_eq!(sched.model().horizon(), 24.0);
         assert_eq!(sched.model().family(), "bathtub");

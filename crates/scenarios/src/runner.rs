@@ -27,7 +27,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use tcp_batch::{BatchService, RunReport};
 use tcp_cloudsim::run_tasks;
-use tcp_core::{fit_bathtub_model, BathtubModel, LifetimeModel};
+use tcp_core::{fit_bathtub_model, LifetimeModel};
+use tcp_dists::ConstrainedBathtub;
 use tcp_numerics::{NumericsError, Result};
 use tcp_workloads::profiles::profile_by_name;
 use tcp_workloads::BagOfJobs;
@@ -74,14 +75,16 @@ pub fn regime_model(
     regime_index: usize,
 ) -> Result<Arc<dyn LifetimeModel>> {
     match spec.sweep.model.as_deref() {
-        None | Some("paper-representative") => Ok(Arc::new(BathtubModel::paper_representative())),
+        None | Some("paper-representative") => {
+            Ok(Arc::new(ConstrainedBathtub::paper_representative()))
+        }
         Some("calibrated") => {
             // Non-calibrated regimes keep the documented default, the paper's
             // representative parameters; calibrated regimes drive their policies from
             // the cell's own winner family.
             match regime.calibrated_model()? {
                 Some(model) => Ok(model),
-                None => Ok(Arc::new(BathtubModel::paper_representative())),
+                None => Ok(Arc::new(ConstrainedBathtub::paper_representative())),
             }
         }
         Some("fitted") => {

@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tcp_calibrate::{CellFit, RegimeCatalog};
 use tcp_cloudsim::{PricingModel, ProviderTemplate};
-use tcp_core::{BathtubModel, LifetimeModel};
+use tcp_core::LifetimeModel;
 use tcp_dists::{
     ConstrainedBathtub, EmpiricalLifetime, Exponential, LifetimeDistribution, LogNormal,
     PhasedHazard, UniformLifetime, Weibull,
@@ -440,17 +440,6 @@ impl RegimeSpec {
         }
     }
 
-    /// The per-cell bathtub fit stored in this regime's catalog, for
-    /// `sweep.model = "calibrated"`.  `Ok(None)` when this is not a calibrated regime or
-    /// the cell was too small for a parametric fit.
-    pub fn calibrated_bathtub(&self) -> Result<Option<BathtubModel>> {
-        if self.kind != "calibrated" {
-            return Ok(None);
-        }
-        let catalog = self.load_catalog()?;
-        Ok(self.calibrated_cell_fit(&catalog)?.bathtub_model())
-    }
-
     /// The cell's goodness-of-fit *winner* as a policy-ready [`LifetimeModel`] —
     /// closed-form for a bathtub winner, tabulated by quadrature for every other
     /// family.  `Ok(None)` when this is not a calibrated regime.
@@ -726,7 +715,7 @@ checkpointing = ["none", "young-daly"]
         r.tau1 = Some(1.0);
         r.tau2 = Some(0.8);
         let d = r.build_ground_truth().unwrap().unwrap();
-        assert_eq!(d.horizon(), Some(24.0));
+        assert_eq!(d.upper_bound(), 24.0);
 
         let mut u = RegimeSpec::default_catalog();
         u.kind = "uniform".into();
@@ -823,22 +812,6 @@ checkpointing = ["none", "young-daly"]
         let mut bad = spec.clone();
         bad.cells = Some(vec!["n1-highcpu-16/us-east1-b/noon".into()]);
         assert!(bad.expand_calibrated().is_err());
-    }
-
-    #[test]
-    fn calibrated_bathtub_comes_from_the_catalog() {
-        let mut spec = calibrated_spec("bathtub");
-        spec.cell = Some("n1-highcpu-16/us-east1-b/day".into());
-        let model = spec.calibrated_bathtub().unwrap();
-        // The Figure 1 cell is oversampled, so a parametric bathtub fit exists and it
-        // differs from the paper's canned parameters.
-        let model = model.expect("figure-1 cell has a bathtub fit");
-        assert!(model.params().a > 0.0);
-        // Non-calibrated regimes answer None.
-        assert!(RegimeSpec::default_catalog()
-            .calibrated_bathtub()
-            .unwrap()
-            .is_none());
     }
 
     #[test]

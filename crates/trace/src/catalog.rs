@@ -332,7 +332,7 @@ mod tests {
         for key in ConfigKey::all() {
             let d = catalog.ground_truth(&key).unwrap();
             tcp_dists::validate_cdf(&d, 100).unwrap();
-            assert_eq!(d.horizon(), Some(24.0));
+            assert_eq!(d.upper_bound(), 24.0);
         }
     }
 

@@ -5,11 +5,11 @@
 //! Run with: `cargo run --release --example batch_service`
 
 use constrained_preemption::batch::{BatchService, ServiceConfig};
-use constrained_preemption::model::BathtubModel;
+use constrained_preemption::dists::ConstrainedBathtub;
 use constrained_preemption::workloads::profiles::PAPER_APPLICATIONS;
 
 fn main() {
-    let model = BathtubModel::paper_representative();
+    let model = ConstrainedBathtub::paper_representative();
     let cluster_size = 16;
     let jobs_per_bag = 100;
 

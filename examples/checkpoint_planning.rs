@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example checkpoint_planning`
 
-use constrained_preemption::model::BathtubModel;
+use constrained_preemption::dists::ConstrainedBathtub;
 use constrained_preemption::policy::checkpoint::simulate::{
     simulate_checkpointed_job, SimulationOptions,
 };
@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let model = BathtubModel::paper_representative();
+    let model = ConstrainedBathtub::paper_representative();
     let policy =
         DpCheckpointPolicy::new(model, CheckpointConfig::paper_defaults()).expect("policy");
 
@@ -43,11 +43,10 @@ fn main() {
     println!("\nsimulated % increase in running time for a 4 h job (Figure 8a):");
     println!("  start age    our policy    young-daly");
     for start in [0.0, 4.0, 8.0, 12.0] {
-        let ours = simulate_checkpointed_job(&policy, model.dist(), 4.0, start, &options, &mut rng)
+        let ours = simulate_checkpointed_job(&policy, &model, 4.0, start, &options, &mut rng)
             .expect("sim");
-        let yd =
-            simulate_checkpointed_job(&young_daly, model.dist(), 4.0, start, &options, &mut rng)
-                .expect("sim");
+        let yd = simulate_checkpointed_job(&young_daly, &model, 4.0, start, &options, &mut rng)
+            .expect("sim");
         println!(
             "  {:>6.1} h   {:>8.1}%     {:>8.1}%",
             start,

@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use constrained_preemption::model::{fit_model_comparison, BathtubModel};
+use constrained_preemption::dists::{ConstrainedBathtub, LifetimeDistribution};
+use constrained_preemption::model::{fit_model_comparison, LifetimeModel};
 use constrained_preemption::trace::{ConfigKey, TraceGenerator};
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
     }
 
     // 3. Inspect the fitted bathtub model.
-    let model: BathtubModel = comparison.bathtub.model;
+    let model: ConstrainedBathtub = comparison.bathtub.model;
     let p = model.params();
     println!("\nfitted constrained-bathtub parameters (Equation 1):");
     println!(
@@ -36,7 +37,7 @@ fn main() {
     );
     println!(
         "  expected VM lifetime: {:.2} h (vs 24 h maximum)",
-        model.expected_lifetime()
+        model.mean()
     );
     let (early_end, deadline_start) = model.phase_boundaries();
     println!("  phases: early failures until ~{early_end:.1} h, deadline spike from ~{deadline_start:.1} h");

@@ -3,6 +3,7 @@
 
 use constrained_preemption::batch::{BatchService, ServiceConfig};
 use constrained_preemption::calibrate::{Calibrator, CellKey, TodSlot};
+use constrained_preemption::dists::{ConstrainedBathtub, LifetimeDistribution};
 use constrained_preemption::model::analysis::running_time_analysis;
 use constrained_preemption::model::fit_model_comparison;
 use constrained_preemption::policy::checkpoint::simulate::{
@@ -17,7 +18,7 @@ use constrained_preemption::workloads::profiles::PAPER_APPLICATIONS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn fitted_model() -> constrained_preemption::model::BathtubModel {
+fn fitted_model() -> ConstrainedBathtub {
     let mut generator = TraceGenerator::new(77);
     let records = generator.generate_for(ConfigKey::figure1(), 600).unwrap();
     let lifetimes: Vec<f64> = records.iter().map(|r| r.lifetime_hours).collect();
@@ -55,7 +56,7 @@ fn registry_built_from_full_study_serves_policies() {
         .and_then(|fit| fit.bathtub_model())
         .expect("the Figure 1 cell has a bathtub fit");
     // the fitted model's expected lifetime should be well inside the 24 h constraint
-    let lifetime = model.expected_lifetime();
+    let lifetime = model.mean();
     assert!(
         lifetime > 4.0 && lifetime < 20.0,
         "expected lifetime = {lifetime}"
@@ -65,7 +66,7 @@ fn registry_built_from_full_study_serves_policies() {
 #[test]
 fn figure4_crossover_and_benefit_from_fitted_model() {
     let model = fitted_model();
-    let analysis = running_time_analysis(model.dist(), 24.0, 96).unwrap();
+    let analysis = running_time_analysis(&model, 24.0, 96).unwrap();
     let crossover = analysis.crossover_job_len.expect("crossover exists");
     assert!(
         crossover > 1.0 && crossover < 12.0,
@@ -97,9 +98,8 @@ fn figure8_checkpointing_policy_beats_young_daly_with_fitted_model() {
         ..SimulationOptions::default()
     };
     let mut rng = StdRng::seed_from_u64(3);
-    let ours = simulate_checkpointed_job(&dp, model.dist(), 4.0, 6.0, &options, &mut rng).unwrap();
-    let baseline =
-        simulate_checkpointed_job(&yd, model.dist(), 4.0, 6.0, &options, &mut rng).unwrap();
+    let ours = simulate_checkpointed_job(&dp, &model, 4.0, 6.0, &options, &mut rng).unwrap();
+    let baseline = simulate_checkpointed_job(&yd, &model, 4.0, 6.0, &options, &mut rng).unwrap();
     assert!(
         ours.mean_overhead_fraction < baseline.mean_overhead_fraction,
         "ours {} vs young-daly {}",

@@ -3,7 +3,8 @@
 //! (deadline crossing included), and the DP value function must be monotone in the
 //! checkpoint cost for every lifetime family.
 
-use constrained_preemption::model::{BathtubModel, LifetimeModel, TabulatedLifetime};
+use constrained_preemption::dists::ConstrainedBathtub;
+use constrained_preemption::model::{LifetimeModel, TabulatedLifetime};
 use constrained_preemption::policy::{CheckpointConfig, DpCheckpointPolicy};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ fn coarse(cost_minutes: f64) -> CheckpointConfig {
 fn family_models() -> Vec<Arc<dyn LifetimeModel>> {
     use constrained_preemption::dists::{EmpiricalLifetime, Exponential, PhasedHazard, Weibull};
     vec![
-        Arc::new(BathtubModel::paper_representative()),
+        Arc::new(ConstrainedBathtub::paper_representative()),
         Arc::new(
             TabulatedLifetime::from_distribution(
                 "exponential",
@@ -80,11 +81,11 @@ proptest! {
         job in 1.0f64..6.0,
         age in 0.0f64..23.0,
     ) {
-        let model = BathtubModel::from_parts(a, tau1, 0.8, 24.0).unwrap();
+        let model = ConstrainedBathtub::from_parts(a, tau1, 0.8, 24.0).unwrap();
         let closed = DpCheckpointPolicy::new(model, coarse(1.0)).unwrap();
         let tabulated = TabulatedLifetime::from_distribution(
             "bathtub",
-            model.dist(),
+            &model,
             model.horizon(),
             1441,
         )

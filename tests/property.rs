@@ -5,7 +5,6 @@ use constrained_preemption::dists::{
     Weibull,
 };
 use constrained_preemption::model::analysis::{expected_makespan, expected_wasted_work};
-use constrained_preemption::model::BathtubModel;
 use constrained_preemption::policy::{
     CheckpointConfig, DpCheckpointPolicy, ModelDrivenScheduler, SchedulerPolicy,
 };
@@ -86,7 +85,7 @@ proptest! {
     #[test]
     fn scheduler_decisions_are_consistent(age in 0.0f64..23.9, job in 0.5f64..12.0) {
         // the decision must agree with the explicit makespan comparison it is defined by
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let sched = ModelDrivenScheduler::new(model);
         let decision = sched.decide(age, job);
         let reuse_cost = sched.expected_makespan(age, job);
@@ -99,7 +98,7 @@ proptest! {
 
     #[test]
     fn checkpoint_schedules_cover_the_job(job in 0.5f64..6.0, start in 0.0f64..20.0) {
-        let model = BathtubModel::paper_representative();
+        let model = ConstrainedBathtub::paper_representative();
         let policy = DpCheckpointPolicy::new(model, CheckpointConfig::coarse()).unwrap();
         let schedule = policy.schedule(job, start).unwrap();
         let total: f64 = schedule.intervals_hours.iter().sum();
