@@ -261,8 +261,8 @@ pub struct AdviceResponse {
     pub scheduling: Option<String>,
     /// `best-policy`: recommended checkpointing policy.
     pub checkpointing: Option<String>,
-    /// `best-policy`: the full precomputed ranking card.
-    pub card: Option<PolicyCard>,
+    /// `best-policy`: the full precomputed ranking card, shared with the pack.
+    pub card: Option<Arc<PolicyCard>>,
 }
 
 impl AdviceResponse {
@@ -691,7 +691,7 @@ impl Advisor {
         let mut response = AdviceResponse::bare(request.kind, request.id, &regime.name);
         response.scheduling = Some(regime.policy_card.recommended_scheduling.clone());
         response.checkpointing = Some(regime.policy_card.recommended_checkpointing.clone());
-        response.card = Some(regime.policy_card.clone());
+        response.card = Some(Arc::clone(&regime.policy_card));
         response
     }
 }

@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tcp_cloudsim::run_tasks;
+use tcp_cloudsim::{resolve_threads, run_tasks};
 
 /// The error line emitted for requests that could not be answered.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,38 +102,72 @@ fn pack_age_secs() -> f64 {
     (tcp_obs::log::now_monotonic_secs() - loaded_at).max(0.0)
 }
 
-/// Serializes one NDJSON reply line — the one renderer of every serving front end
-/// (this module and `tcp-serve`'s TCP server).  A serializer failure is impossible
-/// for the line types used here, but a serving worker must never abort on a response
-/// path, so it degrades to a well-formed error line instead of panicking.
-pub fn render_line<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value)
-        .unwrap_or_else(|_| "{\"error\":\"internal: response serialization failed\"}".to_string())
+/// Serializes one NDJSON reply line (or, for hand-assembled control lines, one JSON
+/// fragment: a string, or a float, which prints as `{:?}` would, or `null` when not
+/// finite) for the serving front ends' own lines.  Request answers go through
+/// [`respond_into`].
+pub fn render_line<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    serde_json::append(value, &mut out);
+    out
 }
 
-/// Serializes one JSON string fragment for hand-assembled control lines; the
-/// empty-string fallback keeps the surrounding line well-formed JSON.
-fn render_json_str(value: &str) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| "\"\"".to_string())
-}
-
-/// Serializes one float for hand-assembled control lines through the sanctioned
-/// serde_json float writer (finite values render as `{:?}` would; NaN and
-/// infinities become `null`, keeping the line valid JSON).
-fn render_f64(value: f64) -> String {
-    serde_json::to_string(&value).unwrap_or_else(|_| "null".to_string())
-}
-
-/// Answers one NDJSON request line, returning the response (or error) line without a
-/// trailing newline.
-pub fn respond_line(advisor: &MultiAdvisor, line: &str) -> String {
-    let emit_error = |error: String, id: Option<u64>| render_line(&ErrorLine { error, id });
+/// Answers one NDJSON request line, appending the response (or error) line to `out`
+/// without a trailing newline — the one request renderer of every serving front end
+/// (this module and `tcp-serve`'s TCP server).
+pub fn respond_into(advisor: &MultiAdvisor, line: &str, out: &mut String) {
+    let mut emit_error = |error: String, id: Option<u64>| {
+        serde_json::append(&ErrorLine { error, id }, out);
+    };
     match serde_json::from_str::<AdviceRequest>(line) {
         Err(e) => emit_error(format!("parse error: {e}"), None),
         Ok(request) => match advisor.advise(&request) {
-            Ok(response) => render_line(&response),
+            Ok(response) => serde_json::append(&response, out),
             Err(e) => emit_error(e.to_string(), request.id),
         },
+    }
+}
+
+/// [`respond_into`] a fresh, exact-size string.
+pub fn respond_line(advisor: &MultiAdvisor, line: &str) -> String {
+    // A line-sized buffer, as `serde_json::to_string` uses: an answer is ~0.5 KiB.
+    let mut out = String::with_capacity(1024);
+    respond_into(advisor, line, &mut out);
+    out.shrink_to_fit();
+    out
+}
+
+/// Appends `render(i, buf)` for `i` in `0..count` to `out`, in order, over `threads`
+/// workers (`0` = all CPUs).  The indices are cut into one contiguous chunk per
+/// worker, each rendered into a buffer of its own and appended in chunk order; one
+/// worker renders its single chunk straight into `out`.  So the bytes never depend on
+/// the thread count, and no line is ever a `String` of its own.
+fn render_chunks(
+    count: usize,
+    threads: usize,
+    out: &mut String,
+    render: impl Fn(usize, &mut String) + Sync,
+) {
+    if count == 0 {
+        return;
+    }
+    let size = count.div_ceil(resolve_threads(threads, count));
+    let render_chunk = |chunk: usize, buf: &mut String| {
+        for i in chunk * size..((chunk + 1) * size).min(count) {
+            render(i, buf);
+        }
+    };
+    let chunks = count.div_ceil(size);
+    if chunks == 1 {
+        render_chunk(0, out);
+        return;
+    }
+    for buf in run_tasks(chunks, chunks, |chunk| {
+        let mut buf = String::new();
+        render_chunk(chunk, &mut buf);
+        buf
+    }) {
+        out.push_str(&buf);
     }
 }
 
@@ -144,11 +178,11 @@ pub fn respond_line(advisor: &MultiAdvisor, line: &str) -> String {
 /// are *not* interpreted here — use [`serve_session`] for a reloadable stream.
 pub fn serve_ndjson(advisor: &MultiAdvisor, input: &str, threads: usize) -> String {
     let lines: Vec<&str> = input.lines().filter(|l| !l.trim().is_empty()).collect();
-    let responses = run_tasks(lines.len(), threads, |i| respond_line(advisor, lines[i]));
-    let mut out = responses.join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
+    let mut out = String::new();
+    render_chunks(lines.len(), threads, &mut out, |i, buf| {
+        respond_into(advisor, lines[i], buf);
+        buf.push('\n');
+    });
     out
 }
 
@@ -172,6 +206,9 @@ pub struct Session<'a> {
     /// Request lines answered so far: the per-request trace-sampling seed.  Purely
     /// observational — responses never depend on it.
     requests_seen: u64,
+    /// Indices (into the lines of the current [`Session::process`] call) of the
+    /// request run not answered yet; kept to reuse its allocation.
+    segment: Vec<usize>,
 }
 
 impl<'a> Session<'a> {
@@ -182,52 +219,51 @@ impl<'a> Session<'a> {
             threads,
             used: Vec::new(),
             requests_seen: 0,
+            segment: Vec::new(),
         }
     }
 
     /// Processes a slice of lines, appending one newline-terminated output line per
     /// non-blank input line to `out`.  Blank lines are skipped.
     pub fn process(&mut self, lines: &[&str], out: &mut String) {
-        let mut segment: Vec<&str> = Vec::new();
-        for line in lines {
+        for (i, line) in lines.iter().enumerate() {
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
             }
             if trimmed.starts_with('!') {
-                self.flush(&mut segment, out);
+                self.flush(lines, out);
                 out.push_str(&self.control(trimmed));
                 out.push('\n');
             } else {
-                segment.push(line);
+                self.segment.push(i);
             }
         }
-        self.flush(&mut segment, out);
+        self.flush(lines, out);
     }
 
-    /// Answers one run of request lines in parallel, preserving order.
-    fn flush(&mut self, segment: &mut Vec<&str>, out: &mut String) {
-        if segment.is_empty() {
+    /// Answers the pending run of request lines (`lines[i]` for `i` in the segment)
+    /// in parallel, preserving order.
+    fn flush(&mut self, lines: &[&str], out: &mut String) {
+        if self.segment.is_empty() {
             return;
         }
         let advisor = self.snapshot();
         // Each request line gets a trace root seeded by its session-wide ordinal:
-        // deterministic sampling, and the root opens *inside* the worker closure so
-        // nesting works on whichever thread executes the task.  With inline batches
-        // (threads = 1) under an enclosing connection trace, the root nests as a
-        // child span instead.  Inert (one atomic load) when tracing is off.
+        // deterministic sampling, and the root opens *inside* the rendering worker so
+        // nesting works on whichever thread executes the chunk.  With one worker
+        // under an enclosing connection trace, the root nests as a child span
+        // instead.  Inert (one atomic load) when tracing is off.
         let base_ordinal = self.requests_seen;
-        self.requests_seen += segment.len() as u64;
-        let responses = run_tasks(segment.len(), self.threads, |i| {
+        self.requests_seen += self.segment.len() as u64;
+        let segment = &self.segment;
+        render_chunks(segment.len(), self.threads, out, |i, buf| {
             let ordinal = base_ordinal + i as u64;
             let _root = tcp_obs::root_span!("serve.request", ordinal, ordinal);
-            respond_line(&advisor, segment[i])
+            respond_into(&advisor, lines[segment[i]], buf);
+            buf.push('\n');
         });
-        for response in responses {
-            out.push_str(&response);
-            out.push('\n');
-        }
-        segment.clear();
+        self.segment.clear();
     }
 
     /// Snapshots the current advisor, remembering it for [`Session::stats`].
@@ -323,7 +359,7 @@ impl<'a> Session<'a> {
     pub fn metrics_prometheus_line() -> String {
         format!(
             "{{\"control\":\"metrics\",\"encoding\":\"prometheus-0.0.4\",\"text\":{}}}",
-            render_json_str(&tcp_obs::Registry::global().snapshot().to_prometheus())
+            render_line(&tcp_obs::Registry::global().snapshot().to_prometheus())
         )
     }
 
@@ -367,13 +403,13 @@ impl<'a> Session<'a> {
             "{{\"control\":\"health\",\"health\":{{\"pack\":{{\"age_secs\":{},\
              \"cells\":{},\"format_version\":{},\"name\":{}}},\"recent_errors\":[{}],\
              \"rules\":{},\"uptime_secs\":{},\"verdict\":\"{}\"}}}}",
-            render_f64(pack_age_secs()),
+            render_line(&pack_age_secs()),
             advisor.cell_names().len(),
             advisor.pooled().pack().format_version,
-            render_json_str(advisor.name()),
+            render_line(advisor.name()),
             recent.join(","),
             rules,
-            render_f64(tcp_obs::log::now_monotonic_secs()),
+            render_line(&tcp_obs::log::now_monotonic_secs()),
             verdict,
         )
     }

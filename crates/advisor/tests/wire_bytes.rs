@@ -1,0 +1,232 @@
+//! Byte identity of the serving codec's fast paths against their reference paths.
+//!
+//! * Compact output of every wire type, printed through the derived impls'
+//!   pre-rendered field keys, equals the re-rendering of its parsed `Value` tree,
+//!   whose keys go through the escaping `key` path (pretty output too).
+//! * `respond_into`, appending into a shared buffer, writes exactly what
+//!   `respond_line` returns, on the committed golden corpus and on a mix with ~1%
+//!   malformed lines.
+//! * A `Session` writes the same bytes for 1, 2 and 3 threads on request runs whose
+//!   lengths are not multiples of the per-thread chunk.
+
+use serde::Serialize;
+use std::path::Path;
+use std::sync::OnceLock;
+use tcp_advisor::{
+    generate_multi_requests, respond_into, respond_line, AdvisorHandle, ControlLine, ErrorLine,
+    MultiAdvisor, MultiPack, PackBuilder, RequestKind, Session, StatsLine,
+};
+use tcp_calibrate::{Calibrator, RegimeCatalog};
+use tcp_scenarios::SweepSpec;
+
+/// A small calibrated catalog and the per-cell pack set built from it.
+fn cells() -> &'static (RegimeCatalog, MultiPack) {
+    static CELLS: OnceLock<(RegimeCatalog, MultiPack)> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let records = tcp_trace::TraceGenerator::new(11)
+            .generate_study(600, 90)
+            .unwrap();
+        let catalog = Calibrator::new("wire-test")
+            .calibrate(&records, "synthetic", 0)
+            .unwrap();
+        let multi = PackBuilder {
+            age_points: 121,
+            checkpoint_age_points: 3,
+            checkpoint_job_points: 4,
+            max_checkpoint_job_hours: 4.0,
+            ..PackBuilder::default()
+        }
+        .build_from_catalog(&catalog, &[5.0], 30.0, 0)
+        .unwrap();
+        (catalog, multi)
+    })
+}
+
+fn router() -> MultiAdvisor {
+    MultiAdvisor::from_multi(cells().1.clone()).unwrap()
+}
+
+/// The pack `advise build examples/advisor/advisor_pack.toml` writes, which the
+/// golden responses were captured against.
+fn smoke_advisor() -> MultiAdvisor {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let spec_text =
+        std::fs::read_to_string(root.join("examples/advisor/advisor_pack.toml")).unwrap();
+    let spec = SweepSpec::from_toml(&spec_text).unwrap();
+    MultiAdvisor::from_pack(PackBuilder::default().build_from_spec(&spec).unwrap()).unwrap()
+}
+
+fn golden(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../serve/tests/golden")
+        .join(name);
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// The standard request mix over the pooled pack and every cell, with ~1% of the
+/// lines malformed: truncated, an unknown regime, an unknown cell, a negative job.
+fn mixed_lines(count: usize, seed: u64) -> Vec<String> {
+    let requests = generate_multi_requests(&cells().1, count, seed);
+    requests
+        .iter()
+        .enumerate()
+        .map(|(i, request)| {
+            let mut bad = request.clone();
+            match (i * 7919 + seed as usize) % 400 {
+                0 => {
+                    let line = serde_json::to_string(request).unwrap();
+                    return line[..line.len() / 2].to_string();
+                }
+                1 => bad.regime = Some("no-such-regime".to_string()),
+                2 => bad.cell = Some("no-such-vm/no-such-zone/day".to_string()),
+                3 => bad.job_len = Some(-1.5),
+                _ => {}
+            }
+            serde_json::to_string(&bad).unwrap()
+        })
+        .collect()
+}
+
+/// Compact (and pretty) output equals the re-rendering of the parsed tree.
+fn assert_tree_identical<T: Serialize>(value: &T) {
+    let compact = serde_json::to_string(value).unwrap();
+    let tree = serde_json::parse_value(&compact).unwrap();
+    assert_eq!(serde_json::to_string(&tree).unwrap(), compact);
+    let pretty = serde_json::to_string_pretty(value).unwrap();
+    assert_eq!(serde_json::to_string_pretty(&tree).unwrap(), pretty);
+}
+
+#[test]
+fn compact_output_of_every_wire_type_equals_its_tree_rerendering() {
+    let advisor = router();
+    let mut kinds = Vec::new();
+    let mut routed_to_a_cell = false;
+    for request in generate_multi_requests(&cells().1, 400, 5) {
+        let response = advisor.advise(&request).unwrap();
+        routed_to_a_cell |= response.cell.is_some();
+        if !kinds.contains(&response.kind) {
+            kinds.push(response.kind);
+        }
+        assert_tree_identical(&response);
+    }
+    assert_eq!(kinds.len(), 4, "every request kind answered: {kinds:?}");
+    assert!(routed_to_a_cell);
+    for kind in [
+        RequestKind::ShouldReuse,
+        RequestKind::CheckpointPlan,
+        RequestKind::ExpectedCostMakespan,
+        RequestKind::BestPolicy,
+    ] {
+        assert!(kinds.contains(&kind), "{kind} answered");
+    }
+    assert_tree_identical(&ErrorLine {
+        error: "parse error: \"quoted\"\tand \\ escaped\n".to_string(),
+        id: Some(u64::MAX),
+    });
+    assert_tree_identical(&ErrorLine {
+        error: String::new(),
+        id: None,
+    });
+    assert_tree_identical(&ControlLine {
+        control: "reload".to_string(),
+        pack: "wire-test".to_string(),
+        cells: 40,
+    });
+    // A live `!stats` line: nested counters and sorted family maps.
+    let handle = AdvisorHandle::new(router());
+    let mut session = Session::new(&handle, 1);
+    let mut out = String::new();
+    let request = mixed_lines(1, 1).remove(0);
+    session.process(&[&request, "!stats"], &mut out);
+    let stats_line = out.lines().nth(1).unwrap();
+    let stats: StatsLine = serde_json::from_str(stats_line).unwrap();
+    assert_eq!(serde_json::to_string(&stats).unwrap(), stats_line);
+    assert_tree_identical(&stats);
+    let (catalog, multi) = cells();
+    assert_tree_identical(catalog);
+    assert_tree_identical(multi);
+}
+
+#[test]
+fn respond_into_writes_what_respond_line_returns() {
+    let golden_advisor = smoke_advisor();
+    let golden_requests = golden("serve-requests.ndjson");
+    let golden_responses = golden("serve-responses.ndjson");
+    let mixed_advisor = router();
+    let mixed = mixed_lines(2_000, 3);
+    for (advisor, lines, expected) in [
+        (
+            &golden_advisor,
+            golden_requests
+                .lines()
+                .map(str::to_string)
+                .collect::<Vec<_>>(),
+            Some(&golden_responses),
+        ),
+        (&mixed_advisor, mixed, None),
+    ] {
+        let mut shared = String::from("earlier output\n");
+        let mut reference = shared.clone();
+        let mut errors = 0;
+        for line in &lines {
+            let alone = respond_line(advisor, line);
+            errors += usize::from(alone.starts_with("{\"error\""));
+            respond_into(advisor, line, &mut shared);
+            shared.push('\n');
+            reference.push_str(&alone);
+            reference.push('\n');
+        }
+        assert_eq!(shared, reference);
+        assert!(errors > 0, "the corpus holds malformed lines");
+        if let Some(expected) = expected {
+            assert_eq!(&shared["earlier output\n".len()..], expected.as_str());
+        }
+    }
+}
+
+#[test]
+fn session_bytes_do_not_depend_on_the_thread_count() {
+    // Runs of 101, 10, 1 and 0 requests between control lines, with blank lines
+    // inside the runs: 101 splits into chunks of 51 + 50 on 2 threads and
+    // 34 + 34 + 33 on 3.
+    let lines = mixed_lines(112, 9);
+    let mut input = String::new();
+    for (i, line) in lines.iter().enumerate() {
+        if [101, 111].contains(&i) {
+            input.push_str("!no-such-control\n");
+        }
+        if i % 17 == 3 {
+            input.push_str("  \n");
+        }
+        input.push_str(line);
+        input.push('\n');
+    }
+    input.push_str("!no-such-control\n!no-such-control\n");
+    let reference = {
+        let advisor = router();
+        let mut out = String::new();
+        for line in input.lines().filter(|l| !l.trim().is_empty()) {
+            if line.starts_with('!') {
+                out.push_str(r#"{"error":"unknown control line `!no-such-control` (expected `!reload <path>`, `!stats`, `!metrics`, `!metrics prom`, `!trace`, `!health`, or `!profile`)","id":null}"#);
+            } else {
+                out.push_str(&respond_line(&advisor, line));
+            }
+            out.push('\n');
+        }
+        out
+    };
+    let input_lines: Vec<&str> = input.lines().collect();
+    for threads in [1, 2, 3] {
+        let handle = AdvisorHandle::new(router());
+        let mut session = Session::new(&handle, threads);
+        let mut out = String::new();
+        session.process(&input_lines, &mut out);
+        assert_eq!(out, reference, "{threads} threads");
+        // Sliced across calls, as the TCP front end feeds it, the bytes hold too.
+        let mut sliced = String::new();
+        for chunk in input_lines.chunks(13) {
+            session.process(chunk, &mut sliced);
+        }
+        assert_eq!(sliced, reference, "{threads} threads, sliced");
+    }
+}

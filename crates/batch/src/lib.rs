@@ -32,4 +32,4 @@ pub mod service;
 
 pub use config::{CheckpointingMode, SchedulingMode, ServiceConfig};
 pub use report::RunReport;
-pub use service::BatchService;
+pub use service::{BatchService, PreparedBag};

@@ -262,19 +262,41 @@ impl BatchService {
     /// Runs a bag of jobs to completion and reports cost/performance metrics, using the
     /// default provider (trace-catalog preemptions, default pricing).
     pub fn run_bag(&self, bag: &BagOfJobs) -> Result<RunReport> {
-        self.run_bag_with(bag, &ProviderTemplate::default(), self.config.seed)
+        self.run_bag_with(
+            &self.prepare_bag(bag.clone()),
+            &ProviderTemplate::default(),
+            self.config.seed,
+        )
     }
 
-    /// Runs a bag of jobs against a provider built from `template` with an explicit
-    /// provider seed — the entry point scenario sweeps use to vary the preemption regime
-    /// and pricing across many deterministic trials while reusing one service (and its
-    /// precomputed checkpoint planner).
+    /// Computes, once, what every report on `bag` takes from the bag alone (see
+    /// [`PreparedBag`]), for this service's cluster size.
+    pub fn prepare_bag(&self, bag: BagOfJobs) -> PreparedBag {
+        let slots = self.config.cluster_size;
+        PreparedBag {
+            total_work_hours: bag.jobs.iter().map(|j| j.estimated_runtime_hours).sum(),
+            ideal_makespan_hours: ideal_makespan(&bag, slots),
+            slots,
+            bag,
+        }
+    }
+
+    /// Runs a prepared bag of jobs against a provider built from `template` with an
+    /// explicit provider seed — the entry point scenario sweeps use to vary the
+    /// preemption regime and pricing across many deterministic trials while reusing one
+    /// service (and its precomputed checkpoint planner) and one prepared bag.
     pub fn run_bag_with(
         &self,
-        bag: &BagOfJobs,
+        bag: &PreparedBag,
         template: &ProviderTemplate,
         seed: u64,
     ) -> Result<RunReport> {
+        if bag.slots != self.config.cluster_size {
+            return Err(NumericsError::invalid(format!(
+                "bag prepared for {} slots run on a cluster of {}",
+                bag.slots, self.config.cluster_size
+            )));
+        }
         let mut scratch = SCRATCH.take();
         let report = self.run_trial(bag, template, seed, &mut scratch);
         SCRATCH.set(scratch);
@@ -284,11 +306,12 @@ impl BatchService {
     /// One trial of [`BatchService::run_bag_with`] in the buffers of `scratch`.
     fn run_trial(
         &self,
-        bag: &BagOfJobs,
+        prepared: &PreparedBag,
         template: &ProviderTemplate,
         seed: u64,
         scratch: &mut Scratch,
     ) -> Result<RunReport> {
+        let bag = &prepared.bag;
         if bag.is_empty() {
             return Err(NumericsError::invalid("bag must contain at least one job"));
         }
@@ -524,20 +547,31 @@ impl BatchService {
         }
         let usage = provider.usage_report(end);
 
-        let total_work: f64 = bag.jobs.iter().map(|j| j.estimated_runtime_hours).sum();
-        let ideal = ideal_makespan(bag, self.config.cluster_size);
         Ok(RunReport {
             jobs: bag.len(),
             makespan_hours: end,
-            ideal_makespan_hours: ideal,
+            ideal_makespan_hours: prepared.ideal_makespan_hours,
             preemptions: preemptions_hitting_jobs,
             job_restarts: total_restarts,
             vms_launched: usage.vms_launched,
             total_cost: usage.total_cost,
-            total_work_hours: total_work,
+            total_work_hours: prepared.total_work_hours,
             vm_hours: usage.preemptible_vm_hours + usage.on_demand_vm_hours,
         })
     }
+}
+
+/// A bag of jobs with the figures of it that no trial changes: its total work and its
+/// preemption-free makespan on the cluster of the service that prepared it
+/// ([`BatchService::prepare_bag`]).  A sweep prepares each scenario's bag once and runs
+/// every trial of the scenario on it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedBag {
+    bag: BagOfJobs,
+    /// Cluster size the ideal makespan was computed for.
+    slots: usize,
+    total_work_hours: f64,
+    ideal_makespan_hours: f64,
 }
 
 /// The preemption-free, zero-overhead makespan of a bag on `slots` parallel slots
@@ -751,6 +785,8 @@ mod tests {
             .unwrap();
             let a_bag = small_bag(30);
             let b_bag = small_bag(90);
+            let a_bag = a_service.prepare_bag(a_bag);
+            let b_bag = b_service.prepare_bag(b_bag);
             let a = |seed| a_service.run_bag_with(&a_bag, &catalog, seed).unwrap();
             let first = a(7);
             let b = b_service.run_bag_with(&b_bag, &exponential, 8).unwrap();

@@ -25,7 +25,7 @@ use crate::spec::{Regime, RegimeSpec, SweepSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use tcp_batch::{BatchService, RunReport};
+use tcp_batch::{BatchService, PreparedBag, RunReport};
 use tcp_cloudsim::run_tasks;
 use tcp_core::{fit_bathtub_model, LifetimeModel};
 use tcp_dists::ConstrainedBathtub;
@@ -111,7 +111,7 @@ struct PreparedScenario {
     scenario: Scenario,
     service: BatchService,
     regime: Regime,
-    bag: BagOfJobs,
+    bag: PreparedBag,
 }
 
 fn prepare(
@@ -137,7 +137,7 @@ fn prepare(
         })?;
         let profile =
             profile_by_name(&scenario.meta.application).expect("validated during grid expansion");
-        let bag = BagOfJobs::homogeneous(
+        let bag = service.prepare_bag(BagOfJobs::homogeneous(
             format!("{}-x{}", profile.name, scenario.meta.jobs),
             profile.name,
             scenario.meta.jobs,
@@ -149,7 +149,7 @@ fn prepare(
                 &scenario.meta.application,
                 scenario.meta.jobs,
             ),
-        )?;
+        )?);
         prepared.push(PreparedScenario {
             scenario: scenario.clone(),
             service,

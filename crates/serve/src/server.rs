@@ -509,7 +509,7 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
     let mut writer = BufWriter::with_capacity(1 << 16, stream);
     let mut session = Session::new(&shared.handle, shared.options.batch_threads);
     let batch_cap = shared.options.max_batch;
-    let mut pending: Vec<Slot> = Vec::new();
+    let mut batch = Batch::default();
     // Bytes of a line whose terminator has not arrived yet.  Lines are assembled at
     // the byte level (not via `read_line`) so a read timeout can never discard
     // partially received multi-byte characters mid-line.  It never exceeds
@@ -521,14 +521,14 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
             Ok([]) => {
                 // EOF: the unterminated tail is still one request, then drain.
                 if discarding {
-                    reject_long_line(&mut pending, shared);
+                    reject_long_line(&mut batch.slots, shared);
                 } else if !partial.is_empty()
-                    && !queue_line(std::mem::take(&mut partial), &mut pending, shared)
+                    && !queue_line(std::mem::take(&mut partial), &mut batch.slots, shared)
                 {
-                    shutdown_connection(&mut session, &mut pending, &mut writer, shared);
+                    shutdown_connection(&mut session, &mut batch, &mut writer, shared);
                     return;
                 }
-                let _ = flush_batch(&mut session, &mut pending, &mut writer, shared);
+                let _ = flush_batch(&mut session, &mut batch, &mut writer, shared);
                 return;
             }
             Ok(chunk) => {
@@ -539,7 +539,7 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                     if discarding || partial.len() + line.len() > MAX_LINE_BYTES {
                         discarding = false;
                         partial.clear();
-                        reject_long_line(&mut pending, shared);
+                        reject_long_line(&mut batch.slots, shared);
                     } else {
                         let mut line_bytes = std::mem::take(&mut partial);
                         line_bytes.extend_from_slice(line);
@@ -548,13 +548,13 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                         if line_bytes.last() == Some(&b'\r') {
                             line_bytes.pop();
                         }
-                        if !queue_line(line_bytes, &mut pending, shared) {
-                            shutdown_connection(&mut session, &mut pending, &mut writer, shared);
+                        if !queue_line(line_bytes, &mut batch.slots, shared) {
+                            shutdown_connection(&mut session, &mut batch, &mut writer, shared);
                             return;
                         }
                     }
-                    if pending.len() >= batch_cap
-                        && flush_batch(&mut session, &mut pending, &mut writer, shared).is_err()
+                    if batch.slots.len() >= batch_cap
+                        && flush_batch(&mut session, &mut batch, &mut writer, shared).is_err()
                     {
                         return;
                     }
@@ -573,7 +573,7 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    let _ = flush_batch(&mut session, &mut pending, &mut writer, shared);
+                    let _ = flush_batch(&mut session, &mut batch, &mut writer, shared);
                     return;
                 }
                 continue;
@@ -584,7 +584,7 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
         // The whole chunk was consumed, so the internal buffer is drained and the
         // next read may block: answer everything complete now.  A stalled partial
         // line never withholds the responses of the requests before it.
-        if flush_batch(&mut session, &mut pending, &mut writer, shared).is_err() {
+        if flush_batch(&mut session, &mut batch, &mut writer, shared).is_err() {
             return;
         }
         // A drain was requested (by `!shutdown` on another connection): everything
@@ -600,11 +600,11 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
 /// ack, and trigger the server-wide drain.
 fn shutdown_connection(
     session: &mut Session<'_>,
-    pending: &mut Vec<Slot>,
+    batch: &mut Batch,
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
 ) {
-    let _ = flush_batch(session, pending, writer, shared);
+    let _ = flush_batch(session, batch, writer, shared);
     let draining = shared
         .queue
         .lock()
@@ -620,22 +620,44 @@ fn shutdown_connection(
     shared.trigger_shutdown();
 }
 
+/// A connection's batch: the slots read since the last flush, and the answer text
+/// and request-run buffers that every flush reuses.
+#[derive(Default)]
+struct Batch {
+    slots: Vec<Slot>,
+    out: String,
+    /// Empty between flushes; only its allocation carries over.
+    run: Vec<&'static str>,
+}
+
+/// Empties `run` and hands back its allocation for borrows of another lifetime (an
+/// in-place `collect` of an empty iterator keeps the buffer).
+fn recycle<'b>(mut run: Vec<&str>) -> Vec<&'b str> {
+    run.clear();
+    run.into_iter().map(|_| "").collect()
+}
+
 /// Answers one batch of slots in input order, writes the responses, and returns the
 /// in-flight permits.  An `Err` means the client is gone; the caller closes.
 fn flush_batch(
     session: &mut Session<'_>,
-    pending: &mut Vec<Slot>,
+    batch: &mut Batch,
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
 ) -> std::io::Result<()> {
+    let Batch {
+        slots: pending,
+        out,
+        run: reused_run,
+    } = batch;
     if pending.is_empty() {
         return Ok(());
     }
     // Batch-assembly-and-dispatch span, nested in the connection trace; the arg is
     // the batch size.  Per-request spans open inside `Session::process`.
     let _batch_span = tcp_obs::span!("serve.batch.flush", pending.len() as u64);
-    let mut out = String::new();
-    let mut run: Vec<&str> = Vec::new();
+    out.clear();
+    let mut run = recycle(std::mem::take(reused_run));
     let mut permits = 0usize;
     let mut served = 0u64;
     let mut overloaded = 0u64;
@@ -650,7 +672,7 @@ fn flush_batch(
             }
             Slot::Overloaded | Slot::LineTooLong => {
                 // Answered in place: the lines queued before it are answered first.
-                session.process(&run, &mut out);
+                session.process(&run, out);
                 run.clear();
                 let line = if let Slot::Overloaded = slot {
                     overloaded += 1;
@@ -676,7 +698,8 @@ fn flush_batch(
             }
         }
     }
-    session.process(&run, &mut out);
+    session.process(&run, out);
+    *reused_run = recycle(run);
     pending.clear();
     let outcome = writer
         .write_all(out.as_bytes())
@@ -702,4 +725,19 @@ fn flush_batch(
         shared.metrics.requests_shed.add(overloaded);
     }
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_recycled_run_keeps_its_allocation() {
+        let line = String::from("{\"kind\":\"best-policy\"}");
+        let mut run: Vec<&str> = Vec::with_capacity(64);
+        run.push(&line);
+        let buffer = run.as_ptr() as usize;
+        let recycled: Vec<&'static str> = super::recycle(run);
+        assert!(recycled.is_empty());
+        assert_eq!(recycled.capacity(), 64);
+        assert_eq!(recycled.as_ptr() as usize, buffer);
+    }
 }
