@@ -8,13 +8,16 @@
 //!   malformed lines.
 //! * A `Session` writes the same bytes for 1, 2 and 3 threads on request runs whose
 //!   lengths are not multiples of the per-thread chunk.
+//! * A `Session` over the per-cell pack set reproduces
+//!   `serve/tests/golden/cells-responses.ndjson`: cell-routed and pooled answers, plus
+//!   the unknown-cell, unknown-regime and single-pack routing errors.
 
 use serde::Serialize;
 use std::path::Path;
 use std::sync::OnceLock;
 use tcp_advisor::{
-    generate_multi_requests, respond_into, respond_line, AdvisorHandle, ControlLine, ErrorLine,
-    MultiAdvisor, MultiPack, PackBuilder, RequestKind, Session, StatsLine,
+    generate_multi_requests, requests_to_ndjson, respond_into, respond_line, AdvisorHandle,
+    ControlLine, ErrorLine, MultiAdvisor, MultiPack, PackBuilder, RequestKind, Session, StatsLine,
 };
 use tcp_calibrate::{Calibrator, RegimeCatalog};
 use tcp_scenarios::SweepSpec;
@@ -229,4 +232,67 @@ fn session_bytes_do_not_depend_on_the_thread_count() {
         }
         assert_eq!(sliced, reference, "{threads} threads, sliced");
     }
+}
+
+/// Serves `input` through a fresh session over `advisor`, returning the output and the
+/// session's per-kind counters as `[should-reuse, checkpoint-plan,
+/// expected-cost-makespan, best-policy]`.
+fn serve_fresh(advisor: MultiAdvisor, input: &str) -> (String, [u64; 4]) {
+    let handle = AdvisorHandle::new(advisor);
+    let mut session = Session::new(&handle, 1);
+    let lines: Vec<&str> = input.lines().collect();
+    let mut out = String::new();
+    session.process(&lines, &mut out);
+    let stats = session.stats();
+    let counts = [
+        stats.should_reuse,
+        stats.checkpoint_plan,
+        stats.expected_cost_makespan,
+        stats.best_policy,
+    ];
+    (out, counts)
+}
+
+#[test]
+fn cell_routed_session_reproduces_the_golden_responses() {
+    let multi = &cells().1;
+    let cell = &multi.cells[0].cell;
+    let mut input = requests_to_ndjson(&generate_multi_requests(multi, 300, 20));
+    for line in [
+        r#"{"kind":"best-policy","cell":"n1-highcpu-99/mars-east1-z/day","id":9001}"#.to_string(),
+        format!(r#"{{"kind":"best-policy","cell":"{cell}","regime":"no-such-regime","id":9002}}"#),
+        format!(
+            r#"{{"kind":"should-reuse","cell":"{cell}","regime":"{cell}","vm_age":5.0,"job_len":2.0,"id":9003}}"#
+        ),
+        r#"{"kind":"expected-cost-makespan","regime":"pooled","vm_age":3.0,"job_len":2.0,"id":9004}"#
+            .to_string(),
+        format!(r#"{{"kind":"best-policy","regime":"{cell}","id":9005}}"#),
+    ] {
+        input.push_str(&line);
+        input.push('\n');
+    }
+    let (mut actual, counts) = serve_fresh(router(), &input);
+    // Per kind, the session counted exactly the lines answered without an error.
+    let kinds = [
+        RequestKind::ShouldReuse,
+        RequestKind::CheckpointPlan,
+        RequestKind::ExpectedCostMakespan,
+        RequestKind::BestPolicy,
+    ];
+    for (kind, count) in kinds.iter().zip(counts) {
+        let prefix = format!(r#"{{"kind":"{kind}","#);
+        let answered = actual.lines().filter(|l| l.starts_with(&prefix)).count();
+        assert_eq!(count, answered as u64, "{kind}");
+    }
+    let errors = actual.lines().filter(|l| l.starts_with(r#"{"error""#));
+    assert_eq!(errors.count(), 3);
+    // A single-pack router has no cells to route to.
+    let single = format!(r#"{{"kind":"best-policy","cell":"{cell}","id":9006}}"#);
+    actual.push_str(&serve_fresh(smoke_advisor(), &single).0);
+    let expected = golden("cells-responses.ndjson");
+    assert_eq!(actual.lines().count(), 306);
+    for (n, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(a, e, "response line {} differs", n + 1);
+    }
+    assert_eq!(actual, expected);
 }
