@@ -1,23 +1,21 @@
-//! The online query engine.
+//! The request and response vocabulary, and the per-regime lookup tables behind it.
 //!
-//! An [`Advisor`] wraps an immutable, `Arc`-shared [`ModelPack`] with per-regime
-//! interpolants rebuilt at load time.  The read path is lock-free: every query touches
-//! only shared immutable tables, so any number of threads can serve concurrently; the
-//! only mutable state is a set of sharded [`tcp_obs::Counter`]s (pack-scoped query
-//! stats behind [`Advisor::stats`]) plus global `advisor.latency.*` histograms in the
-//! [`tcp_obs::Registry`], so `!stats` and `!metrics` read the same recording machinery.
-//! Batches fan out over the workspace's work-stealing driver
-//! ([`tcp_cloudsim::run_tasks`]) and are returned in request order, which makes batch
-//! output bit-identical for every thread count.
+//! A `RegimeEngine` holds one regime's grids as interpolants, taken over from its
+//! [`RegimePack`] at load time, and answers the four request kinds from them.  The
+//! query engine, [`crate::router::MultiAdvisor`], keeps every regime of a pack set in
+//! one table of these and one `AdvisorCounters` set: sharded [`tcp_obs::Counter`]s
+//! behind `!stats`, plus the global `advisor.latency.*` histograms in the
+//! [`tcp_obs::Registry`], so `!stats` and `!metrics` read the same recording
+//! machinery.  The read path is lock-free: a query touches only immutable tables and
+//! the sharded counters, so any number of threads can serve concurrently.
 
 use crate::error::{require, validate_non_negative, validate_positive, AdvisorError, Result};
-use crate::pack::{ModelPack, PackSchedule, PolicyCard, RegimePack};
+use crate::pack::{PackSchedule, PolicyCard, RegimePack};
 use crate::table::Table2D;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-use tcp_cloudsim::run_tasks;
 use tcp_numerics::interp::LinearInterp;
 use tcp_obs::{Counter, Histogram};
 
@@ -116,10 +114,10 @@ pub struct AdviceRequest {
     pub id: Option<u64>,
     /// Regime to answer under; defaults to the pack's first regime.
     pub regime: Option<String>,
-    /// Calibration cell to route to (`vm-type/zone/time-of-day`).  Interpreted by the
-    /// multi-pack router ([`crate::router::MultiAdvisor`]): requests carrying a cell go
-    /// to that cell's pack, requests without one fall back to the pooled pack.  A plain
-    /// [`Advisor`] ignores the field (its single pack *is* the routing target).
+    /// Calibration cell to route to (`vm-type/zone/time-of-day`).  The query engine
+    /// ([`crate::router::MultiAdvisor`]) sends a request carrying a cell to that cell's
+    /// pack and one without to the pooled pack.  A router over a single pack has no
+    /// cells, so it answers any cell with the "no per-cell packs are loaded" error.
     pub cell: Option<String>,
     /// Age of the candidate VM, hours.
     pub vm_age: Option<f64>,
@@ -291,15 +289,85 @@ impl AdviceResponse {
     }
 }
 
-/// Runtime interpolants for one regime.
-struct RegimeEngine {
+/// One regime's lookup tables, moved out of its [`RegimePack`] at load time: the
+/// scalars an answer needs, the two age curves as interpolants, the checkpoint tables
+/// and the shared policy card.
+pub(crate) struct RegimeEngine {
+    /// Regime name (the `regime` request field selects it within its pack).
+    pub(crate) name: String,
+    /// `(served_family, dp_family)` counter slots, resolved at load time so the
+    /// nanosecond record path indexes fixed arrays instead of hashing strings.
+    families: (usize, usize),
     horizon: f64,
+    phase_early_end: f64,
+    phase_deadline_start: f64,
+    vcpus: f64,
+    on_demand_per_vcpu_hour: f64,
+    preemptible_per_vcpu_hour: f64,
     survival: LinearInterp,
     first_moment: LinearInterp,
     checkpoints: Vec<CheckpointEngine>,
+    policy_card: Arc<PolicyCard>,
+}
+
+struct CheckpointEngine {
+    cost_minutes: f64,
+    /// DP expected makespan over `ages × job lengths`; its second axis is the job
+    /// grid the schedules are tabulated on.
+    expected: Table2D,
+    schedules: Vec<PackSchedule>,
 }
 
 impl RegimeEngine {
+    /// Builds the engine from a regime of a validated pack, taking its grids over.
+    pub(crate) fn new(regime: RegimePack) -> Result<Self> {
+        let pack_error = |e: tcp_numerics::NumericsError| {
+            AdvisorError::Pack(format!("regime `{}`: {e}", regime.name))
+        };
+        let survival =
+            LinearInterp::new(regime.ages.clone(), regime.survival).map_err(pack_error)?;
+        let first_moment =
+            LinearInterp::new(regime.ages, regime.first_moment).map_err(pack_error)?;
+        let checkpoints = regime
+            .checkpoint_cells
+            .into_iter()
+            .map(|cell| {
+                Ok(CheckpointEngine {
+                    cost_minutes: cell.checkpoint_cost_minutes,
+                    expected: Table2D::new(cell.ages, cell.job_lens, cell.expected_makespan)?,
+                    schedules: cell.schedules,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(RegimeEngine {
+            families: (
+                family_index(&regime.served_family),
+                family_index(&regime.dp_family),
+            ),
+            name: regime.name,
+            horizon: regime.horizon_hours,
+            phase_early_end: regime.phase_early_end_hours,
+            phase_deadline_start: regime.phase_deadline_start_hours,
+            vcpus: regime.vcpus as f64,
+            on_demand_per_vcpu_hour: regime.on_demand_per_vcpu_hour,
+            preemptible_per_vcpu_hour: regime.preemptible_per_vcpu_hour,
+            survival,
+            first_moment,
+            checkpoints,
+            policy_card: regime.policy_card,
+        })
+    }
+
+    /// Answers one request from this regime's tables.
+    pub(crate) fn answer(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
+        match request.kind {
+            RequestKind::ShouldReuse => self.should_reuse(request),
+            RequestKind::CheckpointPlan => self.checkpoint_plan(request),
+            RequestKind::ExpectedCostMakespan => self.cost_makespan(request),
+            RequestKind::BestPolicy => Ok(self.best_policy(request)),
+        }
+    }
+
     /// Equation 8 from the tabulated first moment:
     /// `E[T_s] = T + W(min(s+T, L)) − W(s)`.
     ///
@@ -324,13 +392,114 @@ impl RegimeEngine {
         }
         ((alive - self.survival.eval(vm_age + job_len)) / alive).clamp(0.0, 1.0)
     }
-}
 
-struct CheckpointEngine {
-    cost_minutes: f64,
-    expected: Table2D,
-    job_lens: Vec<f64>,
-    schedules: Vec<PackSchedule>,
+    fn phase_of(&self, age: f64) -> VmPhase {
+        if age < self.phase_early_end {
+            VmPhase::Early
+        } else if age < self.phase_deadline_start {
+            VmPhase::Stable
+        } else {
+            VmPhase::Deadline
+        }
+    }
+
+    fn should_reuse(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
+        let vm_age = validate_non_negative("vm_age", require("vm_age", request.vm_age)?)?;
+        let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
+        let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
+        let fresh = self.makespan(0.0, job_len);
+        response.fresh_makespan_hours = Some(fresh);
+        response.vm_phase = Some(self.phase_of(vm_age));
+        if vm_age >= self.horizon {
+            // A VM at (or past) the reclamation deadline cannot run anything.
+            response.decision = Some(Decision::LaunchFresh);
+            return Ok(response);
+        }
+        let reuse = self.makespan(vm_age, job_len);
+        response.reuse_makespan_hours = Some(reuse);
+        response.decision = Some(if reuse <= fresh {
+            Decision::Reuse
+        } else {
+            Decision::LaunchFresh
+        });
+        Ok(response)
+    }
+
+    fn checkpoint_plan(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
+        let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
+        let vm_age = match request.vm_age {
+            Some(age) => validate_non_negative("vm_age", age)?,
+            None => 0.0,
+        };
+        let cell = match request.overhead_minutes {
+            Some(overhead) => {
+                let overhead = validate_positive("overhead_minutes", overhead)?;
+                self.checkpoints
+                    .iter()
+                    .min_by(|a, b| {
+                        let da = (a.cost_minutes - overhead).abs();
+                        let db = (b.cost_minutes - overhead).abs();
+                        da.total_cmp(&db)
+                            .then(a.cost_minutes.total_cmp(&b.cost_minutes))
+                    })
+                    .ok_or_else(|| {
+                        AdvisorError::Pack("pack regime carries no checkpoint cells".to_string())
+                    })?
+            }
+            None => self.checkpoints.first().ok_or_else(|| {
+                AdvisorError::Pack("pack regime carries no checkpoint cells".to_string())
+            })?,
+        };
+        // Nearest tabulated job length carries the concrete fresh-VM schedule; ties
+        // resolve toward the shorter job for determinism.
+        let nearest = cell
+            .expected
+            .ys()
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| {
+                let da = (*a - job_len).abs();
+                let db = (*b - job_len).abs();
+                da.total_cmp(&db).then(a.total_cmp(b))
+            })
+            .map(|(i, _)| i)
+            .ok_or_else(|| {
+                AdvisorError::Pack("checkpoint cell carries an empty job grid".to_string())
+            })?;
+        let intervals = &cell.schedules[nearest].intervals_hours;
+        let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
+        response.checkpoint_cost_minutes = Some(cell.cost_minutes);
+        response.expected_makespan_hours = Some(cell.expected.eval(vm_age, job_len));
+        response.intervals_hours = Some(intervals.clone());
+        response.checkpoint_count = Some(intervals.len());
+        Ok(response)
+    }
+
+    fn cost_makespan(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
+        let vm_age = validate_non_negative("vm_age", require("vm_age", request.vm_age)?)?;
+        let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
+        let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
+        response.failure_probability = Some(self.failure_probability(vm_age, job_len));
+        response.survival_probability = Some(self.survival.eval(vm_age));
+        response.on_demand_cost_usd = Some(self.on_demand_per_vcpu_hour * self.vcpus * job_len);
+        // A VM at (or past) the reclamation deadline cannot run anything: no finite
+        // makespan or preemptible cost exists, matching should_reuse's treatment.
+        if vm_age < self.horizon {
+            let makespan = self.makespan(vm_age, job_len);
+            response.expected_makespan_hours = Some(makespan);
+            response.expected_cost_usd =
+                Some(self.preemptible_per_vcpu_hour * self.vcpus * makespan);
+        }
+        Ok(response)
+    }
+
+    fn best_policy(&self, request: &AdviceRequest) -> AdviceResponse {
+        let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
+        response.scheduling = Some(self.policy_card.recommended_scheduling.clone());
+        response.checkpointing = Some(self.policy_card.recommended_checkpointing.clone());
+        response.card = Some(Arc::clone(&self.policy_card));
+        response
+    }
 }
 
 /// The model families tracked by the per-family serving counters; anything new lands
@@ -352,27 +521,95 @@ fn family_index(family: &str) -> usize {
         .unwrap_or(FAMILIES.len() - 1)
 }
 
-/// Pack-scoped query counters, one sharded [`Counter`] per request kind and family.
+/// The query engine's instruments: one sharded [`Counter`] per request kind and per
+/// family, plus the handles of the per-kind latency histograms and trace sites.
 ///
-/// These belong to the [`Advisor`] instance (they reset when a `!reload` swaps the
-/// pack in), while the latency histograms live in the global [`tcp_obs::Registry`]
+/// The counters belong to the loaded pack set (a `!reload` starts a fresh set), while
+/// the `advisor.latency.*` histograms live in the global [`tcp_obs::Registry`]
 /// (process lifetime): the two surfaces share the same sharded recording machinery
 /// from `tcp-obs`, so `!stats` and `!metrics` cannot drift apart.
-struct AdvisorCounters {
+pub(crate) struct AdvisorCounters {
     kinds: [Counter; 4],
     /// Queries answered per served curve family (`served_family` of the regime).
     served: [Counter; FAMILIES.len()],
     /// Queries answered per DP-table family (`dp_family` of the regime).
     dp: [Counter; FAMILIES.len()],
+    /// Global per-kind latency histograms (`advisor.latency.*`), resolved from the
+    /// registry once at load time.
+    latency: [&'static Histogram; 4],
+    /// Per-kind trace sites (`advisor.lookup.*`), interned once at load time so the
+    /// per-query span carries no string hashing — these are the *warm* table-lookup
+    /// spans, in contrast to the builder's cold `advisor.build.dp` spans.
+    trace_sites: [u32; 4],
 }
 
 impl AdvisorCounters {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AdvisorCounters {
             kinds: std::array::from_fn(|_| Counter::new()),
             served: std::array::from_fn(|_| Counter::new()),
             dp: std::array::from_fn(|_| Counter::new()),
+            latency: [
+                tcp_obs::histogram("advisor.latency.should_reuse"),
+                tcp_obs::histogram("advisor.latency.checkpoint_plan"),
+                tcp_obs::histogram("advisor.latency.expected_cost_makespan"),
+                tcp_obs::histogram("advisor.latency.best_policy"),
+            ],
+            trace_sites: [
+                tcp_obs::trace::site_id("advisor.lookup.should_reuse"),
+                tcp_obs::trace::site_id("advisor.lookup.checkpoint_plan"),
+                tcp_obs::trace::site_id("advisor.lookup.expected_cost_makespan"),
+                tcp_obs::trace::site_id("advisor.lookup.best_policy"),
+            ],
         }
+    }
+
+    /// Opens the warm-lookup span of `kind` (inert unless this thread is tracing a
+    /// request); the site id is pre-interned, so this is pointer work only.
+    pub(crate) fn lookup_span(&self, kind: RequestKind) -> tcp_obs::trace::Span {
+        tcp_obs::trace::Span::enter(self.trace_sites[kind.index()], 0)
+    }
+
+    /// Counts a query `regime` answered and records its latency since `started`.
+    pub(crate) fn record(&self, kind: RequestKind, regime: &RegimeEngine, started: Instant) {
+        // Counters scatter across cache-line-padded shards inside `tcp_obs::Counter`
+        // (the shard is a pure per-thread function) — record() sits on the nanosecond
+        // path and must never contend.
+        self.kinds[kind.index()].incr();
+        let (served, dp) = regime.families;
+        self.served[served].incr();
+        self.dp[dp].incr();
+        // Latency lands in the global registry, subject to the process-wide
+        // `tcp_obs::set_enabled` gate.
+        self.latency[kind.index()].record_duration(started.elapsed());
+    }
+
+    /// Query counters summed over the statistics shards.
+    pub(crate) fn stats(&self) -> AdvisorStats {
+        let count = |kind: RequestKind| self.kinds[kind.index()].get();
+        AdvisorStats {
+            best_policy: count(RequestKind::BestPolicy),
+            checkpoint_plan: count(RequestKind::CheckpointPlan),
+            expected_cost_makespan: count(RequestKind::ExpectedCostMakespan),
+            should_reuse: count(RequestKind::ShouldReuse),
+        }
+    }
+
+    /// Per-family query counters summed over the statistics shards (non-zero entries
+    /// only).
+    pub(crate) fn family_stats(&self) -> FamilyStats {
+        let mut out = FamilyStats::default();
+        for (i, family) in FAMILIES.iter().enumerate() {
+            let served = self.served[i].get();
+            let dp = self.dp[i].get();
+            if served > 0 {
+                out.served.insert(family.to_string(), served);
+            }
+            if dp > 0 {
+                out.dp.insert(family.to_string(), dp);
+            }
+        }
+        out
     }
 }
 
@@ -381,7 +618,7 @@ impl AdvisorCounters {
 /// Field order is alphabetical on purpose: derived serialization emits fields in
 /// declaration order, and the `!stats` wire contract promises deterministically
 /// sorted JSON keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdvisorStats {
     /// `best-policy` queries answered.
     pub best_policy: u64,
@@ -397,6 +634,14 @@ impl AdvisorStats {
     /// Total queries answered.
     pub fn total(&self) -> u64 {
         self.should_reuse + self.checkpoint_plan + self.expected_cost_makespan + self.best_policy
+    }
+
+    /// Adds another set of counters into this one.
+    pub fn merge(&mut self, other: &AdvisorStats) {
+        self.best_policy += other.best_policy;
+        self.checkpoint_plan += other.checkpoint_plan;
+        self.expected_cost_makespan += other.expected_cost_makespan;
+        self.should_reuse += other.should_reuse;
     }
 }
 
@@ -426,314 +671,15 @@ impl FamilyStats {
     }
 }
 
-/// The online advisory query engine.
-pub struct Advisor {
-    pack: Arc<ModelPack>,
-    engines: Vec<RegimeEngine>,
-    /// Per-regime `(served_family, dp_family)` counter slots, resolved at load time so
-    /// the nanosecond record path indexes fixed arrays instead of hashing strings.
-    families: Vec<(usize, usize)>,
-    counters: AdvisorCounters,
-    /// Global per-kind latency histograms (`advisor.latency.*`), resolved from the
-    /// registry once at load time.
-    latency: [&'static Histogram; 4],
-    /// Per-kind trace sites (`advisor.lookup.*`), interned once at load time so the
-    /// per-query span carries no string hashing — these are the *warm* table-lookup
-    /// spans, in contrast to the builder's cold `advisor.build.dp` spans.
-    trace_sites: [u32; 4],
-}
-
-impl Advisor {
-    /// Builds an advisor from a model pack, rebuilding the fast interpolants.
-    pub fn new(pack: ModelPack) -> Result<Self> {
-        pack.validate()?;
-        let engines = pack
-            .regimes
-            .iter()
-            .map(RegimeEngine::new)
-            .collect::<Result<Vec<_>>>()?;
-        let families = pack
-            .regimes
-            .iter()
-            .map(|r| (family_index(&r.served_family), family_index(&r.dp_family)))
-            .collect();
-        Ok(Advisor {
-            pack: Arc::new(pack),
-            engines,
-            families,
-            counters: AdvisorCounters::new(),
-            latency: [
-                tcp_obs::histogram("advisor.latency.should_reuse"),
-                tcp_obs::histogram("advisor.latency.checkpoint_plan"),
-                tcp_obs::histogram("advisor.latency.expected_cost_makespan"),
-                tcp_obs::histogram("advisor.latency.best_policy"),
-            ],
-            trace_sites: [
-                tcp_obs::trace::site_id("advisor.lookup.should_reuse"),
-                tcp_obs::trace::site_id("advisor.lookup.checkpoint_plan"),
-                tcp_obs::trace::site_id("advisor.lookup.expected_cost_makespan"),
-                tcp_obs::trace::site_id("advisor.lookup.best_policy"),
-            ],
-        })
-    }
-
-    /// Loads an advisor straight from pack JSON.
-    pub fn from_json(text: &str) -> Result<Self> {
-        Advisor::new(ModelPack::from_json(text)?)
-    }
-
-    /// The underlying pack.
-    pub fn pack(&self) -> &ModelPack {
-        &self.pack
-    }
-
-    /// Aggregated query counters across all statistics shards.
-    pub fn stats(&self) -> AdvisorStats {
-        AdvisorStats {
-            best_policy: self.counters.kinds[RequestKind::BestPolicy.index()].get(),
-            checkpoint_plan: self.counters.kinds[RequestKind::CheckpointPlan.index()].get(),
-            expected_cost_makespan: self.counters.kinds[RequestKind::ExpectedCostMakespan.index()]
-                .get(),
-            should_reuse: self.counters.kinds[RequestKind::ShouldReuse.index()].get(),
-        }
-    }
-
-    /// Per-family query counters across all statistics shards (non-zero entries only).
-    pub fn family_stats(&self) -> FamilyStats {
-        let mut out = FamilyStats::default();
-        for (i, family) in FAMILIES.iter().enumerate() {
-            let served = self.counters.served[i].get();
-            let dp = self.counters.dp[i].get();
-            if served > 0 {
-                out.served.insert(family.to_string(), served);
-            }
-            if dp > 0 {
-                out.dp.insert(family.to_string(), dp);
-            }
-        }
-        out
-    }
-
-    fn record(&self, kind: RequestKind, regime_index: usize, started: Instant) {
-        // Counters scatter across cache-line-padded shards inside `tcp_obs::Counter`
-        // (the shard is a pure per-thread function) — record() sits on the nanosecond
-        // path and must never contend.
-        self.counters.kinds[kind.index()].incr();
-        let (served, dp) = self.families[regime_index];
-        self.counters.served[served].incr();
-        self.counters.dp[dp].incr();
-        // Latency lands in the global registry, subject to the process-wide
-        // `tcp_obs::set_enabled` gate.
-        self.latency[kind.index()].record_duration(started.elapsed());
-    }
-
-    fn resolve_regime(&self, requested: Option<&str>) -> Result<usize> {
-        match requested {
-            None => Ok(0),
-            Some(name) => self
-                .pack
-                .regimes
-                .iter()
-                .position(|r| r.name == name)
-                .ok_or_else(|| AdvisorError::UnknownRegime {
-                    regime: name.to_string(),
-                    available: self.pack.regime_names(),
-                }),
-        }
-    }
-
-    /// Answers one request.
-    pub fn advise(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
-        // lint:allow(determinism) latency metric only: `started` feeds the query-stats histogram, never a response field
-        let started = Instant::now();
-        // The per-kind warm-lookup span (inert unless this thread is tracing a
-        // request); the site id is pre-interned so this is pointer work only.
-        let _span = tcp_obs::trace::Span::enter(self.trace_sites[request.kind.index()], 0);
-        let index = self.resolve_regime(request.regime.as_deref())?;
-        let regime = &self.pack.regimes[index];
-        let engine = &self.engines[index];
-        let response = match request.kind {
-            RequestKind::ShouldReuse => Self::should_reuse(regime, engine, request),
-            RequestKind::CheckpointPlan => Self::checkpoint_plan(regime, engine, request),
-            RequestKind::ExpectedCostMakespan => Self::cost_makespan(regime, engine, request),
-            RequestKind::BestPolicy => Ok(Self::best_policy(regime, request)),
-        }?;
-        // Count (and time) only successfully answered queries, after validation: every
-        // error class (parse, unknown regime, invalid input) is excluded uniformly, so
-        // the serving counters and latency histograms mean one thing.
-        self.record(request.kind, index, started);
-        Ok(response)
-    }
-
-    /// Answers a batch of requests over `threads` worker threads (`0` = all CPUs),
-    /// returning responses in request order — bit-identical for every thread count.
-    pub fn advise_batch(
-        &self,
-        requests: &[AdviceRequest],
-        threads: usize,
-    ) -> Vec<Result<AdviceResponse>> {
-        run_tasks(requests.len(), threads, |i| self.advise(&requests[i]))
-    }
-
-    fn phase_of(regime: &RegimePack, age: f64) -> VmPhase {
-        if age < regime.phase_early_end_hours {
-            VmPhase::Early
-        } else if age < regime.phase_deadline_start_hours {
-            VmPhase::Stable
-        } else {
-            VmPhase::Deadline
-        }
-    }
-
-    fn should_reuse(
-        regime: &RegimePack,
-        engine: &RegimeEngine,
-        request: &AdviceRequest,
-    ) -> Result<AdviceResponse> {
-        let vm_age = validate_non_negative("vm_age", require("vm_age", request.vm_age)?)?;
-        let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
-        let mut response = AdviceResponse::bare(request.kind, request.id, &regime.name);
-        let fresh = engine.makespan(0.0, job_len);
-        response.fresh_makespan_hours = Some(fresh);
-        response.vm_phase = Some(Self::phase_of(regime, vm_age));
-        if vm_age >= regime.horizon_hours {
-            // A VM at (or past) the reclamation deadline cannot run anything.
-            response.decision = Some(Decision::LaunchFresh);
-            return Ok(response);
-        }
-        let reuse = engine.makespan(vm_age, job_len);
-        response.reuse_makespan_hours = Some(reuse);
-        response.decision = Some(if reuse <= fresh {
-            Decision::Reuse
-        } else {
-            Decision::LaunchFresh
-        });
-        Ok(response)
-    }
-
-    fn checkpoint_plan(
-        regime: &RegimePack,
-        engine: &RegimeEngine,
-        request: &AdviceRequest,
-    ) -> Result<AdviceResponse> {
-        let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
-        let vm_age = match request.vm_age {
-            Some(age) => validate_non_negative("vm_age", age)?,
-            None => 0.0,
-        };
-        let cell = match request.overhead_minutes {
-            Some(overhead) => {
-                let overhead = validate_positive("overhead_minutes", overhead)?;
-                engine
-                    .checkpoints
-                    .iter()
-                    .min_by(|a, b| {
-                        let da = (a.cost_minutes - overhead).abs();
-                        let db = (b.cost_minutes - overhead).abs();
-                        da.total_cmp(&db)
-                            .then(a.cost_minutes.total_cmp(&b.cost_minutes))
-                    })
-                    .ok_or_else(|| {
-                        AdvisorError::Pack("pack regime carries no checkpoint cells".to_string())
-                    })?
-            }
-            None => engine.checkpoints.first().ok_or_else(|| {
-                AdvisorError::Pack("pack regime carries no checkpoint cells".to_string())
-            })?,
-        };
-        // Nearest tabulated job length carries the concrete fresh-VM schedule; ties
-        // resolve toward the shorter job for determinism.
-        let nearest = cell
-            .job_lens
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let da = (*a - job_len).abs();
-                let db = (*b - job_len).abs();
-                da.total_cmp(&db).then(a.total_cmp(b))
-            })
-            .map(|(i, _)| i)
-            .ok_or_else(|| {
-                AdvisorError::Pack("checkpoint cell carries an empty job grid".to_string())
-            })?;
-        let schedule = &cell.schedules[nearest];
-        let mut response = AdviceResponse::bare(request.kind, request.id, &regime.name);
-        response.checkpoint_cost_minutes = Some(cell.cost_minutes);
-        response.expected_makespan_hours = Some(cell.expected.eval(vm_age, job_len));
-        response.intervals_hours = Some(schedule.intervals_hours.clone());
-        response.checkpoint_count = Some(schedule.intervals_hours.len());
-        Ok(response)
-    }
-
-    fn cost_makespan(
-        regime: &RegimePack,
-        engine: &RegimeEngine,
-        request: &AdviceRequest,
-    ) -> Result<AdviceResponse> {
-        let vm_age = validate_non_negative("vm_age", require("vm_age", request.vm_age)?)?;
-        let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
-        let vcpus = regime.vcpus as f64;
-        let mut response = AdviceResponse::bare(request.kind, request.id, &regime.name);
-        response.failure_probability = Some(engine.failure_probability(vm_age, job_len));
-        response.survival_probability = Some(engine.survival.eval(vm_age));
-        response.on_demand_cost_usd = Some(regime.on_demand_per_vcpu_hour * vcpus * job_len);
-        // A VM at (or past) the reclamation deadline cannot run anything: no finite
-        // makespan or preemptible cost exists, matching should_reuse's treatment.
-        if vm_age < regime.horizon_hours {
-            let makespan = engine.makespan(vm_age, job_len);
-            response.expected_makespan_hours = Some(makespan);
-            response.expected_cost_usd = Some(regime.preemptible_per_vcpu_hour * vcpus * makespan);
-        }
-        Ok(response)
-    }
-
-    fn best_policy(regime: &RegimePack, request: &AdviceRequest) -> AdviceResponse {
-        let mut response = AdviceResponse::bare(request.kind, request.id, &regime.name);
-        response.scheduling = Some(regime.policy_card.recommended_scheduling.clone());
-        response.checkpointing = Some(regime.policy_card.recommended_checkpointing.clone());
-        response.card = Some(Arc::clone(&regime.policy_card));
-        response
-    }
-}
-
-impl RegimeEngine {
-    fn new(regime: &RegimePack) -> Result<Self> {
-        let survival = LinearInterp::new(regime.ages.clone(), regime.survival.clone())
-            .map_err(|e| AdvisorError::Pack(format!("regime `{}`: {e}", regime.name)))?;
-        let first_moment = LinearInterp::new(regime.ages.clone(), regime.first_moment.clone())
-            .map_err(|e| AdvisorError::Pack(format!("regime `{}`: {e}", regime.name)))?;
-        let checkpoints = regime
-            .checkpoint_cells
-            .iter()
-            .map(|cell| {
-                Ok(CheckpointEngine {
-                    cost_minutes: cell.checkpoint_cost_minutes,
-                    expected: Table2D::new(
-                        cell.ages.clone(),
-                        cell.job_lens.clone(),
-                        cell.expected_makespan.clone(),
-                    )?,
-                    job_lens: cell.job_lens.clone(),
-                    schedules: cell.schedules.clone(),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(RegimeEngine {
-            horizon: regime.horizon_hours,
-            survival,
-            first_moment,
-            checkpoints,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::tests::{tiny_builder, tiny_spec};
+    use crate::router::MultiAdvisor;
+    use tcp_cloudsim::run_tasks;
 
-    fn advisor() -> Advisor {
-        Advisor::new(tiny_builder().build_from_spec(&tiny_spec()).unwrap()).unwrap()
+    fn advisor() -> MultiAdvisor {
+        MultiAdvisor::from_pack(tiny_builder().build_from_spec(&tiny_spec()).unwrap()).unwrap()
     }
 
     #[test]
@@ -872,8 +818,9 @@ mod tests {
                 req
             })
             .collect();
-        let one = a.advise_batch(&requests, 1);
-        let many = a.advise_batch(&requests, 4);
+        let batch = |threads| run_tasks(requests.len(), threads, |i| a.advise(&requests[i]));
+        let one = batch(1);
+        let many = batch(4);
         assert_eq!(one, many);
         for (i, r) in one.iter().enumerate() {
             assert_eq!(r.as_ref().unwrap().id, Some(i as u64));
@@ -887,7 +834,7 @@ mod tests {
         let requests: Vec<AdviceRequest> = (0..64)
             .map(|_| AdviceRequest::should_reuse("gcp-day", 5.0, 4.0))
             .collect();
-        a.advise_batch(&requests, 4);
+        run_tasks(requests.len(), 4, |i| a.advise(&requests[i]));
         let stats = a.stats();
         assert_eq!(stats.should_reuse, 64);
         assert_eq!(stats.total(), 64);

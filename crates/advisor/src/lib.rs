@@ -3,23 +3,22 @@
 //! The paper's bathtub model yields actionable answers — "reuse this aged VM or launch
 //! fresh?" (Equation 8), "what checkpoint schedule?" (Section 4.3), "what will this job
 //! cost?" — but computing them from scratch means quadrature and dynamic programming per
-//! query.  This crate moves that work offline, in three layers:
+//! query.  This crate moves that work offline:
 //!
 //! * [`builder`] — precomputes dense grids of survival probability, Equation 8 expected
 //!   makespan, conditional job-failure probability, expected cost, and the DP checkpoint
 //!   value function for every regime of a sweep spec, packaged as a versioned JSON
-//!   [`ModelPack`];
-//! * [`engine`] — [`Advisor`], the lock-free query engine: an `Arc`-shared immutable
-//!   pack behind monotone-safe linear interpolation
-//!   ([`tcp_numerics::interp::LinearInterp`] + bilinear [`table::Table2D`]), answering
-//!   typed requests in microseconds, individually or in batches fanned over the
-//!   [`tcp_cloudsim::run_tasks`] work-stealing driver;
-//! * [`router`] — [`MultiAdvisor`], per-cell routing over a pack set built from a
-//!   `calibrate fit` regime catalog (requests carrying a `cell` go to that cell's
-//!   pack, the rest fall back to the pooled pack), and [`AdvisorHandle`], the
+//!   [`ModelPack`] (or, from a `calibrate fit` regime catalog, a per-cell [`MultiPack`]);
+//! * [`engine`] — the request/response vocabulary and the per-regime lookup tables,
+//!   monotone-safe linear interpolation
+//!   ([`tcp_numerics::interp::LinearInterp`] + bilinear [`table::Table2D`]) that
+//!   answers typed requests in microseconds;
+//! * [`router`] — [`MultiAdvisor`], the lock-free query engine: every regime of a pack
+//!   set in one table, routed by the request's `cell` (requests without one go to the
+//!   pooled pack), with one set of serving counters; and [`AdvisorHandle`], the
 //!   hot-reload slot behind the `!reload` control line;
-//! * [`serve`] — the NDJSON front end behind the `advise` binary (`advise build` /
-//!   `gen` / `serve` / `bench`), with a deterministic load generator.
+//! * [`serve`] — the NDJSON [`Session`] behind the `advise` binary's `serve` and
+//!   `listen` front ends, with a deterministic load generator (`advise gen`).
 //!
 //! Offline sweeps (`tcp-scenarios`) and online advice share one vocabulary: a pack is
 //! built *from a sweep spec*, so the regimes you swept yesterday are the regimes you can
@@ -48,8 +47,7 @@ pub mod table;
 
 pub use builder::PackBuilder;
 pub use engine::{
-    AdviceRequest, AdviceResponse, Advisor, AdvisorStats, Decision, FamilyStats, RequestKind,
-    VmPhase,
+    AdviceRequest, AdviceResponse, AdvisorStats, Decision, FamilyStats, RequestKind, VmPhase,
 };
 pub use error::{AdvisorError, Result};
 pub use pack::{
@@ -59,7 +57,7 @@ pub use pack::{
 pub use router::{AdvisorHandle, MultiAdvisor};
 pub use serve::{
     generate_multi_requests, generate_requests, render_line, requests_to_ndjson, respond_into,
-    respond_line, serve_ndjson, serve_session, serve_session_with_stats, ControlLine, ErrorLine,
-    Session, StatsLine,
+    respond_line, serve_session, serve_session_with_stats, ControlLine, ErrorLine, Session,
+    StatsLine,
 };
 pub use table::Table2D;

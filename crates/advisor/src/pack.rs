@@ -443,10 +443,12 @@ mod tests {
         let rewritten = upgraded.to_json().unwrap();
         assert_eq!(ModelPack::from_json(&rewritten).unwrap(), upgraded);
         // And it answers queries identically to the original (same tables).
-        let a = crate::Advisor::new(pack.clone()).unwrap();
-        let b = crate::Advisor::new(upgraded).unwrap();
         let requests = crate::serve::generate_requests(&pack, 200, 4);
-        assert_eq!(a.advise_batch(&requests, 1), b.advise_batch(&requests, 1));
+        let a = crate::MultiAdvisor::from_pack(pack).unwrap();
+        let b = crate::MultiAdvisor::from_pack(upgraded).unwrap();
+        for request in &requests {
+            assert_eq!(a.advise(request), b.advise(request));
+        }
     }
 
     #[test]

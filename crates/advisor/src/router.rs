@@ -1,36 +1,60 @@
-//! Multi-pack routing and hot reload.
+//! The query engine and its hot-reload slot.
 //!
-//! [`MultiAdvisor`] holds one [`Advisor`] per calibration cell plus the pooled
-//! fallback and routes each request by its optional `cell` field: a request carrying a
-//! cell goes to that cell's pack, a request without one falls back to the pooled pack,
-//! and an unknown cell is a typed error listing what is loaded.  A single [`ModelPack`]
-//! loads as a pooled-only router, so every serving path speaks the same type.
+//! [`MultiAdvisor`] answers every request.  It keeps the regimes of a whole pack set in
+//! one table — the pooled pack's first, then each cell pack's — and routes each
+//! request by its optional `cell` field: a request carrying a cell is answered from
+//! that cell pack's regimes, a request without one from the pooled pack's, and an
+//! unknown cell is a typed error listing what is loaded.  A single [`ModelPack`] loads
+//! as a pooled-only router, so every serving path speaks the same type.
 //!
 //! [`AdvisorHandle`] adds hot reload on top: the current router lives behind an
 //! `RwLock<Arc<…>>`, readers snapshot the `Arc` (lock held only for the clone), and a
 //! reload swaps the `Arc` — in-flight batches keep answering from the snapshot they
 //! took, untouched by the swap.
 
-use crate::engine::{AdviceRequest, AdviceResponse, Advisor, AdvisorStats, FamilyStats};
+use crate::engine::{
+    AdviceRequest, AdviceResponse, AdvisorCounters, AdvisorStats, FamilyStats, RegimeEngine,
+};
 use crate::error::{AdvisorError, Result};
-use crate::pack::{ModelPack, MultiPack};
+use crate::pack::{CellPackEntry, ModelPack, MultiPack};
+use std::ops::Range;
 use std::sync::{Arc, RwLock};
-use tcp_cloudsim::run_tasks;
+use std::time::Instant;
 
-/// The cell-routing query engine: pooled fallback plus per-cell advisors.
+/// The query engine: the regimes of a pooled pack and its per-cell packs in one table,
+/// a routing index over it, and one set of serving counters.
 pub struct MultiAdvisor {
     name: String,
-    pooled: Advisor,
-    /// `(cell name, advisor)`, sorted by cell name for binary-search routing.
-    cells: Vec<(String, Advisor)>,
+    /// Format version of the pooled pack, reported by `!stats` and `!health`.
+    format_version: u32,
+    /// Every regime of the set: the pooled pack's first, then each cell pack's in cell
+    /// order.
+    regimes: Vec<RegimeEngine>,
+    /// The pooled pack's regimes in `regimes`: the fallback for requests without a cell.
+    pooled: Range<usize>,
+    /// `(cell name, the cell pack's regimes in `regimes`)`, sorted by cell name for
+    /// binary-search routing.
+    cells: Vec<(String, Range<usize>)>,
+    counters: AdvisorCounters,
+}
+
+/// Validates `pack` and appends an engine per regime to `regimes`, returning where
+/// they landed.
+fn push_pack(regimes: &mut Vec<RegimeEngine>, pack: ModelPack) -> Result<Range<usize>> {
+    pack.validate()?;
+    let start = regimes.len();
+    for regime in pack.regimes {
+        regimes.push(RegimeEngine::new(regime)?);
+    }
+    Ok(start..regimes.len())
 }
 
 impl MultiAdvisor {
     /// Builds a router from a per-cell pack set.
     pub fn from_multi(multi: MultiPack) -> Result<Self> {
         // Only the routing invariant (strictly sorted cell names, for binary search)
-        // is checked here; per-pack table validation happens inside `Advisor::new`,
-        // and documents arriving through `from_json` were already fully validated.
+        // is checked here; each pack is validated as its regimes are loaded, and
+        // documents arriving through `from_json` were already fully validated.
         if !multi.cells.windows(2).all(|w| match w {
             [a, b] => a.cell < b.cell,
             _ => true,
@@ -39,27 +63,29 @@ impl MultiAdvisor {
                 "cell packs must be unique and sorted by cell name".to_string(),
             ));
         }
-        let name = multi.name.clone();
-        let pooled = Advisor::new(multi.pooled)?;
-        let cells = multi
-            .cells
-            .into_iter()
-            .map(|entry| Ok((entry.cell, Advisor::new(entry.pack)?)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(MultiAdvisor {
-            name,
-            pooled,
-            cells,
-        })
+        MultiAdvisor::load(multi.name, multi.pooled, multi.cells)
     }
 
     /// Wraps a single pack as a pooled-only router (no routable cells).
     pub fn from_pack(pack: ModelPack) -> Result<Self> {
-        let name = pack.name.clone();
+        MultiAdvisor::load(pack.name.clone(), pack, Vec::new())
+    }
+
+    fn load(name: String, pooled: ModelPack, cells: Vec<CellPackEntry>) -> Result<Self> {
+        let format_version = pooled.format_version;
+        let mut regimes = Vec::new();
+        let pooled = push_pack(&mut regimes, pooled)?;
+        let cells = cells
+            .into_iter()
+            .map(|entry| Ok((entry.cell, push_pack(&mut regimes, entry.pack)?)))
+            .collect::<Result<Vec<_>>>()?;
         Ok(MultiAdvisor {
             name,
-            pooled: Advisor::new(pack)?,
-            cells: Vec::new(),
+            format_version,
+            regimes,
+            pooled,
+            cells,
+            counters: AdvisorCounters::new(),
         })
     }
 
@@ -83,9 +109,9 @@ impl MultiAdvisor {
         &self.name
     }
 
-    /// The pooled (fallback) advisor.
-    pub fn pooled(&self) -> &Advisor {
-        &self.pooled
+    /// The pooled pack's format version.
+    pub fn format_version(&self) -> u32 {
+        self.format_version
     }
 
     /// Names of the routable cells, in sorted order.
@@ -95,13 +121,8 @@ impl MultiAdvisor {
 
     /// Answers one request, routing by its `cell` field.
     pub fn advise(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
-        // Pack/cell resolution span: arg 0 = pooled fallback, arg = cell index + 1
-        // for a routed request (inert unless this thread is tracing a request).
-        match request.cell.as_deref() {
-            None => {
-                let _span = tcp_obs::span!("advisor.route", 0u64);
-                self.pooled.advise(request)
-            }
+        let (route, regimes) = match request.cell.as_deref() {
+            None => (0, self.pooled.clone()),
             Some(cell) => {
                 let index = self
                     .cells
@@ -110,44 +131,50 @@ impl MultiAdvisor {
                         cell: cell.to_string(),
                         available: self.cell_names(),
                     })?;
-                let _span = tcp_obs::span!("advisor.route", index as u64 + 1);
-                let mut response = self.cells[index].1.advise(request)?;
-                response.cell = Some(cell.to_string());
-                Ok(response)
+                (index as u64 + 1, self.cells[index].1.clone())
             }
-        }
+        };
+        // Pack/cell resolution span: arg 0 = pooled fallback, arg = cell index + 1
+        // for a routed request (inert unless this thread is tracing a request).
+        let _span = tcp_obs::span!("advisor.route", route);
+        let mut response = self.lookup(&self.regimes[regimes], request)?;
+        response.cell = request.cell.clone();
+        Ok(response)
     }
 
-    /// Answers a batch over `threads` worker threads (`0` = all CPUs), preserving
-    /// request order — bit-identical for every thread count.
-    pub fn advise_batch(
-        &self,
-        requests: &[AdviceRequest],
-        threads: usize,
-    ) -> Vec<Result<AdviceResponse>> {
-        run_tasks(requests.len(), threads, |i| self.advise(&requests[i]))
+    /// Answers `request` from the regimes of one pack: the one it names, or the pack's
+    /// first.
+    fn lookup(&self, regimes: &[RegimeEngine], request: &AdviceRequest) -> Result<AdviceResponse> {
+        // lint:allow(determinism) latency metric only: `started` feeds the query-stats histogram, never a response field
+        let started = Instant::now();
+        let _span = self.counters.lookup_span(request.kind);
+        let regime = match request.regime.as_deref() {
+            None => regimes
+                .first()
+                .ok_or_else(|| AdvisorError::Pack("pack contains no regimes".to_string()))?,
+            Some(name) => regimes.iter().find(|r| r.name == name).ok_or_else(|| {
+                AdvisorError::UnknownRegime {
+                    regime: name.to_string(),
+                    available: regimes.iter().map(|r| r.name.clone()).collect(),
+                }
+            })?,
+        };
+        let response = regime.answer(request)?;
+        // Count (and time) only successfully answered queries, after validation: every
+        // error class (parse, unknown regime, invalid input) is excluded uniformly, so
+        // the serving counters and latency histograms mean one thing.
+        self.counters.record(request.kind, regime, started);
+        Ok(response)
     }
 
-    /// Aggregated per-family counters across the pooled pack and every cell pack.
+    /// Per-family counters of every query this router answered.
     pub fn family_stats(&self) -> FamilyStats {
-        let mut total = self.pooled.family_stats();
-        for (_, advisor) in &self.cells {
-            total.merge(&advisor.family_stats());
-        }
-        total
+        self.counters.family_stats()
     }
 
-    /// Aggregated serving statistics across the pooled pack and every cell pack.
+    /// Serving statistics of every query this router answered.
     pub fn stats(&self) -> AdvisorStats {
-        let mut total = self.pooled.stats();
-        for (_, advisor) in &self.cells {
-            let s = advisor.stats();
-            total.should_reuse += s.should_reuse;
-            total.checkpoint_plan += s.checkpoint_plan;
-            total.expected_cost_makespan += s.expected_cost_makespan;
-            total.best_policy += s.best_policy;
-        }
-        total
+        self.counters.stats()
     }
 }
 
@@ -164,8 +191,7 @@ pub struct AdvisorHandle {
 /// `age`-kind SLO rules) and `advisor.pack.format_version`.
 fn publish_pack_gauges(advisor: &MultiAdvisor) {
     tcp_obs::gauge("advisor.pack.loaded_at_secs").set(tcp_obs::log::now_monotonic_secs());
-    tcp_obs::gauge("advisor.pack.format_version")
-        .set(advisor.pooled().pack().format_version as f64);
+    tcp_obs::gauge("advisor.pack.format_version").set(advisor.format_version() as f64);
 }
 
 impl AdvisorHandle {
@@ -207,31 +233,31 @@ impl AdvisorHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::tests::{tiny_builder, tiny_spec};
     use tcp_calibrate::Calibrator;
     use tcp_trace::TraceGenerator;
 
-    fn catalog() -> tcp_calibrate::RegimeCatalog {
+    /// A per-cell pack set over a small synthetic trace, built on `threads` threads.
+    pub(crate) fn multi_pack(threads: usize) -> MultiPack {
         let records = TraceGenerator::new(11).generate_study(600, 90).unwrap();
-        Calibrator::new("router-test")
+        let catalog = Calibrator::new("router-test")
             .calibrate(&records, "synthetic", 0)
-            .unwrap()
-    }
-
-    fn multi() -> MultiAdvisor {
-        let builder = crate::builder::PackBuilder {
+            .unwrap();
+        crate::builder::PackBuilder {
             age_points: 121,
             checkpoint_age_points: 3,
             checkpoint_job_points: 4,
             max_checkpoint_job_hours: 4.0,
             ..Default::default()
-        };
-        let multi = builder
-            .build_from_catalog(&catalog(), &[5.0], 30.0, 0)
-            .unwrap();
-        MultiAdvisor::from_multi(multi).unwrap()
+        }
+        .build_from_catalog(&catalog, &[5.0], 30.0, threads)
+        .unwrap()
+    }
+
+    fn multi() -> MultiAdvisor {
+        MultiAdvisor::from_multi(multi_pack(0)).unwrap()
     }
 
     #[test]
@@ -301,16 +327,7 @@ mod tests {
 
     #[test]
     fn multi_pack_json_round_trips_with_identical_answers() {
-        let builder = crate::builder::PackBuilder {
-            age_points: 121,
-            checkpoint_age_points: 3,
-            checkpoint_job_points: 4,
-            max_checkpoint_job_hours: 4.0,
-            ..Default::default()
-        };
-        let multi_pack = builder
-            .build_from_catalog(&catalog(), &[5.0], 30.0, 2)
-            .unwrap();
+        let multi_pack = multi_pack(2);
         let json = multi_pack.to_json().unwrap();
         let reparsed = MultiPack::from_json(&json).unwrap();
         assert_eq!(reparsed, multi_pack);
@@ -322,7 +339,8 @@ mod tests {
             req.regime = None;
             requests.push(req.with_cell(cell));
         }
-        assert_eq!(a.advise_batch(&requests, 1), b.advise_batch(&requests, 2));
+        let answers = |m: &MultiAdvisor| requests.iter().map(|r| m.advise(r)).collect::<Vec<_>>();
+        assert_eq!(answers(&a), answers(&b));
     }
 
     #[test]
@@ -358,11 +376,9 @@ dp_step_minutes = 30.0
         // ...and the snapshot still answers exactly like a fresh advisor on the old
         // pack, while new lookups see the new one.
         let expected = MultiAdvisor::from_pack(pack_a).unwrap();
-        assert_eq!(
-            snapshot.advise_batch(&requests, 2),
-            expected.advise_batch(&requests, 1)
-        );
-        assert_eq!(handle.current().pooled().pack().name, "reloaded");
+        let answers = |m: &MultiAdvisor| requests.iter().map(|r| m.advise(r)).collect::<Vec<_>>();
+        assert_eq!(answers(&snapshot), answers(&expected));
+        assert_eq!(handle.current().name(), "reloaded");
         let old_regime = snapshot.advise(&requests[0]).unwrap().regime;
         assert_eq!(old_regime, "gcp-day");
         assert!(
@@ -374,16 +390,7 @@ dp_step_minutes = 30.0
     #[test]
     fn v2_multi_packs_load_with_bathtub_dp_families() {
         // A multi-pack written by a v2 build: inner packs at format 2, no dp_family.
-        let builder = crate::builder::PackBuilder {
-            age_points: 121,
-            checkpoint_age_points: 3,
-            checkpoint_job_points: 4,
-            max_checkpoint_job_hours: 4.0,
-            ..Default::default()
-        };
-        let multi_pack = builder
-            .build_from_catalog(&catalog(), &[5.0], 30.0, 0)
-            .unwrap();
+        let multi_pack = multi_pack(0);
         let mut v2 = multi_pack.to_json().unwrap().replace(
             &format!("\"format_version\":{}", crate::pack::PACK_FORMAT_VERSION),
             "\"format_version\":2",
@@ -426,7 +433,7 @@ dp_step_minutes = 30.0
     #[test]
     fn family_stats_follow_the_answering_regime() {
         let m = multi();
-        assert_eq!(m.family_stats(), tcp_advisor_family_default());
+        assert_eq!(m.family_stats(), FamilyStats::default());
         let cells = m.cell_names();
         let mut req = AdviceRequest::expected_cost_makespan("x", 5.0, 2.0);
         req.regime = None;
@@ -448,19 +455,15 @@ dp_step_minutes = 30.0
         assert_eq!(stats.served, stats.dp);
     }
 
-    fn tcp_advisor_family_default() -> crate::engine::FamilyStats {
-        crate::engine::FamilyStats::default()
-    }
-
     #[test]
     fn reload_from_a_bad_path_keeps_the_old_advisor() {
         let pack = tiny_builder().build_from_spec(&tiny_spec()).unwrap();
         let handle = AdvisorHandle::new(MultiAdvisor::from_pack(pack).unwrap());
-        let before = handle.current().pooled().pack().name.clone();
+        let before = handle.current().name().to_string();
         assert!(handle
             .reload_from_path(std::path::Path::new("/nonexistent/pack.json"))
             .is_err());
-        assert_eq!(handle.current().pooled().pack().name, before);
+        assert_eq!(handle.current().name(), before);
     }
 
     #[test]

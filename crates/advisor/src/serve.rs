@@ -171,21 +171,6 @@ fn render_chunks(
     }
 }
 
-/// Serves a whole NDJSON request stream over `threads` worker threads (`0` = all CPUs).
-///
-/// Blank lines are skipped; every other input line produces exactly one output line, in
-/// input order.  The returned string is newline-terminated unless empty.  Control lines
-/// are *not* interpreted here — use [`serve_session`] for a reloadable stream.
-pub fn serve_ndjson(advisor: &MultiAdvisor, input: &str, threads: usize) -> String {
-    let lines: Vec<&str> = input.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut out = String::new();
-    render_chunks(lines.len(), threads, &mut out, |i, buf| {
-        respond_into(advisor, lines[i], buf);
-        buf.push('\n');
-    });
-    out
-}
-
 /// The front-end-agnostic serving state machine: lines in, lines out.
 ///
 /// A session wraps an [`AdvisorHandle`] and answers any mix of request lines and `!`
@@ -318,7 +303,7 @@ impl<'a> Session<'a> {
                     dp_families: families.dp,
                     pack: advisor.name().to_string(),
                     pack_age_secs: pack_age_secs(),
-                    pack_format_version: advisor.pooled().pack().format_version,
+                    pack_format_version: advisor.format_version(),
                     served: self.stats(),
                     served_families: families.served,
                     uptime_secs: tcp_obs::log::now_monotonic_secs(),
@@ -405,7 +390,7 @@ impl<'a> Session<'a> {
              \"rules\":{},\"uptime_secs\":{},\"verdict\":\"{}\"}}}}",
             render_line(&pack_age_secs()),
             advisor.cell_names().len(),
-            advisor.pooled().pack().format_version,
+            advisor.format_version(),
             render_line(advisor.name()),
             recent.join(","),
             rules,
@@ -436,18 +421,9 @@ impl<'a> Session<'a> {
     /// the swap.  Pack counters are shared across sessions serving the same packs,
     /// so with concurrent sessions this includes their traffic too.
     pub fn stats(&self) -> AdvisorStats {
-        let mut stats = AdvisorStats {
-            should_reuse: 0,
-            checkpoint_plan: 0,
-            expected_cost_makespan: 0,
-            best_policy: 0,
-        };
+        let mut stats = AdvisorStats::default();
         for advisor in &self.used {
-            let s = advisor.stats();
-            stats.should_reuse += s.should_reuse;
-            stats.checkpoint_plan += s.checkpoint_plan;
-            stats.expected_cost_makespan += s.expected_cost_makespan;
-            stats.best_policy += s.best_policy;
+            stats.merge(&advisor.stats());
         }
         stats
     }
@@ -586,7 +562,7 @@ mod tests {
 not json at all
 {"kind": "best-policy", "regime": "exp8", "id": 4}
 "#;
-        let out = serve_ndjson(&a, input, 1);
+        let out = serve_session(&AdvisorHandle::new(a), input, 1);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"id\":1"), "{}", lines[0]);
@@ -617,12 +593,12 @@ not json at all
 
     #[test]
     fn output_is_byte_identical_for_any_thread_count() {
-        let a = advisor();
-        let requests = generate_requests(a.pooled().pack(), 500, 7);
+        let handle = AdvisorHandle::new(advisor());
+        let requests = generate_requests(&pack(), 500, 7);
         let input = requests_to_ndjson(&requests);
-        let one = serve_ndjson(&a, &input, 1);
-        let four = serve_ndjson(&a, &input, 4);
-        let eight = serve_ndjson(&a, &input, 8);
+        let one = serve_session(&handle, &input, 1);
+        let four = serve_session(&handle, &input, 4);
+        let eight = serve_session(&handle, &input, 8);
         assert_eq!(one, four);
         assert_eq!(one, eight);
         assert_eq!(one.lines().count(), 500);
@@ -630,11 +606,11 @@ not json at all
 
     #[test]
     fn generator_is_deterministic_and_covers_every_kind() {
-        let a = advisor();
-        let r1 = generate_requests(a.pooled().pack(), 300, 11);
-        let r2 = generate_requests(a.pooled().pack(), 300, 11);
+        let pack = pack();
+        let r1 = generate_requests(&pack, 300, 11);
+        let r2 = generate_requests(&pack, 300, 11);
         assert_eq!(r1, r2);
-        let r3 = generate_requests(a.pooled().pack(), 300, 12);
+        let r3 = generate_requests(&pack, 300, 12);
         assert_ne!(r1, r3);
         for kind in [
             RequestKind::ShouldReuse,
@@ -645,8 +621,9 @@ not json at all
             assert!(r1.iter().any(|r| r.kind == kind), "mix is missing {kind}");
         }
         // Every generated request is answerable.
-        for result in a.advise_batch(&r1, 0) {
-            result.unwrap();
+        let a = advisor();
+        for request in &r1 {
+            a.advise(request).unwrap();
         }
     }
 
@@ -1026,21 +1003,7 @@ dp_step_minutes = 30.0
 
     #[test]
     fn multi_request_generator_spreads_over_cells_deterministically() {
-        let records = tcp_trace::TraceGenerator::new(11)
-            .generate_study(600, 90)
-            .unwrap();
-        let catalog = tcp_calibrate::Calibrator::new("gen-test")
-            .calibrate(&records, "synthetic", 0)
-            .unwrap();
-        let multi = crate::builder::PackBuilder {
-            age_points: 121,
-            checkpoint_age_points: 3,
-            checkpoint_job_points: 4,
-            max_checkpoint_job_hours: 4.0,
-            ..Default::default()
-        }
-        .build_from_catalog(&catalog, &[5.0], 30.0, 0)
-        .unwrap();
+        let multi = crate::router::tests::multi_pack(0);
         let requests = generate_multi_requests(&multi, 400, 7);
         assert_eq!(requests, generate_multi_requests(&multi, 400, 7));
         // The load touches the pooled pack and at least one real cell.
@@ -1048,14 +1011,14 @@ dp_step_minutes = 30.0
         assert!(requests.iter().any(|r| r.cell.is_some()));
         // Every generated request is answerable by the router, and serving them is
         // byte-identical across thread counts (the determinism smoke's contract).
-        let router = MultiAdvisor::from_multi(multi).unwrap();
+        let handle = AdvisorHandle::new(MultiAdvisor::from_multi(multi).unwrap());
         let input = requests_to_ndjson(&requests);
-        let one = serve_ndjson(&router, &input, 1);
-        let four = serve_ndjson(&router, &input, 4);
+        let one = serve_session(&handle, &input, 1);
+        let four = serve_session(&handle, &input, 4);
         assert_eq!(one, four);
         assert!(!one.contains("\"error\""), "all requests answerable");
         // Per-family counters cover more than one family (per-cell winners differ).
-        assert!(router.family_stats().served.len() > 1);
+        assert!(handle.current().family_stats().served.len() > 1);
     }
 
     #[test]
@@ -1075,14 +1038,5 @@ dp_step_minutes = 30.0
         }
         assert_eq!(whole, sliced);
         assert_eq!(session.stats().total(), 120);
-    }
-
-    #[test]
-    fn session_and_plain_serving_agree_without_control_lines() {
-        let requests = generate_requests(&pack(), 200, 17);
-        let input = requests_to_ndjson(&requests);
-        let plain = serve_ndjson(&advisor(), &input, 2);
-        let session = serve_session(&AdvisorHandle::new(advisor()), &input, 2);
-        assert_eq!(plain, session);
     }
 }

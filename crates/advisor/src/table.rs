@@ -110,17 +110,6 @@ impl Table2D {
     }
 }
 
-/// Builds a [`Table2D`] by sampling `f(x, y)` on the given grids.
-pub fn tabulate2d(xs: Vec<f64>, ys: Vec<f64>, f: impl Fn(f64, f64) -> f64) -> Result<Table2D> {
-    let mut values = Vec::with_capacity(xs.len() * ys.len());
-    for &x in &xs {
-        for &y in &ys {
-            values.push(f(x, y));
-        }
-    }
-    Table2D::new(xs, ys, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,10 +117,12 @@ mod tests {
 
     fn plane() -> Table2D {
         // f(x, y) = 2x + 3y sampled on [0,4] x [0,2]; bilinear interp is exact on planes.
-        tabulate2d(linspace(0.0, 4.0, 5), linspace(0.0, 2.0, 5), |x, y| {
-            2.0 * x + 3.0 * y
-        })
-        .unwrap()
+        let (xs, ys) = (linspace(0.0, 4.0, 5), linspace(0.0, 2.0, 5));
+        let values = xs
+            .iter()
+            .flat_map(|&x| ys.iter().map(move |&y| 2.0 * x + 3.0 * y))
+            .collect();
+        Table2D::new(xs, ys, values).unwrap()
     }
 
     #[test]
@@ -166,10 +157,12 @@ mod tests {
     #[test]
     fn never_overshoots_grid_values() {
         // Monotone-safety: interpolated values stay within the cell's corner range.
-        let t = tabulate2d(linspace(0.0, 1.0, 4), linspace(0.0, 1.0, 4), |x, y| {
-            (8.0 * x).sin() + (5.0 * y).cos()
-        })
-        .unwrap();
+        let (xs, ys) = (linspace(0.0, 1.0, 4), linspace(0.0, 1.0, 4));
+        let values = xs
+            .iter()
+            .flat_map(|&x| ys.iter().map(move |&y| (8.0 * x).sin() + (5.0 * y).cos()))
+            .collect();
+        let t = Table2D::new(xs, ys, values).unwrap();
         let (lo, hi) = t
             .values
             .iter()

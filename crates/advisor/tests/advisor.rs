@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tcp_advisor::{
-    generate_requests, requests_to_ndjson, serve_ndjson, AdviceRequest, Advisor, Decision,
-    ModelPack, PackBuilder,
+    generate_requests, requests_to_ndjson, serve_session, AdviceRequest, AdvisorHandle, Decision,
+    ModelPack, MultiAdvisor, PackBuilder,
 };
 use tcp_core::LifetimeModel;
 use tcp_dists::{ConstrainedBathtub, LifetimeDistribution};
@@ -63,8 +63,14 @@ fn pack() -> &'static ModelPack {
 /// probabilities.
 const TOLERANCE: f64 = 5e-3;
 
-fn advisor() -> Advisor {
-    Advisor::new(pack().clone()).unwrap()
+fn advisor() -> MultiAdvisor {
+    MultiAdvisor::from_pack(pack().clone()).unwrap()
+}
+
+/// `advisor`'s answers to `requests`, as served NDJSON.
+fn served(advisor: MultiAdvisor, requests: &[AdviceRequest]) -> String {
+    let input = requests_to_ndjson(requests);
+    serve_session(&AdvisorHandle::new(advisor), &input, 1)
 }
 
 proptest! {
@@ -255,11 +261,9 @@ fn past_horizon_vms_get_no_makespan_or_cost() {
 #[test]
 fn pack_round_trips_through_json_with_identical_answers() {
     let original = advisor();
-    let rehydrated = Advisor::from_json(&pack().to_json().unwrap()).unwrap();
+    let rehydrated = MultiAdvisor::from_json(&pack().to_json().unwrap()).unwrap();
     let requests = generate_requests(pack(), 400, 99);
-    let a = original.advise_batch(&requests, 1);
-    let b = rehydrated.advise_batch(&requests, 1);
-    assert_eq!(a, b);
+    assert_eq!(served(original, &requests), served(rehydrated, &requests));
 }
 
 #[test]
@@ -287,19 +291,19 @@ fn shipped_v2_example_pack_round_trips() {
     let reloaded = ModelPack::from_json(&rewritten).unwrap();
     assert_eq!(reloaded, upgraded);
     // The upgraded pack serves: same answers before and after the round trip.
-    let a = Advisor::new(upgraded.clone()).unwrap();
-    let b = Advisor::new(reloaded).unwrap();
     let requests = generate_requests(&upgraded, 200, 17);
-    assert_eq!(a.advise_batch(&requests, 1), b.advise_batch(&requests, 1));
+    let a = MultiAdvisor::from_pack(upgraded).unwrap();
+    let b = MultiAdvisor::from_pack(reloaded).unwrap();
+    assert_eq!(served(a, &requests), served(b, &requests));
 }
 
 #[test]
 fn serving_10k_requests_is_thread_invariant() {
-    let router = tcp_advisor::MultiAdvisor::from_pack(pack().clone()).unwrap();
+    let handle = AdvisorHandle::new(advisor());
     let requests = generate_requests(pack(), 10_000, 2020);
     let input = requests_to_ndjson(&requests);
-    let one = serve_ndjson(&router, &input, 1);
-    let four = serve_ndjson(&router, &input, 4);
+    let one = serve_session(&handle, &input, 1);
+    let four = serve_session(&handle, &input, 4);
     assert_eq!(one, four, "NDJSON output must be byte-identical");
     assert_eq!(one.lines().count(), 10_000);
 }

@@ -16,8 +16,9 @@ use serde::Serialize;
 use std::path::Path;
 use std::sync::OnceLock;
 use tcp_advisor::{
-    generate_multi_requests, requests_to_ndjson, respond_into, respond_line, AdvisorHandle,
-    ControlLine, ErrorLine, MultiAdvisor, MultiPack, PackBuilder, RequestKind, Session, StatsLine,
+    generate_multi_requests, requests_to_ndjson, respond_into, respond_line, AdviceResponse,
+    AdvisorHandle, AdvisorStats, ControlLine, ErrorLine, MultiAdvisor, MultiPack, PackBuilder,
+    RequestKind, Session, StatsLine,
 };
 use tcp_calibrate::{Calibrator, RegimeCatalog};
 use tcp_scenarios::SweepSpec;
@@ -235,22 +236,14 @@ fn session_bytes_do_not_depend_on_the_thread_count() {
 }
 
 /// Serves `input` through a fresh session over `advisor`, returning the output and the
-/// session's per-kind counters as `[should-reuse, checkpoint-plan,
-/// expected-cost-makespan, best-policy]`.
-fn serve_fresh(advisor: MultiAdvisor, input: &str) -> (String, [u64; 4]) {
+/// session's counters.
+fn serve_fresh(advisor: MultiAdvisor, input: &str) -> (String, AdvisorStats) {
     let handle = AdvisorHandle::new(advisor);
     let mut session = Session::new(&handle, 1);
     let lines: Vec<&str> = input.lines().collect();
     let mut out = String::new();
     session.process(&lines, &mut out);
-    let stats = session.stats();
-    let counts = [
-        stats.should_reuse,
-        stats.checkpoint_plan,
-        stats.expected_cost_makespan,
-        stats.best_policy,
-    ];
-    (out, counts)
+    (out, session.stats())
 }
 
 #[test]
@@ -271,21 +264,20 @@ fn cell_routed_session_reproduces_the_golden_responses() {
         input.push_str(&line);
         input.push('\n');
     }
-    let (mut actual, counts) = serve_fresh(router(), &input);
-    // Per kind, the session counted exactly the lines answered without an error.
-    let kinds = [
-        RequestKind::ShouldReuse,
-        RequestKind::CheckpointPlan,
-        RequestKind::ExpectedCostMakespan,
-        RequestKind::BestPolicy,
-    ];
-    for (kind, count) in kinds.iter().zip(counts) {
-        let prefix = format!(r#"{{"kind":"{kind}","#);
-        let answered = actual.lines().filter(|l| l.starts_with(&prefix)).count();
-        assert_eq!(count, answered as u64, "{kind}");
+    let (mut actual, stats) = serve_fresh(router(), &input);
+    // The session counted exactly the lines answered without an error, per kind.
+    let mut answered = AdvisorStats::default();
+    for line in actual.lines().filter(|l| !l.starts_with(r#"{"error""#)) {
+        let response: AdviceResponse = serde_json::from_str(line).unwrap();
+        *match response.kind {
+            RequestKind::ShouldReuse => &mut answered.should_reuse,
+            RequestKind::CheckpointPlan => &mut answered.checkpoint_plan,
+            RequestKind::ExpectedCostMakespan => &mut answered.expected_cost_makespan,
+            RequestKind::BestPolicy => &mut answered.best_policy,
+        } += 1;
     }
-    let errors = actual.lines().filter(|l| l.starts_with(r#"{"error""#));
-    assert_eq!(errors.count(), 3);
+    assert_eq!(stats, answered);
+    assert_eq!(answered.total(), 300 + 2);
     // A single-pack router has no cells to route to.
     let single = format!(r#"{{"kind":"best-policy","cell":"{cell}","id":9006}}"#);
     actual.push_str(&serve_fresh(smoke_advisor(), &single).0);

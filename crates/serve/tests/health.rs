@@ -45,6 +45,12 @@ fn advisor(json: &str) -> MultiAdvisor {
     MultiAdvisor::from_json(json).unwrap()
 }
 
+/// `count` requests of the standard mix against the pack in `json`, as NDJSON.
+fn request_corpus(json: &str, count: usize, seed: u64) -> String {
+    let pack = tcp_advisor::ModelPack::from_json(json).unwrap();
+    requests_to_ndjson(&generate_requests(&pack, count, seed))
+}
+
 /// The shed-ratio burn-rate rule both phases evaluate: shed / (served + shed),
 /// firing above 1%, resolving below 0.5%, over a 10s short / 60s long window.
 fn shed_ratio_spec() -> SloSpec {
@@ -105,7 +111,7 @@ fn health_machinery_is_out_of_band_and_tracks_forced_shedding() {
     // snapshots, and a published report: request bytes must still match batch
     // mode exactly, and `!health` must answer healthy with the rule present.
     let json = tiny_pack_json("health-pack", "exp8", 8.0);
-    let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 400, 42));
+    let corpus = request_corpus(&json, 400, 42);
     let expected = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 1);
 
     let mut evaluator = Evaluator::new(shed_ratio_spec());
@@ -167,7 +173,7 @@ fn health_machinery_is_out_of_band_and_tracks_forced_shedding() {
     )
     .unwrap();
     let addr = server.local_addr().to_string();
-    let burst = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 3000, 7));
+    let burst = request_corpus(&json, 3000, 7);
     let output = run_client(&addr, &burst).unwrap();
     assert_eq!(output.lines().count(), 3000, "no response may be dropped");
     let overloads = output

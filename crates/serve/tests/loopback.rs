@@ -42,6 +42,12 @@ fn advisor(json: &str) -> MultiAdvisor {
     MultiAdvisor::from_json(json).unwrap()
 }
 
+/// `count` requests of the standard mix against the pack in `json`, as NDJSON.
+fn request_corpus(json: &str, count: usize, seed: u64) -> String {
+    let pack = tcp_advisor::ModelPack::from_json(json).unwrap();
+    requests_to_ndjson(&generate_requests(&pack, count, seed))
+}
+
 fn start(json: &str, options: ServeOptions) -> Server {
     Server::start(advisor(json), options).unwrap()
 }
@@ -51,8 +57,7 @@ fn concurrent_clients_get_byte_identical_responses() {
     let json = tiny_pack_json("loopback", "exp8", 8.0);
     // A corpus that exercises the full protocol surface: valid requests of every
     // kind, an unknown cell, an unknown regime, and lines that are not JSON at all.
-    let mut corpus =
-        requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 500, 99));
+    let mut corpus = request_corpus(&json, 500, 99);
     corpus.push_str(
         "{\"kind\":\"best-policy\",\"regime\":\"exp8\",\"cell\":\"no/such/cell\",\"id\":9001}\n\
          {\"kind\":\"best-policy\",\"regime\":\"mars-east1\",\"id\":9002}\n\
@@ -103,7 +108,7 @@ fn concurrent_clients_get_byte_identical_responses() {
 #[test]
 fn exhausted_inflight_budget_sheds_with_typed_overload_lines() {
     let json = tiny_pack_json("overload", "exp8", 8.0);
-    let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 3000, 7));
+    let corpus = request_corpus(&json, 3000, 7);
     // One in-flight permit: within every multi-line batch only the first request gets
     // a permit (permits are held until the batch's responses are written), so a fast
     // single-connection writer must see typed overload lines — and exactly one output
@@ -240,7 +245,7 @@ fn stats_control_line_answers_health_probes() {
 #[test]
 fn shutdown_control_line_drains_and_exits() {
     let json = tiny_pack_json("drain", "exp8", 8.0);
-    let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 200, 3));
+    let corpus = request_corpus(&json, 200, 3);
     let server = start(&json, ServeOptions::default());
     let addr = server.local_addr().to_string();
     // The same connection carries requests and then the shutdown: everything before

@@ -46,10 +46,16 @@ fn advisor(json: &str) -> MultiAdvisor {
     MultiAdvisor::from_json(json).unwrap()
 }
 
+/// `count` requests of the standard mix against the pack in `json`, as NDJSON.
+fn request_corpus(json: &str, count: usize, seed: u64) -> String {
+    let pack = tcp_advisor::ModelPack::from_json(json).unwrap();
+    requests_to_ndjson(&generate_requests(&pack, count, seed))
+}
+
 #[test]
 fn armed_profiler_serves_byte_identical_responses_and_answers_probe() {
     let json = tiny_pack_json("profiled", "exp8", 8.0);
-    let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 2000, 41));
+    let corpus = request_corpus(&json, 2000, 41);
     let expected = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 1);
 
     // Baseline: profiler fully off (allocator wrapper installed but inert).

@@ -45,6 +45,12 @@ fn advisor(json: &str) -> MultiAdvisor {
     MultiAdvisor::from_json(json).unwrap()
 }
 
+/// `count` requests of the standard mix against the pack in `json`, as NDJSON.
+fn request_corpus(json: &str, count: usize, seed: u64) -> String {
+    let pack = tcp_advisor::ModelPack::from_json(json).unwrap();
+    requests_to_ndjson(&generate_requests(&pack, count, seed))
+}
+
 fn serve_corpus(json: &str, corpus: &str, workers: usize, batch_threads: usize) -> String {
     let options = ServeOptions {
         workers,
@@ -61,7 +67,7 @@ fn serve_corpus(json: &str, corpus: &str, workers: usize, batch_threads: usize) 
 #[test]
 fn tracing_stays_out_of_the_response_stream() {
     let json = tiny_pack_json();
-    let corpus = requests_to_ndjson(&generate_requests(advisor(&json).pooled().pack(), 400, 17));
+    let corpus = request_corpus(&json, 400, 17);
     let expected = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 1);
 
     // --- Tracing unconfigured (the default): the span macros are inert and the

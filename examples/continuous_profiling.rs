@@ -47,8 +47,8 @@ dp_step_minutes = 30.0
     }
     .build_from_spec(&spec)
     .expect("pack");
+    let corpus = requests_to_ndjson(&generate_requests(&pack, 20_000, 7));
     let advisor = MultiAdvisor::from_pack(pack).expect("advisor");
-    let corpus = requests_to_ndjson(&generate_requests(advisor.pooled().pack(), 20_000, 7));
     let handle = AdvisorHandle::new(advisor);
 
     // Arm both halves: a 997 Hz wall-clock sampler over every thread's span

@@ -40,8 +40,8 @@ dp_step_minutes = 30.0
     }
     .build_from_spec(&spec)
     .expect("pack");
+    let corpus = requests_to_ndjson(&generate_requests(&pack, 64, 7));
     let advisor = MultiAdvisor::from_pack(pack).expect("advisor");
-    let corpus = requests_to_ndjson(&generate_requests(advisor.pooled().pack(), 64, 7));
     let requests: Vec<&str> = corpus.lines().collect();
     let handle = AdvisorHandle::new(advisor);
 
