@@ -141,6 +141,7 @@ impl AdviceRequest {
     }
 
     /// Tags the request with a calibration cell for multi-pack routing.
+    // lint:allow(dead-api) router::tests build cell-routed requests with it
     pub fn with_cell(mut self, cell: impl Into<String>) -> Self {
         self.cell = Some(cell.into());
         self
@@ -657,18 +658,6 @@ pub struct FamilyStats {
     pub dp: BTreeMap<String, u64>,
     /// Queries per served curve family.
     pub served: BTreeMap<String, u64>,
-}
-
-impl FamilyStats {
-    /// Adds another set of counters into this one.
-    pub fn merge(&mut self, other: &FamilyStats) {
-        for (family, count) in &other.served {
-            *self.served.entry(family.clone()).or_default() += count;
-        }
-        for (family, count) in &other.dp {
-            *self.dp.entry(family.clone()).or_default() += count;
-        }
-    }
 }
 
 #[cfg(test)]

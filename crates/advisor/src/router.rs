@@ -114,9 +114,9 @@ impl MultiAdvisor {
         self.format_version
     }
 
-    /// Names of the routable cells, in sorted order.
-    pub fn cell_names(&self) -> Vec<String> {
-        self.cells.iter().map(|(cell, _)| cell.clone()).collect()
+    /// Number of routable cells.
+    pub fn cell_count(&self) -> usize {
+        self.cells.len()
     }
 
     /// Answers one request, routing by its `cell` field.
@@ -129,7 +129,7 @@ impl MultiAdvisor {
                     .binary_search_by(|(name, _)| name.as_str().cmp(cell))
                     .map_err(|_| AdvisorError::UnknownCell {
                         cell: cell.to_string(),
-                        available: self.cell_names(),
+                        available: self.cells.iter().map(|(name, _)| name.clone()).collect(),
                     })?;
                 (index as u64 + 1, self.cells[index].1.clone())
             }
@@ -239,6 +239,11 @@ pub(crate) mod tests {
     use tcp_calibrate::Calibrator;
     use tcp_trace::TraceGenerator;
 
+    /// Names of the routable cells, in sorted order.
+    fn cell_names(m: &MultiAdvisor) -> Vec<String> {
+        m.cells.iter().map(|(cell, _)| cell.clone()).collect()
+    }
+
     /// A per-cell pack set over a small synthetic trace, built on `threads` threads.
     pub(crate) fn multi_pack(threads: usize) -> MultiPack {
         let records = TraceGenerator::new(11).generate_study(600, 90).unwrap();
@@ -263,7 +268,7 @@ pub(crate) mod tests {
     #[test]
     fn requests_route_by_cell_and_fall_back_to_pooled() {
         let m = multi();
-        let cells = m.cell_names();
+        let cells = cell_names(&m);
         assert!(!cells.is_empty());
         // No cell: pooled pack answers.
         let mut req = AdviceRequest::should_reuse("pooled", 8.0, 3.0);
@@ -293,7 +298,7 @@ pub(crate) mod tests {
         // Observation 4: the 32-vCPU day cell must look riskier than the 2-vCPU night
         // cell — routing to different cells must actually change the answer.
         let m = multi();
-        let cells = m.cell_names();
+        let cells = cell_names(&m);
         let risky = "n1-highcpu-32/us-central1-f/day";
         let calm = "n1-highcpu-2/us-west1-a/night";
         if !cells.iter().any(|c| c == risky) || !cells.iter().any(|c| c == calm) {
@@ -317,7 +322,7 @@ pub(crate) mod tests {
     fn single_pack_loads_as_pooled_only_router() {
         let pack = tiny_builder().build_from_spec(&tiny_spec()).unwrap();
         let m = MultiAdvisor::from_json(&pack.to_json().unwrap()).unwrap();
-        assert!(m.cell_names().is_empty());
+        assert_eq!(m.cell_count(), 0);
         let mut req = AdviceRequest::should_reuse("gcp-day", 8.0, 3.0);
         assert!(m.advise(&req).is_ok());
         req = req.with_cell("n1-highcpu-2/us-west1-a/night");
@@ -334,7 +339,7 @@ pub(crate) mod tests {
         let a = MultiAdvisor::from_multi(multi_pack).unwrap();
         let b = MultiAdvisor::from_json(&json).unwrap();
         let mut requests = Vec::new();
-        for (i, cell) in a.cell_names().into_iter().enumerate() {
+        for (i, cell) in cell_names(&a).into_iter().enumerate() {
             let mut req = AdviceRequest::expected_cost_makespan("x", i as f64, 2.0);
             req.regime = None;
             requests.push(req.with_cell(cell));
@@ -434,7 +439,7 @@ dp_step_minutes = 30.0
     fn family_stats_follow_the_answering_regime() {
         let m = multi();
         assert_eq!(m.family_stats(), FamilyStats::default());
-        let cells = m.cell_names();
+        let cells = cell_names(&m);
         let mut req = AdviceRequest::expected_cost_makespan("x", 5.0, 2.0);
         req.regime = None;
         // Two pooled answers (mixture curves) and one per-cell answer.
@@ -469,7 +474,7 @@ dp_step_minutes = 30.0
     #[test]
     fn stats_aggregate_across_packs() {
         let m = multi();
-        let cells = m.cell_names();
+        let cells = cell_names(&m);
         let mut req = AdviceRequest::best_policy("pooled");
         req.regime = None;
         m.advise(&req).unwrap();

@@ -23,7 +23,7 @@
 //! byte-identical output for the same line sequence because a [`Session`] only depends
 //! on the lines themselves and the packs they load.
 
-use crate::engine::{AdviceRequest, AdvisorStats, FamilyStats};
+use crate::engine::{AdviceRequest, AdvisorStats};
 use crate::pack::{ModelPack, MultiPack};
 use crate::router::{AdvisorHandle, MultiAdvisor};
 use rand::rngs::StdRng;
@@ -281,7 +281,7 @@ impl<'a> Session<'a> {
                         render_line(&ControlLine {
                             control: "reload".to_string(),
                             pack: advisor.name().to_string(),
-                            cells: advisor.cell_names().len(),
+                            cells: advisor.cell_count(),
                         })
                     }
                     Err(e) => {
@@ -297,7 +297,7 @@ impl<'a> Session<'a> {
                 // has answered nothing itself still reports real traffic.
                 let families = advisor.family_stats();
                 render_line(&StatsLine {
-                    cells: advisor.cell_names().len(),
+                    cells: advisor.cell_count(),
                     control: "stats".to_string(),
                     current: advisor.stats(),
                     dp_families: families.dp,
@@ -389,7 +389,7 @@ impl<'a> Session<'a> {
              \"cells\":{},\"format_version\":{},\"name\":{}}},\"recent_errors\":[{}],\
              \"rules\":{},\"uptime_secs\":{},\"verdict\":\"{}\"}}}}",
             render_line(&pack_age_secs()),
-            advisor.cell_names().len(),
+            advisor.cell_count(),
             advisor.format_version(),
             render_line(advisor.name()),
             recent.join(","),
@@ -427,16 +427,6 @@ impl<'a> Session<'a> {
         }
         stats
     }
-
-    /// Per-family counters aggregated across every advisor that served part of this
-    /// session (same reload-surviving semantics as [`Session::stats`]).
-    pub fn family_stats(&self) -> FamilyStats {
-        let mut families = FamilyStats::default();
-        for advisor in &self.used {
-            families.merge(&advisor.family_stats());
-        }
-        families
-    }
 }
 
 /// Serves an NDJSON stream with `!reload <path>` / `!stats` control-line support.
@@ -445,6 +435,7 @@ impl<'a> Session<'a> {
 /// parallel by a snapshot of the current advisor, and each control line swaps the
 /// served pack before the next segment starts.  Output order matches input order, and
 /// for a fixed set of pack files the bytes are identical for every thread count.
+// lint:allow(dead-api) tcp-serve tests (loopback, health, trace, profile, metrics) serve through it
 pub fn serve_session(handle: &AdvisorHandle, input: &str, threads: usize) -> String {
     serve_session_with_stats(handle, input, threads).0
 }

@@ -122,12 +122,6 @@ impl ServiceConfig {
         }
     }
 
-    /// Returns this configuration with a different RNG seed — the hook sweep runners use
-    /// to run one scenario across many deterministic trials.
-    pub fn with_seed(&self, seed: u64) -> Self {
-        ServiceConfig { seed, ..*self }
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         if self.cluster_size == 0 {

@@ -241,16 +241,6 @@ impl BatchService {
         })
     }
 
-    /// The service configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
-    /// The preemption model the policies use.
-    pub fn model(&self) -> &dyn LifetimeModel {
-        self.model.as_ref()
-    }
-
     /// Plans `remaining` hours of work on a VM of age `vm_age` into `intervals` and
     /// returns the cost of one checkpoint.
     fn plan_intervals(&self, remaining: f64, vm_age: f64, intervals: &mut Vec<f64>) -> Result<f64> {

@@ -387,7 +387,7 @@ mod tests {
         let (fig, cmp) = figure1(1, 20).unwrap();
         assert_eq!(fig.columns, vec!["time_hours", "cdf"]);
         assert!(fig.rows.len() >= 6 * 20);
-        assert_eq!(cmp.best_family(), "Our Model");
+        assert_eq!(cmp.families[0].label, "Our Model");
         assert!(fig.to_csv().contains("fig1"));
     }
 

@@ -124,15 +124,6 @@ pub struct CellKey {
 }
 
 impl CellKey {
-    /// The day/night cell a record falls into (the paper's default split).
-    pub fn of(record: &PreemptionRecord) -> Self {
-        CellKey {
-            vm_type: record.vm_type,
-            zone: record.zone,
-            time_of_day: TodSlot::Named(record.time_of_day),
-        }
-    }
-
     /// The cell a record falls into under an optional launch-hour split: `None` keeps
     /// the day/night bucket, `Some(width)` buckets by the record's `launch_hour`
     /// (an error when the record carries none).
@@ -297,8 +288,8 @@ mod tests {
             )
             .unwrap()
         };
-        let idle = CellKey::of(&mk(WorkloadKind::Idle));
-        let busy = CellKey::of(&mk(WorkloadKind::NonIdle));
+        let idle = CellKey::of_with(&mk(WorkloadKind::Idle), None).unwrap();
+        let busy = CellKey::of_with(&mk(WorkloadKind::NonIdle), None).unwrap();
         assert_eq!(idle, busy);
         assert_eq!(idle.to_string(), "n1-highcpu-8/us-west1-a/night");
     }

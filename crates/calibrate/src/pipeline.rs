@@ -66,17 +66,6 @@ impl CellPartition {
         Ok(())
     }
 
-    /// Builds a day/night partition from a whole dataset in one pass.
-    pub fn from_records(records: &[PreemptionRecord]) -> Self {
-        let mut partition = Self::new();
-        for record in records {
-            partition
-                .push(record)
-                .expect("day/night bucketing is total");
-        }
-        partition
-    }
-
     /// Builds a partition honouring an optional launch-hour split.
     pub fn from_records_with(records: &[PreemptionRecord], tod_hours: Option<u32>) -> Result<Self> {
         let mut partition = match tod_hours {
@@ -92,11 +81,6 @@ impl CellPartition {
     /// Total records ingested.
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// Number of non-empty cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
     }
 
     /// The non-empty cells in canonical (sorted) order.
@@ -262,7 +246,7 @@ mod tests {
     #[test]
     fn partition_covers_every_record_in_one_pass() {
         let records = study(500, 1);
-        let partition = CellPartition::from_records(&records);
+        let partition = CellPartition::from_records_with(&records, None).unwrap();
         assert_eq!(partition.total(), 500);
         let sum: usize = partition
             .keys()
@@ -282,7 +266,7 @@ mod tests {
             .generate_study(600, 60)
             .unwrap();
         // Day/night keys are untouched by the finer mode existing.
-        let coarse = CellPartition::from_records(&records);
+        let coarse = CellPartition::from_records_with(&records, None).unwrap();
         assert!(coarse
             .keys()
             .iter()
@@ -297,7 +281,7 @@ mod tests {
             assert_eq!(width, 6);
             assert_eq!(start % 6, 0);
         }
-        assert!(fine.cell_count() >= coarse.cell_count());
+        assert!(fine.keys().len() >= coarse.keys().len());
         // Hour mode on an hour-free dataset is a descriptive error.
         let plain = TraceGenerator::new(9).generate_study(50, 10).unwrap();
         let err = CellPartition::from_records_with(&plain, Some(6)).unwrap_err();

@@ -106,11 +106,6 @@ impl<E> EventQueue<E> {
         Some((ev.time, ev.payload))
     }
 
-    /// Peeks at the timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Drops every pending event and resets the clock and the tie-break sequence, so the
     /// queue behaves exactly like [`EventQueue::new`] while keeping its allocation.
     pub fn clear(&mut self) {
@@ -155,7 +150,7 @@ mod tests {
         assert_eq!(q.now(), 0.0);
         q.schedule_at(4.0, ());
         q.schedule_after(1.5, ());
-        assert_eq!(q.peek_time(), Some(1.5));
+        assert_eq!(q.heap.peek().map(|e| e.time), Some(1.5));
         q.pop();
         assert_eq!(q.now(), 1.5);
         q.pop();
@@ -186,7 +181,7 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.now(), 0.0);
-        assert_eq!(q.peek_time(), None);
+        assert!(q.heap.peek().is_none());
         // the clock and the tie-break sequence restart: equal times pop in insertion order
         q.schedule_at(1.0, "a");
         q.schedule_at(1.0, "b");

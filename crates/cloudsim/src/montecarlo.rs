@@ -103,6 +103,7 @@ where
 /// index) so experiments are reproducible regardless of thread scheduling.  Non-finite
 /// trial values are dropped from the summary.  `threads = 0` selects the number of
 /// available CPUs.
+// lint:allow(dead-api) no caller outside montecarlo::tests (7 tests pin it); delete with them
 pub fn run_monte_carlo<F>(trials: usize, threads: usize, trial_fn: F) -> Result<MonteCarloSummary>
 where
     F: Fn(usize) -> f64 + Send + Sync,

@@ -47,11 +47,6 @@ impl PricingModel {
         })
     }
 
-    /// The discount factor (on-demand / preemptible price).
-    pub fn discount_factor(&self) -> f64 {
-        self.on_demand_per_vcpu_hour / self.preemptible_per_vcpu_hour
-    }
-
     /// Hourly price of one VM of the given type under the given billing class.
     pub fn hourly_rate(&self, vm_type: VmType, billing: BillingClass) -> f64 {
         let per_vcpu = match billing {
@@ -80,7 +75,7 @@ mod tests {
     #[test]
     fn default_discount_close_to_five_x() {
         let p = PricingModel::default();
-        let d = p.discount_factor();
+        let d = p.on_demand_per_vcpu_hour / p.preemptible_per_vcpu_hour;
         assert!(d > 4.5 && d < 5.5, "discount = {d}");
     }
 

@@ -169,42 +169,11 @@ impl CloudProvider {
         }
     }
 
-    /// Creates a provider over a custom catalog (used by tests and ablations).
-    pub fn with_catalog(config: ProviderConfig, catalog: TraceCatalog, seed: u64) -> Self {
-        CloudProvider {
-            catalog,
-            ..CloudProvider::new(config, seed)
-        }
-    }
-
-    /// Creates a provider whose preemptible VMs draw lifetimes from an explicit
-    /// distribution (the hook scenario sweeps use for synthetic preemption regimes).
-    pub fn with_ground_truth(
-        config: ProviderConfig,
-        ground_truth: Arc<dyn LifetimeDistribution>,
-        seed: u64,
-    ) -> Self {
-        CloudProvider {
-            override_truth: Some(ground_truth),
-            ..CloudProvider::new(config, seed)
-        }
-    }
-
     /// Sets the ambient conditions (time of day, workload) used to select the ground-truth
     /// preemption process for newly launched VMs.
     pub fn set_conditions(&mut self, time_of_day: TimeOfDay, workload: WorkloadKind) {
         self.time_of_day = time_of_day;
         self.workload_kind = workload;
-    }
-
-    /// The provider configuration.
-    pub fn config(&self) -> &ProviderConfig {
-        &self.config
-    }
-
-    /// Number of VMs ever launched.
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
     }
 
     /// Launches a VM at simulation time `now`.  Returns the new instance.
@@ -367,7 +336,7 @@ mod tests {
                 "lifetime = {lifetime}"
             );
         }
-        assert_eq!(p.vm_count(), 50);
+        assert_eq!(p.vms.len(), 50);
     }
 
     #[test]
@@ -562,7 +531,7 @@ mod tests {
         run(&mut reused);
         for seed in [11, 12] {
             template.build_into(&mut reused, seed);
-            assert_eq!(reused.vm_count(), 0);
+            assert_eq!(reused.vms.len(), 0);
             assert!(reused.get(VmId(0)).is_none());
             assert_eq!(run(&mut reused), run(&mut template.build(seed)));
         }

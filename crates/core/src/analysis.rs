@@ -15,7 +15,7 @@
 //! `T²/(2L)` (= `T²/48` for the 24-hour horizon), which is the comparison of Figure 4.
 
 use serde::{Deserialize, Serialize};
-use tcp_dists::{LifetimeDistribution, UniformLifetime};
+use tcp_dists::LifetimeDistribution;
 use tcp_numerics::{NumericsError, Result};
 
 /// Expected wasted work `E[W1(T)]` assuming exactly one preemption occurs during the job
@@ -131,16 +131,11 @@ pub fn running_time_analysis(
     })
 }
 
-/// Convenience: the uniform distribution the paper compares against (horizon = 24 h).
-pub fn uniform_strawman(horizon: f64) -> Result<UniformLifetime> {
-    UniformLifetime::new(horizon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LifetimeModel;
-    use tcp_dists::ConstrainedBathtub;
+    use tcp_dists::{ConstrainedBathtub, UniformLifetime};
 
     fn model() -> ConstrainedBathtub {
         ConstrainedBathtub::paper_representative()
@@ -152,7 +147,7 @@ mod tests {
         assert!((uniform_expected_increase(10.0, 24.0) - 100.0 / 48.0).abs() < 1e-12);
         assert_eq!(uniform_expected_wasted_work(-1.0), 0.0);
         // the uniform distribution object gives the same answers
-        let u = uniform_strawman(24.0).unwrap();
+        let u = UniformLifetime::new(24.0).unwrap();
         let j = 10.0;
         assert!((expected_wasted_work(&u, j) - 5.0).abs() < 1e-9);
         assert!((expected_increase_in_running_time(&u, j) - 100.0 / 48.0).abs() < 1e-9);

@@ -139,11 +139,6 @@ pub fn fit_model_comparison(lifetimes: &[f64], horizon: f64) -> Result<ModelComp
 }
 
 impl ModelComparison {
-    /// Returns the label of the best-fitting family.
-    pub fn best_family(&self) -> &str {
-        &self.families[0].label
-    }
-
     /// Evaluates every fitted CDF (plus the empirical CDF) on a grid — the data series of
     /// Figure 1.  Returns `(ts, per-series (label, values))`.
     pub fn cdf_series(&self, points: usize) -> (Vec<f64>, Vec<(String, Vec<f64>)>) {
@@ -193,7 +188,7 @@ mod tests {
     fn comparison_ranks_bathtub_first() {
         let lifetimes = synthetic_lifetimes(600, 2);
         let cmp = fit_model_comparison(&lifetimes, 24.0).unwrap();
-        assert_eq!(cmp.best_family(), "Our Model");
+        assert_eq!(cmp.families[0].label, "Our Model");
         assert_eq!(cmp.families.len(), 5);
         // r² sorted descending
         for w in cmp.families.windows(2) {

@@ -142,11 +142,6 @@ impl ConstrainedBathtub {
         self.raw_cdf(0.0)
     }
 
-    /// The time at which the clamped CDF reaches one (`≤ horizon`).
-    pub fn saturation_time(&self) -> f64 {
-        self.saturation
-    }
-
     /// Probability mass concentrated exactly at the deadline (survivors reclaimed at `L`).
     pub fn deadline_atom(&self) -> f64 {
         if self.saturation < self.params.horizon {
@@ -165,6 +160,7 @@ impl ConstrainedBathtub {
     /// The paper's expected-lifetime expression (Equation 3): `∫_0^L t f(t) dt` using the
     /// raw (unclamped) density.  This ignores any residual deadline atom, exactly as in the
     /// paper.
+    // lint:allow(dead-api) Eq. 3 reference for bathtub tests and tcp-core lifetime tests
     pub fn expected_lifetime_eq3(&self) -> f64 {
         self.partial_expectation_antiderivative(self.params.horizon)
             - self.partial_expectation_antiderivative(0.0)
@@ -408,8 +404,8 @@ mod tests {
     fn saturating_parameters_handled() {
         // Large A forces the raw CDF past 1 before the horizon.
         let d = ConstrainedBathtub::from_parts(0.9, 0.5, 0.8, 20.0).unwrap();
-        assert!(d.saturation_time() < 24.0);
-        assert_eq!(d.cdf(d.saturation_time() + 0.1), 1.0);
+        assert!(d.saturation < 24.0);
+        assert_eq!(d.cdf(d.saturation + 0.1), 1.0);
         assert_eq!(d.deadline_atom(), 0.0);
         crate::validate_cdf(&d, 500).unwrap();
         // mean still within support

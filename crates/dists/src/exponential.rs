@@ -26,24 +26,9 @@ impl Exponential {
         Ok(Exponential { rate })
     }
 
-    /// Creates an exponential distribution from a mean time to failure (hours).
-    pub fn from_mttf(mttf: f64) -> Result<Self> {
-        if !(mttf > 0.0) || !mttf.is_finite() {
-            return Err(NumericsError::invalid(format!(
-                "MTTF must be positive, got {mttf}"
-            )));
-        }
-        Exponential::new(1.0 / mttf)
-    }
-
     /// The failure rate `λ`.
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// The mean time to failure `1/λ`.
-    pub fn mttf(&self) -> f64 {
-        1.0 / self.rate
     }
 }
 
@@ -116,10 +101,8 @@ mod tests {
         assert!(Exponential::new(0.0).is_err());
         assert!(Exponential::new(-1.0).is_err());
         assert!(Exponential::new(f64::NAN).is_err());
-        assert!(Exponential::from_mttf(0.0).is_err());
-        let d = Exponential::from_mttf(4.0).unwrap();
+        let d = Exponential::new(0.25).unwrap();
         assert!((d.rate() - 0.25).abs() < 1e-15);
-        assert!((d.mttf() - 4.0).abs() < 1e-15);
     }
 
     #[test]

@@ -50,17 +50,6 @@ impl DistributionFamily {
             DistributionFamily::Uniform => "Uniform",
         }
     }
-
-    /// Number of free parameters fitted for this family.
-    pub fn parameter_count(&self) -> usize {
-        match self {
-            DistributionFamily::Exponential => 1,
-            DistributionFamily::Weibull => 2,
-            DistributionFamily::GompertzMakeham => 3,
-            DistributionFamily::ConstrainedBathtub => 4,
-            DistributionFamily::Uniform => 0,
-        }
-    }
 }
 
 /// A fitted distribution together with goodness-of-fit diagnostics.
@@ -266,16 +255,6 @@ fn estimate_mean(xs: &[f64], ys: &[f64], horizon: f64) -> f64 {
     acc.clamp(0.05, horizon)
 }
 
-/// Fits every family to the same data and returns the results sorted by descending R².
-pub fn fit_all(xs: &[f64], ys: &[f64], horizon: f64) -> Result<Vec<FittedDistribution>> {
-    let mut fits = Vec::new();
-    for family in DistributionFamily::all() {
-        fits.push(fit_distribution(family, xs, ys, horizon)?);
-    }
-    fits.sort_by(|a, b| b.r_squared.partial_cmp(&a.r_squared).unwrap());
-    Ok(fits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +275,11 @@ mod tests {
     #[test]
     fn bathtub_fits_synthetic_data_best() {
         let (xs, ys) = synthetic_cdf_grid();
-        let fits = fit_all(&xs, &ys, 24.0).unwrap();
+        let mut fits: Vec<FittedDistribution> = DistributionFamily::all()
+            .into_iter()
+            .map(|family| fit_distribution(family, &xs, &ys, 24.0).unwrap())
+            .collect();
+        fits.sort_by(|a, b| b.r_squared.partial_cmp(&a.r_squared).unwrap());
         // Figure 1: the constrained-bathtub model fits better than every classical family.
         assert_eq!(
             fits[0].family,
@@ -382,8 +365,6 @@ mod tests {
     #[test]
     fn family_metadata() {
         assert_eq!(DistributionFamily::all().len(), 5);
-        assert_eq!(DistributionFamily::ConstrainedBathtub.parameter_count(), 4);
-        assert_eq!(DistributionFamily::Uniform.parameter_count(), 0);
         assert_eq!(DistributionFamily::ConstrainedBathtub.label(), "Our Model");
     }
 

@@ -148,6 +148,7 @@ pub trait LifetimeDistribution: Send + Sync {
 }
 
 /// Validates basic CDF sanity for any distribution; shared helper for tests and fitters.
+// lint:allow(dead-api) CDF sanity fixture for every tcp-dists family test and tcp-trace catalog tests
 pub fn validate_cdf(dist: &dyn LifetimeDistribution, points: usize) -> Result<()> {
     use tcp_numerics::NumericsError;
     let hi = dist.upper_bound();

@@ -31,18 +31,6 @@ impl LogNormal {
         Ok(LogNormal { mu, sigma })
     }
 
-    /// Creates a log-normal distribution from the desired median and a multiplicative
-    /// spread factor (`spread = e^sigma`), a convenient parameterisation for job lengths.
-    pub fn from_median_spread(median: f64, spread: f64) -> Result<Self> {
-        if !(median > 0.0) || !median.is_finite() {
-            return Err(NumericsError::invalid("median must be positive"));
-        }
-        if !(spread > 1.0) || !spread.is_finite() {
-            return Err(NumericsError::invalid("spread must exceed 1"));
-        }
-        LogNormal::new(median.ln(), spread.ln())
-    }
-
     /// Log-scale mean.
     pub fn mu(&self) -> f64 {
         self.mu
@@ -180,9 +168,7 @@ mod tests {
     fn construction_validation() {
         assert!(LogNormal::new(0.0, 0.0).is_err());
         assert!(LogNormal::new(f64::NAN, 1.0).is_err());
-        assert!(LogNormal::from_median_spread(0.0, 2.0).is_err());
-        assert!(LogNormal::from_median_spread(1.0, 1.0).is_err());
-        let d = LogNormal::from_median_spread(4.0, 1.5).unwrap();
+        let d = LogNormal::new(4.0f64.ln(), 1.5f64.ln()).unwrap();
         assert!((d.mu() - 4.0f64.ln()).abs() < 1e-12);
         assert!((d.sigma() - 1.5f64.ln()).abs() < 1e-12);
     }

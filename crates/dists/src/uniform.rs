@@ -26,13 +26,6 @@ impl UniformLifetime {
         }
         Ok(UniformLifetime { horizon })
     }
-
-    /// The 24-hour Google Preemptible VM horizon.
-    pub fn google_default() -> Self {
-        UniformLifetime {
-            horizon: crate::DEFAULT_HORIZON_HOURS,
-        }
-    }
 }
 
 impl LifetimeDistribution for UniformLifetime {
@@ -99,7 +92,7 @@ mod tests {
         assert!(UniformLifetime::new(0.0).is_err());
         assert!(UniformLifetime::new(-5.0).is_err());
         assert!(UniformLifetime::new(f64::NAN).is_err());
-        assert_eq!(UniformLifetime::google_default().upper_bound(), 24.0);
+        assert_eq!(UniformLifetime::new(24.0).unwrap().upper_bound(), 24.0);
     }
 
     #[test]

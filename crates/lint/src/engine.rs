@@ -96,6 +96,10 @@ pub fn rel_path_string(path: &Path) -> String {
         .join("/")
 }
 
+/// Read-only reference roots for the dead-api rule: code that uses the library
+/// crates' `pub` items but is never linted itself.
+const REFERENCE_ROOTS: &[&str] = &["examples", "perfbench/src"];
+
 /// Lints the tree at `root` under `config`, filtering through `baseline`.
 /// `files` is the scan set from [`collect_files`] (callers may pass a permuted
 /// order to assert determinism; the report is sorted either way).
@@ -105,14 +109,33 @@ pub fn run(
     files: &[PathBuf],
     baseline: &Baseline,
 ) -> Result<RunReport, String> {
+    let parsed = parse_files(root, files)?;
+    let reference_roots = LintConfig {
+        include: REFERENCE_ROOTS
+            .iter()
+            .filter(|dir| root.join(dir).is_dir())
+            .map(|dir| dir.to_string())
+            .collect(),
+        ..LintConfig::default()
+    };
+    let references = parse_files(root, &collect_files(root, &reference_roots)?)?;
+    let dead_api = config.rule("dead-api");
+    let workspace_findings = if dead_api.enabled == Some(false) {
+        Vec::new()
+    } else {
+        let severity = dead_api.severity.unwrap_or(Severity::Error);
+        rules::dead_api(
+            &parsed,
+            &references,
+            |path| in_scope(path, &dead_api),
+            severity,
+        )
+    };
     let mut findings: Vec<Finding> = Vec::new();
     let mut suppressed = 0usize;
-    for rel in files {
-        let path = rel_path_string(rel);
-        let text = std::fs::read_to_string(root.join(rel))
-            .map_err(|e| format!("reading `{path}`: {e}"))?;
-        let file = SourceFile::parse(path, &text);
-        let (mut file_findings, file_suppressed) = scan_file(&file, config);
+    for file in &parsed {
+        let dead = workspace_findings.iter().filter(|f| f.path == file.path);
+        let (mut file_findings, file_suppressed) = scan_file(file, config, dead.cloned().collect());
         suppressed += file_suppressed;
         findings.append(&mut file_findings);
     }
@@ -126,13 +149,29 @@ pub fn run(
     })
 }
 
-/// Scans one parsed file with every in-scope rule, returning the surviving
-/// findings and the count silenced by reasoned suppressions.
-pub fn scan_file(file: &SourceFile, config: &LintConfig) -> (Vec<Finding>, usize) {
-    let mut raw: Vec<Finding> = Vec::new();
+fn parse_files(root: &Path, files: &[PathBuf]) -> Result<Vec<SourceFile>, String> {
+    files
+        .iter()
+        .map(|rel| {
+            let path = rel_path_string(rel);
+            let text = std::fs::read_to_string(root.join(rel))
+                .map_err(|e| format!("reading `{path}`: {e}"))?;
+            Ok(SourceFile::parse(path, &text))
+        })
+        .collect()
+}
+
+/// Scans one parsed file with every in-scope per-file rule, adds the file's
+/// workspace-pass findings `raw`, and returns the findings that survive the
+/// file's suppressions and the count silenced by them.
+fn scan_file(
+    file: &SourceFile,
+    config: &LintConfig,
+    mut raw: Vec<Finding>,
+) -> (Vec<Finding>, usize) {
     for info in rules::CATALOG {
         let rule_config = config.rule(info.id);
-        if rule_config.enabled == Some(false) {
+        if rule_config.enabled == Some(false) || info.id == "dead-api" {
             continue;
         }
         // The suppression meta-rule has global scope by construction: the

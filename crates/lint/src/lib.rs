@@ -19,6 +19,7 @@
 //! | `json-stability` | wire JSON never formats values via `{:?}`; maps are `BTreeMap` |
 //! | `ordering-audit` | `Ordering::Relaxed` only in the reviewed obs shards/rings |
 //! | `process-exit` | `process::exit` only inside `fn main` |
+//! | `dead-api` | every `pub` item in `crates/*/src` (bins excluded) is named by non-test code of the workspace, `examples/` or `perfbench/src/` |
 //! | `suppression` | every `lint:allow` names a known rule and carries a reason |
 //!
 //! # Suppressions
@@ -30,7 +31,24 @@
 //!
 //! A line suppression covers its own line and the next; the reason after the
 //! closing parenthesis is mandatory — a reason-less suppression is itself a
-//! finding and does not silence anything.
+//! finding and does not silence anything.  A `dead-api` suppression names the
+//! test (or the crate whose tests) the otherwise unreferenced item exists for:
+//!
+//! ```text
+//! // lint:allow(dead-api) reference root finder for roots::tests::brent_matches_bisect
+//! pub fn bisect<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, cfg: RootConfig) -> Result<f64> {
+//! ```
+//!
+//! # The workspace pass
+//!
+//! Every rule but `dead-api` looks at one file at a time.  `dead-api` indexes the
+//! `pub` items of all library sources, then collects the identifiers named by the
+//! non-test code of every scanned file plus the read-only reference roots
+//! `examples/` and `perfbench/src/` (read, never linted).  Test code is the
+//! `#[cfg(test)]`/`#[test]` regions and every file under a `tests/` directory; a
+//! `pub use` re-export is skipped, and an inline format argument such as
+//! `"{MIN_PACK_FORMAT_VERSION}"` counts.  Matching is by name, so an unused item
+//! that shares its name with a used one is not caught.
 //!
 //! # Running
 //!

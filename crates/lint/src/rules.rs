@@ -15,11 +15,15 @@
 //! * **ordering-audit** — `Ordering::Relaxed` only where it is a reviewed design
 //!   decision (the obs shards/rings), suppressed-with-reason elsewhere;
 //! * **process-exit** — CLI error paths return through the shared
-//!   `tcp_obs::cli` helper instead of calling `process::exit` outside `main`.
+//!   `tcp_obs::cli` helper instead of calling `process::exit` outside `main`;
+//! * **dead-api** — every `pub` item of a library crate is referenced by some
+//!   non-test code (rustc's `dead_code` cannot see `pub` items, so this is the
+//!   workspace-wide pass that can).
 
 use crate::config::Severity;
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
+use std::collections::BTreeSet;
 
 /// One finding: a rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -88,6 +92,13 @@ pub const CATALOG: &[RuleInfo] = &[
         default_severity: Severity::Error,
         description: "process::exit only inside fn main; CLI error paths return a nonzero \
                       exit through the shared tcp_obs::cli helper",
+    },
+    RuleInfo {
+        id: "dead-api",
+        default_severity: Severity::Error,
+        description: "every pub item in crates/*/src (bins excluded) is referenced by non-test \
+                      code of the workspace, examples/ or perfbench/src/; a pub use re-export \
+                      is not a reference",
     },
     RuleInfo {
         id: "suppression",
@@ -518,4 +529,184 @@ pub fn suppression_audit(ctx: &RuleCtx<'_>) -> Vec<Finding> {
         }
     }
     out
+}
+
+/// The item keywords whose `pub` definitions dead-api indexes.  `pub mod` and
+/// `pub use` are not items of their own: a module is live through its items, and a
+/// re-export is not a use.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "union",
+];
+
+/// Whether the whole file is test code: integration tests and their helpers live
+/// under a `tests/` directory.
+fn is_test_file(path: &str) -> bool {
+    path.split('/').any(|part| part == "tests")
+}
+
+/// The `pub` item definitions outside test code of `file`, when it is library
+/// code (`crates/<name>/src/**` outside `src/bin`), as indices of their name
+/// tokens.  Restricted visibility (`pub(crate)`) is rustc's `dead_code` territory.
+fn pub_item_names(file: &SourceFile) -> Vec<usize> {
+    let tokens = &file.tokens;
+    let mut out = Vec::new();
+    let parts: Vec<&str> = file.path.split('/').collect();
+    if !(parts.len() > 3 && parts[0] == "crates" && parts[2] == "src" && parts[3] != "bin") {
+        return out;
+    }
+    for i in 0..tokens.len() {
+        if !tokens[i].is_ident("pub")
+            || tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+            || file.in_test_code(tokens[i].line)
+        {
+            continue;
+        }
+        // Skip qualifiers: `const fn`, `async`, `unsafe`, `extern "C"`.
+        let mut k = i + 1;
+        while tokens.get(k).is_some_and(|t| {
+            matches!(t.text.as_str(), "async" | "unsafe" | "extern")
+                || t.kind == TokenKind::Str
+                || t.is_ident("const") && tokens.get(k + 1).is_some_and(|n| n.is_ident("fn"))
+        }) {
+            k += 1;
+        }
+        let is_item = tokens.get(k).is_some_and(|t| {
+            t.kind == TokenKind::Ident && ITEM_KEYWORDS.contains(&t.text.as_str())
+        });
+        if is_item
+            && tokens
+                .get(k + 1)
+                .is_some_and(|t| t.kind == TokenKind::Ident && t.text != "_")
+        {
+            out.push(k + 1);
+        }
+    }
+    out
+}
+
+/// Adds the identifiers referenced in the non-test code of `file` to `names`,
+/// skipping the token indices in `definitions` and every token of a `pub use`
+/// re-export.  Inline format arguments (`"{NAME}"`, `"{NAME:>8}"`) count.
+fn add_references<'a>(file: &'a SourceFile, definitions: &[usize], names: &mut BTreeSet<&'a str>) {
+    if is_test_file(&file.path) {
+        return;
+    }
+    let tokens = &file.tokens;
+    let mut i = 0usize;
+    while i < tokens.len() {
+        let t = &tokens[i];
+        if file.in_test_code(t.line) {
+            i += 1;
+            continue;
+        }
+        if t.is_ident("pub") && tokens.get(i + 1).is_some_and(|n| n.is_ident("use")) {
+            // A `pub use …;` re-export: skip to its terminating `;`.
+            while tokens.get(i).is_some_and(|n| !n.is_punct(';')) {
+                i += 1;
+            }
+            continue;
+        }
+        match t.kind {
+            TokenKind::Ident if definitions.binary_search(&i).is_err() => {
+                names.insert(t.text.as_str());
+            }
+            TokenKind::Str => names.extend(inline_format_args(&t.text)),
+            _ => {}
+        }
+        i += 1;
+    }
+}
+
+/// The identifiers named by inline format arguments in a string literal:
+/// `{NAME}` and `{NAME:spec}`.  Escaped `{{` braces and positional `{0}` are
+/// skipped.
+fn inline_format_args(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(open) = rest.find('{') {
+        rest = &rest[open + 1..];
+        if let Some(after) = rest.strip_prefix('{') {
+            rest = after;
+            continue;
+        }
+        let end = rest
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        let name = &rest[..end];
+        let closes = rest[end..].starts_with('}') || rest[end..].starts_with(':');
+        if closes && name.starts_with(|c: char| c.is_alphabetic() || c == '_') {
+            out.push(name);
+        }
+    }
+    out
+}
+
+/// dead-api: a workspace pass.  Indexes the `pub` items of the library sources
+/// among `files`, counts identifier references in the non-test code of `files`
+/// and of the read-only `reference_roots`, and reports every item that no
+/// reference names.  `reports(path)` selects the files whose items may be
+/// reported (the rule's configured scope).
+pub fn dead_api(
+    files: &[SourceFile],
+    reference_roots: &[SourceFile],
+    reports: impl Fn(&str) -> bool,
+    severity: Severity,
+) -> Vec<Finding> {
+    let definitions: Vec<Vec<usize>> = files.iter().map(pub_item_names).collect();
+    let mut referenced: BTreeSet<&str> = BTreeSet::new();
+    for (file, defs) in files.iter().zip(&definitions) {
+        add_references(file, defs, &mut referenced);
+    }
+    for file in reference_roots {
+        add_references(file, &[], &mut referenced);
+    }
+    let mut out = Vec::new();
+    for (file, defs) in files.iter().zip(&definitions) {
+        for &k in defs {
+            let name = &file.tokens[k];
+            if referenced.contains(name.text.as_str()) || !reports(&file.path) {
+                continue;
+            }
+            let keyword = &file.tokens[k - 1].text;
+            out.push(Finding {
+                path: file.path.clone(),
+                line: name.line,
+                rule: "dead-api",
+                snippet: format!("{keyword} {}", name.text),
+                message: format!(
+                    "`pub {keyword} {}` has no reference outside its own definition and \
+                     test code (a `pub use` does not count); delete it, or suppress \
+                     naming the test that needs it",
+                    name.text
+                ),
+                severity,
+            });
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn inline_format_args_name_identifiers_only() {
+        let names = inline_format_args("{A} {{B}} {0} {c:>8} {} {d.e} {_f}");
+        assert_eq!(names, ["A", "c", "_f"]);
+    }
+
+    #[test]
+    fn pub_items_skip_restricted_visibility_and_qualify_fns() {
+        let file = SourceFile::parse(
+            "crates/x/src/lib.rs".to_string(),
+            "pub const fn a() {}\npub(crate) fn b() {}\npub static C: u8 = 0;\n\
+             pub mod d;\npub use d::E;\npub unsafe extern \"C\" fn f() {}\n",
+        );
+        let names: Vec<&str> = pub_item_names(&file)
+            .into_iter()
+            .map(|k| file.tokens[k].text.as_str())
+            .collect();
+        assert_eq!(names, ["a", "C", "f"]);
+    }
 }

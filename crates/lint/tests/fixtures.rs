@@ -1,8 +1,9 @@
 //! End-to-end engine tests over the committed fixture tree.
 //!
 //! `fixtures/ws` seeds true positives for every rule family plus the negatives
-//! (test modules, `fn main`, the sanctioned unsafe site, display-spec templates)
-//! and the three suppression shapes.  The reports are compared byte-for-byte
+//! (test modules, `fn main`, the sanctioned unsafe site, display-spec templates,
+//! `pub` items reached only through a format string or `examples/`) and the
+//! suppression shapes.  The reports are compared byte-for-byte
 //! against the committed goldens, so any change to a matcher, the sort order, or
 //! the JSON layout shows up as a diff in review.
 
@@ -74,6 +75,7 @@ fn every_rule_family_has_a_true_positive() {
         "json-stability",
         "ordering-audit",
         "process-exit",
+        "dead-api",
         "suppression",
     ] {
         assert!(
@@ -109,8 +111,9 @@ fn negatives_stay_silent() {
 #[test]
 fn suppression_semantics() {
     let report = fixture_report();
-    // Exactly one reasoned suppression is honored (det.rs `suppressed_ok`).
-    assert_eq!(report.suppressed, 1);
+    // Exactly two reasoned suppressions are honored (det.rs `suppressed_ok` and
+    // the api crate's `kept_for_tests`).
+    assert_eq!(report.suppressed, 2);
     // The empty-reason suppression is audited AND the finding it tried to cover
     // survives on the next line.
     assert!(report
@@ -126,6 +129,24 @@ fn suppression_semantics() {
         .findings
         .iter()
         .any(|f| { f.rule == "suppression" && f.message.contains("unknown rule `no-such-rule`") }));
+}
+
+#[test]
+fn dead_api_flags_exactly_the_unreferenced_pub_items() {
+    let report = fixture_report();
+    let flagged: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "dead-api")
+        .map(|f| f.snippet.as_str())
+        .collect();
+    // A re-export is not a reference and a test module is not a caller; a format
+    // string's `{FORMAT_ONLY}`, an `examples/` call and a live call all are, and
+    // `pub(crate)` is left to rustc.
+    assert_eq!(
+        flagged,
+        ["fn reexported_only", "fn never_called", "fn test_only"]
+    );
 }
 
 #[test]

@@ -9,6 +9,7 @@
 use crate::{NumericsError, Result};
 
 /// Integration of `f` over `[a, b]` with the composite trapezoid rule using `n` panels.
+// lint:allow(dead-api) no caller outside integrate::tests (trapezoid_*); delete with them
 pub fn trapezoid<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> Result<f64> {
     if n == 0 {
         return Err(NumericsError::invalid(
@@ -30,6 +31,7 @@ pub fn trapezoid<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> Result<f6
 }
 
 /// Composite Simpson rule with `n` panels (`n` is rounded up to an even number).
+// lint:allow(dead-api) no caller outside integrate::tests (simpson_*); delete with them
 pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> Result<f64> {
     if n == 0 {
         return Err(NumericsError::invalid("simpson requires at least 1 panel"));
@@ -222,6 +224,7 @@ fn gauss_legendre_nodes(order: usize) -> (&'static [f64], &'static [f64]) {
 }
 
 /// Gauss–Legendre quadrature of `f` over `[a, b]` with the given order (2–16).
+// lint:allow(dead-api) no caller outside integrate::tests (gauss_legendre_*); delete with them
 pub fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, order: usize) -> Result<f64> {
     if !a.is_finite() || !b.is_finite() {
         return Err(NumericsError::non_finite("gauss_legendre bounds"));
@@ -239,34 +242,10 @@ pub fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, order: usize) -> 
     Ok(acc * half)
 }
 
-/// Composite Gauss–Legendre rule: splits `[a, b]` into `panels` sub-intervals and applies
-/// the `order`-point rule on each.  Useful for integrands with a sharp boundary layer (the
-/// near-deadline spike of the bathtub PDF).
-pub fn composite_gauss_legendre<F: Fn(f64) -> f64>(
-    f: F,
-    a: f64,
-    b: f64,
-    order: usize,
-    panels: usize,
-) -> Result<f64> {
-    if panels == 0 {
-        return Err(NumericsError::invalid(
-            "composite rule requires at least one panel",
-        ));
-    }
-    let h = (b - a) / panels as f64;
-    let mut acc = 0.0;
-    for i in 0..panels {
-        let lo = a + i as f64 * h;
-        let hi = lo + h;
-        acc += gauss_legendre(&f, lo, hi, order)?;
-    }
-    Ok(acc)
-}
-
 /// Cumulative integral of `f` evaluated on a uniform grid: returns `(grid, F)` where
 /// `F[i] = ∫_a^{grid[i]} f`.  Uses the composite trapezoid rule between grid points, which
 /// keeps the result exactly consistent with the grid used elsewhere (e.g. for DP tables).
+// lint:allow(dead-api) no caller outside integrate::tests (cumulative_integral_*); delete with them
 pub fn cumulative_integral<F: Fn(f64) -> f64>(
     f: F,
     a: f64,
@@ -372,14 +351,9 @@ mod tests {
     #[test]
     fn gauss_legendre_matches_adaptive_on_smooth() {
         let f = |x: f64| (-x / 1.5).exp();
-        let gl = composite_gauss_legendre(f, 0.0, 10.0, 8, 8).unwrap();
+        let gl = gauss_legendre(f, 0.0, 10.0, 16).unwrap();
         let asimp = adaptive_simpson(&f, 0.0, 10.0, 1e-12, 40).unwrap();
         assert!(approx_eq(gl, asimp, 1e-9, 1e-9));
-    }
-
-    #[test]
-    fn composite_requires_panels() {
-        assert!(composite_gauss_legendre(|x| x, 0.0, 1.0, 4, 0).is_err());
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl LinearInterp {
         self.xs.is_empty()
     }
 
-    /// Domain of the interpolant as `(min_x, max_x)`.
-    pub fn domain(&self) -> (f64, f64) {
-        (self.xs[0], *self.xs.last().unwrap())
-    }
-
     /// Knot abscissae.
     pub fn knots(&self) -> &[f64] {
         &self.xs
@@ -78,6 +73,7 @@ impl LinearInterp {
     }
 
     /// Evaluates the interpolant at many points.
+    // lint:allow(dead-api) no caller outside interp::tests::eval_many_matches_eval; delete with it
     pub fn eval_many(&self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.eval(x)).collect()
     }
@@ -118,20 +114,6 @@ impl LinearInterp {
             return Ok(x0);
         }
         Ok(x0 + (y - y0) / (y1 - y0) * (x1 - x0))
-    }
-
-    /// Numerically differentiates the interpolant at segment midpoints, returning
-    /// `(midpoints, slopes)`.  This is how empirical hazard/density estimates are produced
-    /// from empirical CDFs in the statistics pipeline.
-    pub fn derivative(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut mids = Vec::with_capacity(self.xs.len() - 1);
-        let mut slopes = Vec::with_capacity(self.xs.len() - 1);
-        for i in 1..self.xs.len() {
-            let dx = self.xs[i] - self.xs[i - 1];
-            mids.push(0.5 * (self.xs[i] + self.xs[i - 1]));
-            slopes.push((self.ys[i] - self.ys[i - 1]) / dx);
-        }
-        (mids, slopes)
     }
 }
 
@@ -213,15 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn derivative_recovers_slopes() {
-        let it = interp();
-        let (mids, slopes) = it.derivative();
-        assert_eq!(mids.len(), 3);
-        assert!(approx_eq(slopes[0], 2.0, 1e-12, 0.0));
-        assert!(approx_eq(slopes[2], 0.25, 1e-12, 0.0));
-    }
-
-    #[test]
     fn linspace_endpoints() {
         let g = linspace(0.0, 24.0, 25);
         assert_eq!(g.len(), 25);
@@ -234,7 +207,6 @@ mod tests {
     #[test]
     fn domain_and_accessors() {
         let it = interp();
-        assert_eq!(it.domain(), (0.0, 4.0));
         assert_eq!(it.len(), 4);
         assert!(!it.is_empty());
         assert_eq!(it.knots().len(), it.values().len());

@@ -37,11 +37,9 @@ pub use error::NumericsError;
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NumericsError>;
 
-/// Machine-epsilon-scaled tolerance used as a default across solvers.
-pub const DEFAULT_TOL: f64 = 1e-10;
-
 /// Returns `true` when two floats agree to within `abs_tol` or `rel_tol` (whichever is looser).
 #[inline]
+// lint:allow(dead-api) float comparison fixture for the tcp-numerics tests
 pub fn approx_eq(a: f64, b: f64, abs_tol: f64, rel_tol: f64) -> bool {
     let diff = (a - b).abs();
     if diff <= abs_tol {

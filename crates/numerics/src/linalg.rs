@@ -25,18 +25,10 @@ impl Matrix {
         }
     }
 
-    /// Creates an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Creates a matrix from a row-major data vector.
     ///
     /// Returns an error if `data.len() != rows * cols`.
+    // lint:allow(dead-api) matrix fixture for the linalg and optimize tests
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != rows * cols {
             return Err(NumericsError::invalid(format!(
@@ -71,6 +63,7 @@ impl Matrix {
     }
 
     /// Matrix-matrix product `self * other`.
+    // lint:allow(dead-api) reference product for linalg::tests (cholesky_reconstructs, gram_matches_explicit_product)
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(NumericsError::invalid(format!(
@@ -94,6 +87,7 @@ impl Matrix {
     }
 
     /// Matrix-vector product `self * v`.
+    // lint:allow(dead-api) reference product for linalg::tests::gram_rhs_matches_explicit_product
     pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
         if self.cols != v.len() {
             return Err(NumericsError::invalid(format!(
@@ -160,14 +154,6 @@ impl Matrix {
         let n = self.rows.min(self.cols);
         for i in 0..n {
             self[(i, i)] += lambda;
-        }
-    }
-
-    /// Scales the diagonal by `1 + lambda` (Marquardt-style relative damping).
-    pub fn scale_diagonal(&mut self, lambda: f64) {
-        let n = self.rows.min(self.cols);
-        for i in 0..n {
-            self[(i, i)] *= 1.0 + lambda;
         }
     }
 
@@ -266,6 +252,7 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 
 /// Cholesky factorisation of a symmetric positive-definite matrix: returns lower-triangular `L`
 /// with `A = L Lᵀ`.
+// lint:allow(dead-api) no caller outside linalg::tests (cholesky_reconstructs, cholesky_rejects_indefinite); delete with them
 pub fn cholesky(a: &Matrix) -> Result<Matrix> {
     if a.rows() != a.cols() {
         return Err(NumericsError::invalid("cholesky requires a square matrix"));
@@ -291,43 +278,9 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix> {
     Ok(l)
 }
 
-/// Solves `A x = b` for symmetric positive-definite `A` using a Cholesky factorisation.
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let l = cholesky(a)?;
-    let n = a.rows();
-    if b.len() != n {
-        return Err(NumericsError::invalid("rhs length mismatch in solve_spd"));
-    }
-    // forward: L y = b
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut acc = b[i];
-        for k in 0..i {
-            acc -= l[(i, k)] * y[k];
-        }
-        y[i] = acc / l[(i, i)];
-    }
-    // backward: Lᵀ x = y
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut acc = y[i];
-        for k in (i + 1)..n {
-            acc -= l[(k, i)] * x[k];
-        }
-        x[i] = acc / l[(i, i)];
-    }
-    Ok(x)
-}
-
 /// Euclidean norm of a vector.
 pub fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Dot product of two equal-length vectors.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -337,7 +290,7 @@ mod tests {
 
     #[test]
     fn identity_solve_returns_rhs() {
-        let a = Matrix::identity(3);
+        let a = Matrix::from_vec(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]).unwrap();
         let b = vec![1.0, 2.0, 3.0];
         let x = solve(&a, &b).unwrap();
         assert_eq!(x, b);
@@ -396,17 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn spd_solve_matches_general_solve() {
-        let a = Matrix::from_vec(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        let x1 = solve(&a, &b).unwrap();
-        let x2 = solve_spd(&a, &b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!(approx_eq(*u, *v, 1e-10, 1e-10));
-        }
-    }
-
-    #[test]
     fn matmul_and_matvec() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]).unwrap();
@@ -443,12 +385,10 @@ mod tests {
 
     #[test]
     fn diagonal_damping() {
-        let mut a = Matrix::identity(2);
+        let mut a = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         a.add_diagonal(0.5);
         assert_eq!(a[(0, 0)], 1.5);
-        let mut b = Matrix::identity(2);
-        b.scale_diagonal(0.5);
-        assert_eq!(b[(1, 1)], 1.5);
+        assert_eq!(a[(1, 1)], 1.5);
     }
 
     #[test]
@@ -459,6 +399,5 @@ mod tests {
     #[test]
     fn norms_and_dot() {
         assert!(approx_eq(norm2(&[3.0, 4.0]), 5.0, 1e-15, 0.0));
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 }

@@ -39,6 +39,7 @@ impl Bounds {
     }
 
     /// Unbounded box of dimension `n` (±∞ on every coordinate).
+    // lint:allow(dead-api) bounds fixture for the optimize tests and tcp-calibrate fit tests
     pub fn unbounded(n: usize) -> Self {
         Bounds {
             lower: vec![f64::NEG_INFINITY; n],

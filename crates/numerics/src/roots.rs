@@ -29,6 +29,7 @@ impl Default for RootConfig {
 }
 
 /// Finds a root of `f` on `[a, b]` by bisection.  Requires a sign change on the interval.
+// lint:allow(dead-api) reference root finder for roots::tests::brent_matches_bisect
 pub fn bisect<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, cfg: RootConfig) -> Result<f64> {
     let (mut lo, mut hi) = (a.min(b), a.max(b));
     let mut flo = f(lo);
@@ -146,6 +147,7 @@ pub fn brent<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, cfg: RootConfig) -> Result
 ///
 /// Used for one-dimensional policy tuning (e.g. the best single checkpoint interval when a
 /// uniform schedule is forced) and for sanity-checking the DP optimizer.
+// lint:allow(dead-api) no caller outside roots::tests (golden_section_*); delete with them
 pub fn golden_section_min<F: Fn(f64) -> f64>(
     f: F,
     a: f64,
@@ -191,6 +193,7 @@ pub fn golden_section_min<F: Fn(f64) -> f64>(
 ///
 /// `f` is evaluated at geometrically spaced points to the right of `a`; useful when the
 /// caller only knows a lower bound of the root (e.g. the crossover job length).
+// lint:allow(dead-api) no caller outside roots::tests (bracket_root_*); delete with them
 pub fn bracket_root<F: Fn(f64) -> f64>(
     f: F,
     a: f64,

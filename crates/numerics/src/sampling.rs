@@ -9,21 +9,11 @@ use crate::roots::{brent, RootConfig};
 use crate::{NumericsError, Result};
 use rand::Rng;
 
-/// Draws one sample from a distribution with CDF `cdf` supported on `[lo, hi]`.
-///
-/// `cdf` must be non-decreasing with `cdf(lo) <= u <= cdf(hi)` for the drawn `u`; values of
-/// `u` outside the attainable range are clamped to the support endpoints, which is the
-/// behaviour wanted for truncated lifetime distributions (every VM dies by the deadline).
-pub fn sample_inverse_cdf<F, R>(cdf: &F, lo: f64, hi: f64, rng: &mut R) -> Result<f64>
-where
-    F: Fn(f64) -> f64,
-    R: Rng + ?Sized,
-{
-    let u: f64 = rng.gen::<f64>();
-    invert_cdf(cdf, lo, hi, u)
-}
-
 /// Inverts a monotone CDF at probability `u` over the support `[lo, hi]`.
+///
+/// `cdf` must be non-decreasing; values of `u` outside the attainable range
+/// `[cdf(lo), cdf(hi)]` are clamped to the support endpoints, which is the behaviour
+/// wanted for truncated lifetime distributions (every VM dies by the deadline).
 pub fn invert_cdf<F>(cdf: &F, lo: f64, hi: f64, u: f64) -> Result<f64>
 where
     F: Fn(f64) -> f64,
@@ -179,7 +169,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let cdf = exp_cdf(1.0);
         let samples: Vec<f64> = (0..2000)
-            .map(|_| sample_inverse_cdf(&cdf, 0.0, 50.0, &mut rng).unwrap())
+            .map(|_| invert_cdf(&cdf, 0.0, 50.0, rng.gen()).unwrap())
             .collect();
         let ecdf = Ecdf::new(&samples).unwrap();
         let d = ecdf.ks_statistic(&cdf);

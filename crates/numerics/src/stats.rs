@@ -283,16 +283,6 @@ pub fn rmse(y: &[f64], y_hat: &[f64]) -> Result<f64> {
     Ok((ss / y.len() as f64).sqrt())
 }
 
-/// Mean absolute error between observations and predictions.
-pub fn mae(y: &[f64], y_hat: &[f64]) -> Result<f64> {
-    if y.len() != y_hat.len() || y.is_empty() {
-        return Err(NumericsError::invalid(
-            "mae requires equal-length, non-empty inputs",
-        ));
-    }
-    Ok(y.iter().zip(y_hat).map(|(v, w)| (v - w).abs()).sum::<f64>() / y.len() as f64)
-}
-
 /// A fixed-width histogram over `[lo, hi)` with values outside the range clamped into the
 /// first/last bin.  Used for the PDF inset of Figure 1 and for trace summaries.
 #[derive(Debug, Clone)]
@@ -336,13 +326,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Adds every observation from a slice.
-    pub fn add_all(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.add(x);
-        }
-    }
-
     /// Raw bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -356,14 +339,6 @@ impl Histogram {
     /// Bin width.
     pub fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
-    }
-
-    /// Bin centers.
-    pub fn centers(&self) -> Vec<f64> {
-        let w = self.bin_width();
-        (0..self.counts.len())
-            .map(|i| self.lo + (i as f64 + 0.5) * w)
-            .collect()
     }
 
     /// Density estimate (counts normalised so the histogram integrates to one).
@@ -603,15 +578,15 @@ mod tests {
             1e-12,
             0.0
         ));
-        assert!(approx_eq(mae(&y, &y_hat).unwrap(), 2.0 / 3.0, 1e-12, 0.0));
         assert!(rmse(&y, &[1.0]).is_err());
-        assert!(mae(&[], &[]).is_err());
     }
 
     #[test]
     fn histogram_counts_and_density() {
         let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-        h.add_all(&[0.5, 1.5, 1.6, 9.9, 10.5, -3.0]);
+        for x in [0.5, 1.5, 1.6, 9.9, 10.5, -3.0] {
+            h.add(x);
+        }
         assert_eq!(h.total(), 6);
         assert_eq!(h.counts()[0], 2); // 0.5 and the clamped -3.0
         assert_eq!(h.counts()[1], 2);
@@ -619,7 +594,6 @@ mod tests {
         let d = h.density();
         let integral: f64 = d.iter().map(|v| v * h.bin_width()).sum();
         assert!(approx_eq(integral, 1.0, 1e-12, 0.0));
-        assert_eq!(h.centers().len(), 10);
     }
 
     #[test]

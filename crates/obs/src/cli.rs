@@ -16,6 +16,7 @@
 
 use std::fmt::Display;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 /// The exit code for usage errors (bad flags, unknown subcommands).
 pub const EXIT_USAGE: u8 = 2;
@@ -39,9 +40,35 @@ pub fn usage_error(message: impl Display) -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
+/// Converts a float-seconds flag or spec value into a [`Duration`], rejecting zero,
+/// negative, NaN, infinite and out-of-range values (`1e300` seconds fits no
+/// `Duration`, and a deadline that far out overflows an [`Instant`]) with an
+/// error naming `name`, so the caller reports it through its bad-flag path.
+pub fn positive_secs(name: &str, secs: f64) -> Result<Duration, String> {
+    match Duration::try_from_secs_f64(secs) {
+        Ok(d) if !d.is_zero() && Instant::now().checked_add(d).is_some() => Ok(d),
+        _ => {
+            // `{:?}` prints `1e300` where `{}` prints all 301 digits.
+            let got = format!("{secs:?}"); // lint:allow(json-stability) CLI error text, never JSON
+            Err(format!(
+                "{name} must be a positive number of seconds, got {got}"
+            ))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn positive_secs_rejects_what_no_deadline_can_hold() {
+        assert_eq!(positive_secs("--x", 0.25), Ok(Duration::from_millis(250)));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e300, 1e-12] {
+            let err = positive_secs("--x", bad).unwrap_err();
+            assert!(err.starts_with("--x must be a positive number"), "{err}");
+        }
+    }
 
     #[test]
     fn outcome_maps_to_standard_codes() {

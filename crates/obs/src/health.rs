@@ -296,9 +296,7 @@ impl SloSpec {
             toml::from_str(text).map_err(|e| format!("invalid SLO spec TOML: {e}"))?
         };
         let tick_secs = raw.tick_secs.unwrap_or(5.0);
-        if !tick_secs.is_finite() || tick_secs <= 0.0 {
-            return Err(format!("tick_secs must be positive, got {tick_secs}"));
-        }
+        crate::cli::positive_secs("tick_secs", tick_secs)?;
         let raw_rules = match (raw.rule, raw.rules) {
             (Some(r), None) | (None, Some(r)) => r,
             (Some(mut a), Some(b)) => {
@@ -724,6 +722,7 @@ pub fn current() -> Option<Arc<HealthReport>> {
 }
 
 /// Clears the published report (test isolation; the slot is process-global).
+// lint:allow(dead-api) tcp-serve tests/health.rs and tcp-advisor serve tests isolate the slot
 pub fn clear_current() {
     *current_slot().lock().expect("health slot poisoned") = None;
 }
@@ -906,6 +905,8 @@ long_window_secs = 30.0
                 {"name": "x", "kind": "rate", "counter": "c", "threshold": 1.0},
                 {"name": "x", "kind": "rate", "counter": "c", "threshold": 2.0}]}"#,
             r#"{"tick_secs": 0.0, "rules": []}"#,
+            // Finite and positive, but no `Duration` holds it.
+            r#"{"tick_secs": 1e300, "rules": []}"#,
         ] {
             assert!(SloSpec::from_str(bad).is_err(), "accepted: {bad}");
         }

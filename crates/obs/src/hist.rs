@@ -262,14 +262,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// The recording rate between `earlier` and `self`, in samples per second over
-    /// `elapsed_secs` (0 for a degenerate interval).  Thin wrapper over
-    /// [`crate::rate_per_sec`] so every windowed-rate consumer (`advise top`,
-    /// `sweep --heartbeat`, the SLO engine) shares one definition.
-    pub fn rate_per_sec(&self, earlier: &HistogramSnapshot, elapsed_secs: f64) -> f64 {
-        crate::rate_per_sec(self.count.saturating_sub(earlier.count), elapsed_secs)
-    }
-
     /// Non-empty buckets as `(upper_bound, cumulative_count)` pairs, the shape the
     /// Prometheus text exposition's `_bucket{le="..."}` series needs.  The trailing
     /// `+Inf` bucket is implied by [`HistogramSnapshot::count`].

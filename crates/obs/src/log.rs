@@ -27,7 +27,6 @@ use crate::export::{json_escape, json_number};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -194,19 +193,11 @@ pub fn now_monotonic_secs() -> f64 {
     crate::trace::since_epoch_ns(Instant::now()) as f64 / 1e9
 }
 
-/// Minimum level that reaches the sink (and the ring); stored as a `u8`.
-static MIN_LEVEL: AtomicU8 = AtomicU8::new(1); // Info
-
-/// Sets the minimum level emitted; records below it are dropped at the macro
-/// call site (one relaxed atomic load).  Defaults to [`Level::Info`].
-pub fn set_min_level(level: Level) {
-    MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// Whether `level` passes the current minimum-level filter.
+/// Whether `level` reaches the sink (and the ring): [`Level::Info`] and above.
+/// Records below it are dropped at the macro call site.
 #[inline]
 pub fn level_enabled(level: Level) -> bool {
-    level as u8 >= MIN_LEVEL.load(Ordering::Relaxed)
+    level >= Level::Info
 }
 
 /// Token bucket state for one site.
@@ -248,6 +239,7 @@ fn state() -> &'static Mutex<LogState> {
 /// Reconfigures the per-site token buckets: each site may emit bursts of up to
 /// `burst` records and refills at `per_sec` records per second.  Defaults are
 /// 16 / 8.0.  Existing bucket state is reset.
+// lint:allow(dead-api) log::tests rate-limit hook (suppressed_count_attaches_to_next_passing_record)
 pub fn set_rate_limit(burst: u64, per_sec: f64) {
     let mut st = state().lock().expect("log state poisoned");
     st.burst = burst.max(1) as f64;
@@ -266,6 +258,7 @@ pub fn capture() -> Arc<Mutex<Vec<String>>> {
 }
 
 /// Restores the stderr sink after a [`capture`].
+// lint:allow(dead-api) log::tests capture hook (emit_capture_ring_and_rate_limit)
 pub fn capture_stop() {
     let mut st = state().lock().expect("log state poisoned");
     st.sink = Sink::Stderr;
@@ -279,6 +272,7 @@ pub fn recent_errors() -> Vec<EventRecord> {
 }
 
 /// Clears the warn/error ring (test isolation; the ring is process-global).
+// lint:allow(dead-api) log::tests isolation hook (emit_capture_ring_and_rate_limit)
 pub fn clear_recent_errors() {
     let mut st = state().lock().expect("log state poisoned");
     st.ring.clear();
@@ -341,9 +335,8 @@ pub fn emit(level: Level, site: &str, args: Vec<(String, EventValue)>) {
 /// The first argument is the level ident (`debug` / `info` / `warn` / `error`),
 /// the second the dotted site name, then any number of `key = value` pairs where
 /// the value converts into [`log::EventValue`](crate::log::EventValue) (integers,
-/// floats, bools, strings).  Records below the
-/// [`log::set_min_level`](crate::log::set_min_level) threshold cost one atomic
-/// load; passing records are rendered as one line of sorted-key JSON on stderr,
+/// floats, bools, strings).  `debug` records are dropped at the call site
+/// ([`log::level_enabled`](crate::log::level_enabled)); passing records are rendered as one line of sorted-key JSON on stderr,
 /// rate-limited per site, with warn/error records additionally retained for
 /// [`log::recent_errors`](crate::log::recent_errors).
 #[macro_export]

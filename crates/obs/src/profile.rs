@@ -7,8 +7,8 @@
 //!
 //! * **Wall-clock sampler** — every span guard additionally maintains a
 //!   per-thread **stack mirror**: a fixed-depth array of interned site ids that
-//!   any thread can read, guarded by a sequence tag the same way the flight
-//!   recorder poisons slots mid-write.  A background thread ([`arm`]) wakes
+//!   any thread can read, guarded by the same seqlock that guards the flight
+//!   recorder's slots.  A background thread ([`arm`]) wakes
 //!   `hz` times a second, snapshots every live thread's mirror, and folds each
 //!   non-empty stack into a collapsed-stack table keyed by the site path.  The
 //!   cost on instrumented threads is two short seqlock writes per span; threads
@@ -39,12 +39,13 @@
 //! (counted in the `torn` field), and stacks deeper than
 //! [`MAX_STACK_DEPTH`] are truncated at the mirror's capacity.
 
+use crate::lane::{Lanes, LocalLane, SeqLock};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Deepest span stack the cross-thread mirror records; deeper frames still
@@ -63,21 +64,11 @@ const NO_SITE: u32 = u32::MAX;
 // The per-thread stack mirror (seqlock-guarded, any-thread readable)
 // ---------------------------------------------------------------------------
 
-/// One thread's span stack, mirrored as atomics so the sampler can read it
-/// from outside.  Only the owning thread writes.  The sequence tag is odd
-/// while a push/pop is in flight; a reader that observes an odd tag, or a tag
-/// change across its copy, drops the sample as torn.
-///
-/// The fences make this a sound seqlock: the writer's `Release` fence after the
-/// odd tag orders that tag before its relaxed data stores, and the reader's
-/// `Acquire` fence before the re-check orders its relaxed data loads before the
-/// second tag load.  So a reader that saw any of a write's data also sees the
-/// tag change, and discards the copy.
-struct StackMirror {
-    seq: AtomicU64,
-    depth: AtomicU64,
-    sites: [AtomicU32; MAX_STACK_DEPTH],
-}
+/// One thread's span stack, mirrored as seqlock-guarded words so the sampler can
+/// read it from outside: word 0 holds the depth, words `1..=MAX_STACK_DEPTH` the
+/// site ids, outermost first.  Only the owning thread writes; a sample that races
+/// a push/pop is dropped as torn.
+struct StackMirror(SeqLock<{ MAX_STACK_DEPTH + 1 }>);
 
 enum Sampled {
     Idle,
@@ -87,73 +78,55 @@ enum Sampled {
 
 impl StackMirror {
     fn new() -> StackMirror {
-        StackMirror {
-            seq: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            sites: std::array::from_fn(|_| AtomicU32::new(0)),
-        }
+        StackMirror(SeqLock::new())
     }
 
     /// Pushes `site` (owning thread only).
     fn push(&self, site: u32) {
-        let seq = self.seq.load(Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(1), Ordering::Release);
-        fence(Ordering::Release);
-        let depth = self.depth.load(Ordering::Relaxed) as usize;
-        if depth < MAX_STACK_DEPTH {
-            self.sites[depth].store(site, Ordering::Relaxed);
-        }
-        self.depth.store(depth as u64 + 1, Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+        self.0.write(|words| {
+            let depth = words[0].load(Ordering::Relaxed) as usize;
+            if depth < MAX_STACK_DEPTH {
+                words[depth + 1].store(site as u64, Ordering::Relaxed);
+            }
+            words[0].store(depth as u64 + 1, Ordering::Relaxed);
+        });
     }
 
     /// Pops one frame (owning thread only); returns the new innermost site,
     /// or [`NO_SITE`] when the stack empties.
     fn pop(&self) -> u32 {
-        let seq = self.seq.load(Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(1), Ordering::Release);
-        fence(Ordering::Release);
-        let depth = self.depth.load(Ordering::Relaxed).saturating_sub(1);
-        self.depth.store(depth, Ordering::Relaxed);
-        self.seq.store(seq.wrapping_add(2), Ordering::Release);
-        if depth == 0 {
-            NO_SITE
-        } else {
-            let top = (depth as usize).min(MAX_STACK_DEPTH) - 1;
-            self.sites[top].load(Ordering::Relaxed)
-        }
+        self.0.write(|words| {
+            let depth = words[0].load(Ordering::Relaxed).saturating_sub(1);
+            words[0].store(depth, Ordering::Relaxed);
+            if depth == 0 {
+                NO_SITE
+            } else {
+                words[(depth as usize).min(MAX_STACK_DEPTH)].load(Ordering::Relaxed) as u32
+            }
+        })
     }
 
     /// Copies the stack (any thread); torn and idle reads are distinguished.
     fn sample(&self) -> Sampled {
-        let before = self.seq.load(Ordering::Acquire);
-        if before & 1 == 1 {
-            return Sampled::Torn;
+        let copied = self.0.read(|words| {
+            let depth = (words[0].load(Ordering::Relaxed) as usize).min(MAX_STACK_DEPTH);
+            words[1..=depth]
+                .iter()
+                .map(|site| site.load(Ordering::Relaxed) as u32)
+                .collect::<Vec<u32>>()
+        });
+        match copied {
+            None => Sampled::Torn,
+            Some(path) if path.is_empty() => Sampled::Idle,
+            Some(path) => Sampled::Stack(path),
         }
-        let depth = self.depth.load(Ordering::Acquire) as usize;
-        if depth == 0 {
-            return Sampled::Idle;
-        }
-        let stored = depth.min(MAX_STACK_DEPTH);
-        let mut path = Vec::with_capacity(stored);
-        for slot in &self.sites[..stored] {
-            path.push(slot.load(Ordering::Relaxed));
-        }
-        fence(Ordering::Acquire);
-        if self.seq.load(Ordering::Acquire) != before {
-            return Sampled::Torn;
-        }
-        Sampled::Stack(path)
     }
 }
 
-fn mirrors() -> &'static Mutex<Vec<Arc<StackMirror>>> {
-    static MIRRORS: OnceLock<Mutex<Vec<Arc<StackMirror>>>> = OnceLock::new();
-    MIRRORS.get_or_init(|| Mutex::new(Vec::new()))
-}
+static MIRRORS: Lanes<StackMirror> = Lanes::new();
 
 thread_local! {
-    static THREAD_MIRROR: RefCell<Option<Arc<StackMirror>>> = const { RefCell::new(None) };
+    static THREAD_MIRROR: LocalLane<StackMirror> = const { RefCell::new(None) };
     /// The innermost active span site, for allocation attribution.  Const-
     /// initialised: reading it from inside the allocator cannot allocate.
     static CURRENT_SITE: Cell<u32> = const { Cell::new(NO_SITE) };
@@ -163,20 +136,13 @@ thread_local! {
 /// on).  Returns whether a matching [`pop_site`] is owed — false only when the
 /// thread is shutting down and its thread-locals are gone.
 pub(crate) fn push_site(site: u32) -> bool {
-    let pushed = THREAD_MIRROR
-        .try_with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if slot.is_none() {
-                let mirror = Arc::new(StackMirror::new());
-                mirrors()
-                    .lock()
-                    .expect("profile mirror list poisoned")
-                    .push(Arc::clone(&mirror));
-                *slot = Some(mirror);
-            }
-            slot.as_ref().expect("mirror just installed").push(site);
-        })
-        .is_ok();
+    let pushed = MIRRORS
+        .with_local(
+            &THREAD_MIRROR,
+            |_| StackMirror::new(),
+            |mirror| mirror.push(site),
+        )
+        .is_some();
     if pushed {
         let _ = CURRENT_SITE.try_with(|cell| cell.set(site));
     }
@@ -185,10 +151,7 @@ pub(crate) fn push_site(site: u32) -> bool {
 
 /// Mirrors a span exit; the inverse of [`push_site`].
 pub(crate) fn pop_site() {
-    let top = THREAD_MIRROR
-        .try_with(|cell| cell.borrow().as_ref().map(|mirror| mirror.pop()))
-        .ok()
-        .flatten();
+    let top = MIRRORS.with_local(&THREAD_MIRROR, |_| StackMirror::new(), StackMirror::pop);
     if let Some(site) = top {
         let _ = CURRENT_SITE.try_with(|cell| cell.set(site));
     }
@@ -225,10 +188,7 @@ static SAMPLER: Mutex<Option<SamplerState>> = Mutex::new(None);
 /// One sampler tick: snapshot every mirror, fold non-empty stacks.  Factored
 /// out of the thread loop so tests can drive it deterministically.
 pub(crate) fn tick() {
-    let snapshot: Vec<Arc<StackMirror>> = mirrors()
-        .lock()
-        .expect("profile mirror list poisoned")
-        .clone();
+    let snapshot = MIRRORS.snapshot();
     let mut folded: Vec<Vec<u32>> = Vec::new();
     let mut torn = 0u64;
     for mirror in &snapshot {
@@ -300,6 +260,7 @@ pub fn armed() -> bool {
 
 /// Clears accumulated wall samples and allocation counters (mirrors and the
 /// armed state are untouched).  Intended for tests and benchmarks.
+// lint:allow(dead-api) tcp-serve tests/profile.rs resets the process-wide profile
 pub fn reset() {
     let mut wall = WALL.lock().expect("profile wall state poisoned");
     wall.stacks.clear();
@@ -356,11 +317,6 @@ fn alloc_slot(site: u32) -> usize {
 /// in binaries that install [`CountingAlloc`] as their `#[global_allocator]`.
 pub fn set_counting(on: bool) {
     COUNTING.store(on, Ordering::Relaxed);
-}
-
-/// Whether allocation counting is currently on.
-pub fn counting() -> bool {
-    COUNTING.load(Ordering::Relaxed)
 }
 
 fn on_alloc(size: usize) {

@@ -60,13 +60,6 @@ impl Counter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
-
-    /// Resets every shard to zero (used by pack-scoped stats on `!reload`).
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.0.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A last-write-wins instantaneous value (queue depth, in-flight requests, K-S
@@ -244,8 +237,6 @@ mod tests {
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -38,11 +38,12 @@
 //! scheduling, and exporters iterate sorted data, so exports are deterministic
 //! given the same records.
 
+use crate::lane::{Lanes, LocalLane, SeqLock};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Records each per-thread ring buffer holds before overwriting the oldest.
@@ -227,26 +228,24 @@ pub struct SpanRecord {
     pub arg: u64,
 }
 
-/// One thread's flight-recorder lane: a fixed ring of records stored as atomic
-/// words.  Only the owning thread writes; any thread may snapshot.  Each slot
-/// carries a sequence tag that is poisoned during a rewrite, so a concurrent
-/// snapshot drops a torn slot instead of reporting garbage.  As in a seqlock, a
-/// `Release` fence after the poison store orders it before the relaxed word
-/// stores, and an `Acquire` fence before the reader's tag re-check orders the
-/// relaxed word loads before it.
+/// One thread's flight-recorder lane: a fixed ring of seqlock-guarded slots.  Only
+/// the owning thread writes; any thread may snapshot.  A slot holds one record in
+/// words 0–6 and its ring position in word 7, so a snapshot drops a slot that a
+/// concurrent write tore or that the writer has since lapped.
 struct Ring {
     lane: u16,
-    words: Box<[AtomicU64]>,
+    slots: Box<[SeqLock<WORDS>]>,
     head: AtomicU64,
 }
 
+/// The word-7 position of a slot that holds no record.
+const EMPTY_SLOT: u64 = u64::MAX;
+
 impl Ring {
     fn new(lane: u16) -> Ring {
-        let mut words = Vec::with_capacity(RING_CAPACITY * WORDS);
-        words.resize_with(RING_CAPACITY * WORDS, || AtomicU64::new(u64::MAX));
         Ring {
             lane,
-            words: words.into_boxed_slice(),
+            slots: (0..RING_CAPACITY).map(|_| SeqLock::new()).collect(),
             head: AtomicU64::new(0),
         }
     }
@@ -254,23 +253,19 @@ impl Ring {
     /// Appends one record (owning thread only).
     fn push(&self, r: &SpanRecord) {
         let seq = self.head.load(Ordering::Relaxed);
-        let base = (seq as usize % RING_CAPACITY) * WORDS;
-        let w = &self.words;
-        // Poison the tag first so a concurrent snapshot never sees a half-written
-        // slot with a plausible tag.
-        w[base + 7].store(u64::MAX, Ordering::Release);
-        fence(Ordering::Release);
-        w[base].store(r.trace_id, Ordering::Relaxed);
-        w[base + 1].store(r.span_id, Ordering::Relaxed);
-        w[base + 2].store(r.parent_id, Ordering::Relaxed);
-        w[base + 3].store(
-            r.site as u64 | ((r.lane as u64) << 32) | ((r.flags as u64) << 48),
-            Ordering::Relaxed,
-        );
-        w[base + 4].store(r.start_ns, Ordering::Relaxed);
-        w[base + 5].store(r.dur_ns, Ordering::Relaxed);
-        w[base + 6].store(r.arg, Ordering::Relaxed);
-        w[base + 7].store(seq, Ordering::Release);
+        self.slots[seq as usize % RING_CAPACITY].write(|w| {
+            w[0].store(r.trace_id, Ordering::Relaxed);
+            w[1].store(r.span_id, Ordering::Relaxed);
+            w[2].store(r.parent_id, Ordering::Relaxed);
+            w[3].store(
+                r.site as u64 | ((r.lane as u64) << 32) | ((r.flags as u64) << 48),
+                Ordering::Relaxed,
+            );
+            w[4].store(r.start_ns, Ordering::Relaxed);
+            w[5].store(r.dur_ns, Ordering::Relaxed);
+            w[6].store(r.arg, Ordering::Relaxed);
+            w[7].store(seq, Ordering::Relaxed);
+        });
         self.head.store(seq + 1, Ordering::Release);
     }
 
@@ -278,61 +273,42 @@ impl Ring {
     fn collect(&self, out: &mut Vec<SpanRecord>) {
         let head = self.head.load(Ordering::Acquire);
         let n = head.min(RING_CAPACITY as u64);
-        for k in 0..n {
-            let seq = head - n + k;
-            let base = (seq as usize % RING_CAPACITY) * WORDS;
-            let w = &self.words;
-            if w[base + 7].load(Ordering::Acquire) != seq {
-                continue;
-            }
-            let packed = w[base + 3].load(Ordering::Relaxed);
-            let record = SpanRecord {
-                trace_id: w[base].load(Ordering::Relaxed),
-                span_id: w[base + 1].load(Ordering::Relaxed),
-                parent_id: w[base + 2].load(Ordering::Relaxed),
-                site: packed as u32,
-                lane: (packed >> 32) as u16,
-                flags: (packed >> 48) as u16,
-                start_ns: w[base + 4].load(Ordering::Relaxed),
-                dur_ns: w[base + 5].load(Ordering::Relaxed),
-                arg: w[base + 6].load(Ordering::Relaxed),
-            };
-            // Re-check the tag: if the writer lapped us mid-copy, drop the slot.
-            fence(Ordering::Acquire);
-            if w[base + 7].load(Ordering::Acquire) == seq {
-                out.push(record);
+        for seq in head - n..head {
+            let copied = self.slots[seq as usize % RING_CAPACITY].read(|w| {
+                let packed = w[3].load(Ordering::Relaxed);
+                let record = SpanRecord {
+                    trace_id: w[0].load(Ordering::Relaxed),
+                    span_id: w[1].load(Ordering::Relaxed),
+                    parent_id: w[2].load(Ordering::Relaxed),
+                    site: packed as u32,
+                    lane: (packed >> 32) as u16,
+                    flags: (packed >> 48) as u16,
+                    start_ns: w[4].load(Ordering::Relaxed),
+                    dur_ns: w[5].load(Ordering::Relaxed),
+                    arg: w[6].load(Ordering::Relaxed),
+                };
+                (w[7].load(Ordering::Relaxed), record)
+            });
+            if let Some((position, record)) = copied {
+                if position == seq {
+                    out.push(record);
+                }
             }
         }
     }
 
     fn clear(&self) {
-        for slot in 0..RING_CAPACITY {
-            self.words[slot * WORDS + 7].store(u64::MAX, Ordering::Release);
+        for slot in self.slots.iter() {
+            slot.write(|w| w[7].store(EMPTY_SLOT, Ordering::Relaxed));
         }
         self.head.store(0, Ordering::Release);
     }
 }
 
-fn recorders() -> &'static Mutex<Vec<Arc<Ring>>> {
-    static RECORDERS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-    RECORDERS.get_or_init(|| Mutex::new(Vec::new()))
-}
+static RECORDERS: Lanes<Ring> = Lanes::new();
 
 thread_local! {
-    static THREAD_RING: RefCell<Option<Arc<Ring>>> = const { RefCell::new(None) };
-}
-
-fn with_thread_ring<R>(f: impl FnOnce(&Ring) -> R) -> R {
-    THREAD_RING.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if slot.is_none() {
-            let mut all = recorders().lock().expect("trace recorder list poisoned");
-            let ring = Arc::new(Ring::new(all.len() as u16));
-            all.push(Arc::clone(&ring));
-            *slot = Some(ring);
-        }
-        f(slot.as_ref().expect("ring just installed"))
-    })
+    static THREAD_RING: LocalLane<Ring> = const { RefCell::new(None) };
 }
 
 /// Snapshots the flight recorder: every lane's current contents, merged and sorted
@@ -343,11 +319,9 @@ fn with_thread_ring<R>(f: impl FnOnce(&Ring) -> R) -> R {
 /// activity without stealing it from a later exporter.
 pub fn recent_spans() -> Vec<SpanRecord> {
     let mut out = Vec::new();
-    let all = recorders().lock().expect("trace recorder list poisoned");
-    for ring in all.iter() {
+    for ring in RECORDERS.snapshot() {
         ring.collect(&mut out);
     }
-    drop(all);
     out.sort_by_key(|r| (r.start_ns, r.span_id));
     out
 }
@@ -357,8 +331,7 @@ pub fn recent_spans() -> Vec<SpanRecord> {
 /// Writers racing this keep working (their next commit simply lands in the cleared
 /// ring); intended for tests and benchmarks that need a known-empty recorder.
 pub fn clear() {
-    let all = recorders().lock().expect("trace recorder list poisoned");
-    for ring in all.iter() {
+    for ring in RECORDERS.snapshot() {
         ring.clear();
     }
 }
@@ -659,7 +632,8 @@ impl RootSpan {
         if trace.truncated > 0 {
             counters.spans_truncated.add(trace.truncated);
         }
-        with_thread_ring(|ring| {
+        let make = |lane: usize| Ring::new(lane as u16);
+        RECORDERS.with_local(&THREAD_RING, make, |ring| {
             for record in &mut trace.spans {
                 record.lane = ring.lane;
                 ring.push(record);
@@ -828,6 +802,7 @@ pub fn spans_json(records: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// Serializes tests that mutate the process-global trace configuration.
     fn lock() -> std::sync::MutexGuard<'static, ()> {

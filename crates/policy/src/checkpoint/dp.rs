@@ -63,6 +63,7 @@ impl CheckpointConfig {
     }
 
     /// A coarse configuration (15-minute steps) suitable for unit tests and quick sweeps.
+    // lint:allow(dead-api) fast DP grid for tests in tcp-policy, tcp-advisor, tcp-calibrate and the root tests
     pub fn coarse() -> Self {
         CheckpointConfig {
             checkpoint_cost_hours: 1.0 / 60.0,

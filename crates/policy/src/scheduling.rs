@@ -63,11 +63,6 @@ impl ModelDrivenScheduler {
         ModelDrivenScheduler { model }
     }
 
-    /// The model backing the scheduler.
-    pub fn model(&self) -> &dyn LifetimeModel {
-        self.model.as_ref()
-    }
-
     /// Expected makespan of a job of length `job_len` starting at VM age `vm_age`
     /// (Equation 8).  A VM at (or past) the 24 h deadline cannot run anything, so its
     /// makespan is infinite — the policy will always prefer a fresh VM over it.
@@ -81,6 +76,7 @@ impl ModelDrivenScheduler {
     /// The oldest VM age at which the policy still chooses to reuse the VM for a job of
     /// length `job_len` (the threshold discussed at the end of Section 4.2).  Returns the
     /// horizon if reuse is always preferred.
+    // lint:allow(dead-api) no caller outside scheduling::tests::reuse_threshold_reflects_deadline; delete with it
     pub fn reuse_threshold_age(&self, job_len: f64) -> f64 {
         let horizon = self.model.horizon();
         let fresh = self.expected_makespan(0.0, job_len);
@@ -296,8 +292,8 @@ mod tests {
         // Equation 8: E[T_s] = T + ∫_s^{s+T} t f(t) dt.
         let direct = 5.0 + tcp_dists::LifetimeDistribution::partial_expectation(&model(), 3.0, 8.0);
         assert!((sched.expected_makespan(3.0, 5.0) - direct).abs() < 1e-12);
-        assert_eq!(sched.model().horizon(), 24.0);
-        assert_eq!(sched.model().family(), "bathtub");
+        assert_eq!(sched.model.horizon(), 24.0);
+        assert_eq!(sched.model.family(), "bathtub");
     }
 
     #[test]

@@ -58,7 +58,7 @@ struct Args {
     shard: Option<(usize, usize)>,
     dry_run: bool,
     quiet: bool,
-    heartbeat: Option<f64>,
+    heartbeat: Option<Duration>,
     heartbeat_json: bool,
     profile_file: Option<PathBuf>,
 }
@@ -72,7 +72,7 @@ struct Heartbeat {
 }
 
 impl Heartbeat {
-    fn start(interval: f64, total: u64, json: bool) -> Heartbeat {
+    fn start(interval: Duration, total: u64, json: bool) -> Heartbeat {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
@@ -82,7 +82,7 @@ impl Heartbeat {
             let mut prev_at = Instant::now();
             loop {
                 // Sleep in short slices so drop() never blocks a full interval.
-                let deadline = Instant::now() + Duration::from_secs_f64(interval);
+                let deadline = Instant::now() + interval;
                 while Instant::now() < deadline {
                     // lint:allow(ordering-audit) stop flag polled in a sleep loop; staleness only delays exit by one slice
                     if flag.load(Ordering::Relaxed) {
@@ -190,10 +190,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let secs: f64 = v
                     .parse()
                     .map_err(|_| format!("invalid --heartbeat value `{v}`"))?;
-                if secs <= 0.0 || !secs.is_finite() {
-                    return Err(format!("--heartbeat must be positive, got `{v}`"));
-                }
-                heartbeat = Some(secs);
+                heartbeat = Some(tcp_obs::cli::positive_secs("--heartbeat", secs)?);
             }
             "--heartbeat-json" => heartbeat_json = true,
             "--profile-file" => {

@@ -679,7 +679,9 @@ checkpointing = ["none", "young-daly"]
         let exp = regimes[1].build_ground_truth().unwrap().unwrap();
         assert!((exp.mean() - 8.0).abs() < 0.2, "mean = {}", exp.mean());
         let template = regimes[1].build_template().unwrap();
-        assert!((template.config.pricing.discount_factor() - 4.0).abs() < 1e-9);
+        let pricing = &template.config.pricing;
+        let discount = pricing.on_demand_per_vcpu_hour / pricing.preemptible_per_vcpu_hour;
+        assert!((discount - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -252,3 +252,21 @@ fn text_rendering_mentions_every_regime() {
     assert!(text.contains("model-driven"));
     assert!(text.contains("memoryless"));
 }
+
+#[test]
+fn heartbeat_that_fits_no_duration_is_a_usage_error() {
+    // `1e300` is positive but fits no `Duration`: a usage error, not a panic on the
+    // heartbeat thread.  Arguments are checked before the spec is read.
+    for bad in ["1e300", "inf", "0"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["spec.toml", "--dry-run", "--heartbeat", bad])
+            .output()
+            .expect("run sweep");
+        assert_eq!(output.status.code(), Some(2), "--heartbeat {bad}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("--heartbeat must be a positive"),
+            "{stderr}"
+        );
+    }
+}

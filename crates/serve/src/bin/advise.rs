@@ -391,9 +391,7 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown option `{other}`")),
         }
     }
-    if metrics_interval <= 0.0 || metrics_interval.is_nan() {
-        return Err("--metrics-interval must be positive".to_string());
-    }
+    let metrics_interval = tcp_obs::cli::positive_secs("--metrics-interval", metrics_interval)?;
     if alert_log.is_some() && slo_file.is_none() {
         return Err("--alert-log requires --slo".to_string());
     }
@@ -420,7 +418,7 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
     }
     let advisor = load_advisor(&pack)?;
     let pack_name = advisor.name().to_string();
-    let cells = advisor.cell_names().len();
+    let cells = advisor.cell_count();
     let server = Server::start(advisor, options.clone())?;
     let addr = server.local_addr();
     tcp_obs::event!(
@@ -448,7 +446,7 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
     let metrics_writer = metrics_file.as_ref().map(|path| {
         let path = path.clone();
         let stop = Arc::clone(&metrics_stop);
-        let interval = Duration::from_secs_f64(metrics_interval);
+        let interval = metrics_interval;
         std::thread::spawn(move || loop {
             write_exposition(&path);
             let deadline = Instant::now() + interval;
@@ -555,9 +553,7 @@ fn cmd_top(argv: &[String]) -> Result<(), String> {
     if options.addr.is_empty() {
         return Err("--addr is required".to_string());
     }
-    if options.interval_secs <= 0.0 || options.interval_secs.is_nan() {
-        return Err("--interval must be positive".to_string());
-    }
+    tcp_obs::cli::positive_secs("--interval", options.interval_secs)?;
     run_top(&options)
 }
 

@@ -20,7 +20,7 @@
 use crate::client::run_client;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Options for [`run_top`].
 #[derive(Debug, Clone)]
@@ -446,7 +446,7 @@ fn poll(addr: &str) -> Result<TopSample, String> {
 /// The live loop ends when `max_frames` is reached (Ok) or the server stops
 /// answering (Err; a drained server is how `advise top` normally exits).
 pub fn run_top(options: &TopOptions) -> Result<(), String> {
-    let interval = Duration::from_secs_f64(options.interval_secs.max(0.05));
+    let interval = tcp_obs::cli::positive_secs("interval_secs", options.interval_secs.max(0.05))?;
     let mut prev = poll(&options.addr)?;
     let mut prev_at = Instant::now();
     if options.once {

@@ -8,52 +8,15 @@
 //! `tcp_obs::set_enabled` switch: a sibling test recording histograms concurrently
 //! would race with the disabled window.
 
-use tcp_advisor::{
-    generate_requests, requests_to_ndjson, serve_session, AdvisorHandle, MultiAdvisor, PackBuilder,
-};
-use tcp_scenarios::SweepSpec;
+mod common;
+
+use common::{advisor, request_corpus, tiny_pack_json};
+use tcp_advisor::{serve_session, AdvisorHandle};
 use tcp_serve::{run_client, ServeOptions, Server};
-
-/// Builds a small single-regime pack as JSON (the loopback-test pack).
-fn tiny_pack_json() -> String {
-    let spec = SweepSpec::from_toml(
-        r#"
-[sweep]
-name = "metrics"
-
-[[regime]]
-name = "exp8"
-kind = "exponential"
-mean_hours = 8.0
-
-[workload]
-dp_step_minutes = 30.0
-"#,
-    )
-    .unwrap();
-    let builder = PackBuilder {
-        age_points: 121,
-        checkpoint_age_points: 3,
-        checkpoint_job_points: 4,
-        max_checkpoint_job_hours: 4.0,
-        ..Default::default()
-    };
-    builder.build_from_spec(&spec).unwrap().to_json().unwrap()
-}
-
-fn advisor(json: &str) -> MultiAdvisor {
-    MultiAdvisor::from_json(json).unwrap()
-}
-
-/// `count` requests of the standard mix against the pack in `json`, as NDJSON.
-fn request_corpus(json: &str, count: usize, seed: u64) -> String {
-    let pack = tcp_advisor::ModelPack::from_json(json).unwrap();
-    requests_to_ndjson(&generate_requests(&pack, count, seed))
-}
 
 #[test]
 fn metrics_stay_out_of_the_response_stream() {
-    let json = tiny_pack_json();
+    let json = tiny_pack_json("metrics", "exp8", 8.0);
     let corpus = request_corpus(&json, 400, 17);
     let expected = serve_session(&AdvisorHandle::new(advisor(&json)), &corpus, 1);
 

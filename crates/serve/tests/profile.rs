@@ -3,10 +3,10 @@
 //! alters what a run *reports*, never what it *produces* — and the `!profile`
 //! control line must answer with the live envelope.
 
-use tcp_advisor::{
-    generate_requests, requests_to_ndjson, serve_session, AdvisorHandle, MultiAdvisor, PackBuilder,
-};
-use tcp_scenarios::SweepSpec;
+mod common;
+
+use common::{advisor, request_corpus, tiny_pack_json};
+use tcp_advisor::{serve_session, AdvisorHandle};
 use tcp_serve::{run_client, ServeOptions, Server};
 
 /// The counting allocator under test, installed for this whole test binary;
@@ -14,43 +14,6 @@ use tcp_serve::{run_client, ServeOptions, Server};
 /// wrapper's pass-through path too.
 #[global_allocator]
 static ALLOC: tcp_obs::profile::CountingAlloc = tcp_obs::profile::CountingAlloc::new();
-
-/// Builds a small single-regime pack as JSON.
-fn tiny_pack_json(name: &str, regime: &str, mean_hours: f64) -> String {
-    let spec = SweepSpec::from_toml(&format!(
-        r#"
-[sweep]
-name = "{name}"
-
-[[regime]]
-name = "{regime}"
-kind = "exponential"
-mean_hours = {mean_hours}
-
-[workload]
-dp_step_minutes = 30.0
-"#
-    ))
-    .unwrap();
-    let builder = PackBuilder {
-        age_points: 121,
-        checkpoint_age_points: 3,
-        checkpoint_job_points: 4,
-        max_checkpoint_job_hours: 4.0,
-        ..Default::default()
-    };
-    builder.build_from_spec(&spec).unwrap().to_json().unwrap()
-}
-
-fn advisor(json: &str) -> MultiAdvisor {
-    MultiAdvisor::from_json(json).unwrap()
-}
-
-/// `count` requests of the standard mix against the pack in `json`, as NDJSON.
-fn request_corpus(json: &str, count: usize, seed: u64) -> String {
-    let pack = tcp_advisor::ModelPack::from_json(json).unwrap();
-    requests_to_ndjson(&generate_requests(&pack, count, seed))
-}
 
 #[test]
 fn armed_profiler_serves_byte_identical_responses_and_answers_probe() {

@@ -123,11 +123,6 @@ impl TraceCatalog {
         }
     }
 
-    /// Creates a catalog from a custom base process (used in tests and ablations).
-    pub fn with_base(base: PhasedHazardParams) -> Self {
-        TraceCatalog { base }
-    }
-
     /// Hazard scale factor attributable to the machine type (Observation 4).
     ///
     /// Calibrated so the 32-vCPU type is roughly twice as preemption-prone as the 2-vCPU
@@ -181,11 +176,6 @@ impl TraceCatalog {
     /// The ground-truth preemption process for a configuration.
     pub fn ground_truth(&self, key: &ConfigKey) -> Result<PhasedHazard> {
         PhasedHazard::new(self.base)?.scale_rates(Self::scale_factor(key))
-    }
-
-    /// The base (unscaled) process parameters.
-    pub fn base_params(&self) -> PhasedHazardParams {
-        self.base
     }
 }
 

@@ -31,15 +31,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Creates a generator over a custom catalog.
-    pub fn with_catalog(catalog: TraceCatalog, seed: u64) -> Self {
-        TraceGenerator {
-            catalog,
-            rng: StdRng::seed_from_u64(seed),
-            launch_hours: false,
-        }
-    }
-
     /// Makes generated records carry a local launch hour sampled uniformly inside
     /// their day/night bucket, enabling launch-hour calibration cells.  Off by default
     /// so hour-free datasets (and their RNG streams) are byte-identical to earlier
@@ -206,11 +197,6 @@ impl TraceGenerator {
         Ok(records)
     }
 
-    /// Generates the paper-sized study: 870 VMs with at least 120 in the Figure 1 cell.
-    pub fn generate_paper_study(&mut self) -> Result<Vec<PreemptionRecord>> {
-        self.generate_study(870, 120)
-    }
-
     /// Generates records for a sweep over VM types in a fixed zone (Figure 2a layout).
     pub fn generate_vm_type_sweep(
         &mut self,
@@ -308,7 +294,8 @@ mod tests {
     #[test]
     fn paper_study_size_and_composition() {
         let mut gen = TraceGenerator::new(2020);
-        let recs = gen.generate_paper_study().unwrap();
+        // The paper-sized study: 870 VMs, at least 120 in the Figure 1 cell.
+        let recs = gen.generate_study(870, 120).unwrap();
         assert_eq!(recs.len(), 870);
         let fig1 = recs
             .iter()

@@ -39,4 +39,4 @@ pub use catalog::{ConfigKey, TraceCatalog};
 pub use csv::{load_records_csv, records_from_csv_str, records_to_csv_string, save_records_csv};
 pub use generator::TraceGenerator;
 pub use record::{PreemptionRecord, TimeOfDay, VmType, WorkloadKind, Zone};
-pub use stats::{group_lifetimes, DatasetSummary, GroupIndex};
+pub use stats::{DatasetSummary, GroupIndex};

@@ -47,11 +47,6 @@ impl VmType {
         }
     }
 
-    /// Memory in GB for the `n1-highcpu` family (0.9 GB per vCPU).
-    pub fn memory_gb(&self) -> f64 {
-        self.vcpus() as f64 * 0.9
-    }
-
     /// The GCP machine-type name, e.g. `n1-highcpu-16`.
     pub fn gcp_name(&self) -> &'static str {
         match self {
@@ -309,7 +304,6 @@ mod tests {
     fn vm_type_metadata() {
         assert_eq!(VmType::all().len(), 5);
         assert_eq!(VmType::N1HighCpu16.vcpus(), 16);
-        assert!((VmType::N1HighCpu8.memory_gb() - 7.2).abs() < 1e-12);
         assert_eq!(VmType::N1HighCpu32.to_string(), "n1-highcpu-32");
         assert_eq!(
             "n1-highcpu-4".parse::<VmType>().unwrap(),

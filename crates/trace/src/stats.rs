@@ -6,7 +6,7 @@
 use crate::catalog::ConfigKey;
 use crate::record::{PreemptionRecord, TimeOfDay, VmType, WorkloadKind, Zone};
 use std::collections::BTreeMap;
-use tcp_numerics::stats::{summarize, Ecdf, Summary};
+use tcp_numerics::stats::{summarize, Summary};
 use tcp_numerics::{NumericsError, Result};
 
 /// The grouping dimensions supported when splitting a dataset.
@@ -20,16 +20,6 @@ pub enum GroupBy {
     TimeOfDay,
     /// Group by workload kind (Figure 2b).
     Workload,
-}
-
-/// Extracts the group label of a record along a dimension.
-pub fn group_label(record: &PreemptionRecord, by: GroupBy) -> String {
-    match by {
-        GroupBy::VmType => record.vm_type.to_string(),
-        GroupBy::Zone => record.zone.to_string(),
-        GroupBy::TimeOfDay => record.time_of_day.to_string(),
-        GroupBy::Workload => record.workload.to_string(),
-    }
 }
 
 fn config_label(key: &ConfigKey, by: GroupBy) -> String {
@@ -50,7 +40,6 @@ fn config_label(key: &ConfigKey, by: GroupBy) -> String {
 #[derive(Debug, Clone, Default)]
 pub struct GroupIndex {
     cells: BTreeMap<ConfigKey, Vec<f64>>,
-    total: usize,
 }
 
 impl GroupIndex {
@@ -70,25 +59,7 @@ impl GroupIndex {
         for v in cells.values_mut() {
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         }
-        GroupIndex {
-            cells,
-            total: records.len(),
-        }
-    }
-
-    /// Total records indexed.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// The non-empty configuration cells, in sorted order.
-    pub fn keys(&self) -> impl Iterator<Item = &ConfigKey> {
-        self.cells.keys()
-    }
-
-    /// The sorted lifetimes of one full configuration cell (empty when absent).
-    pub fn config(&self, key: &ConfigKey) -> &[f64] {
-        self.cells.get(key).map(Vec::as_slice).unwrap_or(&[])
+        GroupIndex { cells }
     }
 
     /// Sorted lifetimes matching a partial filter (any `None` dimension matches
@@ -127,31 +98,6 @@ impl GroupIndex {
         }
         map
     }
-}
-
-/// Groups lifetimes by a dimension, returning `label -> sorted lifetimes`.
-///
-/// One-off convenience over [`GroupIndex`]; build the index once when issuing several
-/// queries against the same dataset.
-pub fn group_lifetimes(records: &[PreemptionRecord], by: GroupBy) -> BTreeMap<String, Vec<f64>> {
-    GroupIndex::build(records).group(by)
-}
-
-/// Selects the (sorted) lifetimes of records matching a full configuration cell.
-pub fn lifetimes_for_config(records: &[PreemptionRecord], key: &ConfigKey) -> Vec<f64> {
-    GroupIndex::build(records).config(key).to_vec()
-}
-
-/// Selects the (sorted) lifetimes matching a partial filter (any `None` dimension
-/// matches everything).
-pub fn lifetimes_matching(
-    records: &[PreemptionRecord],
-    vm_type: Option<VmType>,
-    zone: Option<Zone>,
-    time_of_day: Option<TimeOfDay>,
-    workload: Option<WorkloadKind>,
-) -> Vec<f64> {
-    GroupIndex::build(records).matching(vm_type, zone, time_of_day, workload)
 }
 
 /// Dataset-level summary used by reports and the README quickstart.
@@ -202,15 +148,21 @@ impl DatasetSummary {
     }
 }
 
-/// Builds the empirical CDF of a group of lifetimes.
-pub fn group_ecdf(lifetimes: &[f64]) -> Result<Ecdf> {
-    Ecdf::new(lifetimes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::TraceGenerator;
+    use tcp_numerics::stats::Ecdf;
+
+    /// The sorted lifetimes of one full configuration cell.
+    fn cell(index: &GroupIndex, key: &ConfigKey) -> Vec<f64> {
+        index.matching(
+            Some(key.vm_type),
+            Some(key.zone),
+            Some(key.time_of_day),
+            Some(key.workload),
+        )
+    }
 
     fn study() -> Vec<PreemptionRecord> {
         TraceGenerator::new(11).generate_study(600, 100).unwrap()
@@ -225,7 +177,7 @@ mod tests {
             GroupBy::TimeOfDay,
             GroupBy::Workload,
         ] {
-            let groups = group_lifetimes(&records, by);
+            let groups = GroupIndex::build(&records).group(by);
             let total: usize = groups.values().map(|v| v.len()).sum();
             assert_eq!(total, records.len());
             for v in groups.values() {
@@ -238,7 +190,7 @@ mod tests {
     fn config_filter_matches_manual_count() {
         let records = study();
         let key = ConfigKey::figure1();
-        let filtered = lifetimes_for_config(&records, &key);
+        let filtered = cell(&GroupIndex::build(&records), &key);
         let manual = records
             .iter()
             .filter(|r| {
@@ -256,10 +208,11 @@ mod tests {
     fn partial_filter_is_superset_of_full_filter() {
         let records = study();
         let key = ConfigKey::figure1();
-        let full = lifetimes_for_config(&records, &key);
-        let partial = lifetimes_matching(&records, Some(key.vm_type), Some(key.zone), None, None);
+        let index = GroupIndex::build(&records);
+        let full = cell(&index, &key);
+        let partial = index.matching(Some(key.vm_type), Some(key.zone), None, None);
         assert!(partial.len() >= full.len());
-        let all = lifetimes_matching(&records, None, None, None, None);
+        let all = index.matching(None, None, None, None);
         assert_eq!(all.len(), records.len());
     }
 
@@ -279,7 +232,7 @@ mod tests {
     fn index_agrees_with_direct_scans() {
         let records = study();
         let index = GroupIndex::build(&records);
-        assert_eq!(index.total(), records.len());
+        assert_eq!(index.matching(None, None, None, None).len(), records.len());
         // Full-cell query agrees with a manual scan.
         let key = ConfigKey::figure1();
         let mut manual: Vec<f64> = records
@@ -293,7 +246,7 @@ mod tests {
             .map(|r| r.lifetime_hours)
             .collect();
         manual.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(index.config(&key), &manual[..]);
+        assert_eq!(cell(&index, &key), manual);
         // Partial filters cover exactly the records a scan would keep.
         for vm in VmType::all() {
             let got = index.matching(Some(vm), None, None, None);
@@ -301,30 +254,20 @@ mod tests {
             assert_eq!(got.len(), want);
             assert!(got.windows(2).all(|w| w[0] <= w[1]));
         }
-        // Grouping through the index matches the convenience function.
-        for by in [
-            GroupBy::VmType,
-            GroupBy::Zone,
-            GroupBy::TimeOfDay,
-            GroupBy::Workload,
-        ] {
-            assert_eq!(index.group(by), group_lifetimes(&records, by));
-        }
-        // Absent cells answer with an empty slice, not a panic.
+        // An empty index answers with no lifetimes, not a panic.
         let empty = GroupIndex::build(&[]);
-        assert!(empty.config(&key).is_empty());
-        assert_eq!(empty.total(), 0);
+        assert!(empty.matching(None, None, None, None).is_empty());
     }
 
     #[test]
     fn group_ecdf_valid() {
         let records = study();
-        let groups = group_lifetimes(&records, GroupBy::VmType);
+        let groups = GroupIndex::build(&records).group(GroupBy::VmType);
         for (_, lifetimes) in groups {
-            let ecdf = group_ecdf(&lifetimes).unwrap();
+            let ecdf = Ecdf::new(&lifetimes).unwrap();
             assert_eq!(ecdf.len(), lifetimes.len());
             assert!(ecdf.eval(24.0) >= 1.0 - 1e-12);
         }
-        assert!(group_ecdf(&[]).is_err());
+        assert!(Ecdf::new(&[]).is_err());
     }
 }

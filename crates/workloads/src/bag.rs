@@ -130,12 +130,6 @@ impl BagOfJobs {
     pub fn total_work_hours(&self) -> f64 {
         self.jobs.iter().map(|j| j.estimated_runtime_hours).sum()
     }
-
-    /// Mean job running time, hours — the estimate the service uses for scheduling and
-    /// checkpoint planning of subsequent jobs in the bag.
-    pub fn mean_runtime_hours(&self) -> f64 {
-        self.total_work_hours() / self.jobs.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +156,7 @@ mod tests {
         assert_eq!(bag.len(), 2);
         assert!(!bag.is_empty());
         assert_eq!(bag.total_work_hours(), 3.0);
-        assert_eq!(bag.mean_runtime_hours(), 1.5);
+        assert_eq!(bag.total_work_hours() / bag.len() as f64, 1.5);
         assert!(BagOfJobs::new("empty", vec![]).is_err());
     }
 
@@ -171,7 +165,7 @@ mod tests {
         let bag = BagOfJobs::homogeneous("nano-sweep", "nanoconfinement", 100, 0.25, 64, 0.05, 7)
             .unwrap();
         assert_eq!(bag.len(), 100);
-        let mean = bag.mean_runtime_hours();
+        let mean = bag.total_work_hours() / bag.len() as f64;
         assert!((mean - 0.25).abs() < 0.02);
         for j in &bag.jobs {
             assert!((j.estimated_runtime_hours - 0.25).abs() / 0.25 < 0.05 + 1e-9);

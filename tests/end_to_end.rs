@@ -33,16 +33,16 @@ fn figure1_bathtub_model_fits_best_end_to_end() {
     let records = generator.generate_for(ConfigKey::figure1(), 700).unwrap();
     let lifetimes: Vec<f64> = records.iter().map(|r| r.lifetime_hours).collect();
     let cmp = fit_model_comparison(&lifetimes, 24.0).unwrap();
-    assert_eq!(cmp.best_family(), "Our Model");
+    assert_eq!(cmp.families[0].label, "Our Model");
     assert!(cmp.bathtub.r_squared > 0.97);
 }
 
 #[test]
 fn registry_built_from_full_study_serves_policies() {
     let mut generator = TraceGenerator::new(5);
-    let records = generator.generate_paper_study().unwrap();
+    let records = generator.generate_study(870, 120).unwrap();
     let catalog = Calibrator::new("paper-study")
-        .calibrate(&records, "generate_paper_study(seed 5)", 2)
+        .calibrate(&records, "paper-sized study (seed 5)", 2)
         .unwrap();
     assert!(!catalog.cells.is_empty());
     let figure1 = ConfigKey::figure1();
