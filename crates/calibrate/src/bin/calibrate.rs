@@ -99,8 +99,7 @@ fn cmd_fit(argv: &[String]) -> Result<(), String> {
     let catalog = calibrator
         .calibrate_csv(&csv_path, threads)
         .map_err(|e| e.to_string())?;
-    let json = catalog.to_json().map_err(|e| e.to_string())?;
-    std::fs::write(&out, &json).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    let bytes = catalog.save(&out).map_err(|e| e.to_string())?;
     let parametric = catalog
         .cells
         .iter()
@@ -115,7 +114,7 @@ fn cmd_fit(argv: &[String]) -> Result<(), String> {
         parametric,
         catalog.cells.len() - parametric,
         catalog.pooled.model.family,
-        json.len(),
+        bytes,
         started.elapsed().as_secs_f64(),
         out.display()
     );

@@ -125,7 +125,26 @@ pub struct RegimeCatalog {
 impl RegimeCatalog {
     /// Serializes the catalog to compact JSON (deterministic byte-for-byte).
     pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self).map_err(|e| NumericsError::invalid(format!("catalog: {e}")))
+        // The stored lifetimes are most of the bytes: reserve ~20 per lifetime (a
+        // full-precision float and its comma) plus 2 KiB per entry for the rest, so a
+        // large catalog is written without growing its buffer step by step.
+        let lifetimes: usize = std::iter::once(&self.pooled)
+            .chain(&self.cells)
+            .map(|cell| cell.model.lifetimes.len())
+            .sum();
+        let mut out = String::with_capacity(20 * lifetimes + 2048 * (self.cells.len() + 1));
+        serde_json::append(self, &mut out);
+        out.shrink_to_fit();
+        Ok(out)
+    }
+
+    /// Writes the catalog's JSON to a file, returning its length in bytes.
+    pub fn save(&self, path: &Path) -> Result<usize> {
+        let _span = tcp_obs::span!("calibrate.catalog.write");
+        let json = self.to_json()?;
+        std::fs::write(path, &json)
+            .map_err(|e| NumericsError::invalid(format!("cannot write {}: {e}", path.display())))?;
+        Ok(json.len())
     }
 
     /// Parses a catalog from JSON, rejecting format-version mismatches.

@@ -15,7 +15,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-use tcp_trace::{PreemptionRecord, TimeOfDay, VmType, Zone};
+use tcp_trace::{TimeOfDay, VmType, Zone};
 
 /// The time-of-day slot of a calibration cell: the paper's day/night bucket, or one of
 /// the finer launch-hour buckets of `--tod-hours N`.
@@ -108,6 +108,11 @@ impl Deserialize for TodSlot {
     }
 }
 
+/// Why a record cannot join a launch-hour cell.
+pub(crate) const MISSING_LAUNCH_HOUR: &str =
+    "launch-hour cells need records with a launch_hour column \
+     (regenerate the dataset with hours, e.g. `trace gen --launch-hours`)";
+
 /// One calibration cell: `(VM type, zone, time-of-day slot)`.
 ///
 /// Renders as (and parses from) `vm-type/zone/time-of-day` using the GCP names, e.g.
@@ -126,16 +131,19 @@ pub struct CellKey {
 impl CellKey {
     /// The cell a record falls into under an optional launch-hour split: `None` keeps
     /// the day/night bucket, `Some(width)` buckets by the record's `launch_hour`
-    /// (an error when the record carries none).
-    pub fn of_with(record: &PreemptionRecord, tod_hours: Option<u32>) -> Result<Self, String> {
+    /// (an error when the record carries none).  The reference keying that
+    /// `CellPartition`'s dense slots are tested against.
+    #[cfg(test)]
+    pub(crate) fn of_with(
+        record: &tcp_trace::PreemptionRecord,
+        tod_hours: Option<u32>,
+    ) -> Result<Self, String> {
         let time_of_day = match tod_hours {
             None => TodSlot::Named(record.time_of_day),
             Some(width) => {
-                let hour = record.launch_hour.ok_or_else(|| {
-                    "launch-hour cells need records with a launch_hour column \
-                     (regenerate the dataset with hours, e.g. `trace gen --launch-hours`)"
-                        .to_string()
-                })?;
+                let hour = record
+                    .launch_hour
+                    .ok_or_else(|| MISSING_LAUNCH_HOUR.to_string())?;
                 TodSlot::hour_bucket(hour, width)
             }
         };
@@ -193,7 +201,7 @@ impl FromStr for CellKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcp_trace::WorkloadKind;
+    use tcp_trace::{PreemptionRecord, WorkloadKind};
 
     #[test]
     fn display_round_trips_through_from_str() {

@@ -14,21 +14,37 @@
 //! bytes never depend on whether metrics are enabled.
 
 use crate::catalog::{CellFit, RegimeCatalog, CATALOG_FORMAT_VERSION, POOLED_CELL};
-use crate::cell::CellKey;
+use crate::cell::{CellKey, TodSlot, MISSING_LAUNCH_HOUR};
 use crate::fit::{fit_cell, FitOptions, FitOutcome};
-use std::collections::BTreeMap;
 use tcp_cloudsim::run_tasks;
 use tcp_numerics::{NumericsError, Result};
-use tcp_trace::PreemptionRecord;
+use tcp_trace::{PreemptionRecord, TimeOfDay, VmType, Zone};
+
+/// Zones per VM type in the slot layout (`Zone::all().len()`).
+const ZONES: usize = 4;
 
 /// One-pass partition of a record stream into calibration cells.
-#[derive(Debug, Clone, Default)]
+///
+/// Cells live in dense slots, one per possible cell, indexed
+/// `(vm_type · 4 + zone) · S + tod_slot` where `S` is the number of time-of-day slots
+/// (2 for day/night, `24 / width` for launch-hour cells).  Both enums index in their
+/// declaration order, which is also their derived order, so slot order is
+/// [`CellKey`] order.
+#[derive(Debug, Clone)]
 pub struct CellPartition {
-    cells: BTreeMap<CellKey, Vec<f64>>,
-    censored: BTreeMap<CellKey, usize>,
+    /// Lifetimes per slot, insertion order.
+    cells: Vec<Vec<f64>>,
+    /// Deadline survivals per slot.
+    censored: Vec<usize>,
     total: usize,
     /// Launch-hour cell width (`None` = the paper's day/night split).
     tod_hours: Option<u32>,
+}
+
+impl Default for CellPartition {
+    fn default() -> Self {
+        Self::with_slots(None)
+    }
 }
 
 impl CellPartition {
@@ -45,22 +61,76 @@ impl CellPartition {
                 "tod_hours must divide 24 and lie in [1, 23], got {width}"
             )));
         }
-        Ok(CellPartition {
-            tod_hours: Some(width),
-            ..Self::default()
-        })
+        Ok(Self::with_slots(Some(width)))
+    }
+
+    fn with_slots(tod_hours: Option<u32>) -> Self {
+        let slots = VmType::all().len() * ZONES * Self::tod_slots(tod_hours);
+        CellPartition {
+            cells: vec![Vec::new(); slots],
+            censored: vec![0; slots],
+            total: 0,
+            tod_hours,
+        }
+    }
+
+    /// Time-of-day slots per (VM type, zone).
+    fn tod_slots(tod_hours: Option<u32>) -> usize {
+        match tod_hours {
+            None => TimeOfDay::all().len(),
+            Some(width) => (24 / width) as usize,
+        }
+    }
+
+    /// The slot of a (VM type, zone) pair and time-of-day slot index.
+    fn slot(&self, vm_type: VmType, zone: Zone, tod: usize) -> usize {
+        (vm_type as usize * ZONES + zone as usize) * Self::tod_slots(self.tod_hours) + tod
+    }
+
+    /// The slot of a cell key; `None` for a key this partition's split cannot hold.
+    fn slot_of(&self, key: &CellKey) -> Option<usize> {
+        let tod = match (key.time_of_day, self.tod_hours) {
+            (TodSlot::Named(tod), None) => tod as usize,
+            (TodSlot::Hours { start, width }, Some(w))
+                if width == w && start % w == 0 && start < 24 =>
+            {
+                (start / w) as usize
+            }
+            _ => return None,
+        };
+        Some(self.slot(key.vm_type, key.zone, tod))
+    }
+
+    /// The cell key of a slot.
+    fn key_of(&self, slot: usize) -> CellKey {
+        let tod_slots = Self::tod_slots(self.tod_hours);
+        let (pair, tod) = (slot / tod_slots, slot % tod_slots);
+        CellKey {
+            vm_type: VmType::all()[pair / ZONES],
+            zone: Zone::all()[pair % ZONES],
+            time_of_day: match self.tod_hours {
+                None => TodSlot::Named(TimeOfDay::all()[tod]),
+                Some(width) => TodSlot::hour_bucket(tod as u32 * width, width),
+            },
+        }
     }
 
     /// Ingests one record.  Fails only in launch-hour mode, when a record carries no
     /// launch hour.
     pub fn push(&mut self, record: &PreemptionRecord) -> Result<()> {
-        let key = CellKey::of_with(record, self.tod_hours).map_err(NumericsError::invalid)?;
-        self.cells
-            .entry(key)
-            .or_default()
-            .push(record.lifetime_hours);
+        let tod = match self.tod_hours {
+            None => record.time_of_day as usize,
+            Some(width) => {
+                let hour = record
+                    .launch_hour
+                    .ok_or_else(|| NumericsError::invalid(MISSING_LAUNCH_HOUR))?;
+                ((hour % 24) / width) as usize
+            }
+        };
+        let slot = self.slot(record.vm_type, record.zone, tod);
+        self.cells[slot].push(record.lifetime_hours);
         if !record.preempted_before_deadline {
-            *self.censored.entry(key).or_default() += 1;
+            self.censored[slot] += 1;
         }
         self.total += 1;
         Ok(())
@@ -85,12 +155,20 @@ impl CellPartition {
 
     /// The non-empty cells in canonical (sorted) order.
     pub fn keys(&self) -> Vec<CellKey> {
-        self.cells.keys().copied().collect()
+        (0..self.cells.len())
+            .filter(|&slot| !self.cells[slot].is_empty())
+            .map(|slot| self.key_of(slot))
+            .collect()
     }
 
     /// The lifetimes of one cell (insertion order).
     pub fn lifetimes(&self, key: &CellKey) -> &[f64] {
-        self.cells.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.slot_of(key).map_or(&[], |slot| &self.cells[slot])
+    }
+
+    /// The deadline survivals of one cell.
+    fn censored(&self, key: &CellKey) -> usize {
+        self.slot_of(key).map_or(0, |slot| self.censored[slot])
     }
 }
 
@@ -153,7 +231,7 @@ impl Calibrator {
             .iter()
             .flat_map(|k| partition.lifetimes(k).iter().copied())
             .collect();
-        let pooled_censored: usize = partition.censored.values().sum();
+        let pooled_censored: usize = partition.censored.iter().sum();
 
         // Task 0 fits the pooled distribution; tasks 1.. fit the cells in sorted order.
         // Collection is in task order, and fitting is deterministic, so the catalog
@@ -193,7 +271,7 @@ impl Calibrator {
                 key.to_string(),
                 Some(*key),
                 partition.lifetimes(key),
-                partition.censored.get(key).copied().unwrap_or(0),
+                partition.censored(key),
                 outcome,
             ));
         }
@@ -222,6 +300,7 @@ impl Calibrator {
     ) -> Result<RegimeCatalog> {
         let partition = {
             let _bucketing = tcp_obs::time!("calibrate.stage.bucketing");
+            let _span = tcp_obs::span!("calibrate.bucket");
             CellPartition::from_records_with(records, self.options.tod_hours)?
         };
         self.calibrate_partition(&partition, source, threads)
@@ -229,7 +308,10 @@ impl Calibrator {
 
     /// Calibrates a preemption CSV (the [`tcp_trace`] schema).
     pub fn calibrate_csv(&self, path: &std::path::Path, threads: usize) -> Result<RegimeCatalog> {
-        let records = tcp_trace::load_records_csv(path)?;
+        let records = {
+            let _span = tcp_obs::span!("calibrate.csv");
+            tcp_trace::load_records_csv(path)?
+        };
         self.calibrate(&records, &path.display().to_string(), threads)
     }
 }
@@ -237,6 +319,7 @@ impl Calibrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use tcp_trace::TraceGenerator;
 
     fn study(total: usize, seed: u64) -> Vec<PreemptionRecord> {
@@ -257,6 +340,75 @@ mod tests {
         // Keys come out sorted.
         let keys = partition.keys();
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// The `BTreeMap` partition the dense slots replaced, keyed by `CellKey::of_with`:
+    /// lifetimes and deadline survivals per cell.
+    fn btree_partition(
+        records: &[PreemptionRecord],
+        tod_hours: Option<u32>,
+    ) -> (BTreeMap<CellKey, Vec<f64>>, BTreeMap<CellKey, usize>) {
+        let mut cells: BTreeMap<CellKey, Vec<f64>> = BTreeMap::new();
+        let mut censored: BTreeMap<CellKey, usize> = BTreeMap::new();
+        for record in records {
+            let key = CellKey::of_with(record, tod_hours).unwrap();
+            cells.entry(key).or_default().push(record.lifetime_hours);
+            if !record.preempted_before_deadline {
+                *censored.entry(key).or_default() += 1;
+            }
+        }
+        (cells, censored)
+    }
+
+    #[test]
+    fn dense_slots_match_a_btreemap_partition() {
+        let mut generator = TraceGenerator::new(13).with_launch_hours(true);
+        for total in [40, 3000] {
+            let records = generator.generate_study(total, 20).unwrap();
+            for tod_hours in [
+                None,
+                Some(1),
+                Some(2),
+                Some(3),
+                Some(4),
+                Some(6),
+                Some(8),
+                Some(12),
+            ] {
+                let dense = CellPartition::from_records_with(&records, tod_hours).unwrap();
+                let (cells, censored) = btree_partition(&records, tod_hours);
+                let keys: Vec<CellKey> = cells.keys().copied().collect();
+                assert_eq!(dense.keys(), keys, "{tod_hours:?}");
+                assert_eq!(dense.total(), total);
+                for (key, lifetimes) in &cells {
+                    assert_eq!(dense.lifetimes(key), &lifetimes[..], "{key}");
+                    assert_eq!(dense.censored(key), censored.get(key).copied().unwrap_or(0));
+                }
+                assert_eq!(
+                    dense.censored.iter().sum::<usize>(),
+                    censored.values().sum::<usize>()
+                );
+                // Keys of every split: a key the BTreeMap lacks has no lifetimes.
+                let probes = CellKey::all().into_iter().flat_map(|key| {
+                    [1, 2, 3, 4, 5, 6, 8, 12]
+                        .into_iter()
+                        .flat_map(move |width| {
+                            (0..30).map(move |start| CellKey {
+                                time_of_day: TodSlot::Hours { start, width },
+                                ..key
+                            })
+                        })
+                });
+                for key in CellKey::all().into_iter().chain(probes) {
+                    let want = cells.get(&key).map_or(&[][..], Vec::as_slice);
+                    assert_eq!(dense.lifetimes(&key), want, "{key}");
+                    assert_eq!(
+                        dense.censored(&key),
+                        censored.get(&key).copied().unwrap_or(0)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -140,7 +140,6 @@ impl std::fmt::Debug for ProviderTemplate {
 /// The simulated IaaS provider.
 pub struct CloudProvider {
     config: ProviderConfig,
-    catalog: TraceCatalog,
     override_truth: Option<Arc<dyn LifetimeDistribution>>,
     catalog_scale: f64,
     rng: StdRng,
@@ -159,7 +158,6 @@ impl CloudProvider {
     pub fn new(config: ProviderConfig, seed: u64) -> Self {
         CloudProvider {
             config,
-            catalog: TraceCatalog::new(),
             override_truth: None,
             catalog_scale: 1.0,
             rng: StdRng::seed_from_u64(seed),
@@ -207,7 +205,7 @@ impl CloudProvider {
                             time_of_day: self.time_of_day,
                             workload: self.workload_kind,
                         };
-                        let truth = self.catalog.ground_truth(&key)?;
+                        let truth = TraceCatalog::ground_truth(&key)?;
                         let truth = if self.catalog_scale == 1.0 {
                             truth
                         } else {

@@ -406,23 +406,6 @@ impl Welford {
             self.std_dev() / (self.count as f64).sqrt()
         }
     }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-    }
 }
 
 #[cfg(test)]
@@ -615,34 +598,5 @@ mod tests {
         assert!(approx_eq(w.mean(), s.mean, 1e-10, 1e-10));
         assert!(approx_eq(w.variance(), s.variance, 1e-10, 1e-10));
         assert!(w.std_error() > 0.0);
-    }
-
-    #[test]
-    fn welford_merge_matches_sequential() {
-        let data: Vec<f64> = (0..200).map(|i| (i as f64).sqrt()).collect();
-        let mut all = Welford::new();
-        for &x in &data {
-            all.add(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &data[..77] {
-            a.add(x);
-        }
-        for &x in &data[77..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert!(approx_eq(a.mean(), all.mean(), 1e-10, 1e-10));
-        assert!(approx_eq(a.variance(), all.variance(), 1e-10, 1e-10));
-        assert_eq!(a.count(), all.count());
-
-        // merging an empty accumulator is a no-op in both directions
-        let mut empty = Welford::new();
-        empty.merge(&all);
-        assert_eq!(empty.count(), all.count());
-        let mut all2 = all;
-        all2.merge(&Welford::new());
-        assert_eq!(all2.count(), all.count());
     }
 }

@@ -554,7 +554,7 @@ impl RegimeSpec {
                     workload: wk,
                     ..ConfigKey::figure1()
                 };
-                let truth: PhasedHazard = TraceCatalog::new().ground_truth(&key)?;
+                let truth: PhasedHazard = TraceCatalog::ground_truth(&key)?;
                 let truth = match self.hazard_scale {
                     Some(scale) => truth.scale_rates(scale)?,
                     None => truth,

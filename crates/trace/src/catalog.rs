@@ -108,21 +108,13 @@ impl FromStr for ConfigKey {
     }
 }
 
-/// The catalog of ground-truth preemption processes.
-#[derive(Debug, Clone)]
-pub struct TraceCatalog {
-    base: PhasedHazardParams,
-}
+/// The catalog of ground-truth preemption processes: the representative three-phase
+/// hazard (calibrated so the Figure 1 configuration, `n1-highcpu-16` in `us-east1-b`,
+/// reproduces the paper's qualitative CDF) scaled per configuration.
+#[derive(Debug)]
+pub struct TraceCatalog;
 
 impl TraceCatalog {
-    /// Creates the default catalog, calibrated so that the Figure 1 configuration
-    /// (`n1-highcpu-16`, `us-east1-b`) reproduces the paper's qualitative CDF.
-    pub fn new() -> Self {
-        TraceCatalog {
-            base: PhasedHazardParams::representative(),
-        }
-    }
-
     /// Hazard scale factor attributable to the machine type (Observation 4).
     ///
     /// Calibrated so the 32-vCPU type is roughly twice as preemption-prone as the 2-vCPU
@@ -174,14 +166,9 @@ impl TraceCatalog {
     }
 
     /// The ground-truth preemption process for a configuration.
-    pub fn ground_truth(&self, key: &ConfigKey) -> Result<PhasedHazard> {
-        PhasedHazard::new(self.base)?.scale_rates(Self::scale_factor(key))
-    }
-}
-
-impl Default for TraceCatalog {
-    fn default() -> Self {
-        TraceCatalog::new()
+    pub fn ground_truth(key: &ConfigKey) -> Result<PhasedHazard> {
+        PhasedHazard::new(PhasedHazardParams::representative())?
+            .scale_rates(Self::scale_factor(key))
     }
 }
 
@@ -242,16 +229,14 @@ mod tests {
     #[test]
     fn larger_vms_have_higher_preemption_probability() {
         // Observation 4 / Figure 2a: CDF ordering by VM size at every age.
-        let catalog = TraceCatalog::new();
         let mk = |vm_type| {
-            catalog
-                .ground_truth(&ConfigKey {
-                    vm_type,
-                    zone: Zone::UsCentral1C,
-                    time_of_day: TimeOfDay::Day,
-                    workload: WorkloadKind::NonIdle,
-                })
-                .unwrap()
+            TraceCatalog::ground_truth(&ConfigKey {
+                vm_type,
+                zone: Zone::UsCentral1C,
+                time_of_day: TimeOfDay::Day,
+                workload: WorkloadKind::NonIdle,
+            })
+            .unwrap()
         };
         let small = mk(VmType::N1HighCpu2);
         let medium = mk(VmType::N1HighCpu8);
@@ -265,20 +250,17 @@ mod tests {
     #[test]
     fn nights_and_idle_vms_live_longer() {
         // Observation 5 / Figure 2b.
-        let catalog = TraceCatalog::new();
-        let day_busy = catalog.ground_truth(&ConfigKey::figure1()).unwrap();
-        let night_busy = catalog
-            .ground_truth(&ConfigKey {
-                time_of_day: TimeOfDay::Night,
-                ..ConfigKey::figure1()
-            })
-            .unwrap();
-        let day_idle = catalog
-            .ground_truth(&ConfigKey {
-                workload: WorkloadKind::Idle,
-                ..ConfigKey::figure1()
-            })
-            .unwrap();
+        let day_busy = TraceCatalog::ground_truth(&ConfigKey::figure1()).unwrap();
+        let night_busy = TraceCatalog::ground_truth(&ConfigKey {
+            time_of_day: TimeOfDay::Night,
+            ..ConfigKey::figure1()
+        })
+        .unwrap();
+        let day_idle = TraceCatalog::ground_truth(&ConfigKey {
+            workload: WorkloadKind::Idle,
+            ..ConfigKey::figure1()
+        })
+        .unwrap();
         assert!(night_busy.mean() > day_busy.mean());
         assert!(day_idle.mean() > day_busy.mean());
         for &t in &[3.0, 12.0, 22.0] {
@@ -289,14 +271,12 @@ mod tests {
 
     #[test]
     fn zones_differ_moderately() {
-        let catalog = TraceCatalog::new();
         let mk = |zone| {
-            catalog
-                .ground_truth(&ConfigKey {
-                    zone,
-                    ..ConfigKey::figure1()
-                })
-                .unwrap()
+            TraceCatalog::ground_truth(&ConfigKey {
+                zone,
+                ..ConfigKey::figure1()
+            })
+            .unwrap()
         };
         let means: Vec<f64> = Zone::all().iter().map(|&z| mk(z).mean()).collect();
         let lo = means.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -318,9 +298,8 @@ mod tests {
 
     #[test]
     fn ground_truth_all_configs_valid() {
-        let catalog = TraceCatalog::default();
         for key in ConfigKey::all() {
-            let d = catalog.ground_truth(&key).unwrap();
+            let d = TraceCatalog::ground_truth(&key).unwrap();
             tcp_dists::validate_cdf(&d, 100).unwrap();
             assert_eq!(d.upper_bound(), 24.0);
         }
@@ -330,8 +309,7 @@ mod tests {
     fn figure1_ground_truth_shape() {
         // The Figure 1 configuration should keep the paper's qualitative shape:
         // ~35-45% preempted within 3 h, > 85% lifetime mass inside [0, 24].
-        let catalog = TraceCatalog::new();
-        let d = catalog.ground_truth(&ConfigKey::figure1()).unwrap();
+        let d = TraceCatalog::ground_truth(&ConfigKey::figure1()).unwrap();
         let early = d.cdf(3.0);
         assert!(early > 0.3 && early < 0.5, "early = {early}");
         assert!(d.mean() > 5.0 && d.mean() < 18.0, "mean = {}", d.mean());

@@ -8,9 +8,11 @@
 //! n1-highcpu-16,us-east1-b,day,non-idle,3.274,true
 //! ```
 
-use crate::record::PreemptionRecord;
+use crate::record::{PreemptionRecord, TimeOfDay, VmType, WorkloadKind, Zone};
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use std::str::FromStr;
 use tcp_numerics::{NumericsError, Result};
 
 /// Header row written and expected by the CSV routines (datasets without launch hours).
@@ -48,14 +50,16 @@ pub fn records_to_csv_string(records: &[PreemptionRecord]) -> String {
         } else {
             r.lifetime_hours
         };
-        out.push_str(&format!(
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
             "{},{},{},{},{:.6},{}",
             r.vm_type, r.zone, r.time_of_day, r.workload, lifetime, r.preempted_before_deadline
-        ));
+        );
         if with_hours {
             out.push(',');
             if let Some(hour) = r.launch_hour {
-                out.push_str(&hour.to_string());
+                let _ = write!(out, "{hour}");
             }
         }
         out.push('\n');
@@ -63,13 +67,215 @@ pub fn records_to_csv_string(records: &[PreemptionRecord]) -> String {
     out
 }
 
+/// The widest row layout (the launch-hour layout's seven columns).
+const MAX_FIELDS: usize = 7;
+
+/// One line of CSV text, found by a single byte scan: its bounds and the positions of
+/// its first commas.
+struct Line {
+    /// First byte of the line.
+    start: usize,
+    /// One past its last byte; a `\r` before the line's `\n` is excluded, as in
+    /// [`str::lines`].
+    end: usize,
+    /// First byte of the following line.
+    next: usize,
+    /// Byte positions of the first `MAX_FIELDS - 1` commas.
+    commas: [usize; MAX_FIELDS - 1],
+    /// Comma count plus one: the line's field count.
+    fields: usize,
+}
+
+impl Line {
+    /// Scans the line starting at byte `start` (which must be below `bytes.len()`):
+    /// eight bytes at a time while a whole word remains, then byte by byte.
+    fn scan(bytes: &[u8], start: usize) -> Line {
+        let mut line = Line {
+            start,
+            end: bytes.len(),
+            next: bytes.len() + 1,
+            commas: [0; MAX_FIELDS - 1],
+            fields: 1,
+        };
+        let mut at = start;
+        while let Some(word) = bytes[at..].first_chunk::<8>() {
+            let word = u64::from_le_bytes(*word);
+            let newlines = byte_matches(word, b'\n');
+            // Only the commas before the first newline belong to this line.
+            let mut commas = byte_matches(word, b',') & newlines.wrapping_sub(1) & !newlines;
+            while commas != 0 {
+                line.comma(at + commas.trailing_zeros() as usize / 8);
+                commas &= commas - 1;
+            }
+            if newlines != 0 {
+                return line.ended(bytes, at + newlines.trailing_zeros() as usize / 8);
+            }
+            at += 8;
+        }
+        for (offset, &byte) in bytes[at..].iter().enumerate() {
+            if byte == b'\n' {
+                return line.ended(bytes, at + offset);
+            }
+            if byte == b',' {
+                line.comma(at + offset);
+            }
+        }
+        line
+    }
+
+    fn comma(&mut self, at: usize) {
+        if let Some(slot) = self.commas.get_mut(self.fields - 1) {
+            *slot = at;
+        }
+        self.fields += 1;
+    }
+
+    /// The line ends at the `\n` at byte `newline`.
+    fn ended(mut self, bytes: &[u8], newline: usize) -> Line {
+        self.next = newline + 1;
+        self.end = if newline > self.start && bytes[newline - 1] == b'\r' {
+            newline - 1
+        } else {
+            newline
+        };
+        self
+    }
+
+    /// The line's text.
+    fn text<'a>(&self, text: &'a str) -> &'a str {
+        &text[self.start..self.end]
+    }
+
+    /// Whether the line is blank (`line.trim().is_empty()`); only a line opening with
+    /// whitespace or a non-ASCII character needs the `trim`.
+    fn is_blank(&self, text: &str) -> bool {
+        match text.as_bytes()[self.start..self.end].first() {
+            None => true,
+            Some(&b) if b.is_ascii() && !char::from(b).is_whitespace() => false,
+            Some(_) => self.text(text).trim().is_empty(),
+        }
+    }
+
+    /// The line's fields; call only when `fields <= MAX_FIELDS`.
+    fn split<'a>(&self, text: &'a str) -> [&'a str; MAX_FIELDS] {
+        let mut out = [""; MAX_FIELDS];
+        let mut from = self.start;
+        for (slot, &comma) in out.iter_mut().zip(&self.commas[..self.fields - 1]) {
+            *slot = &text[from..comma];
+            from = comma + 1;
+        }
+        out[self.fields - 1] = &text[from..self.end];
+        out
+    }
+}
+
+/// The high bit of each byte of `word` that equals `byte`, and no other bit.
+fn byte_matches(word: u64, byte: u8) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let x = word ^ (u64::from(byte) * 0x0101_0101_0101_0101);
+    // A byte of `x` is zero exactly when neither its low seven bits (which carry into
+    // bit 7 when added to 0x7f, never past it) nor its high bit are set.
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// The number of `\n` bytes in `bytes`, counted per 255-byte chunk in a `u8` so the
+/// loop vectorises.
+fn count_newlines(bytes: &[u8]) -> usize {
+    bytes
+        .chunks(255)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .fold(0u8, |n, &b| n.wrapping_add(u8::from(b == b'\n'))) as usize
+        })
+        .sum()
+}
+
+/// A table of canonical spellings, each at slot `(last byte + length) % N`.
+type Spellings<T, const N: usize> = [Option<(&'static str, T)>; N];
+
+const fn spelling_slot(spelling: &[u8], slots: usize) -> usize {
+    match spelling.last() {
+        Some(&last) => (last as usize + spelling.len()) % slots,
+        None => 0,
+    }
+}
+
+/// Lays spellings out by slot; two spellings sharing a slot fail the build.
+const fn spellings<T: Copy, const K: usize, const N: usize>(
+    entries: [(&'static str, T); K],
+) -> Spellings<T, N> {
+    let mut table = [None; N];
+    let mut i = 0;
+    while i < K {
+        let slot = spelling_slot(entries[i].0.as_bytes(), N);
+        assert!(table[slot].is_none(), "two spellings share a slot");
+        table[slot] = Some(entries[i]);
+        i += 1;
+    }
+    table
+}
+
+// The canonical spelling of every enum and flag value: what `records_to_csv_string`
+// writes.  A lookup is one load and one comparison, with no chain of comparisons to
+// mispredict on shuffled rows.
+const VM_TYPES: Spellings<VmType, 8> = spellings([
+    ("n1-highcpu-2", VmType::N1HighCpu2),
+    ("n1-highcpu-4", VmType::N1HighCpu4),
+    ("n1-highcpu-8", VmType::N1HighCpu8),
+    ("n1-highcpu-16", VmType::N1HighCpu16),
+    ("n1-highcpu-32", VmType::N1HighCpu32),
+]);
+const ZONES: Spellings<Zone, 16> = spellings([
+    ("us-central1-c", Zone::UsCentral1C),
+    ("us-central1-f", Zone::UsCentral1F),
+    ("us-west1-a", Zone::UsWest1A),
+    ("us-east1-b", Zone::UsEast1B),
+]);
+const TIMES_OF_DAY: Spellings<TimeOfDay, 8> =
+    spellings([("day", TimeOfDay::Day), ("night", TimeOfDay::Night)]);
+const WORKLOADS: Spellings<WorkloadKind, 8> = spellings([
+    ("idle", WorkloadKind::Idle),
+    ("non-idle", WorkloadKind::NonIdle),
+]);
+const FLAGS: Spellings<bool, 8> = spellings([("true", true), ("false", false)]);
+
+/// The value `field` spells canonically, if it does.
+fn canonical<T: Copy, const N: usize>(field: &str, table: &Spellings<T, N>) -> Option<T> {
+    match table[spelling_slot(field.as_bytes(), N)] {
+        Some((spelling, value)) if spelling == field => Some(value),
+        _ => None,
+    }
+}
+
+/// An enum field: its canonical spelling, or else the type's `FromStr`, which trims,
+/// folds case, knows the aliases and words the errors.
+fn enum_field<T: Copy + FromStr<Err = String>, const N: usize>(
+    field: &str,
+    table: &Spellings<T, N>,
+) -> std::result::Result<T, String> {
+    canonical(field, table).map_or_else(|| field.parse(), Ok)
+}
+
 /// Parses records from CSV text (header required, blank lines ignored).  Both the
 /// six-column layout and the launch-hour layout are accepted.
+///
+/// One byte scan finds each line and its commas.  Lines are those of [`str::lines`]
+/// (split at `\n`, a `\r` before it dropped); a line is blank when its `trim` is
+/// empty, and errors number a line by its count of non-blank lines.
 pub fn records_from_csv_str(text: &str) -> Result<Vec<PreemptionRecord>> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines
-        .next()
-        .ok_or_else(|| NumericsError::invalid("empty CSV input"))?;
+    let bytes = text.as_bytes();
+    let mut at = 0;
+    let header = loop {
+        if at >= bytes.len() {
+            return Err(NumericsError::invalid("empty CSV input"));
+        }
+        let line = Line::scan(bytes, at);
+        at = line.next;
+        if !line.is_blank(text) {
+            break line.text(text);
+        }
+    };
     let expected_fields = match header.trim() {
         h if h == CSV_HEADER => 6,
         h if h == CSV_HEADER_HOURS => 7,
@@ -81,37 +287,30 @@ pub fn records_from_csv_str(text: &str) -> Result<Vec<PreemptionRecord>> {
         }
     };
     // Each record is one line, so the newline count bounds the record count.
-    let mut records = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count());
-    let mut fields = [""; 7];
-    for (line_no, line) in lines.enumerate() {
-        let mut found = 0;
-        for field in line.split(',') {
-            if let Some(slot) = fields.get_mut(found) {
-                *slot = field;
-            }
-            found += 1;
+    let mut records = Vec::with_capacity(count_newlines(bytes));
+    let mut line_no = 1;
+    while at < bytes.len() {
+        let line = Line::scan(bytes, at);
+        at = line.next;
+        if line.is_blank(text) {
+            continue;
         }
-        if found != expected_fields {
+        line_no += 1;
+        if line.fields != expected_fields {
             return Err(NumericsError::invalid(format!(
-                "line {}: expected {expected_fields} fields, found {found}",
-                line_no + 2,
+                "line {line_no}: expected {expected_fields} fields, found {}",
+                line.fields
             )));
         }
+        let fields = line.split(text);
         let parse_err = |what: &str, detail: String| {
-            NumericsError::invalid(format!("line {}: bad {what}: {detail}", line_no + 2))
+            NumericsError::invalid(format!("line {line_no}: bad {what}: {detail}"))
         };
-        let vm_type = fields[0]
-            .parse()
-            .map_err(|e: String| parse_err("vm_type", e))?;
-        let zone = fields[1]
-            .parse()
-            .map_err(|e: String| parse_err("zone", e))?;
-        let time_of_day = fields[2]
-            .parse()
-            .map_err(|e: String| parse_err("time_of_day", e))?;
-        let workload = fields[3]
-            .parse()
-            .map_err(|e: String| parse_err("workload", e))?;
+        let vm_type = enum_field(fields[0], &VM_TYPES).map_err(|e| parse_err("vm_type", e))?;
+        let zone = enum_field(fields[1], &ZONES).map_err(|e| parse_err("zone", e))?;
+        let time_of_day =
+            enum_field(fields[2], &TIMES_OF_DAY).map_err(|e| parse_err("time_of_day", e))?;
+        let workload = enum_field(fields[3], &WORKLOADS).map_err(|e| parse_err("workload", e))?;
         let lifetime: f64 = fields[4]
             .trim()
             .parse()
@@ -120,13 +319,11 @@ pub fn records_from_csv_str(text: &str) -> Result<Vec<PreemptionRecord>> {
             .map_err(|e| parse_err("record", e))?;
         // `preempted_before_deadline` is derived from the lifetime; the stored flag is
         // validated for consistency rather than trusted.
-        let stored_flag: bool =
-            fields[5]
-                .trim()
-                .parse()
-                .map_err(|e: std::str::ParseBoolError| {
-                    parse_err("preempted_before_deadline", e.to_string())
-                })?;
+        let stored_flag = canonical(fields[5], &FLAGS)
+            .map_or_else(|| fields[5].trim().parse(), Ok)
+            .map_err(|e: std::str::ParseBoolError| {
+                parse_err("preempted_before_deadline", e.to_string())
+            })?;
         if stored_flag != record.preempted_before_deadline {
             return Err(parse_err(
                 "preempted_before_deadline",
@@ -173,7 +370,320 @@ mod tests {
     use super::*;
     use crate::catalog::ConfigKey;
     use crate::generator::TraceGenerator;
-    use crate::record::{TimeOfDay, VmType, WorkloadKind, Zone};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The line-iterator parser `records_from_csv_str` replaced, kept as the oracle of
+    /// the differential test below: `str::lines`, `split(',')` and `FromStr` per field.
+    fn reference_records_from_csv_str(text: &str) -> Result<Vec<PreemptionRecord>> {
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let header = lines
+            .next()
+            .ok_or_else(|| NumericsError::invalid("empty CSV input"))?;
+        let expected_fields = match header.trim() {
+            h if h == CSV_HEADER => 6,
+            h if h == CSV_HEADER_HOURS => 7,
+            _ => {
+                return Err(NumericsError::invalid(format!(
+                    "unexpected CSV header: {header:?} (expected {CSV_HEADER:?} or \
+                     {CSV_HEADER_HOURS:?})"
+                )))
+            }
+        };
+        let mut records = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count());
+        let mut fields = [""; 7];
+        for (line_no, line) in lines.enumerate() {
+            let mut found = 0;
+            for field in line.split(',') {
+                if let Some(slot) = fields.get_mut(found) {
+                    *slot = field;
+                }
+                found += 1;
+            }
+            if found != expected_fields {
+                return Err(NumericsError::invalid(format!(
+                    "line {}: expected {expected_fields} fields, found {found}",
+                    line_no + 2,
+                )));
+            }
+            let parse_err = |what: &str, detail: String| {
+                NumericsError::invalid(format!("line {}: bad {what}: {detail}", line_no + 2))
+            };
+            let vm_type = fields[0]
+                .parse()
+                .map_err(|e: String| parse_err("vm_type", e))?;
+            let zone = fields[1]
+                .parse()
+                .map_err(|e: String| parse_err("zone", e))?;
+            let time_of_day = fields[2]
+                .parse()
+                .map_err(|e: String| parse_err("time_of_day", e))?;
+            let workload = fields[3]
+                .parse()
+                .map_err(|e: String| parse_err("workload", e))?;
+            let lifetime: f64 =
+                fields[4]
+                    .trim()
+                    .parse()
+                    .map_err(|e: std::num::ParseFloatError| {
+                        parse_err("lifetime_hours", e.to_string())
+                    })?;
+            let record = PreemptionRecord::new(vm_type, zone, time_of_day, workload, lifetime)
+                .map_err(|e| parse_err("record", e))?;
+            let stored_flag: bool =
+                fields[5]
+                    .trim()
+                    .parse()
+                    .map_err(|e: std::str::ParseBoolError| {
+                        parse_err("preempted_before_deadline", e.to_string())
+                    })?;
+            if stored_flag != record.preempted_before_deadline {
+                return Err(parse_err(
+                    "preempted_before_deadline",
+                    format!("inconsistent with lifetime {lifetime}"),
+                ));
+            }
+            let record = if expected_fields == 7 && !fields[6].trim().is_empty() {
+                let hour: u32 =
+                    fields[6]
+                        .trim()
+                        .parse()
+                        .map_err(|e: std::num::ParseIntError| {
+                            parse_err("launch_hour", e.to_string())
+                        })?;
+                record
+                    .with_launch_hour(hour)
+                    .map_err(|e| parse_err("launch_hour", e))?
+            } else {
+                record
+            };
+            records.push(record);
+        }
+        Ok(records)
+    }
+
+    /// Whitespace `str::trim` strips: ASCII (vertical tab included) and Unicode.
+    const SPACES: [&str; 9] = [
+        " ", "\t", "\x0b", "\x0c", "\u{a0}", "\u{85}", "\u{2028}", "\u{3000}", "\u{1680}",
+    ];
+
+    fn pick<'a>(rng: &mut StdRng, options: &[&'a str]) -> &'a str {
+        options[rng.gen_range(0..options.len())]
+    }
+
+    /// A random case variant of `field` (ASCII letters only change).
+    fn recase(field: &str, rng: &mut StdRng) -> String {
+        field
+            .chars()
+            .map(|c| {
+                if rng.gen_range(0..2) == 0 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect()
+    }
+
+    /// One field mutation: padding, case, aliases, junk, or odd numbers and flags.
+    fn mutate_field(field: &str, column: usize, rng: &mut StdRng) -> String {
+        match rng.gen_range(0..6) {
+            0 => format!("{}{field}{}", pick(rng, &SPACES), pick(rng, &SPACES)),
+            1 => recase(field, rng),
+            2 => match column {
+                3 => pick(rng, &["busy", "nonidle", "Busy", " NONIDLE ", "sleeping"]).into(),
+                4 => pick(
+                    rng,
+                    &[
+                        "",
+                        "nan",
+                        "inf",
+                        "-0",
+                        "1e400",
+                        "-1",
+                        "24.0000001",
+                        "24",
+                        "23.9999999999",
+                        "0x10",
+                        "1.",
+                        ".5",
+                        "+3.5",
+                        "3,5",
+                        "３",
+                    ],
+                )
+                .into(),
+                5 => pick(rng, &["yes", "TRUE", "False", " true", "1", ""]).into(),
+                6 => pick(rng, &["", " ", "noon", "24", "-1", "+9", "07", "23", "12"]).into(),
+                _ => pick(rng, &["", "x", "n1-highcpu-64", "us-east1", "dusk", "é"]).into(),
+            },
+            3 => format!("{field}{}", pick(rng, &["x", "é", "\u{3000}y", "\r"])),
+            4 => String::new(),
+            _ => field.to_ascii_uppercase(),
+        }
+    }
+
+    /// A random document: a (sometimes damaged) header, rows drawn around a valid
+    /// record with occasional field, count and line-ending damage, and blank lines.
+    fn random_document(rng: &mut StdRng) -> String {
+        let hours = rng.gen_range(0..2) == 1;
+        let header = if hours { CSV_HEADER_HOURS } else { CSV_HEADER };
+        let mut doc = String::new();
+        let push_line = |doc: &mut String, line: &str, rng: &mut StdRng| {
+            doc.push_str(line);
+            doc.push_str(pick(rng, &["\n", "\n", "\r\n"]));
+            if rng.gen_range(0..8) == 0 {
+                let blank = format!("{}{}", pick(rng, &["", " ", "\r"]), pick(rng, &SPACES));
+                doc.push_str(pick(rng, &["", "\r", &blank]));
+                doc.push('\n');
+            }
+        };
+        let header = match rng.gen_range(0..12) {
+            0 => format!(" {header}\t"),
+            1 => header.to_ascii_uppercase(),
+            2 => header.replace(",launch_hour", ""),
+            3 => String::new(),
+            _ => header.to_string(),
+        };
+        push_line(&mut doc, &header, rng);
+        for _ in 0..rng.gen_range(0..10usize) {
+            let vm = pick(
+                rng,
+                &[
+                    "n1-highcpu-2",
+                    "n1-highcpu-4",
+                    "n1-highcpu-8",
+                    "n1-highcpu-16",
+                    "n1-highcpu-32",
+                ],
+            );
+            let zone = pick(
+                rng,
+                &["us-central1-c", "us-central1-f", "us-west1-a", "us-east1-b"],
+            );
+            let tod = pick(rng, &["day", "night"]);
+            let workload = pick(rng, &["idle", "non-idle"]);
+            let lifetime = match rng.gen_range(0..4) {
+                0 => "24".to_string(),
+                1 => format!("{:.6}", rng.gen_range(0.0..24.0)),
+                _ => format!("{}", rng.gen_range(0.0..24.0)),
+            };
+            let flag = if lifetime == "24" { "false" } else { "true" };
+            let hour = match (tod, rng.gen_range(0..4)) {
+                (_, 0) => String::new(),
+                ("day", _) => (8 + rng.gen_range(0..12u32)).to_string(),
+                _ => ((20 + rng.gen_range(0..12u32)) % 24).to_string(),
+            };
+            let mut fields: Vec<String> = [vm, zone, tod, workload, &lifetime, flag, &hour]
+                .iter()
+                .map(|f| f.to_string())
+                .collect();
+            if !hours {
+                fields.pop();
+            }
+            for (column, field) in fields.iter_mut().enumerate() {
+                if rng.gen_range(0..10) == 0 {
+                    *field = mutate_field(field, column, rng);
+                }
+            }
+            match rng.gen_range(0..25) {
+                0 => {
+                    fields.pop();
+                }
+                1 => fields.push("extra".to_string()),
+                2 => fields.insert(0, String::new()),
+                _ => {}
+            }
+            push_line(&mut doc, &fields.join(","), rng);
+        }
+        match rng.gen_range(0..6) {
+            0 => {
+                doc.pop();
+            }
+            1 => doc.push('\r'),
+            2 => doc.push_str("\u{3000}\r"),
+            _ => {}
+        }
+        doc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn byte_scanner_matches_the_reference_loop(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let doc = random_document(&mut rng);
+            match (records_from_csv_str(&doc), reference_records_from_csv_str(&doc)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => panic!("{doc:?}: scanner {got:?}, reference {want:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_spellings_are_what_the_writer_writes() {
+        for v in VmType::all() {
+            assert_eq!(canonical(&v.to_string(), &VM_TYPES), Some(v));
+        }
+        for z in Zone::all() {
+            assert_eq!(canonical(&z.to_string(), &ZONES), Some(z));
+        }
+        for t in TimeOfDay::all() {
+            assert_eq!(canonical(&t.to_string(), &TIMES_OF_DAY), Some(t));
+        }
+        for w in WorkloadKind::all() {
+            assert_eq!(canonical(&w.to_string(), &WORKLOADS), Some(w));
+        }
+        for flag in [true, false] {
+            assert_eq!(canonical(&flag.to_string(), &FLAGS), Some(flag));
+        }
+        // Other spellings miss, so they reach `FromStr`.
+        for other in [
+            "",
+            "Day",
+            " day",
+            "busy",
+            "n1-highcpu-3",
+            "TRUE",
+            "us-east1-c",
+        ] {
+            assert_eq!(canonical(other, &TIMES_OF_DAY), None);
+            assert_eq!(canonical(other, &WORKLOADS), None);
+            assert_eq!(canonical(other, &VM_TYPES), None);
+            assert_eq!(canonical(other, &ZONES), None);
+            assert_eq!(canonical(other, &FLAGS), None);
+        }
+    }
+
+    #[test]
+    fn newline_count_matches_a_plain_filter() {
+        for len in [0, 1, 254, 255, 256, 510, 511, 1000] {
+            for text in ["\n".repeat(len), "a\n".repeat(len), "é,\r\n\n".repeat(len)] {
+                let plain = text.bytes().filter(|&b| b == b'\n').count();
+                assert_eq!(count_newlines(text.as_bytes()), plain, "{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_generated_record_parses_to_itself() {
+        let records = TraceGenerator::new(5)
+            .with_launch_hours(true)
+            .generate_study(400, 40)
+            .unwrap();
+        for csv in [
+            records_to_csv_string(&records),
+            records_to_csv_string(&TraceGenerator::new(5).generate_study(400, 40).unwrap()),
+        ] {
+            assert_eq!(
+                records_from_csv_str(&csv).unwrap(),
+                reference_records_from_csv_str(&csv).unwrap()
+            );
+        }
+    }
 
     fn sample_records() -> Vec<PreemptionRecord> {
         vec![

@@ -16,16 +16,14 @@ use tcp_numerics::{NumericsError, Result};
 /// Synthetic dataset generator.
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
-    catalog: TraceCatalog,
     rng: StdRng,
     launch_hours: bool,
 }
 
 impl TraceGenerator {
-    /// Creates a generator with the default catalog and the given RNG seed.
+    /// Creates a generator with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         TraceGenerator {
-            catalog: TraceCatalog::new(),
             rng: StdRng::seed_from_u64(seed),
             launch_hours: false,
         }
@@ -38,11 +36,6 @@ impl TraceGenerator {
     pub fn with_launch_hours(mut self, enabled: bool) -> Self {
         self.launch_hours = enabled;
         self
-    }
-
-    /// The catalog backing this generator.
-    pub fn catalog(&self) -> &TraceCatalog {
-        &self.catalog
     }
 
     /// A launch hour uniform over the bucket: day is 8 AM – 8 PM, night wraps around
@@ -60,7 +53,7 @@ impl TraceGenerator {
         if count == 0 {
             return Err(NumericsError::invalid("count must be positive"));
         }
-        let truth = self.catalog.ground_truth(&key)?;
+        let truth = TraceCatalog::ground_truth(&key)?;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             let lifetime = truth.sample(&mut self.rng).clamp(0.0, 24.0);
