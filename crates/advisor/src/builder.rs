@@ -352,7 +352,7 @@ impl PackBuilder {
             AdvisorError::Pack("at least one checkpoint cost is required".to_string())
         })?;
 
-        let policy_card = Arc::new(self.build_policy_card(model, &card_policy)?);
+        let policy_card = self.build_policy_card(model, &card_policy)?;
 
         Ok(RegimePack {
             name: name.to_string(),

@@ -14,7 +14,6 @@ use crate::pack::{PackSchedule, PolicyCard, RegimePack};
 use crate::table::Table2D;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 use tcp_numerics::interp::LinearInterp;
 use tcp_obs::{Counter, Histogram};
@@ -75,15 +74,15 @@ macro_rules! wire_enum {
                 out.str(self.as_str());
             }
         }
-        impl serde::Deserialize for $ty {
+        impl<'de> serde::Deserialize<'de> for $ty {
             fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
                 let s = value
                     .as_str()
                     .ok_or_else(|| serde::Error::expected("a string", stringify!($ty), value))?;
                 Self::from_wire(s)
             }
-            fn deserialize_from<S: serde::Source>(src: &mut S) -> std::result::Result<Self, serde::Error> {
-                Self::from_wire(src.str()?)
+            fn deserialize_from<S: serde::Source<'de>>(src: &mut S) -> std::result::Result<Self, serde::Error> {
+                Self::from_wire(&src.str()?)
             }
         }
         impl std::fmt::Display for $ty {
@@ -106,19 +105,23 @@ wire_enum!(RequestKind {
 /// `kind` selects the question; the remaining fields parameterise it.  Unused fields are
 /// ignored, missing required fields produce
 /// [`crate::AdvisorError::MissingInput`].
+///
+/// `S` is the storage of the two name fields.  The default, `String`, owns them; the
+/// serving path reads `AdviceRequest<Cow<'_, str>>`, whose names borrow from the
+/// request line unless they hold JSON escapes.  Both read and write the same JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdviceRequest {
+pub struct AdviceRequest<S = String> {
     /// The question being asked.
     pub kind: RequestKind,
     /// Opaque correlation id, echoed in the response.
     pub id: Option<u64>,
     /// Regime to answer under; defaults to the pack's first regime.
-    pub regime: Option<String>,
+    pub regime: Option<S>,
     /// Calibration cell to route to (`vm-type/zone/time-of-day`).  The query engine
     /// ([`crate::router::MultiAdvisor`]) sends a request carrying a cell to that cell's
     /// pack and one without to the pooled pack.  A router over a single pack has no
     /// cells, so it answers any cell with the "no per-cell packs are loaded" error.
-    pub cell: Option<String>,
+    pub cell: Option<S>,
     /// Age of the candidate VM, hours.
     pub vm_age: Option<f64>,
     /// Uninterrupted job length, hours.
@@ -220,17 +223,19 @@ wire_enum!(Decision {
 /// One advisory response (one NDJSON line of `advise serve`).
 ///
 /// Flat by design: `kind` says which fields are populated, everything else is `null`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdviceResponse {
+/// Every name, schedule and card is borrowed from the [`crate::router::MultiAdvisor`]
+/// that answered, so building an answer copies nothing out of the tables.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct AdviceResponse<'a> {
     /// Mirrors the request kind.
     pub kind: RequestKind,
     /// Echoed correlation id.
     pub id: Option<u64>,
     /// The regime that answered.
-    pub regime: String,
+    pub regime: &'a str,
     /// The calibration cell that answered (multi-pack routing only; `null` for answers
     /// from the pooled pack or a single-pack advisor).
-    pub cell: Option<String>,
+    pub cell: Option<&'a str>,
     /// `should-reuse`: the decision.
     pub decision: Option<Decision>,
     /// `should-reuse`: which bathtub phase the queried age falls into.
@@ -253,23 +258,23 @@ pub struct AdviceResponse {
     pub checkpoint_cost_minutes: Option<f64>,
     /// `checkpoint-plan`: work before each checkpoint, hours (fresh-VM schedule of the
     /// nearest tabulated job length).
-    pub intervals_hours: Option<Vec<f64>>,
+    pub intervals_hours: Option<&'a [f64]>,
     /// `checkpoint-plan`: number of checkpoints in the schedule.
     pub checkpoint_count: Option<usize>,
     /// `best-policy`: recommended scheduling policy.
-    pub scheduling: Option<String>,
+    pub scheduling: Option<&'a str>,
     /// `best-policy`: recommended checkpointing policy.
-    pub checkpointing: Option<String>,
-    /// `best-policy`: the full precomputed ranking card, shared with the pack.
-    pub card: Option<Arc<PolicyCard>>,
+    pub checkpointing: Option<&'a str>,
+    /// `best-policy`: the full precomputed ranking card of the regime.
+    pub card: Option<&'a PolicyCard>,
 }
 
-impl AdviceResponse {
-    fn bare(kind: RequestKind, id: Option<u64>, regime: &str) -> Self {
+impl<'a> AdviceResponse<'a> {
+    fn bare(kind: RequestKind, id: Option<u64>, regime: &'a str) -> Self {
         AdviceResponse {
             kind,
             id,
-            regime: regime.to_string(),
+            regime,
             cell: None,
             decision: None,
             vm_phase: None,
@@ -308,7 +313,7 @@ pub(crate) struct RegimeEngine {
     survival: LinearInterp,
     first_moment: LinearInterp,
     checkpoints: Vec<CheckpointEngine>,
-    policy_card: Arc<PolicyCard>,
+    policy_card: PolicyCard,
 }
 
 struct CheckpointEngine {
@@ -360,7 +365,7 @@ impl RegimeEngine {
     }
 
     /// Answers one request from this regime's tables.
-    pub(crate) fn answer(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
+    pub(crate) fn answer<S>(&self, request: &AdviceRequest<S>) -> Result<AdviceResponse<'_>> {
         match request.kind {
             RequestKind::ShouldReuse => self.should_reuse(request),
             RequestKind::CheckpointPlan => self.checkpoint_plan(request),
@@ -404,7 +409,7 @@ impl RegimeEngine {
         }
     }
 
-    fn should_reuse(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
+    fn should_reuse<S>(&self, request: &AdviceRequest<S>) -> Result<AdviceResponse<'_>> {
         let vm_age = validate_non_negative("vm_age", require("vm_age", request.vm_age)?)?;
         let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
         let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
@@ -426,7 +431,7 @@ impl RegimeEngine {
         Ok(response)
     }
 
-    fn checkpoint_plan(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
+    fn checkpoint_plan<S>(&self, request: &AdviceRequest<S>) -> Result<AdviceResponse<'_>> {
         let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
         let vm_age = match request.vm_age {
             Some(age) => validate_non_negative("vm_age", age)?,
@@ -471,12 +476,12 @@ impl RegimeEngine {
         let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
         response.checkpoint_cost_minutes = Some(cell.cost_minutes);
         response.expected_makespan_hours = Some(cell.expected.eval(vm_age, job_len));
-        response.intervals_hours = Some(intervals.clone());
+        response.intervals_hours = Some(intervals);
         response.checkpoint_count = Some(intervals.len());
         Ok(response)
     }
 
-    fn cost_makespan(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
+    fn cost_makespan<S>(&self, request: &AdviceRequest<S>) -> Result<AdviceResponse<'_>> {
         let vm_age = validate_non_negative("vm_age", require("vm_age", request.vm_age)?)?;
         let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
         let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
@@ -494,11 +499,12 @@ impl RegimeEngine {
         Ok(response)
     }
 
-    fn best_policy(&self, request: &AdviceRequest) -> AdviceResponse {
+    fn best_policy<S>(&self, request: &AdviceRequest<S>) -> AdviceResponse<'_> {
+        let card = &self.policy_card;
         let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
-        response.scheduling = Some(self.policy_card.recommended_scheduling.clone());
-        response.checkpointing = Some(self.policy_card.recommended_checkpointing.clone());
-        response.card = Some(Arc::clone(&self.policy_card));
+        response.scheduling = Some(&card.recommended_scheduling);
+        response.checkpointing = Some(&card.recommended_checkpointing);
+        response.card = Some(card);
         response
     }
 }

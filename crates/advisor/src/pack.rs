@@ -10,7 +10,6 @@
 
 use crate::error::{AdvisorError, Result};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use tcp_dists::ConstrainedBathtub;
 
 /// Current pack format version. Bumped whenever the schema changes shape.
@@ -96,9 +95,9 @@ pub struct RegimePack {
     pub first_moment: Vec<f64>,
     /// DP checkpoint tables, one cell per checkpoint-cost value.
     pub checkpoint_cells: Vec<CheckpointCell>,
-    /// Precomputed best-policy ranking for this regime, shared with every best-policy
-    /// answer (it serializes as the card itself).
-    pub policy_card: Arc<PolicyCard>,
+    /// Precomputed best-policy ranking for this regime, lent to every best-policy
+    /// answer.
+    pub policy_card: PolicyCard,
 }
 
 /// DP checkpoint tables for one checkpoint-cost setting.

@@ -119,10 +119,12 @@ impl MultiAdvisor {
         self.cells.len()
     }
 
-    /// Answers one request, routing by its `cell` field.
-    pub fn advise(&self, request: &AdviceRequest) -> Result<AdviceResponse> {
-        let (route, regimes) = match request.cell.as_deref() {
-            None => (0, self.pooled.clone()),
+    /// Answers one request, routing by its `cell` field.  The answer borrows its
+    /// names, schedule and card from this router; its `cell` is the routed cell's
+    /// name, which has the request's bytes.
+    pub fn advise<S: AsRef<str>>(&self, request: &AdviceRequest<S>) -> Result<AdviceResponse<'_>> {
+        let (route, regimes, cell) = match request.cell.as_ref().map(AsRef::as_ref) {
+            None => (0, self.pooled.clone(), None),
             Some(cell) => {
                 let index = self
                     .cells
@@ -131,24 +133,29 @@ impl MultiAdvisor {
                         cell: cell.to_string(),
                         available: self.cells.iter().map(|(name, _)| name.clone()).collect(),
                     })?;
-                (index as u64 + 1, self.cells[index].1.clone())
+                let (name, regimes) = &self.cells[index];
+                (index as u64 + 1, regimes.clone(), Some(name.as_str()))
             }
         };
         // Pack/cell resolution span: arg 0 = pooled fallback, arg = cell index + 1
         // for a routed request (inert unless this thread is tracing a request).
         let _span = tcp_obs::span!("advisor.route", route);
         let mut response = self.lookup(&self.regimes[regimes], request)?;
-        response.cell = request.cell.clone();
+        response.cell = cell;
         Ok(response)
     }
 
     /// Answers `request` from the regimes of one pack: the one it names, or the pack's
     /// first.
-    fn lookup(&self, regimes: &[RegimeEngine], request: &AdviceRequest) -> Result<AdviceResponse> {
+    fn lookup<'a, S: AsRef<str>>(
+        &self,
+        regimes: &'a [RegimeEngine],
+        request: &AdviceRequest<S>,
+    ) -> Result<AdviceResponse<'a>> {
         // lint:allow(determinism) latency metric only: `started` feeds the query-stats histogram, never a response field
         let started = Instant::now();
         let _span = self.counters.lookup_span(request.kind);
-        let regime = match request.regime.as_deref() {
+        let regime = match request.regime.as_ref().map(AsRef::as_ref) {
             None => regimes
                 .first()
                 .ok_or_else(|| AdvisorError::Pack("pack contains no regimes".to_string()))?,
@@ -244,6 +251,14 @@ pub(crate) mod tests {
         m.cells.iter().map(|(cell, _)| cell.clone()).collect()
     }
 
+    /// `m`'s answers to `requests`, in order.
+    fn answers<'a>(
+        m: &'a MultiAdvisor,
+        requests: &[AdviceRequest],
+    ) -> Vec<Result<AdviceResponse<'a>>> {
+        requests.iter().map(|r| m.advise(r)).collect()
+    }
+
     /// A per-cell pack set over a small synthetic trace, built on `threads` threads.
     pub(crate) fn multi_pack(threads: usize) -> MultiPack {
         let records = TraceGenerator::new(11).generate_study(600, 90).unwrap();
@@ -279,7 +294,7 @@ pub(crate) mod tests {
         // Cell-tagged: the cell's pack answers and echoes the cell.
         let routed = m.advise(&req.clone().with_cell(cells[0].clone())).unwrap();
         assert_eq!(routed.regime, cells[0]);
-        assert_eq!(routed.cell.as_deref(), Some(cells[0].as_str()));
+        assert_eq!(routed.cell, Some(cells[0].as_str()));
         // Unknown cells are typed errors listing what is loaded.
         let err = m
             .advise(&req.clone().with_cell("n1-highcpu-16/mars-east1-z/day"))
@@ -344,8 +359,7 @@ pub(crate) mod tests {
             req.regime = None;
             requests.push(req.with_cell(cell));
         }
-        let answers = |m: &MultiAdvisor| requests.iter().map(|r| m.advise(r)).collect::<Vec<_>>();
-        assert_eq!(answers(&a), answers(&b));
+        assert_eq!(answers(&a, &requests), answers(&b, &requests));
     }
 
     #[test]
@@ -381,8 +395,7 @@ dp_step_minutes = 30.0
         // ...and the snapshot still answers exactly like a fresh advisor on the old
         // pack, while new lookups see the new one.
         let expected = MultiAdvisor::from_pack(pack_a).unwrap();
-        let answers = |m: &MultiAdvisor| requests.iter().map(|r| m.advise(r)).collect::<Vec<_>>();
-        assert_eq!(answers(&snapshot), answers(&expected));
+        assert_eq!(answers(&snapshot, &requests), answers(&expected, &requests));
         assert_eq!(handle.current().name(), "reloaded");
         let old_regime = snapshot.advise(&requests[0]).unwrap().regime;
         assert_eq!(old_regime, "gcp-day");

@@ -29,6 +29,7 @@ use crate::router::{AdvisorHandle, MultiAdvisor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 use tcp_cloudsim::{resolve_threads, run_tasks};
 
@@ -114,15 +115,23 @@ pub fn render_line<T: Serialize + ?Sized>(value: &T) -> String {
 
 /// Answers one NDJSON request line, appending the response (or error) line to `out`
 /// without a trailing newline — the one request renderer of every serving front end
-/// (this module and `tcp-serve`'s TCP server).
+/// (this module and `tcp-serve`'s TCP server).  The request's names borrow from `line`
+/// and the answer's from `advisor`, so an answered line allocates nothing.
 pub fn respond_into(advisor: &MultiAdvisor, line: &str, out: &mut String) {
     let mut emit_error = |error: String, id: Option<u64>| {
         serde_json::append(&ErrorLine { error, id }, out);
     };
-    match serde_json::from_str::<AdviceRequest>(line) {
+    let parsed = {
+        let _span = tcp_obs::span!("serve.parse");
+        serde_json::from_str::<AdviceRequest<Cow<'_, str>>>(line)
+    };
+    match parsed {
         Err(e) => emit_error(format!("parse error: {e}"), None),
         Ok(request) => match advisor.advise(&request) {
-            Ok(response) => serde_json::append(&response, out),
+            Ok(response) => {
+                let _span = tcp_obs::span!("serve.encode");
+                serde_json::append(&response, out);
+            }
             Err(e) => emit_error(e.to_string(), request.id),
         },
     }

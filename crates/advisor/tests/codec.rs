@@ -10,11 +10,16 @@
 //!   the fallback runs for failing input only;
 //! * every canonical line and document is accepted by the stream itself, so a fallback
 //!   silently serving all traffic fails the test.
+//!
+//! Request lines also run as `AdviceRequest<Cow<str>>`, the storage the serving path
+//! reads: it must agree with the owned `AdviceRequest` value for value and error for
+//! error, and on canonical lines borrow both names from the line.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Value};
+use std::borrow::Cow;
 use std::fmt::Debug;
 use std::sync::OnceLock;
 use tcp_advisor::{
@@ -24,7 +29,7 @@ use tcp_calibrate::RegimeCatalog;
 
 /// Runs `text` through `from_str`, the reference path and the stream alone; returns
 /// whether the stream accepted it.
-fn differential<T: Deserialize + PartialEq + Debug>(text: &str) -> bool {
+fn differential<'a, T: Deserialize<'a> + PartialEq + Debug>(text: &'a str) -> bool {
     let reference = serde_json::parse_value(text)
         .and_then(|value| T::deserialize(&value))
         .map_err(|e| e.to_string());
@@ -52,6 +57,39 @@ fn differential<T: Deserialize + PartialEq + Debug>(text: &str) -> bool {
         ),
     }
     streamed.is_ok()
+}
+
+/// [`differential`] for a request line in both storages, which must read equal values
+/// (the borrowed one copied out) and equal error strings; returns whether the stream
+/// accepted it.
+fn request_differential(text: &str) -> bool {
+    let owned = differential::<AdviceRequest>(text);
+    let borrowed = differential::<AdviceRequest<Cow<str>>>(text);
+    assert_eq!(owned, borrowed, "the storages disagree on {}", clip(text));
+    let expected = serde_json::from_str::<AdviceRequest>(text).map_err(|e| e.to_string());
+    let read = serde_json::from_str::<AdviceRequest<Cow<str>>>(text)
+        .map(to_owned)
+        .map_err(|e| e.to_string());
+    assert_eq!(
+        read,
+        expected,
+        "the storages read differently on {}",
+        clip(text)
+    );
+    owned
+}
+
+/// The owned request with the same fields as `request`.
+fn to_owned(request: AdviceRequest<Cow<str>>) -> AdviceRequest {
+    AdviceRequest {
+        kind: request.kind,
+        id: request.id,
+        regime: request.regime.map(Cow::into_owned),
+        cell: request.cell.map(Cow::into_owned),
+        vm_age: request.vm_age,
+        job_len: request.job_len,
+        overhead_minutes: request.overhead_minutes,
+    }
 }
 
 fn clip(text: &str) -> String {
@@ -335,15 +373,15 @@ proptest! {
     fn request_lines_agree_on_both_paths(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let line = request_line(&mut rng);
-        differential::<AdviceRequest>(&line);
+        request_differential(&line);
         let len = line.len();
         for bad in corruptions(&mut rng, &line, 0..len) {
-            differential::<AdviceRequest>(&bad);
+            request_differential(&bad);
         }
         // Odd numbers in every numeric position.
         let odd = pick(&mut rng, &ODD_NUMBERS);
         for field in ["id", "vm_age", "job_len", "overhead_minutes"] {
-            differential::<AdviceRequest>(&format!(
+            request_differential(&format!(
                 "{{\"kind\":\"should-reuse\",\"{field}\":{odd},\"regime\":\"pooled\"}}"
             ));
         }
@@ -390,13 +428,21 @@ fn canonical_request_lines_stream() {
     let ndjson = requests_to_ndjson(&requests);
     for (line, request) in ndjson.lines().zip(&requests) {
         assert!(
-            differential::<AdviceRequest>(line),
+            request_differential(line),
             "canonical line fell back: {line}"
         );
         assert_eq!(
             &serde_json::from_str::<AdviceRequest>(line).unwrap(),
             request
         );
+        // The names hold no escapes, so the stream lends them straight from the line.
+        let borrowed = serde_json::from_str_streaming::<AdviceRequest<Cow<str>>>(line).unwrap();
+        for name in [&borrowed.regime, &borrowed.cell].into_iter().flatten() {
+            assert!(
+                matches!(name, Cow::Borrowed(_)),
+                "{name:?} was copied: {line}"
+            );
+        }
     }
 }
 

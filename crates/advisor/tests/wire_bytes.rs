@@ -6,19 +6,21 @@
 //! * `respond_into`, appending into a shared buffer, writes exactly what
 //!   `respond_line` returns, on the committed golden corpus and on a mix with ~1%
 //!   malformed lines.
+//! * A line whose `regime` or `cell` is spelled with JSON escapes, which the parser
+//!   cannot lend from the line, is answered exactly like its plain twin.
 //! * A `Session` writes the same bytes for 1, 2 and 3 threads on request runs whose
 //!   lengths are not multiples of the per-thread chunk.
 //! * A `Session` over the per-cell pack set reproduces
 //!   `serve/tests/golden/cells-responses.ndjson`: cell-routed and pooled answers, plus
 //!   the unknown-cell, unknown-regime and single-pack routing errors.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::OnceLock;
 use tcp_advisor::{
-    generate_multi_requests, requests_to_ndjson, respond_into, respond_line, AdviceResponse,
-    AdvisorHandle, AdvisorStats, ControlLine, ErrorLine, MultiAdvisor, MultiPack, PackBuilder,
-    RequestKind, Session, StatsLine,
+    generate_multi_requests, requests_to_ndjson, respond_into, respond_line, AdvisorHandle,
+    AdvisorStats, ControlLine, ErrorLine, MultiAdvisor, MultiPack, PackBuilder, RequestKind,
+    Session, StatsLine,
 };
 use tcp_calibrate::{Calibrator, RegimeCatalog};
 use tcp_scenarios::SweepSpec;
@@ -188,6 +190,59 @@ fn respond_into_writes_what_respond_line_returns() {
     }
 }
 
+/// `line` with the values of its `regime` and `cell` keys spelled with escapes: every
+/// `/` as `\/` and a leading ASCII letter as `\u00XX`.
+fn escape_names(line: &str) -> String {
+    let mut out = line.to_string();
+    for key in [r#""regime":""#, r#""cell":""#] {
+        let Some(start) = out.find(key).map(|at| at + key.len()) else {
+            continue;
+        };
+        let Some(len) = out[start..].find('"') else {
+            continue;
+        };
+        let mut escaped = String::new();
+        for (i, c) in out[start..start + len].chars().enumerate() {
+            match c {
+                '/' => escaped.push_str(r"\/"),
+                c if i == 0 && c.is_ascii_alphabetic() => {
+                    escaped.push_str(&format!(r"\u{:04x}", c as u32))
+                }
+                c => escaped.push(c),
+            }
+        }
+        out.replace_range(start..start + len, &escaped);
+    }
+    out
+}
+
+#[test]
+fn escaped_names_are_answered_like_their_plain_twins() {
+    let advisor = router();
+    let mut escaped = 0;
+    for line in mixed_lines(1_000, 13) {
+        let twin = escape_names(&line);
+        if twin == line {
+            continue;
+        }
+        escaped += 1;
+        assert_eq!(
+            respond_line(&advisor, &twin),
+            respond_line(&advisor, &line),
+            "{twin}"
+        );
+    }
+    assert!(escaped > 900, "{escaped} lines had escaped names");
+    // Both escapes the issue names, in both fields, on a routed request.
+    let cell = &cells().1.cells[0].cell;
+    let plain = format!(r#"{{"kind":"best-policy","cell":"{cell}","regime":"{cell}","id":1}}"#);
+    let twin = escape_names(&plain);
+    assert!(twin.contains(r"\/") && twin.contains(r"\u00"), "{twin}");
+    let answer = respond_line(&advisor, &plain);
+    assert!(answer.contains(&format!(r#""cell":"{cell}""#)), "{answer}");
+    assert_eq!(respond_line(&advisor, &twin), answer);
+}
+
 #[test]
 fn session_bytes_do_not_depend_on_the_thread_count() {
     // Runs of 101, 10, 1 and 0 requests between control lines, with blank lines
@@ -268,8 +323,8 @@ fn cell_routed_session_reproduces_the_golden_responses() {
     // The session counted exactly the lines answered without an error, per kind.
     let mut answered = AdvisorStats::default();
     for line in actual.lines().filter(|l| !l.starts_with(r#"{"error""#)) {
-        let response: AdviceResponse = serde_json::from_str(line).unwrap();
-        *match response.kind {
+        let response = serde_json::parse_value(line).unwrap();
+        *match RequestKind::deserialize(response.get("kind").unwrap()).unwrap() {
             RequestKind::ShouldReuse => &mut answered.should_reuse,
             RequestKind::CheckpointPlan => &mut answered.checkpoint_plan,
             RequestKind::ExpectedCostMakespan => &mut answered.expected_cost_makespan,

@@ -98,7 +98,7 @@ impl Serialize for TodSlot {
     }
 }
 
-impl Deserialize for TodSlot {
+impl<'de> Deserialize<'de> for TodSlot {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
         let s = value
             .as_str()

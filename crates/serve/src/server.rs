@@ -701,9 +701,12 @@ fn flush_batch(
     session.process(&run, out);
     *reused_run = recycle(run);
     pending.clear();
-    let outcome = writer
-        .write_all(out.as_bytes())
-        .and_then(|()| writer.flush());
+    let outcome = {
+        let _write_span = tcp_obs::span!("serve.write", out.len() as u64);
+        writer
+            .write_all(out.as_bytes())
+            .and_then(|()| writer.flush())
+    };
     // Permits are released only after the responses hit the socket: "in flight"
     // covers the full admission-to-response window, which is what backpressure
     // must bound.

@@ -1,8 +1,9 @@
 //! The tracing determinism contract, asserted over a real socket: served bytes must
 //! be identical whether tracing is off, sampling everything, or slow-logging only,
 //! and across batch-thread counts — while the flight recorder captures the expected
-//! request-scoped span tree (connection → queue wait → batch flush → request →
-//! advisor lookup) and the `!trace` control line returns it as JSON.
+//! request-scoped span tree (connection → queue wait → batch flush → request → parse,
+//! advisor lookup and encode; then the socket write) and the `!trace` control line
+//! returns it as JSON.
 //!
 //! Everything lives in one `#[test]` because `tcp_obs::trace::configure` is
 //! process-global: a sibling test serving traffic concurrently would race with the
@@ -63,6 +64,9 @@ fn tracing_stays_out_of_the_response_stream() {
             "serve.queue.wait",
             "serve.batch.flush",
             "serve.request",
+            "serve.parse",
+            "serve.encode",
+            "serve.write",
         ] {
             assert!(
                 site_names.contains(needle),
