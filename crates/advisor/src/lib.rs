@@ -57,7 +57,6 @@ pub use pack::{
 pub use router::{AdvisorHandle, MultiAdvisor};
 pub use serve::{
     generate_multi_requests, generate_requests, render_line, requests_to_ndjson, respond_into,
-    respond_line, serve_session, serve_session_with_stats, ControlLine, ErrorLine, Session,
-    StatsLine,
+    respond_line, serve_session, ControlLine, ErrorLine, Session, StatsLine,
 };
 pub use table::Table2D;

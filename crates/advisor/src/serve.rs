@@ -446,22 +446,10 @@ impl<'a> Session<'a> {
 /// for a fixed set of pack files the bytes are identical for every thread count.
 // lint:allow(dead-api) tcp-serve tests (loopback, health, trace, profile, metrics) serve through it
 pub fn serve_session(handle: &AdvisorHandle, input: &str, threads: usize) -> String {
-    serve_session_with_stats(handle, input, threads).0
-}
-
-/// [`serve_session`], additionally returning the query counters aggregated across
-/// every advisor that served part of the stream (see [`Session::stats`]).
-pub fn serve_session_with_stats(
-    handle: &AdvisorHandle,
-    input: &str,
-    threads: usize,
-) -> (String, AdvisorStats) {
-    let mut session = Session::new(handle, threads);
     let lines: Vec<&str> = input.lines().collect();
     let mut out = String::new();
-    session.process(&lines, &mut out);
-    let stats = session.stats();
-    (out, stats)
+    Session::new(handle, threads).process(&lines, &mut out);
+    out
 }
 
 /// One draw of the standard request mix against `regime`: 40 % reuse decisions, 25 %
@@ -725,7 +713,11 @@ dp_step_minutes = 30.0
             "{query}\n{query}\n!reload {}\n{query}\n",
             pack_path.display()
         );
-        let (out, stats) = serve_session_with_stats(&handle, &input, 1);
+        let lines: Vec<&str> = input.lines().collect();
+        let mut session = Session::new(&handle, 1);
+        let mut out = String::new();
+        session.process(&lines, &mut out);
+        let stats = session.stats();
         assert_eq!(out.lines().count(), 4);
         // Two queries before the swap, one after: all three must be counted even
         // though the swap replaced the advisor (and its live counters) mid-stream.

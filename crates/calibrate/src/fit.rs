@@ -18,6 +18,13 @@
 //!   per-phase exposure MLE (phase boundaries and the deadline acceleration are held at
 //!   their representative values; the three phase rates are free);
 //! * `empirical` — the fallback: the observed lifetimes themselves.
+//!
+//! Scoring reads each record once per candidate: one pass over the sorted lifetimes
+//! evaluates the candidate's CDF and PDF together ([`LifetimeDistribution::cdf_pdf`])
+//! and accumulates both the K-S statistic and the log-likelihood.  The pass takes the
+//! same `max` chain as [`Ecdf::ks_statistic`] and adds the same log-likelihood terms in
+//! the same order as a separate sum would, so the scores are bit for bit those of two
+//! separate passes.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -237,22 +244,31 @@ fn phased_params_from_vec(p: &[f64]) -> Result<PhasedHazardParams> {
     })
 }
 
-/// Censoring-aware log-likelihood: records preempted strictly before the horizon
-/// contribute `ln f(t)`, records reclaimed at the deadline contribute the surviving
+/// Scores `dist` against a cell's sorted lifetimes in one pass, returning the
+/// Kolmogorov–Smirnov statistic against the empirical CDF and the censoring-aware
+/// log-likelihood.  Records preempted strictly before the horizon contribute `ln f(t)`
+/// to the log-likelihood; records reclaimed at the deadline contribute the surviving
 /// probability mass `ln S(L⁻)`.
-fn log_likelihood(dist: &dyn LifetimeDistribution, lifetimes: &[f64], horizon: f64) -> f64 {
+fn score_sorted(dist: &dyn LifetimeDistribution, sorted: &[f64], horizon: f64) -> (f64, f64) {
+    let n = sorted.len() as f64;
     let censor_edge = horizon - 1e-9;
     let survive = (1.0 - dist.cdf(horizon - 1e-6)).max(1e-300).ln();
-    lifetimes
-        .iter()
-        .map(|&t| {
-            if t < censor_edge {
-                dist.pdf(t).max(1e-300).ln()
-            } else {
-                survive
-            }
-        })
-        .sum()
+    let mut ks: f64 = 0.0;
+    // `Iterator::sum` over `f64` folds from `-0.0`; starting there keeps the total's bits.
+    let mut log_likelihood = -0.0;
+    for (i, &t) in sorted.iter().enumerate() {
+        let (fx, term) = if t < censor_edge {
+            let (fx, density) = dist.cdf_pdf(t);
+            (fx, density.max(1e-300).ln())
+        } else {
+            (dist.cdf(t), survive)
+        };
+        let upper = ((i + 1) as f64 / n - fx).abs();
+        let lower = (fx - i as f64 / n).abs();
+        ks = ks.max(upper).max(lower);
+        log_likelihood += term;
+    }
+    (ks, log_likelihood)
 }
 
 /// Closed-form exposure MLE for the three-phase hazard: each phase's rate is its event
@@ -272,8 +288,11 @@ fn fit_phased(lifetimes: &[f64], horizon: f64) -> Result<(Vec<f64>, PhasedHazard
         exposure[1] += (t.min(deadline_start) - early_end).max(0.0);
         // The deadline phase's hazard is base·exp(acc·(u − start)); the MLE denominator
         // is the integral of the acceleration profile over the time at risk.
+        // A record that never reaches the deadline phase adds exactly `+0.0`: skip it.
         let span = (t.min(horizon) - deadline_start).max(0.0);
-        exposure[2] += ((acceleration * span).exp() - 1.0) / acceleration;
+        if span > 0.0 {
+            exposure[2] += ((acceleration * span).exp() - 1.0) / acceleration;
+        }
         if t < censor_edge {
             if t <= early_end {
                 events[0] += 1;
@@ -315,6 +334,71 @@ fn fit_phased(lifetimes: &[f64], horizon: f64) -> Result<(Vec<f64>, PhasedHazard
     ))
 }
 
+/// Fits and scores every parametric candidate on a cell's ECDF, sorted by ascending K-S
+/// statistic (ties: fewer parameters, then family name).  A family whose fit fails is
+/// left out.
+fn fit_candidates(ecdf: &Ecdf, options: &FitOptions) -> Result<Vec<CandidateFit>> {
+    let horizon = options.horizon_hours;
+    let sorted = ecdf.sorted_values();
+    // The step ECDF on `[0, max(horizon, last)]`: exactly what `EmpiricalLifetime::grid`
+    // returns, without the second sorted copy and the interpolant it never reads.  On
+    // lifetimes `fit_cell` has validated, `EmpiricalLifetime::new` cannot fail (a single
+    // distinct value is widened and the knots are distinct), so no error is lost.
+    let last = sorted[sorted.len() - 1];
+    let (xs, ys) = ecdf.on_grid(0.0, horizon.max(last), options.grid_points)?;
+
+    let score = |family: &str,
+                 params: Vec<f64>,
+                 free_params: usize,
+                 dist: &dyn LifetimeDistribution,
+                 r2: f64,
+                 rms: f64|
+     -> CandidateFit {
+        let (ks, ll) = score_sorted(dist, sorted, horizon);
+        CandidateFit {
+            family: family.to_string(),
+            params,
+            ks_statistic: ks,
+            log_likelihood: ll,
+            aic: 2.0 * free_params as f64 - 2.0 * ll,
+            r_squared: r2,
+            rmse: rms,
+        }
+    };
+
+    let mut candidates = Vec::new();
+    for (family, name, free) in [
+        (DistributionFamily::ConstrainedBathtub, "bathtub", 4usize),
+        (DistributionFamily::Weibull, "weibull", 2),
+        (DistributionFamily::Exponential, "exponential", 1),
+    ] {
+        if let Ok(fitted) = fit_distribution(family, &xs, &ys, horizon) {
+            candidates.push(score(
+                name,
+                fitted.params.clone(),
+                free,
+                fitted.dist.as_ref(),
+                fitted.r_squared,
+                fitted.rmse,
+            ));
+        }
+    }
+    if let Ok((params, dist)) = fit_phased(sorted, horizon) {
+        let predictions: Vec<f64> = xs.iter().map(|&x| dist.cdf(x)).collect();
+        let r2 = r_squared(&ys, &predictions)?;
+        let rms = rmse(&ys, &predictions)?;
+        candidates.push(score("phased", params, 3, &dist, r2, rms));
+    }
+    candidates.sort_by(|a, b| {
+        a.ks_statistic
+            .partial_cmp(&b.ks_statistic)
+            .expect("finite K-S")
+            .then_with(|| a.params.len().cmp(&b.params.len()))
+            .then_with(|| a.family.cmp(&b.family))
+    });
+    Ok(candidates)
+}
+
 /// Fits every candidate family to one cell's lifetimes and selects the winner.
 ///
 /// Deterministic: no randomness anywhere in the fitting path, so the same lifetimes and
@@ -336,64 +420,14 @@ pub fn fit_cell(lifetimes: &[f64], options: &FitOptions) -> Result<FitOutcome> {
             "lifetimes must be finite and inside [0, horizon]",
         ));
     }
-    let mut sorted = lifetimes.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite lifetimes"));
-
-    let mut candidates = Vec::new();
-    if sorted.len() >= MIN_PARAMETRIC_RECORDS {
-        let ecdf = Ecdf::new(&sorted)?;
-        let empirical = EmpiricalLifetime::new(&sorted, Some(horizon))?;
-        let (xs, ys) = empirical.grid(options.grid_points)?;
-
-        let score = |family: &str,
-                     params: Vec<f64>,
-                     free_params: usize,
-                     dist: &dyn LifetimeDistribution,
-                     r2: f64,
-                     rms: f64|
-         -> CandidateFit {
-            let ll = log_likelihood(dist, &sorted, horizon);
-            CandidateFit {
-                family: family.to_string(),
-                params,
-                ks_statistic: ecdf.ks_statistic(|t| dist.cdf(t)),
-                log_likelihood: ll,
-                aic: 2.0 * free_params as f64 - 2.0 * ll,
-                r_squared: r2,
-                rmse: rms,
-            }
-        };
-
-        for (family, name, free) in [
-            (DistributionFamily::ConstrainedBathtub, "bathtub", 4usize),
-            (DistributionFamily::Weibull, "weibull", 2),
-            (DistributionFamily::Exponential, "exponential", 1),
-        ] {
-            if let Ok(fitted) = fit_distribution(family, &xs, &ys, horizon) {
-                candidates.push(score(
-                    name,
-                    fitted.params.clone(),
-                    free,
-                    fitted.dist.as_ref(),
-                    fitted.r_squared,
-                    fitted.rmse,
-                ));
-            }
-        }
-        if let Ok((params, dist)) = fit_phased(&sorted, horizon) {
-            let predictions: Vec<f64> = xs.iter().map(|&x| dist.cdf(x)).collect();
-            let r2 = r_squared(&ys, &predictions)?;
-            let rms = rmse(&ys, &predictions)?;
-            candidates.push(score("phased", params, 3, &dist, r2, rms));
-        }
-        candidates.sort_by(|a, b| {
-            a.ks_statistic
-                .partial_cmp(&b.ks_statistic)
-                .expect("finite K-S")
-                .then_with(|| a.params.len().cmp(&b.params.len()))
-                .then_with(|| a.family.cmp(&b.family))
-        });
-    }
+    // Validated above, so the ECDF cannot fail; it owns the one sorted copy of the cell.
+    let ecdf = Ecdf::from_vec(lifetimes.to_vec())?;
+    let candidates = if ecdf.len() >= MIN_PARAMETRIC_RECORDS {
+        fit_candidates(&ecdf, options)?
+    } else {
+        Vec::new()
+    };
+    let sorted = ecdf.into_sorted();
 
     let empirical_model = |lifetimes: Vec<f64>| CalibratedModel {
         family: "empirical".to_string(),
@@ -409,18 +443,18 @@ pub fn fit_cell(lifetimes: &[f64], options: &FitOptions) -> Result<FitOutcome> {
                 lifetimes.len()
             ),
         ),
-        Some(best) if sorted.len() < options.min_records => (
-            empirical_model(sorted.clone()),
+        Some(best) if lifetimes.len() < options.min_records => (
+            empirical_model(sorted),
             format!(
                 "empirical fallback: {} records < min_records {} (best parametric: {} at K-S {:.4})",
-                sorted.len(),
+                lifetimes.len(),
                 options.min_records,
                 best.family,
                 best.ks_statistic
             ),
         ),
         Some(best) if best.ks_statistic > options.ks_threshold => (
-            empirical_model(sorted.clone()),
+            empirical_model(sorted),
             format!(
                 "empirical fallback: best parametric {} has K-S {:.4} > threshold {:.4}",
                 best.family, best.ks_statistic, options.ks_threshold
@@ -430,7 +464,7 @@ pub fn fit_cell(lifetimes: &[f64], options: &FitOptions) -> Result<FitOutcome> {
             CalibratedModel {
                 family: best.family.clone(),
                 params: best.params.clone(),
-                lifetimes: sorted.clone(),
+                lifetimes: sorted,
             },
             format!("{} wins on K-S {:.4}", best.family, best.ks_statistic),
         ),
@@ -629,6 +663,95 @@ mod tests {
             ..FitOptions::default()
         };
         assert!(fit_cell(&[1.0], &bad).is_err());
+    }
+
+    /// The two-pass scoring `fit_cell` used before the one-pass `score_sorted`:
+    /// `Ecdf::ks_statistic` over `cdf`, then a separate log-likelihood sum over `pdf`.
+    fn two_pass_oracle(
+        dist: &dyn LifetimeDistribution,
+        sorted: &[f64],
+        horizon: f64,
+    ) -> (f64, f64) {
+        let ks = Ecdf::new(sorted).unwrap().ks_statistic(|t| dist.cdf(t));
+        let censor_edge = horizon - 1e-9;
+        let survive = (1.0 - dist.cdf(horizon - 1e-6)).max(1e-300).ln();
+        let ll = sorted
+            .iter()
+            .map(|&t| {
+                if t < censor_edge {
+                    dist.pdf(t).max(1e-300).ln()
+                } else {
+                    survive
+                }
+            })
+            .sum();
+        (ks, ll)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn one_pass_scoring_matches_the_two_pass_oracle(
+            seed in 0u64..1_000_000,
+            n in 1usize..400,
+            censored in 0.0f64..0.5,
+        ) {
+            // A random sorted sample with a random share of deadline records (at the
+            // horizon and just either side of the censoring edge), scored by every
+            // candidate family at random parameters.
+            use rand::Rng;
+            let horizon = 24.0;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sorted: Vec<f64> = (0..n)
+                .map(|_| match rng.gen::<f64>() {
+                    u if u < censored => [horizon, horizon - 1e-9, horizon - 1e-6][rng.gen_range(0..3)],
+                    u if u < censored + 0.02 => 0.0,
+                    _ => rng.gen_range(0.0..horizon),
+                })
+                .collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let dists: Vec<Box<dyn LifetimeDistribution>> = vec![
+                Box::new(
+                    ConstrainedBathtub::from_parts(
+                        rng.gen_range(0.05..1.0),
+                        rng.gen_range(0.1..5.0),
+                        rng.gen_range(0.1..3.0),
+                        rng.gen_range(10.0..30.0),
+                    )
+                    .unwrap(),
+                ),
+                Box::new(Weibull::new(rng.gen_range(0.01..1.0), rng.gen_range(0.3..3.0)).unwrap()),
+                Box::new(Exponential::new(rng.gen_range(0.01..2.0)).unwrap()),
+                Box::new(fit_phased(&sorted, horizon).unwrap().1),
+                Box::new(EmpiricalLifetime::new(&sorted, Some(horizon)).unwrap()),
+            ];
+            for dist in &dists {
+                let (ks, ll) = score_sorted(dist.as_ref(), &sorted, horizon);
+                let (ks_oracle, ll_oracle) = two_pass_oracle(dist.as_ref(), &sorted, horizon);
+                assert_eq!(ks.to_bits(), ks_oracle.to_bits(), "{} K-S", dist.name());
+                assert_eq!(ll.to_bits(), ll_oracle.to_bits(), "{} LL", dist.name());
+            }
+        }
+    }
+
+    #[test]
+    fn grid_is_the_empirical_lifetime_grid() {
+        for lifetimes in [
+            representative_lifetimes(300, 4),
+            vec![5.5; 12],
+            vec![0.0; 12],
+            vec![24.0; 12],
+        ] {
+            let ecdf = Ecdf::new(&lifetimes).unwrap();
+            let last = *ecdf.sorted_values().last().unwrap();
+            let ours = ecdf.on_grid(0.0, 24.0f64.max(last), 200).unwrap();
+            let theirs = EmpiricalLifetime::new(&lifetimes, Some(24.0))
+                .unwrap()
+                .grid(200)
+                .unwrap();
+            assert_eq!(ours, theirs);
+        }
     }
 
     #[test]

@@ -307,6 +307,11 @@ impl Calibrator {
     }
 
     /// Calibrates a preemption CSV (the [`tcp_trace`] schema).
+    ///
+    /// The catalog's `source` records `path` exactly as given (`path.display()`, not
+    /// canonicalised), so one CSV fitted through two spellings of its path gives two
+    /// catalogs that differ in that field.  A byte-identity check on catalogs must fit
+    /// from a fixed path, e.g. the same repo-relative path from the same directory.
     pub fn calibrate_csv(&self, path: &std::path::Path, threads: usize) -> Result<RegimeCatalog> {
         let records = {
             let _span = tcp_obs::span!("calibrate.csv");

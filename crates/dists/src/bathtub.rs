@@ -205,6 +205,23 @@ impl LifetimeDistribution for ConstrainedBathtub {
         self.raw_pdf(t)
     }
 
+    fn cdf_pdf(&self, t: f64) -> (f64, f64) {
+        let p = &self.params;
+        if t < 0.0 || t > p.horizon || t > self.saturation {
+            return (self.cdf(t), 0.0);
+        }
+        // The two exponentials of Equations 1 and 2, shared by both sides.
+        let early = (-t / p.tau1).exp();
+        let late = ((t - p.b) / p.tau2).exp();
+        let pdf = p.a * (early / p.tau1 + late / p.tau2);
+        let cdf = if t <= 0.0 || t >= p.horizon || t >= self.saturation {
+            self.cdf(t)
+        } else {
+            (p.a * (1.0 - early + late) - self.f0_offset()).clamp(0.0, 1.0)
+        };
+        (cdf, pdf)
+    }
+
     fn upper_bound(&self) -> f64 {
         self.params.horizon
     }

@@ -53,6 +53,15 @@ impl LifetimeDistribution for Exponential {
         }
     }
 
+    fn cdf_pdf(&self, t: f64) -> (f64, f64) {
+        if t < 0.0 {
+            return (0.0, 0.0);
+        }
+        let tail = (-self.rate * t).exp();
+        let cdf = if t <= 0.0 { 0.0 } else { 1.0 - tail };
+        (cdf, self.rate * tail)
+    }
+
     fn hazard(&self, _t: f64) -> f64 {
         // memoryless: constant hazard
         self.rate

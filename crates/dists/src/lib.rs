@@ -20,6 +20,11 @@
 //! All of them implement the [`LifetimeDistribution`] trait, which exposes the CDF, PDF,
 //! hazard rate, truncated expectations, and inverse-transform sampling needed by the model
 //! analysis, the policies, and the cloud simulator.
+//!
+//! [`LifetimeDistribution::cdf_pdf`] evaluates the CDF and PDF at one point together.
+//! Its result is bit for bit `(cdf(t), pdf(t))` for every family and every `t`; the
+//! bathtub, Weibull, exponential and phased families override it only to share the
+//! `exp`/`powf` terms the two functions have in common.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -76,6 +81,16 @@ pub trait LifetimeDistribution: Send + Sync {
         let lo = (t - h).max(0.0);
         let hi = t + h;
         ((self.cdf(hi) - self.cdf(lo)) / (hi - lo)).max(0.0)
+    }
+
+    /// The CDF and the PDF at one point, `(cdf(t), pdf(t))`.
+    ///
+    /// Contract: the pair is bit for bit what the two separate calls return, at every
+    /// `t` (edge branches included).  Families whose CDF and PDF share terms override
+    /// it to compute those terms once; callers that need both at many points (the
+    /// calibration scoring pass) use it to halve the work.
+    fn cdf_pdf(&self, t: f64) -> (f64, f64) {
+        (self.cdf(t), self.pdf(t))
     }
 
     /// Survival function `P(lifetime > t)`.

