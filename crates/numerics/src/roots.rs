@@ -143,90 +143,6 @@ pub fn brent<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, cfg: RootConfig) -> Result
     Ok(b)
 }
 
-/// Finds the minimizer of a unimodal scalar function on `[a, b]` by golden-section search.
-///
-/// Used for one-dimensional policy tuning (e.g. the best single checkpoint interval when a
-/// uniform schedule is forced) and for sanity-checking the DP optimizer.
-// lint:allow(dead-api) no caller outside roots::tests (golden_section_*); delete with them
-pub fn golden_section_min<F: Fn(f64) -> f64>(
-    f: F,
-    a: f64,
-    b: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64> {
-    if !(a < b) {
-        return Err(NumericsError::invalid("golden_section_min requires a < b"));
-    }
-    if tol <= 0.0 {
-        return Err(NumericsError::invalid("tolerance must be positive"));
-    }
-    const INV_PHI: f64 = 0.618_033_988_749_894_8;
-    let mut lo = a;
-    let mut hi = b;
-    let mut c = hi - INV_PHI * (hi - lo);
-    let mut d = lo + INV_PHI * (hi - lo);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    for _ in 0..max_iter {
-        if (hi - lo).abs() <= tol {
-            break;
-        }
-        if fc < fd {
-            hi = d;
-            d = c;
-            fd = fc;
-            c = hi - INV_PHI * (hi - lo);
-            fc = f(c);
-        } else {
-            lo = c;
-            c = d;
-            fc = fd;
-            d = lo + INV_PHI * (hi - lo);
-            fd = f(d);
-        }
-    }
-    Ok(0.5 * (lo + hi))
-}
-
-/// Expands an initial guess interval until it brackets a root (or gives up).
-///
-/// `f` is evaluated at geometrically spaced points to the right of `a`; useful when the
-/// caller only knows a lower bound of the root (e.g. the crossover job length).
-// lint:allow(dead-api) no caller outside roots::tests (bracket_root_*); delete with them
-pub fn bracket_root<F: Fn(f64) -> f64>(
-    f: F,
-    a: f64,
-    initial_step: f64,
-    max_expansions: usize,
-) -> Result<(f64, f64)> {
-    if initial_step <= 0.0 {
-        return Err(NumericsError::invalid("initial_step must be positive"));
-    }
-    let fa = f(a);
-    if fa == 0.0 {
-        return Ok((a, a));
-    }
-    let mut step = initial_step;
-    let mut lo = a;
-    let mut flo = fa;
-    for _ in 0..max_expansions {
-        let hi = lo + step;
-        let fhi = f(hi);
-        if flo * fhi <= 0.0 {
-            return Ok((lo, hi));
-        }
-        lo = hi;
-        flo = fhi;
-        step *= 2.0;
-    }
-    Err(NumericsError::DidNotConverge {
-        what: "bracket_root".into(),
-        iterations: max_expansions,
-        residual: flo.abs(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,28 +199,5 @@ mod tests {
         let r2 = bisect(f, 0.0, 2.0, cfg).unwrap();
         assert!(approx_eq(r1, r2, 1e-8, 0.0));
         assert!(approx_eq(r1, 3.0f64.ln(), 1e-10, 0.0));
-    }
-
-    #[test]
-    fn golden_section_minimizes_parabola() {
-        let m = golden_section_min(|x| (x - 1.3).powi(2), -5.0, 5.0, 1e-8, 200).unwrap();
-        assert!(approx_eq(m, 1.3, 1e-6, 0.0));
-    }
-
-    #[test]
-    fn golden_section_validates_args() {
-        assert!(golden_section_min(|x| x, 1.0, 0.0, 1e-8, 10).is_err());
-        assert!(golden_section_min(|x| x, 0.0, 1.0, 0.0, 10).is_err());
-    }
-
-    #[test]
-    fn bracket_root_expands() {
-        let (lo, hi) = bracket_root(|x| x - 10.0, 0.0, 1.0, 20).unwrap();
-        assert!(lo <= 10.0 && 10.0 <= hi);
-    }
-
-    #[test]
-    fn bracket_root_gives_up() {
-        assert!(bracket_root(|_| 1.0, 0.0, 1.0, 5).is_err());
     }
 }

@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -250,9 +251,10 @@ impl Shared {
 
 /// One queued output slot of a connection batch, in input order.
 enum Slot {
-    /// A line for the session engine (request or control); `bool` says whether it
-    /// holds an in-flight permit (control lines do not).
-    Line(String, bool),
+    /// A line for the session engine (request or control), as its byte range in the
+    /// batch's `lines`; `bool` says whether it holds an in-flight permit (control
+    /// lines do not).
+    Line(Range<usize>, bool),
     /// A request line shed by admission control.
     Overloaded,
     /// A line longer than [`MAX_LINE_BYTES`], discarded unread.
@@ -431,31 +433,36 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Queues one complete request/control line (terminator already removed).  Returns
-/// `false` for the `!shutdown` control, which the connection loop handles itself.
-fn queue_line(line_bytes: Vec<u8>, pending: &mut Vec<Slot>, shared: &Shared) -> bool {
+/// Queues one complete request/control line (terminator already removed), copying
+/// its text to the end of the batch's `lines`.  Returns `false` for the `!shutdown`
+/// control, which the connection loop handles itself.
+fn queue_line(line: &[u8], batch: &mut Batch, shared: &Shared) -> bool {
     // Invalid UTF-8 cannot even be represented in file mode (reading the document
     // would fail); over the socket it degrades to a replacement-character line whose
     // parse error is still a typed in-place response — never a dropped connection.
-    let line = match String::from_utf8(line_bytes) {
-        Ok(line) => line,
-        Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
-    };
-    let text = line.trim();
+    let start = batch.lines.len();
+    batch.lines.push_str(&String::from_utf8_lossy(line));
+    let end = batch.lines.len();
+    let text = batch.lines[start..].trim();
     if text == "!shutdown" {
+        batch.lines.truncate(start);
         return false;
     }
-    if !text.is_empty() {
-        if text.starts_with('!') {
-            // Control lines bypass admission control: health probes and reloads
-            // must keep working while the budget is exhausted.
-            pending.push(Slot::Line(line, false));
-        } else if shared.try_admit() {
-            pending.push(Slot::Line(line, true));
-        } else {
-            pending.push(Slot::Overloaded);
-        }
+    let slot = if text.is_empty() {
+        None
+    } else if text.starts_with('!') {
+        // Control lines bypass admission control: health probes and reloads must
+        // keep working while the budget is exhausted.
+        Some(Slot::Line(start..end, false))
+    } else if shared.try_admit() {
+        Some(Slot::Line(start..end, true))
+    } else {
+        Some(Slot::Overloaded)
+    };
+    if !matches!(slot, Some(Slot::Line(..))) {
+        batch.lines.truncate(start);
     }
+    batch.slots.extend(slot);
     true
 }
 
@@ -522,9 +529,7 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                 // EOF: the unterminated tail is still one request, then drain.
                 if discarding {
                     reject_long_line(&mut batch.slots, shared);
-                } else if !partial.is_empty()
-                    && !queue_line(std::mem::take(&mut partial), &mut batch.slots, shared)
-                {
+                } else if !partial.is_empty() && !queue_line(&partial, &mut batch, shared) {
                     shutdown_connection(&mut session, &mut batch, &mut writer, shared);
                     return;
                 }
@@ -541,14 +546,18 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
                         partial.clear();
                         reject_long_line(&mut batch.slots, shared);
                     } else {
-                        let mut line_bytes = std::mem::take(&mut partial);
-                        line_bytes.extend_from_slice(line);
+                        let line = if partial.is_empty() {
+                            line
+                        } else {
+                            partial.extend_from_slice(line);
+                            &partial
+                        };
                         // Strip an optional `\r` exactly like `str::lines` in batch
                         // mode — parse-error byte offsets must match it.
-                        if line_bytes.last() == Some(&b'\r') {
-                            line_bytes.pop();
-                        }
-                        if !queue_line(line_bytes, &mut batch.slots, shared) {
+                        let line = line.strip_suffix(b"\r").unwrap_or(line);
+                        let more = queue_line(line, &mut batch, shared);
+                        partial.clear();
+                        if !more {
                             shutdown_connection(&mut session, &mut batch, &mut writer, shared);
                             return;
                         }
@@ -620,11 +629,13 @@ fn shutdown_connection(
     shared.trigger_shutdown();
 }
 
-/// A connection's batch: the slots read since the last flush, and the answer text
-/// and request-run buffers that every flush reuses.
+/// A connection's batch: the slots read since the last flush, the text of their
+/// lines, and the answer text and request-run buffers that every flush reuses.
 #[derive(Default)]
 struct Batch {
     slots: Vec<Slot>,
+    /// The lines of the `Slot::Line`s, back to back; emptied by each flush.
+    lines: String,
     out: String,
     /// Empty between flushes; only its allocation carries over.
     run: Vec<&'static str>,
@@ -647,6 +658,7 @@ fn flush_batch(
 ) -> std::io::Result<()> {
     let Batch {
         slots: pending,
+        lines,
         out,
         run: reused_run,
     } = batch;
@@ -663,8 +675,8 @@ fn flush_batch(
     let mut overloaded = 0u64;
     for slot in pending.iter() {
         match slot {
-            Slot::Line(text, holds_permit) => {
-                run.push(text);
+            Slot::Line(range, holds_permit) => {
+                run.push(&lines[range.clone()]);
                 if *holds_permit {
                     permits += 1;
                     served += 1;
@@ -701,6 +713,7 @@ fn flush_batch(
     session.process(&run, out);
     *reused_run = recycle(run);
     pending.clear();
+    lines.clear();
     let outcome = {
         let _write_span = tcp_obs::span!("serve.write", out.len() as u64);
         writer

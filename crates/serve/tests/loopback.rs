@@ -292,3 +292,36 @@ fn over_long_lines_are_answered_in_place_and_the_connection_resyncs() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn invalid_utf8_and_split_lines_are_answered_like_their_lossy_text() {
+    let json = tiny_pack_json("lossy", "exp8", 8.0);
+    // Requests whose bytes arrive in pieces cut mid-line and mid-character, with CRLF
+    // endings, blank lines, invalid UTF-8 and an unterminated last line.
+    let input: &[u8] = b"{\"kind\":\"best-policy\",\"regime\":\"exp8\",\"id\":1}\r\n\
+        {\"kind\":\"best-policy\",\"regime\":\"exp8\xff\",\"id\":2}\n\
+        \n   \n\
+        {\"kind\":\"should-reuse\",\"regime\":\"exp8\",\"vm_age\":1.0,\"job_len\":2.0,\"id\":3}\n\
+        {\"kind\":\"best-policy\",\"regime\":\"\xc3\xa9xp8\",\"id\":4}\n\
+        {\"kind\":\"best-policy\",\"regime\":\"exp8\",\"id\":5}\xc3\n\
+        {\"kind\":\"best-policy\",\"regime\":\"exp8\",\"id\":6}";
+    let expected = serve_session(
+        &AdvisorHandle::new(advisor(&json)),
+        &String::from_utf8_lossy(input),
+        1,
+    );
+    assert_eq!(expected.lines().count(), 6);
+    let server = start(&json, ServeOptions::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    for piece in input.chunks(37) {
+        stream.write_all(piece).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut output = String::new();
+    std::io::Read::read_to_string(&mut stream, &mut output).unwrap();
+    assert_eq!(output, expected);
+    server.shutdown();
+    server.join();
+}
