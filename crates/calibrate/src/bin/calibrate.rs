@@ -9,8 +9,10 @@
 //!
 //! `fit` partitions the CSV into `(vm-type, zone, time-of-day)` cells and fits every
 //! candidate family per cell, emitting a catalog that is byte-identical for every
-//! `--threads` value.  `inspect` prints the per-cell selection table (or one cell's full
-//! candidate scores).  `compare` diffs two catalogs cell by cell.
+//! `--threads` value.  `--threads` sets the fit's threads only: parsing a large CSV and
+//! encoding a large catalog split their work over the available CPUs regardless.
+//! `inspect` prints the per-cell selection table (or one cell's full candidate scores).
+//! `compare` diffs two catalogs cell by cell.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -28,7 +30,8 @@ commands:
   fit <records.csv>        calibrate a preemption CSV into a regime catalog
       --out FILE             catalog output path (default catalog.json)
       --name N               catalog name (default: the CSV file stem)
-      --threads T            worker threads (default 0 = all CPUs)
+      --threads T            threads of the per-cell fit (default 0 = all CPUs); reading
+                             the CSV and writing the catalog use every available CPU
       --min-records K        cells below K records keep the empirical fallback (default 15)
       --ks-threshold X       parametric winners above this K-S keep the fallback (default 0.15)
       --tod-hours N          launch-hour cells of N hours (divides 24) instead of the

@@ -11,6 +11,7 @@ use crate::cell::{CellKey, TodSlot};
 use crate::fit::{bathtub_from_params, CalibratedModel, CandidateFit, FitOptions};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
+use std::sync::mpsc;
 use tcp_dists::ConstrainedBathtub;
 use tcp_numerics::{NumericsError, Result};
 use tcp_trace::{VmType, Zone};
@@ -123,19 +124,101 @@ pub struct RegimeCatalog {
 }
 
 impl RegimeCatalog {
-    /// Serializes the catalog to compact JSON (deterministic byte-for-byte).
+    /// Serializes the catalog to compact JSON (deterministic byte-for-byte): the bytes
+    /// of the derived `Serialize`.
+    ///
+    /// The stored lifetimes, most of the bytes, are printed on the available CPUs: a
+    /// second thread prints part of them while the calling thread writes the rest.  The
+    /// bytes are the same either way.
     pub fn to_json(&self) -> Result<String> {
-        // The stored lifetimes are most of the bytes: reserve ~20 per lifetime (a
-        // full-precision float and its comma) plus 2 KiB per entry for the rest, so a
-        // large catalog is written without growing its buffer step by step.
-        let lifetimes: usize = std::iter::once(&self.pooled)
-            .chain(&self.cells)
-            .map(|cell| cell.model.lifetimes.len())
-            .sum();
+        // Reserve ~20 bytes per lifetime (a full-precision float and its comma) plus
+        // 2 KiB per entry for the rest, so a large catalog is written without growing
+        // its buffer step by step.
+        let lifetimes: usize = self.entries().map(|cell| cell.model.lifetimes.len()).sum();
         let mut out = String::with_capacity(20 * lifetimes + 2048 * (self.cells.len() + 1));
-        serde_json::append(self, &mut out);
+        // More than one chunk's worth of lifetimes makes at least two chunks.
+        let split = lifetimes > CHUNK
+            && std::thread::available_parallelism().is_ok_and(|cpus| cpus.get() > 1);
+        self.encode(&mut out, split);
         out.shrink_to_fit();
         Ok(out)
+    }
+
+    /// The pooled entry, then the cells.
+    fn entries(&self) -> impl Iterator<Item = &CellFit> {
+        std::iter::once(&self.pooled).chain(&self.cells)
+    }
+
+    /// Appends the catalog's JSON to `out`, its lifetimes in chunks of [`CHUNK`].
+    /// With `split`, a scoped worker prints the chunks [`worker_prints`] names into a
+    /// fixed pool of [`BUFFERS`] recycled buffers, sent in order over a channel, and
+    /// this thread appends them between its own.
+    fn encode(&self, out: &mut String, split: bool) {
+        let chunks: usize = self
+            .entries()
+            .map(|cell| cell.model.lifetimes.len().div_ceil(CHUNK))
+            .sum();
+        let buffers = BUFFERS.min((0..chunks).filter(|&j| worker_prints(j)).count());
+        std::thread::scope(|scope| {
+            let worker = (split && buffers > 0).then(|| {
+                let (printed, take) = mpsc::channel::<String>();
+                let (give_back, returned) = mpsc::channel::<String>();
+                for _ in 0..buffers {
+                    let _ = give_back.send(String::with_capacity(CHUNK_BYTES));
+                }
+                scope.spawn(move || {
+                    let _span = tcp_obs::span!("calibrate.catalog_encode.part");
+                    let mine = self
+                        .entries()
+                        .flat_map(|cell| cell.model.lifetimes.chunks(CHUNK).enumerate())
+                        .enumerate()
+                        .filter(|&(j, _)| worker_prints(j));
+                    for (_, (k, chunk)) in mine {
+                        let Ok(mut text) = returned.recv() else {
+                            return;
+                        };
+                        text.clear();
+                        print_lifetimes(chunk, k == 0, &mut text);
+                        if printed.send(text).is_err() {
+                            return;
+                        }
+                    }
+                });
+                (take, give_back)
+            });
+            let mut j = 0;
+            for (e, cell) in self.entries().enumerate() {
+                // Each head ends with its entry's empty lifetime array and the objects
+                // it closes; the lifetimes go in between.
+                if e == 0 {
+                    serde_json::append(&CatalogHead::of(self), out);
+                    trim_suffix(out, "]}}}");
+                } else {
+                    if e > 1 {
+                        out.push(',');
+                    }
+                    serde_json::append(&CellHead::of(cell), out);
+                    trim_suffix(out, "]}}");
+                }
+                for (k, chunk) in cell.model.lifetimes.chunks(CHUNK).enumerate() {
+                    match &worker {
+                        Some((take, give_back)) if worker_prints(j) => {
+                            // The worker hangs up only by panicking, and the scope
+                            // re-raises that panic once this returns.
+                            let Ok(text) = take.recv() else {
+                                return;
+                            };
+                            out.push_str(&text);
+                            let _ = give_back.send(text);
+                        }
+                        _ => print_lifetimes(chunk, k == 0, out),
+                    }
+                    j += 1;
+                }
+                out.push_str(if e == 0 { "]}},\"cells\":[" } else { "]}}" });
+            }
+            out.push_str("]}");
+        });
     }
 
     /// Writes the catalog's JSON to a file, returning its length in bytes.
@@ -213,6 +296,144 @@ impl RegimeCatalog {
     }
 }
 
+/// Lifetimes per chunk: the unit of work [`RegimeCatalog::to_json`] splits.
+const CHUNK: usize = 4096;
+
+/// The capacity of a worker's chunk buffer: a full-precision float and its comma
+/// per lifetime, with room to spare.
+const CHUNK_BYTES: usize = 24 * CHUNK;
+
+/// The worker's chunk buffers: it waits for one to come back when all are printed
+/// and not yet appended, which bounds the encoder's extra memory (and makes its
+/// allocations the same on every run).
+const BUFFERS: usize = 4;
+
+/// Whether the worker prints the `j`-th lifetime chunk: two of every three.  The
+/// calling thread prints the rest, and it also first-touches the output and copies
+/// the worker's text into it, so it takes the smaller share.
+fn worker_prints(j: usize) -> bool {
+    !j.is_multiple_of(3)
+}
+
+/// Appends `lifetimes` as JSON array elements, with a comma before each but a
+/// chunk's first in its entry.
+fn print_lifetimes(lifetimes: &[f64], first: bool, out: &mut String) {
+    for (i, lifetime) in lifetimes.iter().enumerate() {
+        if i > 0 || !first {
+            out.push(',');
+        }
+        serde_json::append(lifetime, out);
+    }
+}
+
+/// Drops `suffix` from the end of `out`.
+fn trim_suffix(out: &mut String, suffix: &str) {
+    assert!(
+        out.ends_with(suffix),
+        "a catalog head must end with {suffix}"
+    );
+    out.truncate(out.len() - suffix.len());
+}
+
+/// [`RegimeCatalog`]'s fields in the derived order, without the cells and with the
+/// pooled entry's lifetimes left empty.
+#[derive(Serialize)]
+struct CatalogHead<'a> {
+    format_version: u32,
+    name: &'a str,
+    source: &'a str,
+    horizon_hours: f64,
+    total_records: usize,
+    options: &'a FitOptions,
+    pooled: CellHead<'a>,
+}
+
+impl<'a> CatalogHead<'a> {
+    fn of(catalog: &'a RegimeCatalog) -> Self {
+        // No `..`: a new catalog field fails to compile here until the view has it.
+        let RegimeCatalog {
+            format_version,
+            name,
+            source,
+            horizon_hours,
+            total_records,
+            options,
+            pooled,
+            cells: _,
+        } = catalog;
+        CatalogHead {
+            format_version: *format_version,
+            name,
+            source,
+            horizon_hours: *horizon_hours,
+            total_records: *total_records,
+            options,
+            pooled: CellHead::of(pooled),
+        }
+    }
+}
+
+/// [`CellFit`]'s fields in the derived order, with the lifetimes left empty.
+#[derive(Serialize)]
+struct CellHead<'a> {
+    cell: &'a str,
+    vm_type: Option<VmType>,
+    zone: Option<Zone>,
+    time_of_day: Option<TodSlot>,
+    records: usize,
+    deadline_survivals: usize,
+    mean_lifetime_hours: f64,
+    candidates: &'a [CandidateFit],
+    selection: &'a str,
+    model: ModelHead<'a>,
+}
+
+impl<'a> CellHead<'a> {
+    fn of(fit: &'a CellFit) -> Self {
+        let CellFit {
+            cell,
+            vm_type,
+            zone,
+            time_of_day,
+            records,
+            deadline_survivals,
+            mean_lifetime_hours,
+            candidates,
+            selection,
+            model,
+        } = fit;
+        let CalibratedModel {
+            family,
+            params,
+            lifetimes: _,
+        } = model;
+        CellHead {
+            cell,
+            vm_type: *vm_type,
+            zone: *zone,
+            time_of_day: *time_of_day,
+            records: *records,
+            deadline_survivals: *deadline_survivals,
+            mean_lifetime_hours: *mean_lifetime_hours,
+            candidates,
+            selection,
+            model: ModelHead {
+                family,
+                params,
+                lifetimes: [],
+            },
+        }
+    }
+}
+
+/// [`CalibratedModel`]'s fields in the derived order, with the lifetimes left empty.
+#[derive(Serialize)]
+struct ModelHead<'a> {
+    family: &'a str,
+    params: &'a [f64],
+    lifetimes: [f64; 0],
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +444,116 @@ mod tests {
         // Even a structurally incomplete catalog with the wrong version should fail on
         // deserialization (missing fields) or version — either way, an error.
         assert!(RegimeCatalog::from_json(&json).is_err());
+    }
+
+    /// An entry of `lifetimes` lifetimes won by `family`, with one bathtub candidate
+    /// unless the family is the empirical fallback.
+    fn entry(cell: &str, key: Option<CellKey>, lifetimes: usize, family: &str) -> CellFit {
+        let lifetimes: Vec<f64> = (0..lifetimes)
+            .map(|i| match i % 5 {
+                0 => 24.0,
+                1 => (i as f64 * 0.618_033_988_749_894_8).fract() * 24.0,
+                2 => 1e-7 * i as f64,
+                3 => 23.999_999,
+                _ => (i % 97) as f64 / 8.0,
+            })
+            .collect();
+        let bathtub = vec![0.45, 1.0, 0.8, 24.0];
+        let (candidates, params) = if family == "empirical" {
+            (Vec::new(), Vec::new())
+        } else {
+            let candidate = CandidateFit {
+                family: "bathtub".to_string(),
+                params: bathtub.clone(),
+                ks_statistic: 0.05,
+                log_likelihood: -12.5,
+                aic: 33.0,
+                r_squared: 0.99,
+                rmse: 0.01,
+            };
+            (vec![candidate], bathtub)
+        };
+        CellFit {
+            cell: cell.to_string(),
+            vm_type: key.map(|k| k.vm_type),
+            zone: key.map(|k| k.zone),
+            time_of_day: key.map(|k| k.time_of_day),
+            records: lifetimes.len(),
+            deadline_survivals: lifetimes.len() / 5,
+            mean_lifetime_hours: 3.25,
+            candidates,
+            selection: format!("{family} selected"),
+            model: CalibratedModel {
+                family: family.to_string(),
+                params,
+                lifetimes,
+            },
+        }
+    }
+
+    fn catalog(pooled: usize, cells: Vec<CellFit>) -> RegimeCatalog {
+        RegimeCatalog {
+            format_version: CATALOG_FORMAT_VERSION,
+            name: "chunks".to_string(),
+            source: "a \"quoted\" source".to_string(),
+            horizon_hours: 24.0,
+            total_records: pooled,
+            options: FitOptions {
+                tod_hours: Some(6),
+                ..FitOptions::default()
+            },
+            pooled: entry(POOLED_CELL, None, pooled, "phased"),
+            cells,
+        }
+    }
+
+    /// `to_json`, and the encoder with and without its worker, print the derived bytes.
+    fn assert_encodes_like_the_derived_impl(catalog: &RegimeCatalog) {
+        let mut want = String::new();
+        serde_json::append(catalog, &mut want);
+        for split in [false, true] {
+            let mut got = String::new();
+            catalog.encode(&mut got, split);
+            assert_eq!(got, want, "split {split}");
+        }
+        assert_eq!(catalog.to_json().unwrap(), want);
+    }
+
+    #[test]
+    fn chunked_encoding_matches_the_derived_impl() {
+        let day = CellKey::all()[0];
+        let night = CellKey::all()[1];
+        let hours = |start| CellKey {
+            time_of_day: TodSlot::Hours { start, width: 6 },
+            ..day
+        };
+        for n in [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK] {
+            let named = catalog(
+                2 * n + 1,
+                vec![
+                    entry(&day.to_string(), Some(day), n, "bathtub"),
+                    entry(&night.to_string(), Some(night), 1, "empirical"),
+                    entry(&night.to_string(), Some(night), n, "weibull"),
+                ],
+            );
+            assert_encodes_like_the_derived_impl(&named);
+            let hour_cells = catalog(
+                2 * n + 1,
+                vec![
+                    entry(&hours(0).to_string(), Some(hours(0)), 1, "empirical"),
+                    entry(&hours(6).to_string(), Some(hours(6)), n, "empirical"),
+                    entry(&hours(18).to_string(), Some(hours(18)), n, "phased"),
+                ],
+            );
+            assert_encodes_like_the_derived_impl(&hour_cells);
+        }
+    }
+
+    #[test]
+    fn a_pooled_entry_alone_encodes_like_the_derived_impl() {
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK] {
+            assert_encodes_like_the_derived_impl(&catalog(n, Vec::new()));
+        }
     }
 
     #[test]

@@ -115,9 +115,9 @@ impl CellPartition {
         }
     }
 
-    /// Ingests one record.  Fails only in launch-hour mode, when a record carries no
-    /// launch hour.
-    pub fn push(&mut self, record: &PreemptionRecord) -> Result<()> {
+    /// The slot of the cell a record falls into.  Fails only in launch-hour mode, when
+    /// the record carries no launch hour.
+    fn record_slot(&self, record: &PreemptionRecord) -> Result<usize> {
         let tod = match self.tod_hours {
             None => record.time_of_day as usize,
             Some(width) => {
@@ -127,7 +127,13 @@ impl CellPartition {
                 ((hour % 24) / width) as usize
             }
         };
-        let slot = self.slot(record.vm_type, record.zone, tod);
+        Ok(self.slot(record.vm_type, record.zone, tod))
+    }
+
+    /// Ingests one record.  Fails only in launch-hour mode, when a record carries no
+    /// launch hour.
+    pub fn push(&mut self, record: &PreemptionRecord) -> Result<()> {
+        let slot = self.record_slot(record)?;
         self.cells[slot].push(record.lifetime_hours);
         if !record.preempted_before_deadline {
             self.censored[slot] += 1;
@@ -136,12 +142,20 @@ impl CellPartition {
         Ok(())
     }
 
-    /// Builds a partition honouring an optional launch-hour split.
+    /// Builds a partition honouring an optional launch-hour split.  The records are
+    /// counted per cell first, so each cell is allocated once at its exact size.
     pub fn from_records_with(records: &[PreemptionRecord], tod_hours: Option<u32>) -> Result<Self> {
         let mut partition = match tod_hours {
             None => Self::new(),
             Some(width) => Self::with_tod_hours(width)?,
         };
+        let mut counts = vec![0; partition.cells.len()];
+        for record in records {
+            counts[partition.record_slot(record)?] += 1;
+        }
+        for (cell, count) in partition.cells.iter_mut().zip(counts) {
+            cell.reserve_exact(count);
+        }
         for record in records {
             partition.push(record)?;
         }
@@ -393,6 +407,8 @@ mod tests {
                     dense.censored.iter().sum::<usize>(),
                     censored.values().sum::<usize>()
                 );
+                // Each cell was allocated once, at its exact size.
+                assert!(dense.cells.iter().all(|cell| cell.capacity() == cell.len()));
                 // Keys of every split: a key the BTreeMap lacks has no lifetimes.
                 let probes = CellKey::all().into_iter().flat_map(|key| {
                     [1, 2, 3, 4, 5, 6, 8, 12]

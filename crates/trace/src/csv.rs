@@ -257,13 +257,31 @@ fn enum_field<T: Copy + FromStr<Err = String>, const N: usize>(
     canonical(field, table).map_or_else(|| field.parse(), Ok)
 }
 
+/// The smallest share of a CSV body worth a thread of its own: smaller inputs, and
+/// every test document, parse on the calling thread.
+const MIN_PART_BYTES: usize = 1 << 20;
+
 /// Parses records from CSV text (header required, blank lines ignored).  Both the
 /// six-column layout and the launch-hour layout are accepted.
 ///
 /// One byte scan finds each line and its commas.  Lines are those of [`str::lines`]
 /// (split at `\n`, a `\r` before it dropped); a line is blank when its `trim` is
 /// empty, and errors number a line by its count of non-blank lines.
+///
+/// The body after the header is parsed on the available CPUs, in line-aligned parts
+/// of at least 1 MiB each, so a body under 2 MiB stays on the calling thread.  The
+/// records, and the error of the first failing line, are the same for every number of
+/// parts.
 pub fn records_from_csv_str(text: &str) -> Result<Vec<PreemptionRecord>> {
+    parse_records(text, |body_len| match body_len / MIN_PART_BYTES {
+        0 | 1 => 1,
+        parts => parts.min(std::thread::available_parallelism().map_or(1, usize::from)),
+    })
+}
+
+/// [`records_from_csv_str`] with the body cut into `parts(body length)` parts (at least
+/// one).
+fn parse_records(text: &str, parts: impl FnOnce(usize) -> usize) -> Result<Vec<PreemptionRecord>> {
     let bytes = text.as_bytes();
     let mut at = 0;
     let header = loop {
@@ -286,64 +304,207 @@ pub fn records_from_csv_str(text: &str) -> Result<Vec<PreemptionRecord>> {
             )))
         }
     };
-    // Each record is one line, so the newline count bounds the record count.
-    let mut records = Vec::with_capacity(count_newlines(bytes));
-    let mut line_no = 1;
-    while at < bytes.len() {
-        let line = Line::scan(bytes, at);
-        at = line.next;
-        if line.is_blank(text) {
-            continue;
+    if at >= bytes.len() {
+        return Ok(Vec::new());
+    }
+    let parts = Part::cut(bytes, at, parts(bytes.len() - at).max(1));
+    // Each record is one line, so a part's line count bounds its records.  The
+    // capacity is the text's newline count: the header's own newline covers an
+    // unterminated last line.
+    let lines = on_threads(&parts, |part| part.lines(bytes));
+    let slots: usize = lines.iter().sum();
+    let unterminated = usize::from(!text.ends_with('\n'));
+    let mut records = Vec::with_capacity(count_newlines(&bytes[..at]) + slots - unterminated);
+    records.resize(slots, FILLER);
+    let mut rest = records.as_mut_slice();
+    let shares = lines.iter().map(|&count| {
+        let (share, tail) = std::mem::take(&mut rest).split_at_mut(count);
+        rest = tail;
+        share
+    });
+    let parsed = on_threads(parts.iter().zip(shares), |(part, share)| {
+        part.parse(text, expected_fields, 1, share)
+    });
+    // Close the gaps the blank lines left, in part order.  The first failing part's
+    // error wins; its line numbers count from the part's start, so it is parsed again
+    // from the count of the non-blank lines before it: every earlier part parsed, one
+    // record per non-blank line.
+    let (mut filled, mut from) = (0, 0);
+    for ((part, slots), parsed) in parts.iter().zip(lines).zip(parsed) {
+        match parsed {
+            Ok(count) => {
+                if from != filled {
+                    records.copy_within(from..from + count, filled);
+                }
+                filled += count;
+                from += slots;
+            }
+            Err(err) => {
+                return part
+                    .parse(text, expected_fields, 1 + filled, &mut records[filled..])
+                    .and(Err(err));
+            }
         }
-        line_no += 1;
-        if line.fields != expected_fields {
-            return Err(NumericsError::invalid(format!(
-                "line {line_no}: expected {expected_fields} fields, found {}",
-                line.fields
-            )));
+    }
+    records.truncate(filled);
+    Ok(records)
+}
+
+/// Runs `work` on every input, the first on the calling thread and each other on a
+/// scoped thread of its own; returns the results in input order.
+fn on_threads<I: Send, T: Send>(
+    inputs: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut inputs = inputs.into_iter();
+        let first = inputs.next();
+        let workers: Vec<_> = inputs
+            .map(|input| {
+                scope.spawn(move || {
+                    let _span = tcp_obs::span!("trace.csv_parse.part");
+                    work(input)
+                })
+            })
+            .collect();
+        first
+            .map(work)
+            .into_iter()
+            .chain(workers.into_iter().map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }))
+            .collect()
+    })
+}
+
+/// What a record slot holds until its part's parse overwrites it.
+const FILLER: PreemptionRecord = PreemptionRecord {
+    vm_type: VmType::N1HighCpu2,
+    zone: Zone::UsCentral1C,
+    time_of_day: TimeOfDay::Day,
+    workload: WorkloadKind::Idle,
+    lifetime_hours: 0.0,
+    preempted_before_deadline: true,
+    launch_hour: None,
+};
+
+/// A line-aligned share of a CSV body.
+struct Part {
+    /// First byte of its first line.
+    start: usize,
+    /// One past its last byte: just after a `\n`, or the end of the text.
+    end: usize,
+}
+
+impl Part {
+    /// Cuts the body starting at byte `body` into `parts` parts of about equal length,
+    /// each ending just after a newline or at the end of the text; a part may be empty.
+    fn cut(bytes: &[u8], body: usize, parts: usize) -> Vec<Part> {
+        let len = bytes.len() - body;
+        let mut out = Vec::with_capacity(parts);
+        let mut start = body;
+        for k in 1..=parts {
+            let end = if k == parts {
+                bytes.len()
+            } else {
+                let aim = (body + k * len / parts).max(start);
+                bytes[aim..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |newline| aim + newline + 1)
+            };
+            out.push(Part { start, end });
+            start = end;
         }
-        let fields = line.split(text);
-        let parse_err = |what: &str, detail: String| {
-            NumericsError::invalid(format!("line {line_no}: bad {what}: {detail}"))
-        };
-        let vm_type = enum_field(fields[0], &VM_TYPES).map_err(|e| parse_err("vm_type", e))?;
-        let zone = enum_field(fields[1], &ZONES).map_err(|e| parse_err("zone", e))?;
-        let time_of_day =
-            enum_field(fields[2], &TIMES_OF_DAY).map_err(|e| parse_err("time_of_day", e))?;
-        let workload = enum_field(fields[3], &WORKLOADS).map_err(|e| parse_err("workload", e))?;
-        let lifetime: f64 = fields[4]
+        out
+    }
+
+    /// Its line count, an upper bound on its records.
+    fn lines(&self, bytes: &[u8]) -> usize {
+        let own = &bytes[self.start..self.end];
+        count_newlines(own) + usize::from(own.last().is_some_and(|&b| b != b'\n'))
+    }
+
+    /// Parses the part's rows into `slots`, numbering lines on from `line_no`, the
+    /// count of non-blank lines before the part; returns the number of records.
+    fn parse(
+        &self,
+        text: &str,
+        expected_fields: usize,
+        mut line_no: usize,
+        slots: &mut [PreemptionRecord],
+    ) -> Result<usize> {
+        let bytes = text.as_bytes();
+        let mut records = 0;
+        let mut at = self.start;
+        while at < self.end {
+            let line = Line::scan(bytes, at);
+            at = line.next;
+            if line.is_blank(text) {
+                continue;
+            }
+            line_no += 1;
+            slots[records] = parse_row(text, &line, expected_fields, line_no)?;
+            records += 1;
+        }
+        Ok(records)
+    }
+}
+
+/// Parses one non-blank row, numbered `line_no` in errors.
+fn parse_row(
+    text: &str,
+    line: &Line,
+    expected_fields: usize,
+    line_no: usize,
+) -> Result<PreemptionRecord> {
+    if line.fields != expected_fields {
+        return Err(NumericsError::invalid(format!(
+            "line {line_no}: expected {expected_fields} fields, found {}",
+            line.fields
+        )));
+    }
+    let fields = line.split(text);
+    let parse_err = |what: &str, detail: String| {
+        NumericsError::invalid(format!("line {line_no}: bad {what}: {detail}"))
+    };
+    let vm_type = enum_field(fields[0], &VM_TYPES).map_err(|e| parse_err("vm_type", e))?;
+    let zone = enum_field(fields[1], &ZONES).map_err(|e| parse_err("zone", e))?;
+    let time_of_day =
+        enum_field(fields[2], &TIMES_OF_DAY).map_err(|e| parse_err("time_of_day", e))?;
+    let workload = enum_field(fields[3], &WORKLOADS).map_err(|e| parse_err("workload", e))?;
+    let lifetime: f64 = fields[4]
+        .trim()
+        .parse()
+        .map_err(|e: std::num::ParseFloatError| parse_err("lifetime_hours", e.to_string()))?;
+    let record = PreemptionRecord::new(vm_type, zone, time_of_day, workload, lifetime)
+        .map_err(|e| parse_err("record", e))?;
+    // `preempted_before_deadline` is derived from the lifetime; the stored flag is
+    // validated for consistency rather than trusted.
+    let stored_flag = canonical(fields[5], &FLAGS)
+        .map_or_else(|| fields[5].trim().parse(), Ok)
+        .map_err(|e: std::str::ParseBoolError| {
+            parse_err("preempted_before_deadline", e.to_string())
+        })?;
+    if stored_flag != record.preempted_before_deadline {
+        return Err(parse_err(
+            "preempted_before_deadline",
+            format!("inconsistent with lifetime {lifetime}"),
+        ));
+    }
+    if expected_fields == 7 && !fields[6].trim().is_empty() {
+        let hour: u32 = fields[6]
             .trim()
             .parse()
-            .map_err(|e: std::num::ParseFloatError| parse_err("lifetime_hours", e.to_string()))?;
-        let record = PreemptionRecord::new(vm_type, zone, time_of_day, workload, lifetime)
-            .map_err(|e| parse_err("record", e))?;
-        // `preempted_before_deadline` is derived from the lifetime; the stored flag is
-        // validated for consistency rather than trusted.
-        let stored_flag = canonical(fields[5], &FLAGS)
-            .map_or_else(|| fields[5].trim().parse(), Ok)
-            .map_err(|e: std::str::ParseBoolError| {
-                parse_err("preempted_before_deadline", e.to_string())
-            })?;
-        if stored_flag != record.preempted_before_deadline {
-            return Err(parse_err(
-                "preempted_before_deadline",
-                format!("inconsistent with lifetime {lifetime}"),
-            ));
-        }
-        let record = if expected_fields == 7 && !fields[6].trim().is_empty() {
-            let hour: u32 = fields[6]
-                .trim()
-                .parse()
-                .map_err(|e: std::num::ParseIntError| parse_err("launch_hour", e.to_string()))?;
-            record
-                .with_launch_hour(hour)
-                .map_err(|e| parse_err("launch_hour", e))?
-        } else {
-            record
-        };
-        records.push(record);
+            .map_err(|e: std::num::ParseIntError| parse_err("launch_hour", e.to_string()))?;
+        return record
+            .with_launch_hour(hour)
+            .map_err(|e| parse_err("launch_hour", e));
     }
-    Ok(records)
+    Ok(record)
 }
 
 /// Writes records to a CSV file, creating parent directories as needed.
@@ -620,6 +781,149 @@ mod tests {
                 (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
                 (got, want) => panic!("{doc:?}: scanner {got:?}, reference {want:?}"),
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn split_parse_matches_the_reference_loop(seed in 0u64..u64::MAX, parts in 2usize..6) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let doc = random_document(&mut rng);
+            assert_parses_like_the_reference(&doc, parts);
+        }
+    }
+
+    /// Parses `doc` in `parts` parts and checks the records, or the error text, against
+    /// the reference loop.
+    fn assert_parses_like_the_reference(doc: &str, parts: usize) {
+        match (
+            parse_records(doc, |_| parts),
+            reference_records_from_csv_str(doc),
+        ) {
+            (Ok(got), Ok(want)) => assert_eq!(got, want, "{doc:?} in {parts} parts"),
+            (Err(got), Err(want)) => {
+                assert_eq!(
+                    got.to_string(),
+                    want.to_string(),
+                    "{doc:?} in {parts} parts"
+                )
+            }
+            (got, want) => panic!("{doc:?} in {parts} parts: split {got:?}, reference {want:?}"),
+        }
+    }
+
+    /// `rows` under `header`, with the first row's lifetime padded by `pad` spaces: each
+    /// pad shifts every later byte by one, so over a line's length of pads the cuts
+    /// between parts land on every line boundary (and inside every line) in turn.
+    fn padded_document(header: &str, rows: &[&str], pad: usize) -> String {
+        let mut doc = format!("{header}\n");
+        for (i, row) in rows.iter().enumerate() {
+            if i == 0 {
+                doc.push_str(&row.replacen(",3.2,", &format!(",{}3.2,", " ".repeat(pad)), 1));
+            } else {
+                doc.push_str(row);
+            }
+        }
+        doc
+    }
+
+    const ROW: &str = "n1-highcpu-16,us-east1-b,day,non-idle,3.2,true\n";
+
+    #[test]
+    fn split_parse_cuts_between_any_two_lines() {
+        let blank_and_crlf = [
+            ROW,
+            "\n",
+            "n1-highcpu-2,us-west1-a,night,idle,24.000000,false\r\n",
+            "   \n",
+            "\r\n",
+            "\u{3000}\t\r\n",
+            ROW,
+            "\n",
+            "n1-highcpu-4,us-central1-c,Night,BUSY,1.5,true\r\n",
+            "\x0b\n",
+            ROW,
+        ];
+        let hours = [
+            "n1-highcpu-16,us-east1-b,day,non-idle,3.2,true,9\n",
+            "\n",
+            "n1-highcpu-2,us-west1-a,night,idle,24.000000,false,\r\n",
+            "n1-highcpu-4,us-central1-c,night,idle,1.5,true, 22 \n",
+            "  \r\n",
+            "n1-highcpu-8,us-central1-f,day,idle,2.25,true,12",
+        ];
+        // A bad last row: its line number counts the rows of every earlier part.
+        let bad_last = [ROW, "\n", ROW, "  \n", ROW, ROW, "\r\n", ROW, "bad\n"];
+        // Two bad rows: the earlier one wins wherever the cuts fall.
+        let two_bad = [
+            ROW,
+            ROW,
+            "n1-highcpu-16,us-east1-b,day,non-idle,3.2,yes\n",
+            "\n",
+            ROW,
+            ROW,
+            ROW,
+            "n1-highcpu-16,us-east1-b,dusk,non-idle,3.2,true\n",
+            ROW,
+        ];
+        for (header, rows) in [
+            (CSV_HEADER, &blank_and_crlf[..]),
+            (CSV_HEADER_HOURS, &hours[..]),
+            (CSV_HEADER, &bad_last[..]),
+            (CSV_HEADER, &two_bad[..]),
+        ] {
+            for pad in 0..64 {
+                let doc = padded_document(header, rows, pad);
+                for parts in 2..6 {
+                    assert_parses_like_the_reference(&doc, parts);
+                }
+            }
+        }
+        let last = parse_records(&padded_document(CSV_HEADER, &bad_last, 0), |_| 3);
+        assert_eq!(
+            last.unwrap_err().to_string(),
+            "invalid argument: line 7: expected 6 fields, found 1"
+        );
+        let first = parse_records(&padded_document(CSV_HEADER, &two_bad, 0), |_| 4);
+        assert_eq!(
+            first.unwrap_err().to_string(),
+            "invalid argument: line 4: bad preempted_before_deadline: provided string was not \
+             `true` or `false`"
+        );
+    }
+
+    #[test]
+    fn split_parse_of_a_header_alone() {
+        for doc in [
+            CSV_HEADER.to_string(),
+            format!("{CSV_HEADER}\n"),
+            format!("\n {CSV_HEADER_HOURS}\r\n\n  \r\n\n"),
+            format!("{CSV_HEADER_HOURS}\n\u{3000}"),
+        ] {
+            for parts in 1..6 {
+                assert_parses_like_the_reference(&doc, parts);
+            }
+        }
+    }
+
+    #[test]
+    fn parts_are_line_aligned_and_cover_the_body() {
+        let doc = padded_document(CSV_HEADER, &[ROW, "\r\n", ROW, ROW, "\n", ROW], 0);
+        let bytes = doc.as_bytes();
+        let body = CSV_HEADER.len() + 1;
+        for count in 1..6 {
+            let parts = Part::cut(bytes, body, count);
+            assert_eq!(parts.len(), count);
+            assert_eq!(parts[0].start, body);
+            assert_eq!(parts[count - 1].end, bytes.len());
+            for pair in parts.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+                assert_eq!(bytes[pair[0].end - 1], b'\n');
+            }
+            let lines: usize = parts.iter().map(|part| part.lines(bytes)).sum();
+            assert_eq!(lines, doc[body..].lines().count());
         }
     }
 
