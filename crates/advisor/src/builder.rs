@@ -535,7 +535,8 @@ dp_step_minutes = 15.0
     fn builds_a_pack_with_one_regime_per_spec_regime() {
         let pack = tiny_builder().build_from_spec(&tiny_spec()).unwrap();
         assert_eq!(pack.regimes.len(), 2);
-        assert_eq!(pack.regime_names(), vec!["gcp-day", "exp8"]);
+        let names: Vec<&str> = pack.regimes.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["gcp-day", "exp8"]);
         assert_eq!(pack.format_version, PACK_FORMAT_VERSION);
         for regime in &pack.regimes {
             assert_eq!(regime.checkpoint_cells.len(), 2);

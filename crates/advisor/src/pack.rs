@@ -241,11 +241,6 @@ impl ModelPack {
         }
         Ok(())
     }
-
-    /// Names of the regimes in the pack, in pack order.
-    pub fn regime_names(&self) -> Vec<String> {
-        self.regimes.iter().map(|r| r.name.clone()).collect()
-    }
 }
 
 impl RegimePack {
@@ -403,11 +398,6 @@ impl MultiPack {
                 .map_err(|e| AdvisorError::Pack(format!("cell `{}`: {e}", entry.cell)))?;
         }
         Ok(())
-    }
-
-    /// Names of the routable cells, in pack order.
-    pub fn cell_names(&self) -> Vec<String> {
-        self.cells.iter().map(|c| c.cell.clone()).collect()
     }
 }
 

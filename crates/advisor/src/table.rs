@@ -80,11 +80,6 @@ impl Table2D {
         Ok(Table2D { xs, ys, values })
     }
 
-    /// First-axis knots.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
     /// Second-axis knots.
     pub fn ys(&self) -> &[f64] {
         &self.ys
@@ -147,7 +142,7 @@ mod tests {
     #[test]
     fn eval_hits_grid_points_exactly() {
         let t = plane();
-        for (i, &x) in t.xs().iter().enumerate() {
+        for (i, &x) in t.xs.iter().enumerate() {
             for (j, &y) in t.ys().iter().enumerate() {
                 assert_eq!(t.eval(x, y), t.at(i, j));
             }

@@ -264,7 +264,7 @@ impl BatchService {
     pub fn prepare_bag(&self, bag: BagOfJobs) -> PreparedBag {
         let slots = self.config.cluster_size;
         PreparedBag {
-            total_work_hours: bag.jobs.iter().map(|j| j.estimated_runtime_hours).sum(),
+            total_work_hours: bag.total_work_hours(),
             ideal_makespan_hours: ideal_makespan(&bag, slots),
             slots,
             bag,

@@ -17,6 +17,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tcp_calibrate::{Calibrator, FitOptions, RegimeCatalog};
+use tcp_obs::cli::{next_value, parse};
 
 /// Counting allocator so `fit --profile-file` attributes allocations to the
 /// pipeline's span sites; counting stays off (one relaxed load per alloc)
@@ -48,14 +49,6 @@ commands:
       --alpha A              K-S significance level for the drift threshold (default 0.05)
       --ks-threshold X       fixed drift threshold overriding the alpha-derived one
       --fail-on-drift        exit non-zero when any shared cell drifts";
-
-fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("invalid {flag} value `{v}`"))
-}
 
 fn positional(slot: &mut Option<PathBuf>, value: &str) -> Result<(), String> {
     if slot.is_some() {

@@ -241,10 +241,10 @@ impl Calibrator {
             return Err(NumericsError::invalid("cannot calibrate an empty dataset"));
         }
         let keys = partition.keys();
-        let pooled: Vec<f64> = keys
-            .iter()
-            .flat_map(|k| partition.lifetimes(k).iter().copied())
-            .collect();
+        let mut pooled = Vec::with_capacity(partition.total());
+        for key in &keys {
+            pooled.extend_from_slice(partition.lifetimes(key));
+        }
         let pooled_censored: usize = partition.censored.iter().sum();
 
         // Task 0 fits the pooled distribution; tasks 1.. fit the cells in sorted order.

@@ -29,7 +29,7 @@ pub mod provider;
 pub mod vm;
 
 pub use events::EventQueue;
-pub use montecarlo::{resolve_threads, run_monte_carlo, run_tasks, MonteCarloSummary};
+pub use montecarlo::{resolve_threads, run_tasks, MonteCarloSummary};
 pub use pricing::PricingModel;
 pub use provider::{CloudProvider, ProviderConfig, ProviderTemplate, UsageReport};
 pub use vm::{BillingClass, VmHandle, VmId, VmInstance, VmState};

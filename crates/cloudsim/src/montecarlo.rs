@@ -8,14 +8,10 @@
 //! from a common queue, and returns the results **in task order**.  Because every task is
 //! seeded from its index and the reduction happens sequentially over the ordered results,
 //! every aggregate is bit-identical regardless of thread count or scheduling.
-//!
-//! [`run_monte_carlo`] keeps the original trial-averaging interface on top: one
-//! deterministic RNG stream per trial, merged with the numerically stable Welford
-//! reduction.
+//! [`MonteCarloSummary`] is the per-metric record of such an aggregate; the scenario
+//! reports build it from the ordered trial results.
 
 use serde::{Deserialize, Serialize};
-use tcp_numerics::stats::Welford;
-use tcp_numerics::{NumericsError, Result};
 
 /// Summary of a Monte-Carlo experiment over a scalar metric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,72 +92,12 @@ where
         .collect()
 }
 
-/// Runs `trials` independent trials of `trial_fn` in parallel and summarises the scalar
-/// metric each returns.
-///
-/// `trial_fn(trial_index)` must be deterministic given the index (seed its RNG from the
-/// index) so experiments are reproducible regardless of thread scheduling.  Non-finite
-/// trial values are dropped from the summary.  `threads = 0` selects the number of
-/// available CPUs.
-// lint:allow(dead-api) no caller outside montecarlo::tests (7 tests pin it); delete with them
-pub fn run_monte_carlo<F>(trials: usize, threads: usize, trial_fn: F) -> Result<MonteCarloSummary>
-where
-    F: Fn(usize) -> f64 + Send + Sync,
-{
-    if trials == 0 {
-        return Err(NumericsError::invalid("need at least one trial"));
-    }
-    // Convert trial panics into an Err instead of unwinding through the public Result
-    // API (run_tasks itself re-raises worker panics on join).
-    let values = run_tasks(trials, threads, |i| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trial_fn(i)))
-    });
-
-    let mut welford = Welford::new();
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for value in values {
-        let Ok(value) = value else {
-            return Err(NumericsError::invalid("a Monte-Carlo trial panicked"));
-        };
-        if !value.is_finite() {
-            continue;
-        }
-        welford.add(value);
-        min = min.min(value);
-        max = max.max(value);
-    }
-    if welford.count() == 0 {
-        return Err(NumericsError::invalid(
-            "all trials returned non-finite values",
-        ));
-    }
-    Ok(MonteCarloSummary {
-        trials: welford.count() as usize,
-        mean: welford.mean(),
-        std_dev: welford.std_dev(),
-        std_error: welford.std_error(),
-        min,
-        max,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn deterministic_metric_summary() {
-        let summary = run_monte_carlo(100, 4, |i| i as f64).unwrap();
-        assert_eq!(summary.trials, 100);
-        assert!((summary.mean - 49.5).abs() < 1e-9);
-        assert_eq!(summary.min, 0.0);
-        assert_eq!(summary.max, 99.0);
-        assert!(summary.std_dev > 0.0);
-        assert!(summary.std_error > 0.0);
-    }
+    use tcp_numerics::stats::Welford;
 
     #[test]
     fn result_independent_of_thread_count() {
@@ -169,56 +105,21 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(i as u64);
             rng.gen::<f64>() * 10.0
         };
-        let one = run_monte_carlo(500, 1, f).unwrap();
-        let many = run_monte_carlo(500, 8, f).unwrap();
+        let reduce = |values: Vec<f64>| {
+            let mut welford = Welford::new();
+            values.into_iter().for_each(|v| welford.add(v));
+            (welford.mean().to_bits(), welford.std_dev().to_bits())
+        };
         // Sequential reduction over index-ordered results makes this exact, not
         // approximate: the float operations happen in the same order for any thread count.
-        assert_eq!(one, many);
+        assert_eq!(reduce(run_tasks(500, 1, f)), reduce(run_tasks(500, 8, f)));
     }
 
     #[test]
     fn zero_threads_selects_available_parallelism() {
-        let summary = run_monte_carlo(64, 0, |i| (i % 7) as f64).unwrap();
-        assert_eq!(summary.trials, 64);
-    }
-
-    #[test]
-    fn non_finite_trials_are_dropped() {
-        let summary = run_monte_carlo(10, 2, |i| if i % 2 == 0 { f64::NAN } else { 1.0 }).unwrap();
-        assert_eq!(summary.trials, 5);
-        assert_eq!(summary.mean, 1.0);
-    }
-
-    #[test]
-    fn argument_validation() {
-        assert!(run_monte_carlo(0, 1, |_| 0.0).is_err());
-        assert!(run_monte_carlo(4, 2, |_| f64::NAN).is_err());
-    }
-
-    #[test]
-    fn panicking_trial_becomes_an_error() {
-        let result = run_monte_carlo(8, 2, |i| {
-            assert!(i != 3, "simulated trial failure");
-            1.0
-        });
-        let err = result.expect_err("panic must surface as Err");
-        assert!(err.to_string().contains("panicked"), "{err}");
-    }
-
-    #[test]
-    fn monte_carlo_estimates_a_known_expectation() {
-        // E[U^2] for U ~ Uniform(0,1) is 1/3.
-        let summary = run_monte_carlo(20_000, 0, |i| {
-            let mut rng = StdRng::seed_from_u64(i as u64 ^ 0xBEEF);
-            let u: f64 = rng.gen();
-            u * u
-        })
-        .unwrap();
-        assert!(
-            (summary.mean - 1.0 / 3.0).abs() < 0.01,
-            "mean = {}",
-            summary.mean
-        );
+        let results = run_tasks(64, 0, |i| i % 7);
+        assert_eq!(results.len(), 64);
+        assert_eq!(results[13], 6);
     }
 
     #[test]

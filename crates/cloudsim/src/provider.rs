@@ -240,12 +240,6 @@ impl CloudProvider {
         self.vms.get_mut(usize::try_from(id.0).ok()?)
     }
 
-    /// The hidden preemption time of a VM (used by simulation drivers to schedule the
-    /// preemption event; a real controller would only receive the advance warning).
-    pub fn preemption_time(&self, id: VmId) -> Option<f64> {
-        self.get(id).and_then(|vm| vm.preemption_time)
-    }
-
     /// Marks a VM as preempted at time `now` (no-op if it is not running).
     /// Returns true when the VM transitioned from running to preempted.
     pub fn preempt(&mut self, id: VmId, now: f64) -> bool {
@@ -381,7 +375,7 @@ mod tests {
             .unwrap();
         assert!(p.get(vm.id).is_some());
         assert!(p.get(VmId(999)).is_none());
-        assert_eq!(p.preemption_time(vm.id), vm.preemption_time);
+        assert_eq!(p.get(vm.id).unwrap().preemption_time, vm.preemption_time);
     }
 
     #[test]

@@ -348,11 +348,6 @@ impl TabulatedLifetime {
             first_moment: LinearInterp::new(ages.to_vec(), first_moment)?,
         })
     }
-
-    /// The age grid the curves were tabulated on.
-    pub fn ages(&self) -> &[f64] {
-        self.survival.knots()
-    }
 }
 
 /// The constrained law the tables describe: survival is the table lookup, and the CDF,

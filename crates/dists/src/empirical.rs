@@ -55,11 +55,6 @@ impl EmpiricalLifetime {
         })
     }
 
-    /// Number of observations backing the distribution.
-    pub fn sample_count(&self) -> usize {
-        self.ecdf.len()
-    }
-
     /// The underlying step-function ECDF.
     pub fn ecdf(&self) -> &Ecdf {
         &self.ecdf
@@ -132,7 +127,7 @@ mod tests {
         assert!(EmpiricalLifetime::new(&[1.0], Some(0.0)).is_err());
         assert!(EmpiricalLifetime::new(&[f64::NAN], None).is_err());
         let d = EmpiricalLifetime::new(&samples(), Some(24.0)).unwrap();
-        assert_eq!(d.sample_count(), 10);
+        assert_eq!(d.ecdf.len(), 10);
         assert_eq!(d.upper_bound(), 24.0);
     }
 

@@ -25,11 +25,6 @@ impl Exponential {
         }
         Ok(Exponential { rate })
     }
-
-    /// The failure rate `λ`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 impl LifetimeDistribution for Exponential {
@@ -111,7 +106,7 @@ mod tests {
         assert!(Exponential::new(-1.0).is_err());
         assert!(Exponential::new(f64::NAN).is_err());
         let d = Exponential::new(0.25).unwrap();
-        assert!((d.rate() - 0.25).abs() < 1e-15);
+        assert!((d.rate - 0.25).abs() < 1e-15);
     }
 
     #[test]

@@ -49,21 +49,6 @@ impl GompertzMakeham {
         })
     }
 
-    /// The Makeham (background) hazard `λ`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The Gompertz scale `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The Gompertz ageing rate `β`.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
     /// The cumulative hazard `Λ(t) = λt + (α/β)(e^{βt} − 1)`.
     pub fn cumulative_hazard(&self, t: f64) -> f64 {
         if t <= 0.0 {

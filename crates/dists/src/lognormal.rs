@@ -31,16 +31,6 @@ impl LogNormal {
         Ok(LogNormal { mu, sigma })
     }
 
-    /// Log-scale mean.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Log-scale standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// The standard normal CDF via `erf`.
     fn phi(z: f64) -> f64 {
         0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
@@ -169,8 +159,8 @@ mod tests {
         assert!(LogNormal::new(0.0, 0.0).is_err());
         assert!(LogNormal::new(f64::NAN, 1.0).is_err());
         let d = LogNormal::new(4.0f64.ln(), 1.5f64.ln()).unwrap();
-        assert!((d.mu() - 4.0f64.ln()).abs() < 1e-12);
-        assert!((d.sigma() - 1.5f64.ln()).abs() < 1e-12);
+        assert!((d.mu - 4.0f64.ln()).abs() < 1e-12);
+        assert!((d.sigma - 1.5f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -32,16 +32,6 @@ impl Weibull {
         Ok(Weibull { rate, shape })
     }
 
-    /// The rate parameter `λ`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The shape parameter `k`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
     /// Ln-gamma via the Lanczos approximation (needed for the closed-form mean).
     fn ln_gamma(x: f64) -> f64 {
         // Lanczos coefficients (g = 7, n = 9)

@@ -47,8 +47,14 @@
 //! `examples/` and `perfbench/src/` (read, never linted).  Test code is the
 //! `#[cfg(test)]`/`#[test]` regions and every file under a `tests/` directory; a
 //! `pub use` re-export is skipped, and an inline format argument such as
-//! `"{MIN_PACK_FORMAT_VERSION}"` counts.  Matching is by name, so an unused item
-//! that shares its name with a used one is not caught.
+//! `"{MIN_PACK_FORMAT_VERSION}"` counts.  A `pub fn` declared inside an `impl`
+//! block (a method or associated function) counts only a call (`.name(`,
+//! `.name::<`) or a path (`::name`), so a field `self.rate`, a struct-literal key
+//! or a local of the same name does not keep the method `rate` alive; free
+//! functions and every other item kind count any identifier.  Matching is still by
+//! name, without types: a dead method or type that shares its name with a live
+//! one on another type (a dead `Foo::values` beside a live `BTreeMap::values`) is not
+//! caught.
 //!
 //! # Running
 //!

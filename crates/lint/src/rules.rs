@@ -18,11 +18,12 @@
 //!   `tcp_obs::cli` helper instead of calling `process::exit` outside `main`;
 //! * **dead-api** — every `pub` item of a library crate is referenced by some
 //!   non-test code (rustc's `dead_code` cannot see `pub` items, so this is the
-//!   workspace-wide pass that can).
+//!   workspace-wide pass that can); a method is referenced only by a call or a
+//!   path, not by a field or local of the same name.
 
 use crate::config::Severity;
 use crate::lexer::{Token, TokenKind};
-use crate::source::SourceFile;
+use crate::source::{matching_brace, SourceFile};
 use std::collections::BTreeSet;
 
 /// One finding: a rule violation at a source location.
@@ -544,16 +545,46 @@ fn is_test_file(path: &str) -> bool {
     path.split('/').any(|part| part == "tests")
 }
 
+/// A `pub` item definition: the index of its name token, and whether it is a
+/// `fn` declared inside an `impl` block (a method or an associated function).
+#[derive(Debug, Clone, Copy)]
+struct PubItem {
+    name: usize,
+    method: bool,
+}
+
+/// The `(open, close)` brace indices of every `impl` block body in `tokens`.
+/// `impl` opens a block only in item position (first in the file, or after `{`,
+/// `}`, `;`, an attribute's `]` or `unsafe`), so `-> impl Trait` and
+/// `x: impl Trait` do not.
+fn impl_bodies(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        let item_position = i == 0 || {
+            let prev = &tokens[i - 1];
+            ['{', '}', ';', ']'].iter().any(|&c| prev.is_punct(c)) || prev.is_ident("unsafe")
+        };
+        if !(t.is_ident("impl") && item_position) {
+            continue;
+        }
+        if let Some(open) = (i + 1..tokens.len()).find(|&k| tokens[k].is_punct('{')) {
+            out.push((open, matching_brace(tokens, open)));
+        }
+    }
+    out
+}
+
 /// The `pub` item definitions outside test code of `file`, when it is library
-/// code (`crates/<name>/src/**` outside `src/bin`), as indices of their name
-/// tokens.  Restricted visibility (`pub(crate)`) is rustc's `dead_code` territory.
-fn pub_item_names(file: &SourceFile) -> Vec<usize> {
+/// code (`crates/<name>/src/**` outside `src/bin`), in token order.  Restricted
+/// visibility (`pub(crate)`) is rustc's `dead_code` territory.
+fn pub_items(file: &SourceFile) -> Vec<PubItem> {
     let tokens = &file.tokens;
     let mut out = Vec::new();
     let parts: Vec<&str> = file.path.split('/').collect();
     if !(parts.len() > 3 && parts[0] == "crates" && parts[2] == "src" && parts[3] != "bin") {
         return out;
     }
+    let impls = impl_bodies(tokens);
     for i in 0..tokens.len() {
         if !tokens[i].is_ident("pub")
             || tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
@@ -578,16 +609,44 @@ fn pub_item_names(file: &SourceFile) -> Vec<usize> {
                 .get(k + 1)
                 .is_some_and(|t| t.kind == TokenKind::Ident && t.text != "_")
         {
-            out.push(k + 1);
+            let method = tokens[k].is_ident("fn") && impls.iter().any(|&(o, c)| o < k && k < c);
+            out.push(PubItem {
+                name: k + 1,
+                method,
+            });
         }
     }
     out
 }
 
-/// Adds the identifiers referenced in the non-test code of `file` to `names`,
-/// skipping the token indices in `definitions` and every token of a `pub use`
-/// re-export.  Inline format arguments (`"{NAME}"`, `"{NAME:>8}"`) count.
-fn add_references<'a>(file: &'a SourceFile, definitions: &[usize], names: &mut BTreeSet<&'a str>) {
+/// The names that the non-test code of the workspace references.
+#[derive(Default)]
+struct References<'a> {
+    /// Every identifier, in any position: what keeps a free item alive.
+    names: BTreeSet<&'a str>,
+    /// The identifiers called as a method (`.name(`, `.name::<`) or named as a
+    /// path segment (`::name`): the only references that keep a method alive, so
+    /// a field, a struct-literal key or a local of the same name does not.
+    calls: BTreeSet<&'a str>,
+}
+
+/// Whether the identifier at `i` is called as a method (`.name(`, `.name::<`,
+/// but not after a `..` range) or follows a `::` path separator.
+fn called_or_pathed(tokens: &[Token], i: usize) -> bool {
+    let punct = |k: usize, c: char| tokens.get(k).is_some_and(|t| t.is_punct(c));
+    let pathed = i >= 2 && punct(i - 1, ':') && punct(i - 2, ':');
+    let called = i >= 1
+        && punct(i - 1, '.')
+        && !(i >= 2 && punct(i - 2, '.'))
+        && (punct(i + 1, '(') || punct(i + 1, ':') && punct(i + 2, ':') && punct(i + 3, '<'));
+    pathed || called
+}
+
+/// Adds the identifiers referenced in the non-test code of `file` to `refs`,
+/// skipping the name tokens of `definitions` and every token of a `pub use`
+/// re-export.  Inline format arguments (`"{NAME}"`, `"{NAME:>8}"`) count as
+/// names.
+fn add_references<'a>(file: &'a SourceFile, definitions: &[PubItem], refs: &mut References<'a>) {
     if is_test_file(&file.path) {
         return;
     }
@@ -607,10 +666,13 @@ fn add_references<'a>(file: &'a SourceFile, definitions: &[usize], names: &mut B
             continue;
         }
         match t.kind {
-            TokenKind::Ident if definitions.binary_search(&i).is_err() => {
-                names.insert(t.text.as_str());
+            TokenKind::Ident if definitions.binary_search_by_key(&i, |d| d.name).is_err() => {
+                refs.names.insert(t.text.as_str());
+                if called_or_pathed(tokens, i) {
+                    refs.calls.insert(t.text.as_str());
+                }
             }
-            TokenKind::Str => names.extend(inline_format_args(&t.text)),
+            TokenKind::Str => refs.names.extend(inline_format_args(&t.text)),
             _ => {}
         }
         i += 1;
@@ -642,43 +704,59 @@ fn inline_format_args(text: &str) -> Vec<&str> {
 }
 
 /// dead-api: a workspace pass.  Indexes the `pub` items of the library sources
-/// among `files`, counts identifier references in the non-test code of `files`
-/// and of the read-only `reference_roots`, and reports every item that no
-/// reference names.  `reports(path)` selects the files whose items may be
-/// reported (the rule's configured scope).
+/// among `files`, collects the references in the non-test code of `files` and of
+/// the read-only `reference_roots`, and reports every item that no reference
+/// names: a method by a call or a path, any other item by its bare name.
+/// `reports(path)` selects the files whose items may be reported (the rule's
+/// configured scope).
 pub fn dead_api(
     files: &[SourceFile],
     reference_roots: &[SourceFile],
     reports: impl Fn(&str) -> bool,
     severity: Severity,
 ) -> Vec<Finding> {
-    let definitions: Vec<Vec<usize>> = files.iter().map(pub_item_names).collect();
-    let mut referenced: BTreeSet<&str> = BTreeSet::new();
+    let definitions: Vec<Vec<PubItem>> = files.iter().map(pub_items).collect();
+    let mut refs = References::default();
     for (file, defs) in files.iter().zip(&definitions) {
-        add_references(file, defs, &mut referenced);
+        add_references(file, defs, &mut refs);
     }
     for file in reference_roots {
-        add_references(file, &[], &mut referenced);
+        add_references(file, &[], &mut refs);
     }
     let mut out = Vec::new();
     for (file, defs) in files.iter().zip(&definitions) {
-        for &k in defs {
-            let name = &file.tokens[k];
-            if referenced.contains(name.text.as_str()) || !reports(&file.path) {
+        for item in defs {
+            let name = &file.tokens[item.name];
+            let live = if item.method {
+                &refs.calls
+            } else {
+                &refs.names
+            };
+            if live.contains(name.text.as_str()) || !reports(&file.path) {
                 continue;
             }
-            let keyword = &file.tokens[k - 1].text;
+            let keyword = &file.tokens[item.name - 1].text;
+            let n = &name.text;
+            let message = if item.method {
+                format!(
+                    "`pub fn {n}` is never called (`.{n}(`) or named by a path (`::{n}`) \
+                     outside its own definition and test code (a field or local of the \
+                     same name does not count); delete it, or suppress naming the test \
+                     that needs it"
+                )
+            } else {
+                format!(
+                    "`pub {keyword} {n}` has no reference outside its own definition and \
+                     test code (a `pub use` does not count); delete it, or suppress \
+                     naming the test that needs it"
+                )
+            };
             out.push(Finding {
                 path: file.path.clone(),
                 line: name.line,
                 rule: "dead-api",
-                snippet: format!("{keyword} {}", name.text),
-                message: format!(
-                    "`pub {keyword} {}` has no reference outside its own definition and \
-                     test code (a `pub use` does not count); delete it, or suppress \
-                     naming the test that needs it",
-                    name.text
-                ),
+                snippet: format!("{keyword} {n}"),
+                message,
                 severity,
             });
         }
@@ -703,10 +781,36 @@ mod tests {
             "pub const fn a() {}\npub(crate) fn b() {}\npub static C: u8 = 0;\n\
              pub mod d;\npub use d::E;\npub unsafe extern \"C\" fn f() {}\n",
         );
-        let names: Vec<&str> = pub_item_names(&file)
+        let names: Vec<&str> = pub_items(&file)
             .into_iter()
-            .map(|k| file.tokens[k].text.as_str())
+            .map(|item| file.tokens[item.name].text.as_str())
             .collect();
         assert_eq!(names, ["a", "C", "f"]);
+    }
+
+    #[test]
+    fn dead_api_sees_a_method_behind_a_same_named_field() {
+        let lib = SourceFile::parse(
+            "crates/x/src/lib.rs".to_string(),
+            "pub struct Rate {\n    rate: f64,\n}\n\
+             impl Rate {\n\
+                 pub fn new(rate: f64) -> Rate { Rate { rate } }\n\
+                 pub fn rate(&self) -> f64 { self.rate }\n\
+                 pub fn used(&self) -> impl Fn() -> f64 + '_ { || self.rate }\n\
+                 pub fn assoc() -> f64 { 1.0 }\n\
+             }\n\
+             pub fn free() {}\n",
+        );
+        let user = SourceFile::parse(
+            "src/main.rs".to_string(),
+            "fn main() {\n    let rate = Rate::new(2.0);\n    let g = free;\n\
+                 let h = Rate::assoc;\n    rate.used()();\n}\n",
+        );
+        let findings = dead_api(&[lib, user], &[], |_| true, Severity::Error);
+        let found: Vec<(u32, &str)> = findings
+            .iter()
+            .map(|f| (f.line, f.snippet.as_str()))
+            .collect();
+        assert_eq!(found, [(6, "fn rate")]);
     }
 }

@@ -254,7 +254,7 @@ fn fn_main_regions(tokens: &[Token]) -> Vec<LineRange> {
 }
 
 /// Index of the `}` matching the `{` at `open` (or the last token if unbalanced).
-fn matching_brace(tokens: &[Token], open: usize) -> usize {
+pub(crate) fn matching_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     for (k, t) in tokens.iter().enumerate().skip(open) {
         if t.is_punct('{') {

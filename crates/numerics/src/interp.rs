@@ -43,16 +43,6 @@ impl LinearInterp {
         self.xs.is_empty()
     }
 
-    /// Knot abscissae.
-    pub fn knots(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// Knot ordinates.
-    pub fn values(&self) -> &[f64] {
-        &self.ys
-    }
-
     /// Evaluates the interpolant at `x`, clamping to the end values outside the domain.
     pub fn eval(&self, x: f64) -> f64 {
         let n = self.xs.len();
@@ -70,12 +60,6 @@ impl LinearInterp {
         let (y0, y1) = (self.ys[idx - 1], self.ys[idx]);
         let w = (x - x0) / (x1 - x0);
         y0 + w * (y1 - y0)
-    }
-
-    /// Evaluates the interpolant at many points.
-    // lint:allow(dead-api) no caller outside interp::tests::eval_many_matches_eval; delete with it
-    pub fn eval_many(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.eval(x)).collect()
     }
 
     /// Inverts a monotone non-decreasing interpolant: finds `x` with `eval(x) = y`.
@@ -162,16 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_many_matches_eval() {
-        let it = interp();
-        let xs = [0.0, 0.5, 3.0];
-        let ys = it.eval_many(&xs);
-        for (x, y) in xs.iter().zip(&ys) {
-            assert_eq!(it.eval(*x), *y);
-        }
-    }
-
-    #[test]
     fn inverse_round_trip() {
         let it = interp();
         for &x in &[0.0, 0.3, 1.0, 1.7, 3.9] {
@@ -209,6 +183,6 @@ mod tests {
         let it = interp();
         assert_eq!(it.len(), 4);
         assert!(!it.is_empty());
-        assert_eq!(it.knots().len(), it.values().len());
+        assert_eq!(it.xs.len(), it.ys.len());
     }
 }

@@ -6,10 +6,10 @@
 //!
 //! * [`optimize`] — bounded Levenberg–Marquardt ("dogbox"-style projection onto box
 //!   constraints) and Nelder–Mead simplex for curve fitting.
-//! * [`integrate`] — adaptive Simpson and Gauss–Legendre quadrature.
+//! * [`integrate`] — adaptive Simpson quadrature.
 //! * [`roots`] — Brent's method and bisection.
-//! * [`stats`] — empirical CDFs, goodness of fit (R², RMSE, Kolmogorov–Smirnov),
-//!   histograms and summary statistics.
+//! * [`stats`] — empirical CDFs, goodness of fit (R², RMSE, Kolmogorov–Smirnov) and
+//!   summary statistics.
 //! * [`interp`] — piecewise-linear and monotone interpolation.
 //! * [`linalg`] — the small dense-matrix kernels needed by the optimizers.
 //! * [`sampling`] — inverse-transform sampling from arbitrary CDFs.

@@ -1,9 +1,9 @@
 //! Small dense-matrix kernels used by the least-squares optimizers.
 //!
 //! The fitting problems in this workspace are tiny (2–4 parameters, a few hundred
-//! residuals), so a simple row-major `Matrix` with Gaussian elimination and Cholesky
-//! factorisation is all that is required.  Nothing here is intended to compete with a
-//! BLAS; clarity and robustness for small systems are the goals.
+//! residuals), so a simple row-major `Matrix` with Gaussian elimination is all that is
+//! required.  Nothing here is intended to compete with a BLAS; clarity and robustness
+//! for small systems are the goals.
 
 use crate::{NumericsError, Result};
 
@@ -63,7 +63,7 @@ impl Matrix {
     }
 
     /// Matrix-matrix product `self * other`.
-    // lint:allow(dead-api) reference product for linalg::tests (cholesky_reconstructs, gram_matches_explicit_product)
+    // lint:allow(dead-api) reference product for linalg::tests (matmul_and_matvec, gram_matches_explicit_product)
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(NumericsError::invalid(format!(
@@ -147,14 +147,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// Adds `lambda` to every diagonal entry (Levenberg–Marquardt damping).
-    pub fn add_diagonal(&mut self, lambda: f64) {
-        let n = self.rows.min(self.cols);
-        for i in 0..n {
-            self[(i, i)] += lambda;
-        }
     }
 
     /// Frobenius norm of the matrix.
@@ -250,34 +242,6 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// Cholesky factorisation of a symmetric positive-definite matrix: returns lower-triangular `L`
-/// with `A = L Lᵀ`.
-// lint:allow(dead-api) no caller outside linalg::tests (cholesky_reconstructs, cholesky_rejects_indefinite); delete with them
-pub fn cholesky(a: &Matrix) -> Result<Matrix> {
-    if a.rows() != a.cols() {
-        return Err(NumericsError::invalid("cholesky requires a square matrix"));
-    }
-    let n = a.rows();
-    let mut l = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[(i, j)];
-            for k in 0..j {
-                sum -= l[(i, k)] * l[(j, k)];
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return Err(NumericsError::SingularMatrix);
-                }
-                l[(i, j)] = sum.sqrt();
-            } else {
-                l[(i, j)] = sum / l[(j, j)];
-            }
-        }
-    }
-    Ok(l)
-}
-
 /// Euclidean norm of a vector.
 pub fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -330,25 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_reconstructs() {
-        let a = Matrix::from_vec(2, 2, vec![4.0, 2.0, 2.0, 3.0]).unwrap();
-        let l = cholesky(&a).unwrap();
-        let lt = l.transpose();
-        let back = l.matmul(&lt).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!(approx_eq(back[(i, j)], a[(i, j)], 1e-12, 1e-12));
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap();
-        assert_eq!(cholesky(&a), Err(NumericsError::SingularMatrix));
-    }
-
-    #[test]
     fn matmul_and_matvec() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]).unwrap();
@@ -381,14 +326,6 @@ mod tests {
         let jt = j.transpose();
         let explicit = jt.matvec(&r).unwrap();
         assert_eq!(g, explicit);
-    }
-
-    #[test]
-    fn diagonal_damping() {
-        let mut a = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        a.add_diagonal(0.5);
-        assert_eq!(a[(0, 0)], 1.5);
-        assert_eq!(a[(1, 1)], 1.5);
     }
 
     #[test]

@@ -235,7 +235,7 @@ where
             bounds,
             options.fd_rel_step,
         )?;
-        let mut jtj = jac.gram();
+        let jtj = jac.gram();
         let jtr = jac.gram_rhs(&residuals)?;
 
         gradient_norm = jtr.iter().fold(0.0f64, |acc, g| acc.max(g.abs()));
@@ -310,7 +310,6 @@ where
             converged = gradient_norm < 1e-3;
             break;
         }
-        jtj.add_diagonal(0.0); // keep borrow checker happy about jtj usage; no-op
     }
 
     Ok(LeastSquaresReport {

@@ -107,11 +107,6 @@ impl TabulatedSampler {
         })
     }
 
-    /// The support `[lo, hi]` the sampler was built over.
-    pub fn support(&self) -> (f64, f64) {
-        self.support
-    }
-
     /// Maps a probability `u ∈ [0, 1]` to the corresponding quantile.
     pub fn quantile(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
@@ -184,7 +179,7 @@ mod tests {
             let exact = -(1.0 - u).ln() / 2.0;
             assert!(approx_eq(sampler.quantile(u), exact, 1e-3, 1e-2));
         }
-        assert_eq!(sampler.support(), (0.0, 20.0));
+        assert_eq!(sampler.support, (0.0, 20.0));
     }
 
     #[test]

@@ -294,74 +294,6 @@ pub fn rmse(y: &[f64], y_hat: &[f64]) -> Result<f64> {
     Ok((ss / y.len() as f64).sqrt())
 }
 
-/// A fixed-width histogram over `[lo, hi)` with values outside the range clamped into the
-/// first/last bin.  Used for the PDF inset of Figure 1 and for trace summaries.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram with `bins` bins spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Result<Self> {
-        if !(hi > lo) {
-            return Err(NumericsError::invalid("histogram requires hi > lo"));
-        }
-        if bins == 0 {
-            return Err(NumericsError::invalid(
-                "histogram requires at least one bin",
-            ));
-        }
-        Ok(Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        })
-    }
-
-    /// Adds an observation (values outside the range land in the first/last bin).
-    pub fn add(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x <= self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bin width.
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
-    }
-
-    /// Density estimate (counts normalised so the histogram integrates to one).
-    pub fn density(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        let norm = self.total as f64 * self.bin_width();
-        self.counts.iter().map(|&c| c as f64 / norm).collect()
-    }
-}
-
 /// Online mean/variance accumulator (Welford).  Used by the simulator for streaming
 /// statistics over millions of Monte-Carlo trials without storing samples.
 #[derive(Debug, Clone, Copy, Default)]
@@ -573,27 +505,6 @@ mod tests {
             0.0
         ));
         assert!(rmse(&y, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn histogram_counts_and_density() {
-        let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-        for x in [0.5, 1.5, 1.6, 9.9, 10.5, -3.0] {
-            h.add(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts()[0], 2); // 0.5 and the clamped -3.0
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 2); // 9.9 and the clamped 10.5
-        let d = h.density();
-        let integral: f64 = d.iter().map(|v| v * h.bin_width()).sum();
-        assert!(approx_eq(integral, 1.0, 1e-12, 0.0));
-    }
-
-    #[test]
-    fn histogram_validation() {
-        assert!(Histogram::new(1.0, 1.0, 4).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! writers, trace dumps, and profile dumps flush on the error path too.  The
 //! `process-exit` lint rule enforces the "no `process::exit` outside `main`"
 //! half of this contract statically.
+//!
+//! The flag helpers [`next_value`] and [`parse`] word the bad-flag errors the
+//! same way in every binary.
 
 use std::fmt::Display;
 use std::process::ExitCode;
@@ -38,6 +41,21 @@ pub fn exit_outcome(outcome: Result<(), String>) -> ExitCode {
 pub fn usage_error(message: impl Display) -> ExitCode {
     eprintln!("{message}");
     ExitCode::from(EXIT_USAGE)
+}
+
+/// Takes the value that follows `flag` on the command line, or fails with
+/// `<flag> needs a value`.
+pub fn next_value<'a>(
+    it: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+) -> Result<&'a String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Parses the value `v` given to `flag`, or fails with
+/// ``invalid <flag> value `<v>` ``.
+pub fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("invalid {flag} value `{v}`"))
 }
 
 /// Converts a float-seconds flag or spec value into a [`Duration`], rejecting zero,
@@ -68,6 +86,22 @@ mod tests {
             let err = positive_secs("--x", bad).unwrap_err();
             assert!(err.starts_with("--x must be a positive number"), "{err}");
         }
+    }
+
+    #[test]
+    fn flag_helpers_name_the_flag_in_their_errors() {
+        let argv = ["7".to_string()];
+        let mut it = argv.iter();
+        let value = next_value(&mut it, "--n").unwrap();
+        assert_eq!(parse::<u32>(value, "--n"), Ok(7));
+        assert_eq!(
+            next_value(&mut it, "--n"),
+            Err("--n needs a value".to_string())
+        );
+        assert_eq!(
+            parse::<u32>("x", "--n"),
+            Err("invalid --n value `x`".to_string())
+        );
     }
 
     #[test]

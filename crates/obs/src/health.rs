@@ -733,23 +733,12 @@ pub struct EvaluatorHandle {
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl EvaluatorHandle {
-    /// Signals the evaluator thread to stop and joins it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+impl Drop for EvaluatorHandle {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
-    }
-}
-
-impl Drop for EvaluatorHandle {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

@@ -140,7 +140,7 @@ pub fn histogram(name: &str) -> &'static Histogram {
 }
 
 /// An RAII span timer: started against a histogram, records elapsed nanoseconds on
-/// drop (unless [`SpanTimer::cancel`]led or recording is disabled).
+/// drop (unless recording is disabled).
 ///
 /// Most call sites use the [`time!`] macro, which also caches the registry lookup.
 #[must_use = "a span timer measures until dropped; binding it to `_` drops immediately"]
@@ -170,12 +170,6 @@ impl SpanTimer {
     /// Elapsed time so far.
     pub fn elapsed(&self) -> std::time::Duration {
         self.started.elapsed()
-    }
-
-    /// Discards the span without recording.
-    // lint:allow(dead-api) no caller outside tests::span_timer_cancel_skips_recording; delete with it
-    pub fn cancel(mut self) {
-        self.histogram = None;
     }
 }
 
@@ -273,15 +267,6 @@ mod tests {
             std::hint::black_box(0u64);
         }
         assert_eq!(h.snapshot().count, 1);
-    }
-
-    #[test]
-    fn span_timer_cancel_skips_recording() {
-        let r = Registry::new();
-        let h = r.histogram("span.cancel");
-        let span = SpanTimer::start(h);
-        span.cancel();
-        assert_eq!(h.snapshot().count, 0);
     }
 
     #[test]

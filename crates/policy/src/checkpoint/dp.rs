@@ -103,11 +103,6 @@ pub struct CheckpointSchedule {
 }
 
 impl CheckpointSchedule {
-    /// Number of checkpoints taken (= number of intervals).
-    pub fn checkpoint_count(&self) -> usize {
-        self.intervals_hours.len()
-    }
-
     /// Expected fractional increase in running time over the bare job length.
     pub fn expected_overhead_fraction(&self) -> f64 {
         if self.job_len <= 0.0 {
@@ -600,7 +595,7 @@ mod tests {
         let total: f64 = sched.intervals_hours.iter().sum();
         assert!((total - sched.job_len).abs() < 1e-9);
         assert!(
-            sched.checkpoint_count() >= 2,
+            sched.intervals_hours.len() >= 2,
             "expected multiple checkpoints, got {sched:?}"
         );
         assert!(sched.intervals_hours.iter().all(|&i| i > 0.0));
@@ -644,7 +639,7 @@ mod tests {
         let sched = p.schedule(5.0, 0.0).unwrap();
         let first = sched.intervals_hours[0];
         let last = *sched.intervals_hours.last().unwrap();
-        assert!(sched.checkpoint_count() >= 3, "{sched:?}");
+        assert!(sched.intervals_hours.len() >= 3, "{sched:?}");
         assert!(
             last > first,
             "expected increasing intervals: {:?}",
@@ -662,7 +657,7 @@ mod tests {
         // In the stable phase the failure rate is low, so the DP takes fewer checkpoints
         // and expects a lower makespan.
         assert!(stable.expected_makespan <= fresh.expected_makespan + 1e-9);
-        assert!(stable.checkpoint_count() <= fresh.checkpoint_count());
+        assert!(stable.intervals_hours.len() <= fresh.intervals_hours.len());
     }
 
     #[test]

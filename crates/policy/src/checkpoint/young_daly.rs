@@ -136,9 +136,9 @@ mod tests {
         let p = YoungDalyPolicy::paper_baseline();
         let sched = p.schedule(4.0, 0.0).unwrap();
         assert!(
-            sched.checkpoint_count() >= 20,
+            sched.intervals_hours.len() >= 20,
             "count = {}",
-            sched.checkpoint_count()
+            sched.intervals_hours.len()
         );
         let overhead = sched.expected_overhead_fraction();
         assert!(overhead > 0.15, "overhead = {overhead}");

@@ -114,13 +114,6 @@ pub struct RegimeRanking {
     pub policies: Vec<RankedPolicy>,
 }
 
-impl RegimeRanking {
-    /// The winning policy of this regime.
-    pub fn best(&self) -> Option<&RankedPolicy> {
-        self.policies.first()
-    }
-}
-
 /// Cardinality of one sweep axis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AxisCardinality {

@@ -122,8 +122,11 @@ fn sweep_rankings_cover_every_regime_and_policy() {
     assert_eq!(report.rankings.len(), 2);
     for ranking in &report.rankings {
         assert_eq!(ranking.policies.len(), 4);
-        assert_eq!(ranking.best().unwrap().rank, 1);
-        assert_eq!(ranking.best().unwrap().cost_over_best_percent, 0.0);
+        assert_eq!(ranking.policies.first().unwrap().rank, 1);
+        assert_eq!(
+            ranking.policies.first().unwrap().cost_over_best_percent,
+            0.0
+        );
         // Ranks ascend with cost.
         for pair in ranking.policies.windows(2) {
             assert!(pair[0].mean_cost_per_job <= pair[1].mean_cost_per_job);

@@ -41,6 +41,7 @@ use tcp_advisor::{
     MultiAdvisor, MultiPack, PackBuilder, Session,
 };
 use tcp_calibrate::RegimeCatalog;
+use tcp_obs::cli::{next_value, parse};
 use tcp_scenarios::SweepSpec;
 use tcp_serve::{run_client, run_top, ServeOptions, Server, TopOptions};
 
@@ -127,14 +128,6 @@ commands:
                                  (default 2)
       --once                     take two samples one interval apart, print one
                                  machine-readable JSON snapshot line, exit";
-
-fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("invalid {flag} value `{v}`"))
-}
 
 fn load_advisor(pack_path: &Option<PathBuf>) -> Result<MultiAdvisor, String> {
     let path = pack_path.as_ref().ok_or("--pack is required")?;

@@ -314,11 +314,6 @@ impl Server {
         self.shared.addr
     }
 
-    /// The hot-reload slot behind the served packs (shared with every connection).
-    pub fn handle(&self) -> &AdvisorHandle {
-        &self.shared.handle
-    }
-
     /// Initiates a graceful shutdown: stop accepting, drain requests already read,
     /// then let [`Server::join`] return.  Idempotent; `!shutdown` calls this too.
     pub fn shutdown(&self) {

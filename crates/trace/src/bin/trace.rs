@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use tcp_obs::cli::{next_value, parse};
 use tcp_trace::stats::{GroupBy, GroupIndex};
 use tcp_trace::{
     load_records_csv, save_records_csv, ConfigKey, DatasetSummary, PreemptionRecord, TraceGenerator,
@@ -37,14 +38,6 @@ commands:
   stats <records.csv>      summarise a dataset
       --by DIM               group by vm-type, zone, time-of-day or workload
                              (default: overall summary plus per-vm-type means)";
-
-fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("invalid {flag} value `{v}`"))
-}
 
 fn cmd_gen(argv: &[String]) -> Result<(), String> {
     let mut out = PathBuf::from("records.csv");
