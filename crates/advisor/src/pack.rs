@@ -417,6 +417,26 @@ mod tests {
     }
 
     #[test]
+    fn bathtub_reference_keeps_its_file_shape() {
+        let reference = BathtubReference {
+            dist: ConstrainedBathtub::paper_representative(),
+        };
+        let json = r#"{"dist":{"params":{"a":0.45,"tau1":1.0,"tau2":0.8,"b":24.0,"horizon":24.0},"saturation":24.0}}"#;
+        assert_eq!(serde_json::to_string(&reference).unwrap(), json);
+        let read: BathtubReference = serde_json::from_str(json).unwrap();
+        assert_eq!(read, reference);
+        assert_eq!(serde_json::to_string(&read).unwrap(), json);
+        let missing =
+            r#"{"dist":{"params":{"a":0.45,"tau1":1.0,"tau2":0.8,"b":24.0,"horizon":24.0}}}"#;
+        assert_eq!(
+            serde_json::from_str::<BathtubReference>(missing)
+                .unwrap_err()
+                .to_string(),
+            "BathtubReference.dist: missing field `saturation` in ConstrainedBathtub"
+        );
+    }
+
+    #[test]
     fn v2_packs_load_with_a_bathtub_dp_family() {
         let pack = tiny_builder().build_from_spec(&tiny_spec()).unwrap();
         let v2 = downgrade_to_v2(&pack.to_json().unwrap());

@@ -13,14 +13,30 @@ pub type SimTime = f64;
 
 #[derive(Debug)]
 struct QueuedEvent<E> {
+    /// `(time bits << 64) | seq`: the delivery order as one integer.  Queued times are
+    /// finite and non-negative (see [`EventQueue::schedule_at`]), and the bit patterns
+    /// of such floats sort like their values once `−0.0` is folded into `+0.0`, so this
+    /// orders exactly like comparing the times and then the sequence numbers.
+    key: u128,
+    /// The scheduled time, returned by `pop` as it was queued.
     time: SimTime,
-    seq: u64,
     payload: E,
+}
+
+impl<E> QueuedEvent<E> {
+    fn new(time: SimTime, seq: u64, payload: E) -> Self {
+        let bits = (time + 0.0).to_bits();
+        QueuedEvent {
+            key: (u128::from(bits) << 64) | u128::from(seq),
+            time,
+            payload,
+        }
+    }
 }
 
 impl<E> PartialEq for QueuedEvent<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for QueuedEvent<E> {}
@@ -34,11 +50,7 @@ impl<E> PartialOrd for QueuedEvent<E> {
 impl<E> Ord for QueuedEvent<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest time (then lowest seq) pops first.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -82,7 +94,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules an event at an absolute time.  Events scheduled in the past are clamped
-    /// to the current time (they will be delivered next).
+    /// to the current time (they will be delivered next), and so are non-finite times.
     pub fn schedule_at(&mut self, time: SimTime, payload: E) {
         let time = if time.is_finite() {
             time.max(self.now)
@@ -91,7 +103,7 @@ impl<E> EventQueue<E> {
         };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(QueuedEvent { time, seq, payload });
+        self.heap.push(QueuedEvent::new(time, seq, payload));
     }
 
     /// Schedules an event `delay` hours after the current time.
@@ -118,6 +130,143 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The queue as it was before events were ordered by one integer key: a heap
+    /// compared by `time.partial_cmp`, then by `seq`.  Kept only as the oracle the
+    /// keyed queue must match pop for pop.
+    struct ReferenceQueue<E> {
+        heap: BinaryHeap<ReferenceEvent<E>>,
+        next_seq: u64,
+        now: SimTime,
+    }
+
+    struct ReferenceEvent<E> {
+        time: SimTime,
+        seq: u64,
+        payload: E,
+    }
+
+    impl<E> PartialEq for ReferenceEvent<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for ReferenceEvent<E> {}
+
+    impl<E> PartialOrd for ReferenceEvent<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for ReferenceEvent<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .time
+                .partial_cmp(&self.time)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    impl<E> ReferenceQueue<E> {
+        fn new() -> Self {
+            ReferenceQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                now: 0.0,
+            }
+        }
+
+        fn schedule_at(&mut self, time: SimTime, payload: E) {
+            let time = if time.is_finite() {
+                time.max(self.now)
+            } else {
+                self.now
+            };
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(ReferenceEvent { time, seq, payload });
+        }
+
+        fn schedule_after(&mut self, delay: SimTime, payload: E) {
+            self.schedule_at(self.now + delay.max(0.0), payload);
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            let ev = self.heap.pop()?;
+            self.now = ev.time;
+            Some((ev.time, ev.payload))
+        }
+
+        fn clear(&mut self) {
+            self.heap.clear();
+            self.next_seq = 0;
+            self.now = 0.0;
+        }
+    }
+
+    /// A time drawn to collide often: a small grid (many equal times), signed zeros,
+    /// NaN, infinities, and values below the clock.
+    fn awkward_time(rng: &mut StdRng, now: SimTime) -> SimTime {
+        match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => now - rng.gen_range(0.0..3.0),
+            6 => now,
+            _ => f64::from(rng.gen_range(0..12u32)) * 0.5,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn keyed_queue_pops_in_the_reference_order(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queue = EventQueue::new();
+            let mut reference = ReferenceQueue::new();
+            for op in 0..rng.gen_range(1..400u32) {
+                match rng.gen_range(0..20) {
+                    0..=7 => {
+                        let time = awkward_time(&mut rng, queue.now());
+                        queue.schedule_at(time, op);
+                        reference.schedule_at(time, op);
+                    }
+                    8..=10 => {
+                        let delay = awkward_time(&mut rng, 0.0);
+                        queue.schedule_after(delay, op);
+                        reference.schedule_after(delay, op);
+                    }
+                    11..=18 => {
+                        let got = queue.pop().map(|(t, e)| (t.to_bits(), e));
+                        let want = reference.pop().map(|(t, e)| (t.to_bits(), e));
+                        prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        queue.clear();
+                        reference.clear();
+                    }
+                }
+                prop_assert_eq!(queue.now().to_bits(), reference.now.to_bits());
+                prop_assert_eq!(queue.len(), reference.heap.len());
+            }
+            loop {
+                let got = queue.pop().map(|(t, e)| (t.to_bits(), e));
+                let want = reference.pop().map(|(t, e)| (t.to_bits(), e));
+                prop_assert_eq!(got, want);
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
+    }
 
     #[test]
     fn events_pop_in_time_order() {

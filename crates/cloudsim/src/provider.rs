@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tcp_dists::LifetimeDistribution;
+use tcp_dists::{LifetimeDistribution, PhasedHazard};
 use tcp_numerics::{NumericsError, Result};
 use tcp_trace::{ConfigKey, TimeOfDay, TraceCatalog, VmType, WorkloadKind, Zone};
 
@@ -151,6 +151,11 @@ pub struct CloudProvider {
     vms: Vec<VmInstance>,
     workload_kind: WorkloadKind,
     time_of_day: TimeOfDay,
+    // The catalog process built for the last preemptible `(vm_type, zone)` launched under
+    // the current conditions.  Building one validates and scales the parameters, which
+    // costs about a tenth of a draw, and a trial launches one VM type in one zone dozens
+    // of times; `set_conditions` drops it because the conditions are part of the key.
+    catalog_truth: Option<(VmType, Zone, PhasedHazard)>,
 }
 
 impl CloudProvider {
@@ -164,6 +169,7 @@ impl CloudProvider {
             vms: Vec::new(),
             workload_kind: WorkloadKind::NonIdle,
             time_of_day: TimeOfDay::Day,
+            catalog_truth: None,
         }
     }
 
@@ -172,6 +178,32 @@ impl CloudProvider {
     pub fn set_conditions(&mut self, time_of_day: TimeOfDay, workload: WorkloadKind) {
         self.time_of_day = time_of_day;
         self.workload_kind = workload;
+        self.catalog_truth = None;
+    }
+
+    /// The catalog's ground-truth process for `(vm_type, zone)` under the current
+    /// conditions, scaled by `catalog_scale`: the one kept from the previous launch when
+    /// it has the same key, otherwise built (and kept) afresh.
+    fn catalog_truth(&mut self, vm_type: VmType, zone: Zone) -> Result<PhasedHazard> {
+        if let Some((kept_type, kept_zone, truth)) = self.catalog_truth {
+            if kept_type == vm_type && kept_zone == zone {
+                return Ok(truth);
+            }
+        }
+        let key = ConfigKey {
+            vm_type,
+            zone,
+            time_of_day: self.time_of_day,
+            workload: self.workload_kind,
+        };
+        let truth = TraceCatalog::ground_truth(&key)?;
+        let truth = if self.catalog_scale == 1.0 {
+            truth
+        } else {
+            truth.scale_rates(self.catalog_scale)?
+        };
+        self.catalog_truth = Some((vm_type, zone, truth));
+        Ok(truth)
     }
 
     /// Launches a VM at simulation time `now`.  Returns the new instance.
@@ -198,21 +230,7 @@ impl CloudProvider {
             BillingClass::Preemptible => {
                 let lifetime = match &self.override_truth {
                     Some(truth) => truth.sample(&mut self.rng),
-                    None => {
-                        let key = ConfigKey {
-                            vm_type,
-                            zone,
-                            time_of_day: self.time_of_day,
-                            workload: self.workload_kind,
-                        };
-                        let truth = TraceCatalog::ground_truth(&key)?;
-                        let truth = if self.catalog_scale == 1.0 {
-                            truth
-                        } else {
-                            truth.scale_rates(self.catalog_scale)?
-                        };
-                        truth.sample(&mut self.rng)
-                    }
+                    None => self.catalog_truth(vm_type, zone)?.sample(&mut self.rng),
                 };
                 Some(launch_time + lifetime.clamp(0.0, self.config.max_preemptible_lifetime_hours))
             }
@@ -308,6 +326,92 @@ mod tests {
 
     fn provider(seed: u64) -> CloudProvider {
         CloudProvider::new(ProviderConfig::default(), seed)
+    }
+
+    /// The preemptible draw as `launch` made it before providers kept their catalog
+    /// process: rebuild the process from the catalog on every launch.  Kept only as the
+    /// oracle the kept process must match draw for draw.
+    fn rebuilding_preemption_time(
+        p: &mut CloudProvider,
+        vm_type: VmType,
+        zone: Zone,
+        now: f64,
+    ) -> Result<f64> {
+        let launch_time = now + p.config.provisioning_delay_hours;
+        let key = ConfigKey {
+            vm_type,
+            zone,
+            time_of_day: p.time_of_day,
+            workload: p.workload_kind,
+        };
+        let truth = TraceCatalog::ground_truth(&key)?;
+        let truth = if p.catalog_scale == 1.0 {
+            truth
+        } else {
+            truth.scale_rates(p.catalog_scale)?
+        };
+        let lifetime = truth.sample(&mut p.rng);
+        Ok(launch_time + lifetime.clamp(0.0, p.config.max_preemptible_lifetime_hours))
+    }
+
+    #[test]
+    fn kept_catalog_process_draws_like_a_rebuild_per_launch() {
+        let keys = [
+            (VmType::N1HighCpu16, Zone::UsEast1B),
+            (VmType::N1HighCpu16, Zone::UsWest1A),
+            (VmType::N1HighCpu2, Zone::UsWest1A),
+            (VmType::N1HighCpu32, Zone::UsCentral1C),
+        ];
+        let conditions = [
+            (TimeOfDay::Night, WorkloadKind::Idle),
+            (TimeOfDay::Day, WorkloadKind::NonIdle),
+            (TimeOfDay::Day, WorkloadKind::Idle),
+        ];
+        for scale in [1.0, 1.7, 0.0] {
+            let template = ProviderTemplate {
+                catalog_scale: scale,
+                ..ProviderTemplate::default()
+            };
+            let mut kept = template.build(77);
+            let mut rebuilt = template.build(77);
+            let mut draws = 0;
+            for step in 0..600usize {
+                let now = step as f64 * 0.05;
+                if step % 97 == 96 {
+                    let (time_of_day, workload) = conditions[step % conditions.len()];
+                    kept.set_conditions(time_of_day, workload);
+                    rebuilt.set_conditions(time_of_day, workload);
+                }
+                // Runs of one key, then a switch, with on-demand launches in between.
+                let (vm_type, zone) = keys[(step / 5 + step % 3 / 2) % keys.len()];
+                if step % 7 == 3 {
+                    let vm = kept
+                        .launch(vm_type, zone, BillingClass::OnDemand, now)
+                        .unwrap();
+                    assert_eq!(vm.preemption_time, None);
+                    let vm = rebuilt
+                        .launch(vm_type, zone, BillingClass::OnDemand, now)
+                        .unwrap();
+                    assert_eq!(vm.preemption_time, None);
+                    continue;
+                }
+                let got = kept.launch(vm_type, zone, BillingClass::Preemptible, now);
+                let want = rebuilding_preemption_time(&mut rebuilt, vm_type, zone, now);
+                match (got, want) {
+                    (Ok(vm), Ok(want)) => {
+                        assert_eq!(
+                            vm.preemption_time.map(f64::to_bits),
+                            Some(want.to_bits()),
+                            "scale {scale}, step {step}"
+                        );
+                        draws += 1;
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                    (got, want) => panic!("scale {scale}, step {step}: {got:?} vs {want:?}"),
+                }
+            }
+            assert_eq!(draws > 0, scale > 0.0, "scale {scale}");
+        }
     }
 
     #[test]

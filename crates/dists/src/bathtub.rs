@@ -52,11 +52,79 @@ impl BathtubParams {
 }
 
 /// The constrained-preemption bathtub distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Serialises as `{"params": …, "saturation": …}`; equality and `Debug` see those two
+/// fields only, since the rest is derived from them.
+#[derive(Clone, Copy)]
 pub struct ConstrainedBathtub {
     params: BathtubParams,
     /// Time at which the raw CDF saturates at one (≤ horizon).
     saturation: f64,
+    /// `raw_cdf(0)`, subtracted from the raw CDF so that `F(0) = 0`; well-fitted
+    /// parameter sets keep it near zero (the paper's `F(0) ≈ 0` boundary condition).
+    f0: f64,
+    /// The antiderivative of `t f(t)` at 0, the lower end of `W(t)`.
+    w0: f64,
+    /// Probability mass at the deadline (survivors reclaimed at `L`).
+    atom: f64,
+}
+
+/// The serialised form of [`ConstrainedBathtub`]: its defining fields, under the same
+/// type name so that derived error messages read as they always have.
+mod repr {
+    use super::BathtubParams;
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Serialize, Deserialize)]
+    pub(super) struct ConstrainedBathtub {
+        pub(super) params: BathtubParams,
+        pub(super) saturation: f64,
+    }
+
+    impl ConstrainedBathtub {
+        /// The distribution with the stored saturation, kept as read (never re-solved),
+        /// so a document round-trips.
+        pub(super) fn into_dist(self) -> super::ConstrainedBathtub {
+            super::ConstrainedBathtub::with_saturation(self.params, self.saturation)
+        }
+    }
+}
+
+impl Serialize for ConstrainedBathtub {
+    fn serialize<S: serde::Serializer>(&self, out: &mut S) {
+        repr::ConstrainedBathtub {
+            params: self.params,
+            saturation: self.saturation,
+        }
+        .serialize(out);
+    }
+}
+
+impl<'de> Deserialize<'de> for ConstrainedBathtub {
+    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        repr::ConstrainedBathtub::deserialize(value).map(repr::ConstrainedBathtub::into_dist)
+    }
+
+    fn deserialize_from<S: serde::Source<'de>>(
+        src: &mut S,
+    ) -> std::result::Result<Self, serde::Error> {
+        repr::ConstrainedBathtub::deserialize_from(src).map(repr::ConstrainedBathtub::into_dist)
+    }
+}
+
+impl PartialEq for ConstrainedBathtub {
+    fn eq(&self, other: &Self) -> bool {
+        self.params == other.params && self.saturation == other.saturation
+    }
+}
+
+impl std::fmt::Debug for ConstrainedBathtub {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ConstrainedBathtub")
+            .field("params", &self.params)
+            .field("saturation", &self.saturation)
+            .finish()
+    }
 }
 
 impl ConstrainedBathtub {
@@ -95,12 +163,28 @@ impl ConstrainedBathtub {
         if b <= 0.0 || horizon <= 0.0 {
             return Err(NumericsError::invalid("b and horizon must be positive"));
         }
+        let saturation = ConstrainedBathtub::with_saturation(params, horizon).compute_saturation();
+        Ok(ConstrainedBathtub::with_saturation(params, saturation))
+    }
+
+    /// The distribution with a known saturation point, its parameter-only constants
+    /// (`F(0)`, `W(0)`, the deadline atom) computed once here.
+    fn with_saturation(params: BathtubParams, saturation: f64) -> Self {
         let mut dist = ConstrainedBathtub {
             params,
-            saturation: horizon,
+            saturation,
+            f0: 0.0,
+            w0: 0.0,
+            atom: 0.0,
         };
-        dist.saturation = dist.compute_saturation();
-        Ok(dist)
+        dist.f0 = dist.raw_cdf(0.0);
+        dist.w0 = dist.partial_expectation_antiderivative(0.0);
+        dist.atom = if saturation < params.horizon {
+            0.0
+        } else {
+            (1.0 - dist.raw_cdf(params.horizon)).max(0.0)
+        };
+        dist
     }
 
     /// Convenience constructor from the individual parameters with the default 24 h horizon.
@@ -136,19 +220,9 @@ impl ConstrainedBathtub {
         p.a * ((-t / p.tau1).exp() / p.tau1 + ((t - p.b) / p.tau2).exp() / p.tau2)
     }
 
-    /// Offset of the raw CDF at `t = 0`; well-fitted parameter sets keep this near zero
-    /// (the `F(0) ≈ 0` boundary condition described in the paper).
-    pub fn f0_offset(&self) -> f64 {
-        self.raw_cdf(0.0)
-    }
-
     /// Probability mass concentrated exactly at the deadline (survivors reclaimed at `L`).
     pub fn deadline_atom(&self) -> f64 {
-        if self.saturation < self.params.horizon {
-            0.0
-        } else {
-            (1.0 - self.raw_cdf(self.params.horizon)).max(0.0)
-        }
+        self.atom
     }
 
     /// Closed-form antiderivative of `t f(t)` (the bracketed expression in Equation 3).
@@ -162,8 +236,7 @@ impl ConstrainedBathtub {
     /// paper.
     // lint:allow(dead-api) Eq. 3 reference for bathtub tests and tcp-core lifetime tests
     pub fn expected_lifetime_eq3(&self) -> f64 {
-        self.partial_expectation_antiderivative(self.params.horizon)
-            - self.partial_expectation_antiderivative(0.0)
+        self.partial_expectation_antiderivative(self.params.horizon) - self.w0
     }
 
     fn compute_saturation(&self) -> f64 {
@@ -194,7 +267,7 @@ impl LifetimeDistribution for ConstrainedBathtub {
             return 1.0;
         }
         // Subtract the (small) t=0 offset so F(0) = 0 exactly, then clamp.
-        let raw = self.raw_cdf(t) - self.f0_offset();
+        let raw = self.raw_cdf(t) - self.f0;
         raw.clamp(0.0, 1.0)
     }
 
@@ -217,7 +290,7 @@ impl LifetimeDistribution for ConstrainedBathtub {
         let cdf = if t <= 0.0 || t >= p.horizon || t >= self.saturation {
             self.cdf(t)
         } else {
-            (p.a * (1.0 - early + late) - self.f0_offset()).clamp(0.0, 1.0)
+            (p.a * (1.0 - early + late) - self.f0).clamp(0.0, 1.0)
         };
         (cdf, pdf)
     }
@@ -239,13 +312,18 @@ impl LifetimeDistribution for ConstrainedBathtub {
         let a = a.max(0.0);
         let b_cont = b.min(self.saturation).min(self.params.horizon);
         let mut value = if b_cont > a {
-            self.partial_expectation_antiderivative(b_cont)
-                - self.partial_expectation_antiderivative(a)
+            // ±0 give the same antiderivative, so `W(0)` serves both.
+            let lower = if a == 0.0 {
+                self.w0
+            } else {
+                self.partial_expectation_antiderivative(a)
+            };
+            self.partial_expectation_antiderivative(b_cont) - lower
         } else {
             0.0
         };
         if b >= self.params.horizon && a < self.params.horizon {
-            value += self.deadline_atom() * self.params.horizon;
+            value += self.atom * self.params.horizon;
         }
         value
     }
@@ -257,7 +335,7 @@ impl LifetimeDistribution for ConstrainedBathtub {
 
     fn quantile(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
-        let raw_end = (self.raw_cdf(self.saturation) - self.f0_offset()).min(1.0);
+        let raw_end = (self.raw_cdf(self.saturation) - self.f0).min(1.0);
         if u >= raw_end {
             // lands in the deadline atom (or exactly at saturation)
             return if self.saturation < self.params.horizon {
@@ -266,7 +344,7 @@ impl LifetimeDistribution for ConstrainedBathtub {
                 self.params.horizon
             };
         }
-        let f = |t: f64| (self.raw_cdf(t) - self.f0_offset()) - u;
+        let f = |t: f64| (self.raw_cdf(t) - self.f0) - u;
         tcp_numerics::roots::brent(
             f,
             0.0,
@@ -311,7 +389,7 @@ mod tests {
         assert_eq!(d.cdf(24.0), 1.0);
         assert_eq!(d.cdf(30.0), 1.0);
         // F(0) offset is tiny for the representative parameters: A * e^{-24/0.8} ~ 4e-14
-        assert!(d.f0_offset() < 1e-10);
+        assert!(d.f0 < 1e-10);
         crate::validate_cdf(&d, 500).unwrap();
     }
 
@@ -427,6 +505,93 @@ mod tests {
         crate::validate_cdf(&d, 500).unwrap();
         // mean still within support
         assert!(d.mean() > 0.0 && d.mean() <= 24.0);
+    }
+
+    const PAPER_JSON: &str =
+        r#"{"params":{"a":0.45,"tau1":1.0,"tau2":0.8,"b":24.0,"horizon":24.0},"saturation":24.0}"#;
+    const SATURATING_JSON: &str = r#"{"params":{"a":0.9,"tau1":0.5,"tau2":0.8,"b":20.0,"horizon":24.0},"saturation":18.242220338131027}"#;
+
+    /// The constants `with_saturation` caches, recomputed from their definitions.
+    fn assert_constants_match_their_definitions(d: &ConstrainedBathtub) {
+        let atom = if d.saturation < d.params.horizon {
+            0.0
+        } else {
+            (1.0 - d.raw_cdf(d.params.horizon)).max(0.0)
+        };
+        assert_eq!(d.f0.to_bits(), d.raw_cdf(0.0).to_bits(), "{d:?}");
+        assert_eq!(
+            d.w0.to_bits(),
+            d.partial_expectation_antiderivative(0.0).to_bits(),
+            "{d:?}"
+        );
+        assert_eq!(d.atom.to_bits(), atom.to_bits(), "{d:?}");
+    }
+
+    #[test]
+    fn serialised_form_is_params_and_saturation() {
+        let saturating = ConstrainedBathtub::from_parts(0.9, 0.5, 0.8, 20.0).unwrap();
+        assert!(saturating.saturation < 24.0);
+        assert_eq!(saturating.deadline_atom(), 0.0);
+        for (d, json) in [(paper_dist(), PAPER_JSON), (saturating, SATURATING_JSON)] {
+            assert_eq!(serde_json::to_string(&d).unwrap(), json);
+            let read: ConstrainedBathtub = serde_json::from_str(json).unwrap();
+            assert_eq!(read, d);
+            assert_eq!(serde_json::to_string(&read).unwrap(), json);
+            let value = serde_json::parse_value(json).unwrap();
+            assert_eq!(ConstrainedBathtub::deserialize(&value).unwrap(), d);
+            assert_constants_match_their_definitions(&d);
+            assert_constants_match_their_definitions(&read);
+        }
+    }
+
+    #[test]
+    fn deserialisation_keeps_the_stored_saturation() {
+        let json = r#"{"params":{"a":0.45,"tau1":1.0,"tau2":0.8,"b":24.0,"horizon":24.0},"saturation":20.0}"#;
+        let d: ConstrainedBathtub = serde_json::from_str(json).unwrap();
+        assert_eq!(d.saturation, 20.0);
+        assert_eq!(d.deadline_atom(), 0.0);
+        assert_eq!(serde_json::to_string(&d).unwrap(), json);
+        assert_constants_match_their_definitions(&d);
+    }
+
+    #[test]
+    fn deserialisation_errors_name_the_type() {
+        let missing = r#"{"params":{"a":0.45,"tau1":1.0,"tau2":0.8,"b":24.0,"horizon":24.0}}"#;
+        let want = "missing field `saturation` in ConstrainedBathtub";
+        let err = serde_json::from_str::<ConstrainedBathtub>(missing).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let err = serde_json::from_str_streaming::<ConstrainedBathtub>(missing).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let value = serde_json::parse_value(missing).unwrap();
+        let err = ConstrainedBathtub::deserialize(&value).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let unknown = format!("{},\"x\":1}}", &PAPER_JSON[..PAPER_JSON.len() - 1]);
+        let err = serde_json::from_str::<ConstrainedBathtub>(&unknown).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown field `x` in ConstrainedBathtub (expected one of: params, saturation)"
+        );
+        let err = serde_json::from_str::<ConstrainedBathtub>("[1]").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "expected a map while deserializing ConstrainedBathtub, found sequence"
+        );
+    }
+
+    #[test]
+    fn debug_shows_params_and_saturation() {
+        assert_eq!(
+            format!("{:?}", paper_dist()),
+            "ConstrainedBathtub { params: BathtubParams { a: 0.45, tau1: 1.0, tau2: 0.8, \
+             b: 24.0, horizon: 24.0 }, saturation: 24.0 }"
+        );
+        let saturating = ConstrainedBathtub::from_parts(0.9, 0.5, 0.8, 20.0).unwrap();
+        assert_eq!(
+            format!("{saturating:#?}"),
+            "ConstrainedBathtub {\n    params: BathtubParams {\n        a: 0.9,\n        \
+             tau1: 0.5,\n        tau2: 0.8,\n        b: 20.0,\n        horizon: 24.0,\n    \
+             },\n    saturation: 18.242220338131027,\n}"
+        );
     }
 
     #[test]

@@ -207,7 +207,12 @@ impl LifetimeDistribution for PhasedHazard {
         let u: f64 = rand::Rng::gen::<f64>(rng);
         let target = -(1.0 - u).max(f64::MIN_POSITIVE).ln();
         let horizon = self.params.horizon;
-        if target >= self.cumulative_hazard(horizon) {
+        // `Λ(horizon)` is `Λ(deadline_start)` plus a non-negative deadline-phase term, so
+        // a target below the exp-free `Λ(deadline_start)` is below `Λ(horizon)` too: the
+        // first test spares most draws the deadline phase's `exp` and decides nothing.
+        if target >= self.cumulative_hazard(self.params.deadline_start)
+            && target >= self.cumulative_hazard(horizon)
+        {
             return horizon;
         }
         let f = |t: f64| self.cumulative_hazard(t) - target;
@@ -308,6 +313,54 @@ mod tests {
         let ecdf = Ecdf::new(&samples).unwrap();
         let ks = ecdf.ks_statistic(|t| d.cdf(t));
         assert!(ks < 0.03, "ks = {ks}");
+    }
+
+    /// `sample` as it was before it tested `Λ(deadline_start)` first.  Kept only as the
+    /// oracle the draws must match bit for bit.
+    fn reference_sample(d: &PhasedHazard, rng: &mut dyn RngCore) -> f64 {
+        let u: f64 = rand::Rng::gen::<f64>(rng);
+        let target = -(1.0 - u).max(f64::MIN_POSITIVE).ln();
+        let horizon = d.params.horizon;
+        if target >= d.cumulative_hazard(horizon) {
+            return horizon;
+        }
+        let f = |t: f64| d.cumulative_hazard(t) - target;
+        tcp_numerics::roots::brent(f, 0.0, horizon, tcp_numerics::roots::RootConfig::default())
+            .unwrap_or(horizon)
+    }
+
+    #[test]
+    fn sample_draws_like_the_reference_bit_for_bit() {
+        let scaled = PhasedHazard::representative().scale_rates(1.7).unwrap();
+        let flat_deadline = PhasedHazard::new(PhasedHazardParams {
+            deadline_acceleration: 0.0,
+            ..PhasedHazardParams::representative()
+        })
+        .unwrap();
+        let mut at_horizon = 0;
+        for (seed, d) in [
+            (11, PhasedHazard::representative()),
+            (12, scaled),
+            (13, flat_deadline),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            let mut late = 0;
+            for draw in 0..100_000 {
+                let got = d.sample(&mut rng);
+                let want = reference_sample(&d, &mut reference_rng);
+                assert_eq!(got.to_bits(), want.to_bits(), "{:?}, draw {draw}", d.params);
+                late += usize::from(got >= d.params.deadline_start);
+                at_horizon += usize::from(got == d.params.horizon);
+            }
+            // Many draws pass the exp-free test and reach the `Λ(horizon)` one.
+            assert!(
+                late > 10_000,
+                "{:?}: {late} draws in the deadline phase",
+                d.params
+            );
+        }
+        assert!(at_horizon > 10_000, "{at_horizon} draws at the horizon");
     }
 
     #[test]

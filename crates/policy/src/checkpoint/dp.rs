@@ -225,66 +225,63 @@ impl DpCheckpointPolicy {
         ((age / self.age_step).round() as usize).min(self.age_bins - 1)
     }
 
-    /// Conditional survival of the window `(t, t+w]` given the VM is alive at age `t`.
-    fn window_survival(&self, t: f64, w: f64) -> f64 {
-        let horizon = self.model.horizon();
-        if t + w >= horizon {
-            return 0.0;
-        }
-        let s_t = self.model.survival(t);
-        if s_t <= 1e-12 {
-            return 0.0;
-        }
-        (self.model.survival(t + w) / s_t).clamp(0.0, 1.0)
-    }
-
-    /// Expected time lost (hours since the window start) given a preemption occurs inside
-    /// the window `(t, t+w]` — Equation 13 adapted to the conditional setting, expressed
-    /// entirely through the model-generic surface (CDF, `W`, deadline atom).
-    ///
-    /// The target is `E[(X − t)·1{fail}] = ∫_t^{L⁻} (x − t) f(x) dx + atom·(L − t)` for
-    /// deadline-crossing windows.  `partial_expectation(t, L)` already carries the
-    /// atom's `atom·L` term (the [`LifetimeModel`] first-moment contract), so the
-    /// crossing branch only subtracts the `atom·t` shift — adding `atom·(L − t)` on
-    /// top, as an earlier revision did, double-counts the atom by `atom·L`.
-    fn expected_lost_given_failure(&self, t: f64, w: f64) -> f64 {
-        let model = self.model.as_ref();
-        let horizon = model.horizon();
-        let u = (t + w).min(horizon);
-        let mut mass = model.cdf(u) - model.cdf(t);
-        // `cdf(L − ε)` excludes the atom, so the `t`-shift below only covers the
-        // continuous mass; the atom's shift is handled in the crossing branch.
-        let mut first_moment =
-            model.partial_expectation(t, u) - t * (model.cdf(u.min(horizon - 1e-9)) - model.cdf(t));
-        if t + w >= horizon {
-            // Window crosses the deadline: every survivor is reclaimed at the horizon.
-            let atom = model.deadline_atom();
-            mass = (1.0 - model.cdf(t)).max(mass);
-            first_moment -= atom * t;
-        }
-        if mass <= 1e-12 {
-            return 0.5 * w;
-        }
-        (first_moment / mass).clamp(0.0, w)
-    }
-
     /// Tabulates every transition the recursion can take for jobs of up to
     /// `job_steps` steps: entry `bin * job_steps + (i − 1)` describes running `i` steps
     /// plus one checkpoint from the age of `bin`.  Only these `job_steps · bins`
     /// entries touch the model; the recursion itself is arithmetic over the table.
+    ///
+    /// Each entry evaluates the window-survival probability and Equation 13's expected
+    /// loss (the test-only `window_survival` and `expected_lost_given_failure` spell them
+    /// out one window at a time).  Model values that do not depend on the window are
+    /// evaluated once: `S(t)` and `F(t)` per bin, `F(L − 1e-9)` and the atom per solve,
+    /// and `F(min(u, L − 1e-9))` reuses `F(u)` whenever `u` is below the cap.  Each is
+    /// the same pure call on the same argument, so every entry keeps its bits.
     fn transitions(&self, job_steps: usize) -> Vec<Transition> {
+        let model = self.model.as_ref();
+        let horizon = model.horizon();
         let delta = self.config.checkpoint_cost_hours;
         let step = self.config.step_hours;
+        // `F(L − ε)` excludes the atom, so the `t`-shift of the first moment only covers
+        // the continuous mass; the atom's shift is handled for deadline-crossing windows.
+        let continuous_end = horizon - 1e-9;
+        let cdf_continuous_end = model.cdf(continuous_end);
+        let atom = model.deadline_atom();
         let mut table = Vec::with_capacity(job_steps * self.age_bins);
         for bin in 0..self.age_bins {
             let t = self.age_of_bin(bin);
+            let survival_t = model.survival(t);
+            let cdf_t = model.cdf(t);
             for i in 1..=job_steps {
                 let w = i as f64 * step + delta;
-                let p_succ = self.window_survival(t, w);
+                let crosses_deadline = t + w >= horizon;
+                let p_succ = if crosses_deadline || survival_t <= 1e-12 {
+                    0.0
+                } else {
+                    (model.survival(t + w) / survival_t).clamp(0.0, 1.0)
+                };
+                let u = (t + w).min(horizon);
+                let cdf_u = model.cdf(u);
+                let cdf_capped = if u <= continuous_end {
+                    cdf_u
+                } else {
+                    cdf_continuous_end
+                };
+                let mut mass = cdf_u - cdf_t;
+                let mut first_moment = model.partial_expectation(t, u) - t * (cdf_capped - cdf_t);
+                if crosses_deadline {
+                    // Every survivor is reclaimed at the horizon.
+                    mass = (1.0 - cdf_t).max(mass);
+                    first_moment -= atom * t;
+                }
+                let lost = if mass <= 1e-12 {
+                    0.5 * w
+                } else {
+                    (first_moment / mass).clamp(0.0, w)
+                };
                 table.push(Transition {
                     p_succ,
                     p_fail: 1.0 - p_succ,
-                    lost: self.expected_lost_given_failure(t, w),
+                    lost,
                     next_bin: self.bin_of_age(t + w),
                 });
             }
@@ -423,6 +420,54 @@ impl DpCheckpointPolicy {
     /// Expected makespan only (no schedule extraction).
     pub fn expected_makespan(&self, job_len: f64, start_age: f64) -> Result<f64> {
         Ok(self.schedule(job_len, start_age)?.expected_makespan)
+    }
+}
+
+/// The two window terms of the recursion, one window at a time: the definitions
+/// `transitions` tabulates, kept as the oracle its table must match.
+#[cfg(test)]
+impl DpCheckpointPolicy {
+    /// Conditional survival of the window `(t, t+w]` given the VM is alive at age `t`.
+    fn window_survival(&self, t: f64, w: f64) -> f64 {
+        let horizon = self.model.horizon();
+        if t + w >= horizon {
+            return 0.0;
+        }
+        let s_t = self.model.survival(t);
+        if s_t <= 1e-12 {
+            return 0.0;
+        }
+        (self.model.survival(t + w) / s_t).clamp(0.0, 1.0)
+    }
+
+    /// Expected time lost (hours since the window start) given a preemption occurs inside
+    /// the window `(t, t+w]` — Equation 13 adapted to the conditional setting, expressed
+    /// entirely through the model-generic surface (CDF, `W`, deadline atom).
+    ///
+    /// The target is `E[(X − t)·1{fail}] = ∫_t^{L⁻} (x − t) f(x) dx + atom·(L − t)` for
+    /// deadline-crossing windows.  `partial_expectation(t, L)` already carries the
+    /// atom's `atom·L` term (the [`LifetimeModel`] first-moment contract), so the
+    /// crossing branch only subtracts the `atom·t` shift — adding `atom·(L − t)` on
+    /// top, as an earlier revision did, double-counts the atom by `atom·L`.
+    fn expected_lost_given_failure(&self, t: f64, w: f64) -> f64 {
+        let model = self.model.as_ref();
+        let horizon = model.horizon();
+        let u = (t + w).min(horizon);
+        let mut mass = model.cdf(u) - model.cdf(t);
+        // `cdf(L − ε)` excludes the atom, so the `t`-shift below only covers the
+        // continuous mass; the atom's shift is handled in the crossing branch.
+        let mut first_moment =
+            model.partial_expectation(t, u) - t * (model.cdf(u.min(horizon - 1e-9)) - model.cdf(t));
+        if t + w >= horizon {
+            // Window crosses the deadline: every survivor is reclaimed at the horizon.
+            let atom = model.deadline_atom();
+            mass = (1.0 - model.cdf(t)).max(mass);
+            first_moment -= atom * t;
+        }
+        if mass <= 1e-12 {
+            return 0.5 * w;
+        }
+        (first_moment / mass).clamp(0.0, w)
     }
 }
 
