@@ -10,6 +10,8 @@
 //!   cannot lend from the line, is answered exactly like its plain twin.
 //! * A `Session` writes the same bytes for 1, 2 and 3 threads on request runs whose
 //!   lengths are not multiples of the per-thread chunk.
+//! * One answer of each request kind keeps the bytes recorded for it, on the served
+//!   path and through `serde_json::to_string`.
 //! * A `Session` over the per-cell pack set reproduces
 //!   `serve/tests/golden/cells-responses.ndjson`: cell-routed and pooled answers, plus
 //!   the unknown-cell, unknown-regime and single-pack routing errors.
@@ -18,9 +20,9 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::OnceLock;
 use tcp_advisor::{
-    generate_multi_requests, requests_to_ndjson, respond_into, respond_line, AdvisorHandle,
-    AdvisorStats, ControlLine, ErrorLine, MultiAdvisor, MultiPack, PackBuilder, RequestKind,
-    Session, StatsLine,
+    generate_multi_requests, requests_to_ndjson, respond_into, respond_line, AdviceRequest,
+    AdvisorHandle, AdvisorStats, ControlLine, ErrorLine, MultiAdvisor, MultiPack, PackBuilder,
+    RequestKind, Session, StatsLine,
 };
 use tcp_calibrate::{Calibrator, RegimeCatalog};
 use tcp_scenarios::SweepSpec;
@@ -188,6 +190,51 @@ fn respond_into_writes_what_respond_line_returns() {
             assert_eq!(&shared["earlier output\n".len()..], expected.as_str());
         }
     }
+}
+
+/// One request of each kind from `advise gen --pack <smoke pack> --count 10000`, with
+/// the answer line `advise serve` wrote for it before struct fields were printed with
+/// one copy each (a `None` field as one `,"name":null`).
+const SMOKE_ANSWERS: [(&str, &str); 4] = [
+    (
+        r#"{"kind":"should-reuse","id":1,"regime":"gcp-day-busy","cell":null,"vm_age":5.952322028373231,"job_len":6.984311237961818,"overhead_minutes":null}"#,
+        r#"{"kind":"should-reuse","id":1,"regime":"gcp-day-busy","cell":null,"decision":"reuse","vm_phase":"stable","reuse_makespan_hours":6.99243519867889,"fresh_makespan_hours":7.430983076268057,"expected_makespan_hours":null,"failure_probability":null,"survival_probability":null,"expected_cost_usd":null,"on_demand_cost_usd":null,"checkpoint_cost_minutes":null,"intervals_hours":null,"checkpoint_count":null,"scheduling":null,"checkpointing":null,"card":null}"#,
+    ),
+    (
+        r#"{"kind":"checkpoint-plan","id":0,"regime":"memoryless-8h","cell":null,"vm_age":13.260120805379813,"job_len":9.535024326724724,"overhead_minutes":5.0}"#,
+        r#"{"kind":"checkpoint-plan","id":0,"regime":"memoryless-8h","cell":null,"decision":null,"vm_phase":null,"reuse_makespan_hours":null,"fresh_makespan_hours":null,"expected_makespan_hours":8.24433945169785,"failure_probability":null,"survival_probability":null,"expected_cost_usd":null,"on_demand_cost_usd":null,"checkpoint_cost_minutes":5.0,"intervals_hours":[0.75,1.0,6.25],"checkpoint_count":3,"scheduling":null,"checkpointing":null,"card":null}"#,
+    ),
+    (
+        r#"{"kind":"expected-cost-makespan","id":3,"regime":"memoryless-8h","cell":null,"vm_age":22.944585131249916,"job_len":1.282647343165679,"overhead_minutes":null}"#,
+        r#"{"kind":"expected-cost-makespan","id":3,"regime":"memoryless-8h","cell":null,"decision":null,"vm_phase":null,"reuse_makespan_hours":null,"fresh_makespan_hours":null,"expected_makespan_hours":11.458543772318063,"failure_probability":1.0,"survival_probability":0.4296954457934585,"expected_cost_usd":1.2980238385281901,"on_demand_cost_usd":0.7269019023188537,"checkpoint_cost_minutes":null,"intervals_hours":null,"checkpoint_count":null,"scheduling":null,"checkpointing":null,"card":null}"#,
+    ),
+    (
+        r#"{"kind":"best-policy","id":6,"regime":"memoryless-8h","cell":null,"vm_age":null,"job_len":null,"overhead_minutes":null}"#,
+        r#"{"kind":"best-policy","id":6,"regime":"memoryless-8h","cell":null,"decision":null,"vm_phase":null,"reuse_makespan_hours":null,"fresh_makespan_hours":null,"expected_makespan_hours":null,"failure_probability":null,"survival_probability":null,"expected_cost_usd":null,"on_demand_cost_usd":null,"checkpoint_cost_minutes":null,"intervals_hours":null,"checkpoint_count":null,"scheduling":"model-driven","checkpointing":"model-driven","card":{"reference_job_len_hours":6.0,"scheduling":[{"name":"model-driven","score":0.1849940283796314},{"name":"memoryless","score":0.30197443129708973}],"checkpointing":[{"name":"model-driven","score":6.3487733282339285},{"name":"none","score":6.442191931039439},{"name":"young-daly","score":6.633759963508431}],"recommended_scheduling":"model-driven","recommended_checkpointing":"model-driven"}}"#,
+    ),
+];
+
+#[test]
+fn one_answer_of_each_kind_keeps_its_recorded_bytes() {
+    let advisor = smoke_advisor();
+    let mut kinds = Vec::new();
+    for (request, answer) in SMOKE_ANSWERS {
+        assert_eq!(respond_line(&advisor, request), answer);
+        let request: AdviceRequest = serde_json::from_str(request).unwrap();
+        let response = advisor.advise(&request).unwrap();
+        assert_eq!(serde_json::to_string(&response).unwrap(), answer);
+        assert_tree_identical(&response);
+        kinds.push(response.kind);
+    }
+    assert_eq!(
+        kinds,
+        [
+            RequestKind::ShouldReuse,
+            RequestKind::CheckpointPlan,
+            RequestKind::ExpectedCostMakespan,
+            RequestKind::BestPolicy
+        ]
+    );
 }
 
 /// `line` with the values of its `regime` and `cell` keys spelled with escapes: every

@@ -67,6 +67,9 @@ pub struct ConstrainedBathtub {
     w0: f64,
     /// Probability mass at the deadline (survivors reclaimed at `L`).
     atom: f64,
+    /// `F(saturation)` of the continuous part, `raw_cdf(saturation) - f0` capped at one:
+    /// a quantile at or above it lands on the saturation point or the deadline.
+    raw_end: f64,
 }
 
 /// The serialised form of [`ConstrainedBathtub`]: its defining fields, under the same
@@ -167,8 +170,8 @@ impl ConstrainedBathtub {
         Ok(ConstrainedBathtub::with_saturation(params, saturation))
     }
 
-    /// The distribution with a known saturation point, its parameter-only constants
-    /// (`F(0)`, `W(0)`, the deadline atom) computed once here.
+    /// The distribution with a known saturation point, its constants (`F(0)`, `W(0)`,
+    /// the deadline atom, the continuous part's mass) computed once here.
     fn with_saturation(params: BathtubParams, saturation: f64) -> Self {
         let mut dist = ConstrainedBathtub {
             params,
@@ -176,6 +179,7 @@ impl ConstrainedBathtub {
             f0: 0.0,
             w0: 0.0,
             atom: 0.0,
+            raw_end: 0.0,
         };
         dist.f0 = dist.raw_cdf(0.0);
         dist.w0 = dist.partial_expectation_antiderivative(0.0);
@@ -184,6 +188,7 @@ impl ConstrainedBathtub {
         } else {
             (1.0 - dist.raw_cdf(params.horizon)).max(0.0)
         };
+        dist.raw_end = (dist.raw_cdf(saturation) - dist.f0).min(1.0);
         dist
     }
 
@@ -335,8 +340,7 @@ impl LifetimeDistribution for ConstrainedBathtub {
 
     fn quantile(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
-        let raw_end = (self.raw_cdf(self.saturation) - self.f0).min(1.0);
-        if u >= raw_end {
+        if u >= self.raw_end {
             // lands in the deadline atom (or exactly at saturation)
             return if self.saturation < self.params.horizon {
                 self.saturation
@@ -525,6 +529,65 @@ mod tests {
             "{d:?}"
         );
         assert_eq!(d.atom.to_bits(), atom.to_bits(), "{d:?}");
+        let raw_end = (d.raw_cdf(d.saturation) - d.f0).min(1.0);
+        assert_eq!(d.raw_end.to_bits(), raw_end.to_bits(), "{d:?}");
+    }
+
+    /// `quantile` as it was before `raw_end` was cached: the continuous part's mass
+    /// recomputed, two `exp`s, on every call.
+    fn quantile_recomputing_raw_end(d: &ConstrainedBathtub, u: f64) -> f64 {
+        let u = u.clamp(0.0, 1.0);
+        let raw_end = (d.raw_cdf(d.saturation) - d.f0).min(1.0);
+        if u >= raw_end {
+            return if d.saturation < d.params.horizon {
+                d.saturation
+            } else {
+                d.params.horizon
+            };
+        }
+        let f = |t: f64| (d.raw_cdf(t) - d.f0) - u;
+        tcp_numerics::roots::brent(
+            f,
+            0.0,
+            d.saturation,
+            tcp_numerics::roots::RootConfig::default(),
+        )
+        .unwrap_or(d.saturation)
+    }
+
+    #[test]
+    fn draws_match_the_recomputing_quantile_bit_for_bit() {
+        let stored: ConstrainedBathtub = serde_json::from_str(
+            r#"{"params":{"a":0.45,"tau1":1.0,"tau2":0.8,"b":24.0,"horizon":24.0},"saturation":20.0}"#,
+        )
+        .unwrap();
+        // 100k draws over four shapes: the paper's fit, an early activation, a raw CDF
+        // saturating before the deadline, and a stored saturation kept as read.
+        for (seed, d) in [
+            (1, paper_dist()),
+            (
+                2,
+                ConstrainedBathtub::from_parts(0.45, 1.5, 0.8, 23.5).unwrap(),
+            ),
+            (
+                3,
+                ConstrainedBathtub::from_parts(0.9, 0.5, 0.8, 20.0).unwrap(),
+            ),
+            (4, stored),
+        ] {
+            assert_constants_match_their_definitions(&d);
+            let (mut draws, mut uniforms) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..25_000 {
+                let want = quantile_recomputing_raw_end(&d, rand::Rng::gen(&mut uniforms));
+                assert_eq!(d.sample(&mut draws).to_bits(), want.to_bits(), "{d:?}");
+            }
+            let below_end = f64::from_bits(d.raw_end.to_bits() - 1);
+            for u in [0.0, 1.0, -0.5, 1.5, d.raw_end, below_end] {
+                let want = quantile_recomputing_raw_end(&d, u);
+                assert_eq!(d.quantile(u).to_bits(), want.to_bits(), "{d:?} u={u}");
+            }
+        }
     }
 
     #[test]
