@@ -40,13 +40,13 @@
 use crate::export::{json_escape, json_number, RegistrySnapshot, SnapshotValue};
 use crate::hist::HistogramSnapshot;
 use crate::log::now_monotonic_secs;
+use crate::Periodic;
 use serde::Deserialize;
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Alert severity: `warn` firing makes the verdict Degraded, `critical` firing
 /// makes it Unhealthy.
@@ -727,92 +727,66 @@ pub fn clear_current() {
     *current_slot().lock().expect("health slot poisoned") = None;
 }
 
-/// A running background evaluator; dropping it stops and joins the thread.
-pub struct EvaluatorHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for EvaluatorHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Spawns the production evaluator loop: every `spec.tick_secs` it snapshots the
-/// global registry at [`now_monotonic_secs`], runs [`Evaluator::tick_with`],
-/// publishes the [`HealthReport`], appends each alert transition as one JSON
-/// line to `alert_log` (append-only; creates the file), and mirrors transitions
-/// into the structured event log (`slo.alert`, warn for warn-severity rules and
-/// firing=false transitions, error for critical firings).
+/// Starts the production evaluator loop on a [`Periodic`]: every
+/// `spec.tick_secs` it snapshots the global registry at [`now_monotonic_secs`],
+/// runs [`Evaluator::tick_with`], publishes the [`HealthReport`], appends each
+/// alert transition as one JSON line to `alert_log` (append-only; creates the
+/// file), and mirrors transitions into the structured event log (`slo.alert`,
+/// warn for warn-severity rules and firing=false transitions, error for
+/// critical firings).
+///
+/// The baseline tick (the first window start) and its report are taken and
+/// published on the calling thread before this returns.  Dropping the returned
+/// handle stops the loop at once, without waiting out the current tick period.
 ///
 /// The loop is strictly out-of-band of the serving path: it only ever *reads*
 /// registry snapshots, so served response bytes are byte-identical with the
 /// evaluator armed or not.
-pub fn spawn_evaluator(spec: SloSpec, alert_log: Option<PathBuf>) -> EvaluatorHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let thread = std::thread::spawn(move || {
-        let tick = Duration::from_secs_f64(spec.tick_secs);
-        let mut evaluator = Evaluator::new(spec);
-        // Baseline entry so the first real tick has a window start.
-        let t0 = now_monotonic_secs();
-        let _ = evaluator.tick_with(t0, crate::Registry::global().snapshot());
-        publish(evaluator.report(t0));
-        loop {
-            // Sleep in short slices so drop() never blocks a full tick.
-            let deadline = Instant::now() + tick;
-            while Instant::now() < deadline {
-                if flag.load(Ordering::Relaxed) {
-                    return;
+pub fn spawn_evaluator(spec: SloSpec, alert_log: Option<PathBuf>) -> Periodic {
+    let tick = Duration::from_secs_f64(spec.tick_secs);
+    let mut evaluator = Evaluator::new(spec);
+    // Baseline entry so the first real tick has a window start.
+    let t0 = now_monotonic_secs();
+    let _ = evaluator.tick_with(t0, crate::Registry::global().snapshot());
+    publish(evaluator.report(t0));
+    Periodic::spawn("tcp-obs-slo", tick, move || {
+        let t = now_monotonic_secs();
+        let alerts = evaluator.tick_with(t, crate::Registry::global().snapshot());
+        publish(evaluator.report(t));
+        for alert in &alerts {
+            if let Some(path) = &alert_log {
+                if let Ok(mut file) = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)
+                {
+                    let _ = writeln!(file, "{}", alert.to_json_line());
                 }
-                std::thread::sleep(Duration::from_millis(20));
             }
-            let t = now_monotonic_secs();
-            let alerts = evaluator.tick_with(t, crate::Registry::global().snapshot());
-            publish(evaluator.report(t));
-            for alert in &alerts {
-                if let Some(path) = &alert_log {
-                    if let Ok(mut file) = std::fs::OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(path)
-                    {
-                        let _ = writeln!(file, "{}", alert.to_json_line());
-                    }
-                }
-                let firing = alert.transition == Transition::Firing;
-                if firing && alert.severity == Severity::Critical {
-                    crate::event!(
-                        error,
-                        "slo.alert",
-                        rule = alert.rule.as_str(),
-                        transition = alert.transition.as_str(),
-                        short_value = alert.short_value,
-                        long_value = alert.long_value,
-                        threshold = alert.threshold,
-                    );
-                } else {
-                    crate::event!(
-                        warn,
-                        "slo.alert",
-                        rule = alert.rule.as_str(),
-                        transition = alert.transition.as_str(),
-                        short_value = alert.short_value,
-                        long_value = alert.long_value,
-                        threshold = alert.threshold,
-                    );
-                }
+            let firing = alert.transition == Transition::Firing;
+            if firing && alert.severity == Severity::Critical {
+                crate::event!(
+                    error,
+                    "slo.alert",
+                    rule = alert.rule.as_str(),
+                    transition = alert.transition.as_str(),
+                    short_value = alert.short_value,
+                    long_value = alert.long_value,
+                    threshold = alert.threshold,
+                );
+            } else {
+                crate::event!(
+                    warn,
+                    "slo.alert",
+                    rule = alert.rule.as_str(),
+                    transition = alert.transition.as_str(),
+                    short_value = alert.short_value,
+                    long_value = alert.long_value,
+                    threshold = alert.threshold,
+                );
             }
         }
-    });
-    EvaluatorHandle {
-        stop,
-        thread: Some(thread),
-    }
+    })
 }
 
 #[cfg(test)]

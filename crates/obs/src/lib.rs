@@ -38,6 +38,10 @@
 //!   allocation profiler ([`profile::CountingAlloc`]) attributing allocs/bytes
 //!   to the innermost span site, and exporters — inferno-style collapsed text,
 //!   a self-rendered standalone flamegraph SVG, and the `!profile` JSON.
+//! - **[`Periodic`]** — the one background loop: a named thread running a tick
+//!   every period until dropped.  The SLO evaluator, the profiler's sampler, the
+//!   `advise listen --metrics-file` writer and the `sweep --heartbeat` printer
+//!   all run on it.
 //!
 //! # Determinism contract
 //!
@@ -80,12 +84,14 @@ mod hist;
 mod lane;
 pub mod log;
 mod pad;
+mod periodic;
 pub mod profile;
 mod registry;
 pub mod trace;
 
 pub use export::{RegistrySnapshot, SnapshotValue};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
+pub use periodic::Periodic;
 pub use registry::{Counter, Gauge, Registry};
 
 use std::sync::atomic::{AtomicBool, Ordering};

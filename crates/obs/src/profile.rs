@@ -40,12 +40,13 @@
 //! [`MAX_STACK_DEPTH`] are truncated at the mirror's capacity.
 
 use crate::lane::{Lanes, LocalLane, SeqLock};
+use crate::Periodic;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Deepest span stack the cross-thread mirror records; deeper frames still
@@ -178,12 +179,7 @@ static WALL: Mutex<WallState> = Mutex::new(WallState {
     hz: 0,
 });
 
-struct SamplerState {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-static SAMPLER: Mutex<Option<SamplerState>> = Mutex::new(None);
+static SAMPLER: Mutex<Option<Periodic>> = Mutex::new(None);
 
 /// One sampler tick: snapshot every mirror, fold non-empty stacks.  Factored
 /// out of the thread loop so tests can drive it deterministically.
@@ -208,9 +204,10 @@ pub(crate) fn tick() {
 }
 
 /// Arms the wall-clock sampler at `hz` samples per second (clamped to
-/// `1..=10_000`) and opens the profiler gate so span guards start maintaining
-/// their stack mirrors.  Returns `false` (and changes nothing) if already
-/// armed.  Counting allocation is a separate switch: [`set_counting`].
+/// `1..=10_000`) on a [`Periodic`] thread and opens the profiler gate so span
+/// guards start maintaining their stack mirrors.  Returns `false` (and changes
+/// nothing) if already armed.  Counting allocation is a separate switch:
+/// [`set_counting`].
 pub fn arm(hz: u64) -> bool {
     let hz = hz.clamp(1, 10_000);
     let mut guard = SAMPLER.lock().expect("profile sampler state poisoned");
@@ -219,35 +216,22 @@ pub fn arm(hz: u64) -> bool {
     }
     WALL.lock().expect("profile wall state poisoned").hz = hz;
     crate::trace::set_profile_gate(true);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
     let period = Duration::from_nanos(1_000_000_000 / hz);
-    let handle = std::thread::Builder::new()
-        .name("tcp-obs-profiler".to_string())
-        .spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(period);
-                tick();
-            }
-        })
-        .expect("spawn profiler sampler thread");
-    *guard = Some(SamplerState { stop, handle });
+    *guard = Some(Periodic::spawn("tcp-obs-profiler", period, tick));
     true
 }
 
-/// Disarms the sampler: closes the profiler gate, stops and joins the sampler
-/// thread.  Accumulated profile data is retained (dump then [`reset`] if you
-/// want a fresh window).  No-op when not armed.
+/// Disarms the sampler: closes the profiler gate, then stops and joins the
+/// sampler thread at once; no sample is taken after this returns.  Accumulated
+/// profile data is retained (dump then [`reset`] if you want a fresh window).
+/// No-op when not armed.
 pub fn disarm() {
-    let state = SAMPLER
+    let sampler = SAMPLER
         .lock()
         .expect("profile sampler state poisoned")
         .take();
     crate::trace::set_profile_gate(false);
-    if let Some(state) = state {
-        state.stop.store(true, Ordering::Relaxed);
-        let _ = state.handle.join();
-    }
+    drop(sampler);
 }
 
 /// Whether the wall-clock sampler is currently armed.
@@ -867,6 +851,7 @@ pub fn dump_to(path: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn stacks(raw: &[(&[&str], u64)]) -> Vec<(Vec<String>, u64)> {
         raw.iter()

@@ -25,9 +25,9 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tcp_obs::cli::{next_value, parse, positive_secs};
+use tcp_obs::Periodic;
 use tcp_scenarios::{expand, run_sweep_on_grid, run_sweep_shard, SweepReport, SweepSpec};
 
 const USAGE: &str = "usage: sweep <spec.toml|spec.json> [options]
@@ -63,80 +63,47 @@ struct Args {
     profile_file: Option<PathBuf>,
 }
 
-/// Prints live sweep progress to stderr until dropped: trials completed out of this
-/// run's scheduled total, plus the median trial wall time, read from the global
-/// metrics registry the runner publishes into.
-struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    fn start(interval: Duration, total: u64, json: bool) -> Heartbeat {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let completed = tcp_obs::counter("sweep.trials.completed");
-            let base = completed.get();
-            let mut prev_done = 0u64;
-            let mut prev_at = Instant::now();
-            loop {
-                // Sleep in short slices so drop() never blocks a full interval.
-                let deadline = Instant::now() + interval;
-                while Instant::now() < deadline {
-                    // lint:allow(ordering-audit) stop flag polled in a sleep loop; staleness only delays exit by one slice
-                    if flag.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                let done = completed.get().saturating_sub(base);
-                // Completion rate over this interval, not the whole run: the
-                // operator watches it to spot a stalling sweep.
-                let trials_per_sec = tcp_obs::rate_per_sec(
-                    done.saturating_sub(prev_done),
-                    prev_at.elapsed().as_secs_f64(),
-                );
-                prev_done = done;
-                prev_at = Instant::now();
-                let pct = 100.0 * done as f64 / total.max(1) as f64;
-                let p50_ms = tcp_obs::Registry::global()
-                    .histogram_snapshot("sweep.trial.latency")
-                    .map(|s| s.quantile(0.5) / 1e6)
-                    .unwrap_or(0.0);
-                if json {
-                    tcp_obs::event!(
-                        info,
-                        "sweep.heartbeat",
-                        done = done,
-                        total = total,
-                        pct = pct,
-                        trials_per_sec = trials_per_sec,
-                        p50_trial_ms = p50_ms,
-                    );
-                } else {
-                    eprintln!(
-                        "heartbeat: {done}/{total} trials ({pct:.1}%), \
-                         {trials_per_sec:.1} trials/s, p50 trial {p50_ms:.1} ms"
-                    );
-                }
-            }
-        });
-        Heartbeat {
-            stop,
-            handle: Some(handle),
+/// Prints live sweep progress to stderr every `interval` until the returned
+/// handle is dropped: trials completed out of this run's scheduled total, plus
+/// the median trial wall time, read from the global metrics registry the runner
+/// publishes into.
+fn heartbeat(interval: Duration, total: u64, json: bool) -> Periodic {
+    let completed = tcp_obs::counter("sweep.trials.completed");
+    let base = completed.get();
+    let mut prev_done = 0u64;
+    let mut prev_at = Instant::now();
+    Periodic::spawn("sweep-heartbeat", interval, move || {
+        let done = completed.get().saturating_sub(base);
+        // Completion rate over this interval, not the whole run: the
+        // operator watches it to spot a stalling sweep.
+        let trials_per_sec = tcp_obs::rate_per_sec(
+            done.saturating_sub(prev_done),
+            prev_at.elapsed().as_secs_f64(),
+        );
+        prev_done = done;
+        prev_at = Instant::now();
+        let pct = 100.0 * done as f64 / total.max(1) as f64;
+        let p50_ms = tcp_obs::Registry::global()
+            .histogram_snapshot("sweep.trial.latency")
+            .map(|s| s.quantile(0.5) / 1e6)
+            .unwrap_or(0.0);
+        if json {
+            tcp_obs::event!(
+                info,
+                "sweep.heartbeat",
+                done = done,
+                total = total,
+                pct = pct,
+                trials_per_sec = trials_per_sec,
+                p50_trial_ms = p50_ms,
+            );
+        } else {
+            eprintln!(
+                "heartbeat: {done}/{total} trials ({pct:.1}%), \
+                 {trials_per_sec:.1} trials/s, p50 trial {p50_ms:.1} ms"
+            );
         }
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        // lint:allow(ordering-audit) stop flag; the matching load tolerates one stale slice
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    })
 }
 
 struct MergeArgs {
@@ -171,33 +138,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => return Err(USAGE.to_string()),
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| format!("invalid --threads value `{v}`"))?;
-            }
-            "--out-dir" => {
-                out_dir = PathBuf::from(it.next().ok_or("--out-dir needs a value")?);
-            }
-            "--shard" => {
-                shard = Some(parse_shard(it.next().ok_or("--shard needs a value")?)?);
-            }
+            "--threads" => threads = parse(next_value(&mut it, arg)?, arg)?,
+            "--out-dir" => out_dir = PathBuf::from(next_value(&mut it, arg)?),
+            "--shard" => shard = Some(parse_shard(next_value(&mut it, arg)?)?),
             "--dry-run" => dry_run = true,
             "--quiet" => quiet = true,
             "--heartbeat" => {
-                let v = it.next().ok_or("--heartbeat needs a value (seconds)")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --heartbeat value `{v}`"))?;
-                heartbeat = Some(tcp_obs::cli::positive_secs("--heartbeat", secs)?);
+                let secs = parse(next_value(&mut it, arg)?, arg)?;
+                heartbeat = Some(positive_secs(arg, secs)?);
             }
             "--heartbeat-json" => heartbeat_json = true,
-            "--profile-file" => {
-                profile_file = Some(PathBuf::from(
-                    it.next().ok_or("--profile-file needs a value")?,
-                ));
-            }
+            "--profile-file" => profile_file = Some(PathBuf::from(next_value(&mut it, arg)?)),
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}`\n\n{USAGE}"))
             }
@@ -232,9 +183,7 @@ fn parse_merge_args(argv: &[String]) -> Result<MergeArgs, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => return Err(USAGE.to_string()),
-            "--out-dir" => {
-                out_dir = PathBuf::from(it.next().ok_or("--out-dir needs a value")?);
-            }
+            "--out-dir" => out_dir = PathBuf::from(next_value(&mut it, arg)?),
             "--quiet" => quiet = true,
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}`\n\n{USAGE}"))
@@ -311,7 +260,7 @@ fn run(args: &Args) -> Result<(), String> {
             .filter(|s| s.meta.id % count == index)
             .count();
         let _heartbeat = args.heartbeat.map(|secs| {
-            Heartbeat::start(
+            heartbeat(
                 secs,
                 (shard_scenarios * spec.trials()) as u64,
                 args.heartbeat_json,
@@ -338,15 +287,15 @@ fn run(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let heartbeat = args.heartbeat.map(|secs| {
-        Heartbeat::start(
+    let progress = args.heartbeat.map(|secs| {
+        heartbeat(
             secs,
             (grid.len() * spec.trials()) as u64,
             args.heartbeat_json,
         )
     });
     let report = run_sweep_on_grid(&spec, &grid, args.threads).map_err(|e| e.to_string())?;
-    drop(heartbeat);
+    drop(progress);
     write_reports(&report, &args.out_dir, args.quiet)?;
     if let Some(profile) = &args.profile_file {
         dump_profile(profile)?;

@@ -273,3 +273,27 @@ fn heartbeat_that_fits_no_duration_is_a_usage_error() {
         );
     }
 }
+
+#[test]
+fn bad_flag_values_are_usage_errors_in_the_shared_wording() {
+    // Every flag goes through `tcp_obs::cli`, so the errors read as in every
+    // other binary.  Arguments are checked before the spec is read.
+    let cases: [(&[&str], &str); 6] = [
+        (&["--threads"], "--threads needs a value"),
+        (&["--out-dir"], "--out-dir needs a value"),
+        (&["--shard"], "--shard needs a value"),
+        (&["--heartbeat"], "--heartbeat needs a value"),
+        (&["--profile-file"], "--profile-file needs a value"),
+        (&["--threads", "x"], "invalid --threads value `x`"),
+    ];
+    for (flags, expected) in cases {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .arg("spec.toml")
+            .args(flags)
+            .output()
+            .expect("run sweep");
+        assert_eq!(output.status.code(), Some(2), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr.trim_end(), expected, "{flags:?}");
+    }
+}

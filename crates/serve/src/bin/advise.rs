@@ -33,15 +33,14 @@ use std::process::ExitCode;
 /// call) backs `listen --profile-file`'s allocation attribution.
 #[global_allocator]
 static ALLOC: tcp_obs::profile::CountingAlloc = tcp_obs::profile::CountingAlloc::new();
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tcp_advisor::{
     generate_multi_requests, generate_requests, requests_to_ndjson, AdvisorHandle, ModelPack,
     MultiAdvisor, MultiPack, PackBuilder, Session,
 };
 use tcp_calibrate::RegimeCatalog;
 use tcp_obs::cli::{next_value, parse};
+use tcp_obs::Periodic;
 use tcp_scenarios::SweepSpec;
 use tcp_serve::{run_client, run_top, ServeOptions, Server, TopOptions};
 
@@ -320,24 +319,19 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes the global registry as a Prometheus text exposition, atomically (write to a
-/// sibling temp file, then rename) so a scraper never reads a half-written dump.
-fn write_exposition(path: &Path) {
-    let text = tcp_obs::Registry::global().snapshot().to_prometheus();
-    let tmp = path.with_extension("prom.tmp");
-    if std::fs::write(&tmp, &text).is_ok() {
+/// Writes `text` to `path` atomically: to the sibling `path.with_extension(tmp_ext)`
+/// first, then renamed over `path`, so a reader never sees a half-written file.
+fn write_atomic(path: &Path, tmp_ext: &str, text: &str) {
+    let tmp = path.with_extension(tmp_ext);
+    if std::fs::write(&tmp, text).is_ok() {
         let _ = std::fs::rename(&tmp, path);
     }
 }
 
-/// Writes the flight recorder's retained spans as Chrome trace-event JSON, with the
-/// same atomic tmp-then-rename discipline as the metrics exposition.
-fn write_trace(path: &Path) {
-    let text = tcp_obs::trace::chrome_trace_json(&tcp_obs::trace::recent_spans());
-    let tmp = path.with_extension("trace.tmp");
-    if std::fs::write(&tmp, &text).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
+/// Writes the global registry as a Prometheus text exposition to `path`.
+fn write_exposition(path: &Path) {
+    let text = tcp_obs::Registry::global().snapshot().to_prometheus();
+    write_atomic(path, "prom.tmp", &text);
 }
 
 /// Parses `--trace-sample`, accepting both `1/N` (the documented reading) and a bare
@@ -440,28 +434,15 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
     // The exposition writer is strictly out-of-band: it reads registry snapshots on
     // its own thread and never touches the serving path, so response bytes are
     // unaffected by whether (or how often) it runs.
-    let metrics_stop = Arc::new(AtomicBool::new(false));
     let metrics_writer = metrics_file.as_ref().map(|path| {
+        write_exposition(path);
         let path = path.clone();
-        let stop = Arc::clone(&metrics_stop);
-        let interval = metrics_interval;
-        std::thread::spawn(move || loop {
-            write_exposition(&path);
-            let deadline = Instant::now() + interval;
-            while Instant::now() < deadline {
-                // lint:allow(ordering-audit) stop flag polled in a sleep loop; staleness only delays exit by one slice
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
+        Periodic::spawn("advise-metrics", metrics_interval, move || {
+            write_exposition(&path)
         })
     });
     let report = server.join();
-    metrics_stop.store(true, Ordering::Relaxed); // lint:allow(ordering-audit) stop flag; one stale slice is fine
-    if let Some(writer) = metrics_writer {
-        let _ = writer.join();
-    }
+    drop(metrics_writer);
     if let Some(path) = &metrics_file {
         // One final write after the drain so the file holds the complete totals.
         write_exposition(path);
@@ -469,7 +450,8 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
     if let Some(path) = &trace_file {
         // Written once, after the drain: the flight recorder keeps the most recent
         // retained spans at bounded memory, so this is a dump, not an append log.
-        write_trace(path);
+        let text = tcp_obs::trace::chrome_trace_json(&tcp_obs::trace::recent_spans());
+        write_atomic(path, "trace.tmp", &text);
     }
     if let Some(path) = &profile_file {
         // Disarm first (stops and joins the sampler thread), then dump everything
