@@ -15,7 +15,7 @@ use crate::pack::{
 use std::sync::Arc;
 use tcp_calibrate::RegimeCatalog;
 use tcp_cloudsim::{run_tasks, PricingModel};
-use tcp_core::{LifetimeModel, TabulatedLifetime};
+use tcp_core::lifetime::{age_grid, LifetimeModel, TabulatedLifetime, DEFAULT_TABLE_POINTS};
 use tcp_dists::LifetimeDistribution;
 use tcp_numerics::interp::linspace;
 use tcp_policy::{
@@ -52,7 +52,7 @@ pub struct PackBuilder {
 impl Default for PackBuilder {
     fn default() -> Self {
         PackBuilder {
-            age_points: 1441,
+            age_points: DEFAULT_TABLE_POINTS,
             checkpoint_age_points: 9,
             checkpoint_job_points: 10,
             max_checkpoint_job_hours: 8.0,
@@ -320,9 +320,8 @@ impl PackBuilder {
         let horizon = model.horizon();
         let (early_end, deadline_start) = model.phase_boundaries();
 
-        // W(age) = ∫_0^age t f(t) dt — partial_expectation is additive, so every
-        // Equation 8 makespan becomes two lookups: E[T_s] = T + W(min(s+T, L)) − W(s).
-        let ages = linspace(0.0, horizon, self.age_points);
+        // S and W on the age grid: every Equation 8 answer is two W lookups (AgeCurves).
+        let ages = age_grid(horizon, self.age_points);
         let curves = model.tabulate(&ages);
         let family = model.family().to_string();
 

@@ -15,7 +15,7 @@ use crate::table::Table2D;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
-use tcp_numerics::interp::LinearInterp;
+use tcp_core::AgeCurves;
 use tcp_obs::{Counter, Histogram};
 
 /// The kinds of questions the advisor answers.
@@ -296,22 +296,20 @@ impl<'a> AdviceResponse<'a> {
 }
 
 /// One regime's lookup tables, moved out of its [`RegimePack`] at load time: the
-/// scalars an answer needs, the two age curves as interpolants, the checkpoint tables
-/// and the shared policy card.
+/// scalars an answer needs, the [`AgeCurves`] behind Equation 8 and the failure
+/// probability, the checkpoint tables and the shared policy card.
 pub(crate) struct RegimeEngine {
     /// Regime name (the `regime` request field selects it within its pack).
     pub(crate) name: String,
     /// `(served_family, dp_family)` counter slots, resolved at load time so the
     /// nanosecond record path indexes fixed arrays instead of hashing strings.
     families: (usize, usize),
-    horizon: f64,
     phase_early_end: f64,
     phase_deadline_start: f64,
     vcpus: f64,
     on_demand_per_vcpu_hour: f64,
     preemptible_per_vcpu_hour: f64,
-    survival: LinearInterp,
-    first_moment: LinearInterp,
+    curves: AgeCurves,
     checkpoints: Vec<CheckpointEngine>,
     policy_card: PolicyCard,
 }
@@ -327,13 +325,13 @@ struct CheckpointEngine {
 impl RegimeEngine {
     /// Builds the engine from a regime of a validated pack, taking its grids over.
     pub(crate) fn new(regime: RegimePack) -> Result<Self> {
-        let pack_error = |e: tcp_numerics::NumericsError| {
-            AdvisorError::Pack(format!("regime `{}`: {e}", regime.name))
-        };
-        let survival =
-            LinearInterp::new(regime.ages.clone(), regime.survival).map_err(pack_error)?;
-        let first_moment =
-            LinearInterp::new(regime.ages, regime.first_moment).map_err(pack_error)?;
+        let curves = AgeCurves::new(
+            regime.ages,
+            regime.survival,
+            regime.first_moment,
+            regime.horizon_hours,
+        )
+        .map_err(|e| AdvisorError::Pack(format!("regime `{}`: {e}", regime.name)))?;
         let checkpoints = regime
             .checkpoint_cells
             .into_iter()
@@ -351,14 +349,12 @@ impl RegimeEngine {
                 family_index(&regime.dp_family),
             ),
             name: regime.name,
-            horizon: regime.horizon_hours,
             phase_early_end: regime.phase_early_end_hours,
             phase_deadline_start: regime.phase_deadline_start_hours,
             vcpus: regime.vcpus as f64,
             on_demand_per_vcpu_hour: regime.on_demand_per_vcpu_hour,
             preemptible_per_vcpu_hour: regime.preemptible_per_vcpu_hour,
-            survival,
-            first_moment,
+            curves,
             checkpoints,
             policy_card: regime.policy_card,
         })
@@ -372,31 +368,6 @@ impl RegimeEngine {
             RequestKind::ExpectedCostMakespan => self.cost_makespan(request),
             RequestKind::BestPolicy => Ok(self.best_policy(request)),
         }
-    }
-
-    /// Equation 8 from the tabulated first moment:
-    /// `E[T_s] = T + W(min(s+T, L)) − W(s)`.
-    ///
-    /// The `min` resolves the deadline kink exactly — jobs that would cross the horizon
-    /// pay the full remaining preemption mass and then grow linearly in `T`, which is
-    /// what the closed form does too.
-    fn makespan(&self, vm_age: f64, job_len: f64) -> f64 {
-        let s = vm_age.min(self.horizon);
-        let u = (vm_age + job_len).min(self.horizon);
-        job_len + self.first_moment.eval(u) - self.first_moment.eval(s)
-    }
-
-    /// Conditional job-failure probability from the tabulated survival curve:
-    /// `1 − S(s+T)/S(s)`, with jobs crossing the deadline failing with certainty.
-    fn failure_probability(&self, vm_age: f64, job_len: f64) -> f64 {
-        if vm_age + job_len >= self.horizon {
-            return 1.0;
-        }
-        let alive = self.survival.eval(vm_age);
-        if alive <= 1e-12 {
-            return 1.0;
-        }
-        ((alive - self.survival.eval(vm_age + job_len)) / alive).clamp(0.0, 1.0)
     }
 
     fn phase_of(&self, age: f64) -> VmPhase {
@@ -413,15 +384,15 @@ impl RegimeEngine {
         let vm_age = validate_non_negative("vm_age", require("vm_age", request.vm_age)?)?;
         let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
         let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
-        let fresh = self.makespan(0.0, job_len);
+        let fresh = self.curves.makespan(0.0, job_len);
         response.fresh_makespan_hours = Some(fresh);
         response.vm_phase = Some(self.phase_of(vm_age));
-        if vm_age >= self.horizon {
+        if vm_age >= self.curves.horizon() {
             // A VM at (or past) the reclamation deadline cannot run anything.
             response.decision = Some(Decision::LaunchFresh);
             return Ok(response);
         }
-        let reuse = self.makespan(vm_age, job_len);
+        let reuse = self.curves.makespan(vm_age, job_len);
         response.reuse_makespan_hours = Some(reuse);
         response.decision = Some(if reuse <= fresh {
             Decision::Reuse
@@ -485,13 +456,13 @@ impl RegimeEngine {
         let vm_age = validate_non_negative("vm_age", require("vm_age", request.vm_age)?)?;
         let job_len = validate_positive("job_len", require("job_len", request.job_len)?)?;
         let mut response = AdviceResponse::bare(request.kind, request.id, &self.name);
-        response.failure_probability = Some(self.failure_probability(vm_age, job_len));
-        response.survival_probability = Some(self.survival.eval(vm_age));
+        response.failure_probability = Some(self.curves.failure_probability(vm_age, job_len));
+        response.survival_probability = Some(self.curves.survival(vm_age));
         response.on_demand_cost_usd = Some(self.on_demand_per_vcpu_hour * self.vcpus * job_len);
         // A VM at (or past) the reclamation deadline cannot run anything: no finite
         // makespan or preemptible cost exists, matching should_reuse's treatment.
-        if vm_age < self.horizon {
-            let makespan = self.makespan(vm_age, job_len);
+        if vm_age < self.curves.horizon() {
+            let makespan = self.curves.makespan(vm_age, job_len);
             response.expected_makespan_hours = Some(makespan);
             response.expected_cost_usd =
                 Some(self.preemptible_per_vcpu_hour * self.vcpus * makespan);

@@ -87,11 +87,11 @@ pub struct RegimePack {
     /// First-moment table `W(age) = ∫_0^age t f(t) dt` on the age grid (the deadline
     /// atom included once `age` reaches the horizon).
     ///
-    /// Every age/job-length query decomposes over this 1-D curve: Equation 8's makespan
-    /// is `E[T_s] = T + W(min(s+T, L)) − W(s)` and the conditional failure probability
-    /// is `1 − S(min(s+T, L⁻))/S(s)` — so the kink along `s + T = L` (where jobs start
-    /// crossing the deadline) is handled *analytically* instead of being smeared by a
-    /// rectangular 2-D interpolation across the diagonal.
+    /// Every age/job-length query decomposes over this 1-D curve through
+    /// [`tcp_core::AgeCurves`], so no 2-D interpolation smears the diagonal `s + T = L`.
+    /// The kink there is still not exact (ROADMAP item 16): over the last knot interval
+    /// below `L` the makespan reads up to `L·S(L⁻)` high and the failure probability up
+    /// to 0.18 high.
     pub first_moment: Vec<f64>,
     /// DP checkpoint tables, one cell per checkpoint-cost value.
     pub checkpoint_cells: Vec<CheckpointCell>,

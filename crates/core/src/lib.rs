@@ -31,4 +31,4 @@ pub use analysis::{
     uniform_expected_increase, uniform_expected_wasted_work, RunningTimeAnalysis,
 };
 pub use fit::{fit_bathtub_model, fit_model_comparison, ModelComparison, ModelFit};
-pub use lifetime::{LifetimeCurves, LifetimeModel, TabulatedLifetime};
+pub use lifetime::{AgeCurves, LifetimeCurves, LifetimeModel, TabulatedLifetime};

@@ -1,4 +1,5 @@
-//! The model-generic lifetime API: [`LifetimeModel`] and [`TabulatedLifetime`].
+//! The model-generic lifetime API: [`LifetimeModel`], [`AgeCurves`] and
+//! [`TabulatedLifetime`].
 //!
 //! The paper's checkpointing DP (Equations 9–13) and policy selection are defined over
 //! an *arbitrary* lifetime distribution under the 24 h constraint; only the bathtub fit
@@ -16,7 +17,8 @@
 //! Two types implement `LifetimeModel`.  [`ConstrainedBathtub`] does so with its closed
 //! forms — the fast path.  [`TabulatedLifetime`] adapts any other distribution (Weibull,
 //! exponential, phased, empirical) or weighted mixture to the constrained setting by
-//! quadrature: survival and `W` are precomputed once on a dense age grid and every
+//! quadrature: survival and `W` are precomputed once on the [`age_grid`] as
+//! [`AgeCurves`] — the one table type the advisor serves from too — and every
 //! subsequent query is an interpolated lookup, so the generic-hazard DP runs at table
 //! speed for every family.  Unconstrained families never implement `LifetimeModel`
 //! themselves, so by type they reach the DP only with their deadline atom added.
@@ -26,18 +28,31 @@ use tcp_dists::{ConstrainedBathtub, LifetimeDistribution};
 use tcp_numerics::interp::{linspace, LinearInterp};
 use tcp_numerics::{NumericsError, Result};
 
-/// Default number of knots a [`TabulatedLifetime`] places on its age grid (one-minute
-/// spacing over a 24 h horizon).
+/// Default number of knots on an [`age_grid`] (one-minute spacing over a 24 h horizon).
 pub const DEFAULT_TABLE_POINTS: usize = 1441;
+
+/// The age grid of every tabulated lifetime: `points` (at least 8) knots on `[0, horizon]`.
+pub fn age_grid(horizon: f64, points: usize) -> Vec<f64> {
+    linspace(0.0, horizon, points.max(8))
+}
+
+/// `survival` at `t` under the temporal constraint: zero at and past the horizon,
+/// clamped to `[0, 1]` below it.
+fn constrained_survival(t: f64, horizon: f64, survival: impl FnOnce(f64) -> f64) -> f64 {
+    if t >= horizon {
+        0.0
+    } else {
+        survival(t).clamp(0.0, 1.0)
+    }
+}
 
 /// A lifetime (time-to-preemption) model under a temporal constraint `L`: a
 /// [`LifetimeDistribution`] plus the quantities only a *constrained* lifetime has, which
 /// the paper's policies are built on.
 ///
 /// Survival, CDF, hazard, truncated expectations, quantiles and sampling come from the
-/// supertrait.  Implementations must provide [`family`](LifetimeModel::family),
-/// [`horizon`](LifetimeModel::horizon), [`first_moment`](LifetimeModel::first_moment)
-/// and [`deadline_atom`](LifetimeModel::deadline_atom); everything else has a default.
+/// supertrait.  Implementations must provide the family, horizon, first moment,
+/// deadline atom and conditional failure probability; everything else has a default.
 /// Unconstrained families (exponential, Weibull, …) do not implement this trait: they
 /// reach the policies only through [`TabulatedLifetime`], which adds their deadline atom.
 pub trait LifetimeModel: LifetimeDistribution {
@@ -67,16 +82,7 @@ pub trait LifetimeModel: LifetimeDistribution {
     /// Probability that a job of length `job_len` starting at VM age `start` is
     /// preempted before finishing, conditioned on the VM being alive at `start`.  Jobs
     /// that would cross the deadline fail with certainty.
-    fn conditional_failure_probability(&self, start: f64, job_len: f64) -> f64 {
-        if start + job_len >= self.horizon() {
-            return 1.0;
-        }
-        let alive = self.survival(start);
-        if alive <= 1e-12 {
-            return 1.0;
-        }
-        ((alive - self.survival(start + job_len)) / alive).clamp(0.0, 1.0)
-    }
+    fn conditional_failure_probability(&self, start: f64, job_len: f64) -> f64;
 
     /// Approximate phase boundaries `(early_end, deadline_start)` — the "walls of the
     /// bathtub".  Default: scan the hazard curve for where it first drops to (and last
@@ -137,17 +143,10 @@ pub trait LifetimeModel: LifetimeDistribution {
     /// [`survival`](LifetimeDistribution::survival)/[`first_moment`](LifetimeModel::first_moment)
     /// pair — the clamp makes the contract explicit at the table boundary).
     fn tabulate(&self, ages: &[f64]) -> LifetimeCurves {
-        let horizon = self.horizon();
         LifetimeCurves {
             survival: ages
                 .iter()
-                .map(|&t| {
-                    if t >= horizon {
-                        0.0
-                    } else {
-                        self.survival(t).clamp(0.0, 1.0)
-                    }
-                })
+                .map(|&t| constrained_survival(t, self.horizon(), |t| self.survival(t)))
                 .collect(),
             first_moment: ages
                 .iter()
@@ -167,72 +166,93 @@ pub struct LifetimeCurves {
     pub first_moment: Vec<f64>,
 }
 
+/// Survival `S` and first moment `W` of one constrained lifetime on an age grid, as
+/// interpolants: Equation 8 and the conditional failure probability over tables.
+#[derive(Debug, Clone)]
+pub struct AgeCurves {
+    horizon: f64,
+    survival: LinearInterp,
+    first_moment: LinearInterp,
+}
+
+impl AgeCurves {
+    /// Interpolants over `S` and `W` sampled on `ages` (strictly increasing, `[0, L]`).
+    pub fn new(ages: Vec<f64>, s: Vec<f64>, w: Vec<f64>, horizon: f64) -> Result<Self> {
+        Ok(AgeCurves {
+            horizon,
+            survival: LinearInterp::new(ages.clone(), s)?,
+            first_moment: LinearInterp::new(ages, w)?,
+        })
+    }
+
+    /// The temporal constraint `L` in hours.
+    #[inline]
+    pub fn horizon(&self) -> f64 {
+        self.horizon
+    }
+
+    /// `S(t)`, clamped to `[0, 1]`; zero at and past the horizon.
+    #[inline]
+    pub fn survival(&self, t: f64) -> f64 {
+        constrained_survival(t, self.horizon, |t| self.survival.eval(t.max(0.0)))
+    }
+
+    /// `W(t)`, non-negative, with `t` clamped to `[0, L]`.
+    #[inline]
+    fn first_moment(&self, t: f64) -> f64 {
+        self.first_moment.eval(t.clamp(0.0, self.horizon)).max(0.0)
+    }
+
+    /// Equation 8, `E[T_s] = T + W(min(s+T, L)) − W(s)`, evaluated as
+    /// `(T + W(u)) − W(s)` with `s = min(age, L)` and `u = min(age + T, L)`.  The `min`
+    /// does not resolve the deadline kink exactly (ROADMAP item 16): the truth jumps at
+    /// `s + T = L`, while the tables ramp the atom in over the last knot interval below
+    /// `L`, reading up to `L·S(L⁻)` high there (+2.36 h on the `paper` regime).
+    #[inline]
+    pub fn makespan(&self, age: f64, job_len: f64) -> f64 {
+        let s = age.min(self.horizon);
+        let u = (age + job_len).min(self.horizon);
+        job_len + self.first_moment(u) - self.first_moment(s)
+    }
+
+    /// Conditional job-failure probability `1 − S(s+T)/S(s)`, certain once `age + T ≥ L`.
+    /// On a grid storing `S(L) = 0` it reads up to 0.18 high for `age + T` in the last
+    /// knot interval below `L` (ROADMAP item 16).
+    #[inline]
+    pub fn failure_probability(&self, age: f64, job_len: f64) -> f64 {
+        if age + job_len >= self.horizon {
+            return 1.0;
+        }
+        let alive = self.survival(age);
+        if alive <= 1e-12 {
+            return 1.0;
+        }
+        ((alive - self.survival(age + job_len)) / alive).clamp(0.0, 1.0)
+    }
+}
+
 /// A lifetime model materialised as quadrature tables on a dense age grid.
 ///
 /// This is how every non-bathtub family enters the policy stack: the source
 /// distribution's survival and first moment are tabulated once under the temporal
 /// constraint (survival drops to zero at the horizon; any mass an *unconstrained*
 /// family leaves past the horizon becomes a reclamation atom at the deadline), and all
-/// [`LifetimeModel`] queries are interpolated lookups from then on.
+/// [`LifetimeModel`] queries are [`AgeCurves`] lookups from then on.
 pub struct TabulatedLifetime {
     family: String,
-    horizon: f64,
     atom: f64,
-    survival: LinearInterp,
-    first_moment: LinearInterp,
+    curves: AgeCurves,
 }
 
 impl std::fmt::Debug for TabulatedLifetime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TabulatedLifetime")
             .field("family", &self.family)
-            .field("horizon", &self.horizon)
+            .field("horizon", &self.curves.horizon)
             .field("atom", &self.atom)
-            .field("knots", &self.survival.len())
+            .field("knots", &self.curves.survival.len())
             .finish()
     }
-}
-
-/// Tabulates survival and `W(t) = ∫_0^t u f(u) du` for an arbitrary distribution on an
-/// age grid, under the temporal constraint — shared by the single-family and mixture
-/// constructors.
-fn tabulate_distribution(
-    dist: &dyn LifetimeDistribution,
-    ages: &[f64],
-    horizon: f64,
-) -> (Vec<f64>, Vec<f64>) {
-    let survival: Vec<f64> = ages
-        .iter()
-        .map(|&s| {
-            if s >= horizon {
-                0.0
-            } else {
-                dist.survival(s).clamp(0.0, 1.0)
-            }
-        })
-        .collect();
-    // W is additive over segments, so accumulate instead of integrating from zero at
-    // every knot — O(grid) instead of O(grid²) quadrature work.  The last segment
-    // stops just short of the horizon so no family's own deadline handling sneaks its
-    // atom in; the reclamation atom is then added exactly once, uniformly: everything
-    // not preempted strictly before `L` — an unconstrained family's residual tail, a
-    // constrained family's deadline spike — is reclaimed *at* `L`, which is what keeps
-    // Equation 8 penalising deadline-crossing jobs for every family alike.
-    let mut first_moment = vec![0.0; ages.len()];
-    let mut acc = 0.0;
-    for i in 1..ages.len() {
-        let b = if i + 1 == ages.len() {
-            ages[i].min(horizon - 1e-9)
-        } else {
-            ages[i]
-        };
-        acc += dist.partial_expectation(ages[i - 1], b).max(0.0);
-        first_moment[i] = acc;
-    }
-    if let Some(last) = first_moment.last_mut() {
-        *last += deadline_mass(dist, horizon) * horizon;
-    }
-    (survival, first_moment)
 }
 
 /// The probability mass sitting at the deadline once `dist` is constrained to
@@ -250,22 +270,7 @@ impl TabulatedLifetime {
         horizon: f64,
         points: usize,
     ) -> Result<Self> {
-        if !(horizon > 0.0) || !horizon.is_finite() {
-            return Err(NumericsError::invalid("horizon must be positive"));
-        }
-        let ages = linspace(0.0, horizon, points.max(8));
-        let (mut survival, first_moment) = tabulate_distribution(dist, &ages, horizon);
-        let atom = deadline_mass(dist, horizon);
-        // The internal table stores the *continuous* survival limit S(L⁻) at the
-        // horizon knot, so interpolated lookups just below the deadline see the atom
-        // instead of a linear ramp to zero across the last cell — that crispness is
-        // what keeps the generic-hazard DP within tolerance of the closed form on
-        // deadline-crossing windows.  `survival()` itself still returns 0 at (and
-        // past) the horizon, and `tabulate` clamps the serving-layer curves to 0 there.
-        if let Some(last) = survival.last_mut() {
-            *last = atom;
-        }
-        Self::from_curves(family, &ages, survival, first_moment, horizon, atom)
+        Self::from_weighted(family, [(1.0, dist)], horizon, points)
     }
 
     /// Tabulates a weighted mixture of distributions (the pooled-fallback model);
@@ -288,23 +293,51 @@ impl TabulatedLifetime {
                 "mixture weights must be non-negative and sum to one (sum = {total})"
             )));
         }
-        let ages = linspace(0.0, horizon, points.max(8));
+        let components = components.iter().map(|(w, d)| (*w, d.as_ref()));
+        Self::from_weighted("mixture", components, horizon, points)
+    }
+
+    /// Tabulates `S` and `W(t) = ∫_0^t u f(u) du` of `Σ weight · component` on the
+    /// [`age_grid`]; one distribution is the one-component sum, bit for bit its own.
+    fn from_weighted<'a>(
+        family: impl Into<String>,
+        components: impl IntoIterator<Item = (f64, &'a dyn LifetimeDistribution)>,
+        horizon: f64,
+        points: usize,
+    ) -> Result<Self> {
+        if !(horizon > 0.0) || !horizon.is_finite() {
+            return Err(NumericsError::invalid("horizon must be positive"));
+        }
+        let ages = age_grid(horizon, points);
+        let last = ages.len() - 1;
         let mut survival = vec![0.0; ages.len()];
         let mut first_moment = vec![0.0; ages.len()];
         let mut atom = 0.0;
-        for (weight, component) in components {
-            let (s, w) = tabulate_distribution(component.as_ref(), &ages, horizon);
-            for i in 0..ages.len() {
-                survival[i] += weight * s[i];
-                first_moment[i] += weight * w[i];
+        for (weight, dist) in components {
+            // W is additive over segments, so it accumulates in O(grid).  The last
+            // segment stops just short of `L` (the only knot the `min` moves), so no
+            // family's own deadline handling sneaks its atom in; all mass not preempted
+            // strictly before `L` is then reclaimed *at* `L`, once, so Equation 8
+            // penalises deadline-crossing jobs for every family alike.
+            let mass = deadline_mass(dist, horizon);
+            let mut acc = 0.0;
+            for (i, &t) in ages.iter().enumerate() {
+                survival[i] += weight * constrained_survival(t, horizon, |t| dist.survival(t));
+                if i > 0 {
+                    acc += dist
+                        .partial_expectation(ages[i - 1], t.min(horizon - 1e-9))
+                        .max(0.0);
+                }
+                first_moment[i] += weight * if i == last { acc + mass * horizon } else { acc };
             }
-            atom += weight * deadline_mass(component.as_ref(), horizon);
+            atom += weight * mass;
         }
-        // Same continuous-limit convention at the horizon knot as `from_distribution`.
-        if let Some(last) = survival.last_mut() {
-            *last = atom;
-        }
-        Self::from_curves("mixture", &ages, survival, first_moment, horizon, atom)
+        // The table stores the continuous limit S(L⁻) at the horizon knot, so lookups
+        // just below the deadline see the atom, not a ramp to zero across the last cell:
+        // that keeps the generic-hazard DP near the closed form on deadline-crossing
+        // windows.  `survival()` and the `tabulate`d served curves still read 0 at `L`.
+        survival[last] = atom;
+        Self::from_curves(family, &ages, survival, first_moment, horizon, atom)
     }
 
     /// Builds a tabulated model from the constructors' curves.  The age grid must be
@@ -324,14 +357,6 @@ impl TabulatedLifetime {
         if family.is_empty() {
             return Err(NumericsError::invalid("family name must not be empty"));
         }
-        if ages.len() < 2 || survival.len() != ages.len() || first_moment.len() != ages.len() {
-            return Err(NumericsError::invalid(
-                "tabulated lifetime needs matching grids of at least two knots",
-            ));
-        }
-        if !(horizon > 0.0) || !horizon.is_finite() {
-            return Err(NumericsError::invalid("horizon must be positive"));
-        }
         if !(0.0..=1.0 + 1e-9).contains(&deadline_atom) {
             return Err(NumericsError::invalid("deadline atom must lie in [0, 1]"));
         }
@@ -342,10 +367,8 @@ impl TabulatedLifetime {
         }
         Ok(TabulatedLifetime {
             family,
-            horizon,
             atom: deadline_atom.clamp(0.0, 1.0),
-            survival: LinearInterp::new(ages.to_vec(), survival)?,
-            first_moment: LinearInterp::new(ages.to_vec(), first_moment)?,
+            curves: AgeCurves::new(ages.to_vec(), survival, first_moment, horizon)?,
         })
     }
 }
@@ -364,11 +387,7 @@ impl LifetimeDistribution for TabulatedLifetime {
     }
 
     fn survival(&self, t: f64) -> f64 {
-        if t >= self.horizon {
-            0.0
-        } else {
-            self.survival.eval(t.max(0.0)).clamp(0.0, 1.0)
-        }
+        self.curves.survival(t)
     }
 
     /// A centred finite difference of the survival table.
@@ -377,9 +396,9 @@ impl LifetimeDistribution for TabulatedLifetime {
         if s <= 1e-12 {
             return f64::INFINITY;
         }
-        let h = 1e-4 * self.horizon.max(1.0);
+        let h = 1e-4 * self.curves.horizon.max(1.0);
         let lo = (t - h).max(0.0);
-        let hi = (t + h).min(self.horizon);
+        let hi = (t + h).min(self.curves.horizon);
         if hi <= lo {
             return f64::INFINITY;
         }
@@ -388,14 +407,14 @@ impl LifetimeDistribution for TabulatedLifetime {
     }
 
     fn upper_bound(&self) -> f64 {
-        self.horizon
+        self.curves.horizon
     }
 
     /// A difference of [`first_moment`](LifetimeModel::first_moment) lookups (atom
     /// included when `b` reaches the horizon).
     fn partial_expectation(&self, a: f64, b: f64) -> f64 {
-        let a = a.max(0.0).min(self.horizon);
-        let b = b.max(0.0).min(self.horizon);
+        let a = a.max(0.0).min(self.curves.horizon);
+        let b = b.max(0.0).min(self.curves.horizon);
         if b <= a {
             return 0.0;
         }
@@ -409,15 +428,23 @@ impl LifetimeModel for TabulatedLifetime {
     }
 
     fn horizon(&self) -> f64 {
-        self.horizon
+        self.curves.horizon
     }
 
     fn first_moment(&self, t: f64) -> f64 {
-        self.first_moment.eval(t.clamp(0.0, self.horizon)).max(0.0)
+        self.curves.first_moment(t)
     }
 
     fn deadline_atom(&self) -> f64 {
         self.atom
+    }
+
+    fn makespan_from_age(&self, vm_age: f64, job_len: f64) -> f64 {
+        self.curves.makespan(vm_age, job_len)
+    }
+
+    fn conditional_failure_probability(&self, start: f64, job_len: f64) -> f64 {
+        self.curves.failure_probability(start, job_len)
     }
 }
 

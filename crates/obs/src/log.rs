@@ -418,10 +418,15 @@ mod tests {
         assert_eq!(Level::Warn.as_str(), "warn");
     }
 
+    /// Serialises the tests that swap the process-global sink and rate limit: run
+    /// in parallel, one test's `capture_stop` sent the other's records to stderr.
+    static GLOBAL_LOG: Mutex<()> = Mutex::new(());
+
     #[test]
     fn emit_capture_ring_and_rate_limit() {
         // One test for the global paths (sink, ring, buckets are process-global
         // state shared with any other test in this binary).
+        let _serial = GLOBAL_LOG.lock().unwrap_or_else(|e| e.into_inner());
         let buffer = capture();
         clear_recent_errors();
         set_rate_limit(4, 0.0); // burst of 4, no refill: the 5th record drops
@@ -475,6 +480,7 @@ mod tests {
 
     #[test]
     fn suppressed_count_attaches_to_next_passing_record() {
+        let _serial = GLOBAL_LOG.lock().unwrap_or_else(|e| e.into_inner());
         let buffer = capture();
         set_rate_limit(1, 0.0);
         crate::event!(warn, "test.suppression", n = 0u64); // passes, drains bucket

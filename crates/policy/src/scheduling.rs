@@ -303,6 +303,102 @@ mod tests {
         assert!(average_failure_probability(&ours, &truth, 6.0, 1).is_err());
     }
 
+    /// `LifetimeModel::makespan_from_age`'s trait default, which tabulated models used
+    /// before `tcp_core::AgeCurves`: `T + (W(b) − W(a)).max(0)`.
+    fn reference_makespan(m: &dyn LifetimeModel, vm_age: f64, job_len: f64) -> f64 {
+        let s = vm_age.max(0.0);
+        job_len + m.partial_expectation(s, s + job_len.max(0.0))
+    }
+
+    /// `LifetimeModel::conditional_failure_probability`'s former trait default.
+    fn reference_failure_probability(m: &dyn LifetimeModel, start: f64, job_len: f64) -> f64 {
+        if start + job_len >= m.horizon() {
+            return 1.0;
+        }
+        let alive = m.survival(start);
+        if alive <= 1e-12 {
+            return 1.0;
+        }
+        ((alive - m.survival(start + job_len)) / alive).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn tabulated_models_keep_the_reference_failures_and_decisions() {
+        use tcp_core::TabulatedLifetime;
+        use tcp_dists::{
+            EmpiricalLifetime, Exponential, LifetimeDistribution, PhasedHazard, Weibull,
+        };
+        let horizon = 24.0;
+        let points = tcp_core::lifetime::DEFAULT_TABLE_POINTS;
+        let samples: Vec<f64> = (1..=40)
+            .map(|i| horizon * (i as f64 / 41.0).powf(1.5))
+            .collect();
+        let families: Vec<(&str, Arc<dyn LifetimeDistribution>)> = vec![
+            (
+                "exponential",
+                Arc::new(Exponential::new(1.0 / 8.0).unwrap()),
+            ),
+            ("weibull", Arc::new(Weibull::new(0.1, 1.5).unwrap())),
+            ("phased", Arc::new(PhasedHazard::representative())),
+            (
+                "empirical",
+                Arc::new(EmpiricalLifetime::new(&samples, Some(horizon)).unwrap()),
+            ),
+        ];
+        let mut models: Vec<Arc<dyn LifetimeModel>> = families
+            .iter()
+            .map(|(family, dist)| -> Arc<dyn LifetimeModel> {
+                Arc::new(
+                    TabulatedLifetime::from_distribution(*family, dist.as_ref(), horizon, points)
+                        .unwrap(),
+                )
+            })
+            .collect();
+        models.push(Arc::new(
+            TabulatedLifetime::from_mixture(
+                &[(0.3, families[0].1.clone()), (0.7, families[2].1.clone())],
+                horizon,
+                points,
+            )
+            .unwrap(),
+        ));
+        for model in models {
+            let sched = ModelDrivenScheduler::from_model(model.clone());
+            let expected = |age: f64, job: f64| {
+                if age >= horizon {
+                    f64::INFINITY
+                } else {
+                    reference_makespan(model.as_ref(), age, job)
+                }
+            };
+            for i in 0..96 {
+                let age = i as f64 * 0.25;
+                for j in 0..16 {
+                    let job = 0.5 * (j + 1) as f64;
+                    let got = model.conditional_failure_probability(age, job);
+                    let want = reference_failure_probability(model.as_ref(), age, job);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{}: failure at age {age} job {job}: {got} vs {want}",
+                        model.family()
+                    );
+                    let want = if expected(age, job) <= expected(0.0, job) {
+                        SchedulingDecision::ReuseExisting
+                    } else {
+                        SchedulingDecision::LaunchFresh
+                    };
+                    assert_eq!(
+                        sched.decide(age, job),
+                        want,
+                        "{}: decision at age {age} job {job}",
+                        model.family()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn failure_probability_bounds() {
         let truth = model();
