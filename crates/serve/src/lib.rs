@@ -110,6 +110,7 @@
 #![warn(clippy::all)]
 
 pub mod client;
+mod connection;
 pub mod server;
 pub mod top;
 

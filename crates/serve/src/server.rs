@@ -5,16 +5,13 @@
 //! per-connection [`Session`] — the same line-level engine as the file front end, so
 //! the response bytes for a request stream are identical to batch-mode `advise serve`.
 //!
-//! Inside a connection, lines are read into adaptive batches (as many lines as the
-//! read buffer already holds, up to `max_batch`) and answered through the session,
-//! which fans request runs over the workspace's work-stealing driver when
-//! `batch_threads > 1`.  Admission control is a global in-flight request budget: a
-//! request line that cannot get a permit is answered *in place* with a typed
-//! 503-style [`OverloadLine`] — responses are never silently dropped, and output
-//! order always matches input order.
-//!
-//! A line longer than [`MAX_LINE_BYTES`] is answered in place with a typed error line
-//! and the connection resynchronises at the next `\n`.
+//! Each worker drives the socket-free connection core (`connection.rs`): lines are
+//! answered in adaptive batches (whatever the read buffer holds, up to `max_batch`),
+//! fanned over the work-stealing driver when `batch_threads > 1`.  A request line
+//! that cannot get a permit from the global in-flight budget is answered *in place*
+//! with a typed 503-style [`OverloadLine`], and a line longer than [`MAX_LINE_BYTES`]
+//! with a typed error line: nothing is silently dropped, and output order always
+//! matches input order.
 //!
 //! Control lines: `!reload <path>`, `!stats`, and `!metrics` are handled by the
 //! shared session engine (any connection is an admin connection); `!shutdown` is
@@ -26,15 +23,15 @@
 //! metric names).  Metrics are strictly out-of-band — they never touch the response
 //! stream, so served bytes stay identical for any worker/thread configuration.
 
+use crate::connection::{Connection, Fed, Next};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tcp_advisor::{render_line, AdvisorHandle, ErrorLine, MultiAdvisor, Session};
+use tcp_advisor::{render_line, AdvisorHandle, MultiAdvisor, Session};
 use tcp_obs::{Counter, Gauge};
 
 /// How long a worker blocks in a read before re-checking the shutdown flag.
@@ -117,7 +114,8 @@ pub struct OverloadLine {
 pub struct ShutdownLine {
     /// The control verb (`shutdown`).
     pub control: String,
-    /// Connections still queued or being served that will be drained.
+    /// Connections still waiting for a worker when the ack was written; the
+    /// connections being served at that moment are drained too but not counted.
     pub draining: usize,
 }
 
@@ -197,6 +195,8 @@ struct Shared {
     addr: SocketAddr,
     /// Accept-order allocator behind [`QueuedConnection::ordinal`].
     connection_seq: AtomicU64,
+    /// The answer to every request line shed by this server, rendered once.
+    shed_line: String,
 }
 
 impl Shared {
@@ -219,14 +219,21 @@ impl Shared {
         }
     }
 
-    /// Returns `count` permits to the budget.
-    fn release(&self, count: usize) {
-        if count > 0 {
-            let previous = self.inflight.fetch_sub(count, Ordering::AcqRel);
-            self.metrics
-                .inflight
-                .set(previous.saturating_sub(count) as f64);
+    /// Returns the permits of a batch's `served` requests to the budget and counts
+    /// its served and `shed` lines.
+    fn release(&self, served: usize, shed: u64) {
+        if served > 0 {
+            let previous = self.inflight.fetch_sub(served, Ordering::AcqRel);
+            let inflight = previous.saturating_sub(served);
+            self.metrics.inflight.set(inflight as f64);
+            self.metrics.requests_served.add(served as u64);
         }
+        if shed > 0 {
+            self.metrics.requests_shed.add(shed);
+        }
+        let (c, served) = (&self.counters, served as u64);
+        c.requests.fetch_add(served, Ordering::Relaxed); // lint:allow(ordering-audit) stat counter, read after join
+        c.overloads.fetch_add(shed, Ordering::Relaxed); // lint:allow(ordering-audit) stat counter, read after join
     }
 
     /// Initiates shutdown: stops the accept loop and wakes every idle worker.  The
@@ -247,18 +254,6 @@ impl Shared {
         let _ = TcpStream::connect(poke);
         self.queue_cv.notify_all();
     }
-}
-
-/// One queued output slot of a connection batch, in input order.
-enum Slot {
-    /// A line for the session engine (request or control), as its byte range in the
-    /// batch's `lines`; `bool` says whether it holds an in-flight permit (control
-    /// lines do not).
-    Line(Range<usize>, bool),
-    /// A request line shed by admission control.
-    Overloaded,
-    /// A line longer than [`MAX_LINE_BYTES`], discarded unread.
-    LineTooLong,
 }
 
 /// A running advisor server.  Dropping the handle does **not** stop the server; call
@@ -290,6 +285,7 @@ impl Server {
             metrics: ServerMetrics::new(),
             addr,
             connection_seq: AtomicU64::new(0),
+            shed_line: shed_line(options.max_inflight),
         });
 
         let accept = {
@@ -389,90 +385,45 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.queue_cv.notify_all();
 }
 
-/// Refuses a connection with one typed overload line (best effort — the client may
-/// already be gone, which is fine).
-fn refuse(stream: TcpStream, error: String) {
-    let line = render_line(&OverloadLine {
+/// The overload line (no newline) that answers a request shed by a server whose
+/// in-flight budget is `max_inflight`.
+pub(crate) fn shed_line(max_inflight: usize) -> String {
+    overload_line(format!(
+        "overloaded: in-flight budget exhausted (max {max_inflight}); retry later"
+    ))
+}
+
+fn overload_line(error: String) -> String {
+    render_line(&OverloadLine {
         error,
         code: 503,
         id: None,
-    });
-    let mut writer = BufWriter::new(stream);
-    let _ = writer.write_all(line.as_bytes());
-    let _ = writer.write_all(b"\n");
-    let _ = writer.flush();
+    })
+}
+
+/// Refuses a connection with one typed overload line (best effort — the client may
+/// already be gone, which is fine).
+fn refuse(mut stream: TcpStream, error: String) {
+    let _ = stream.write_all(format!("{}\n", overload_line(error)).as_bytes());
 }
 
 fn worker_loop(shared: &Shared) {
+    let lock = || shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+    let mut queue = lock();
     loop {
-        let connection = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(connection) = queue.pop_front() {
-                    shared.metrics.queue_depth.set(queue.len() as f64);
-                    break Some(connection);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared
-                    .queue_cv
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match connection {
-            Some(connection) => serve_connection(connection, shared),
-            None => break,
+        if let Some(connection) = queue.pop_front() {
+            shared.metrics.queue_depth.set(queue.len() as f64);
+            drop(queue);
+            serve_connection(connection, shared);
+            queue = lock();
+        } else if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        } else {
+            queue = shared
+                .queue_cv
+                .wait(queue)
+                .unwrap_or_else(|e| e.into_inner());
         }
-    }
-}
-
-/// Queues one complete request/control line (terminator already removed), copying
-/// its text to the end of the batch's `lines`.  Returns `false` for the `!shutdown`
-/// control, which the connection loop handles itself.
-fn queue_line(line: &[u8], batch: &mut Batch, shared: &Shared) -> bool {
-    // Invalid UTF-8 cannot even be represented in file mode (reading the document
-    // would fail); over the socket it degrades to a replacement-character line whose
-    // parse error is still a typed in-place response — never a dropped connection.
-    let start = batch.lines.len();
-    batch.lines.push_str(&String::from_utf8_lossy(line));
-    let end = batch.lines.len();
-    let text = batch.lines[start..].trim();
-    if text == "!shutdown" {
-        batch.lines.truncate(start);
-        return false;
-    }
-    let slot = if text.is_empty() {
-        None
-    } else if text.starts_with('!') {
-        // Control lines bypass admission control: health probes and reloads must
-        // keep working while the budget is exhausted.
-        Some(Slot::Line(start..end, false))
-    } else if shared.try_admit() {
-        Some(Slot::Line(start..end, true))
-    } else {
-        Some(Slot::Overloaded)
-    };
-    if !matches!(slot, Some(Slot::Line(..))) {
-        batch.lines.truncate(start);
-    }
-    batch.slots.extend(slot);
-    true
-}
-
-/// Queues the in-place answer to a discarded over-long line.
-fn reject_long_line(pending: &mut Vec<Slot>, shared: &Shared) {
-    shared.metrics.rejected_line_too_long.incr();
-    pending.push(Slot::LineTooLong);
-}
-
-/// Decrements `serve.connections.active` on every exit path of [`serve_connection`].
-struct ActiveConnectionGuard<'a>(&'a Gauge);
-
-impl Drop for ActiveConnectionGuard<'_> {
-    fn drop(&mut self) {
-        self.0.sub(1.0);
     }
 }
 
@@ -499,256 +450,64 @@ fn serve_connection(connection: QueuedConnection, shared: &Shared) {
     shared.counters.connections.fetch_add(1, Ordering::Relaxed);
     shared.metrics.connections_accepted.incr();
     shared.metrics.connections_active.add(1.0);
-    let _active = ActiveConnectionGuard(shared.metrics.connections_active);
     let _ = stream.set_nodelay(true);
     // A finite read timeout lets the worker notice a server shutdown while a client
     // sits idle; complete batches are always flushed before the worker blocks again.
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::with_capacity(1 << 16, read_half);
-    let mut writer = BufWriter::with_capacity(1 << 16, stream);
+    let mut reader = BufReader::with_capacity(1 << 16, &stream);
     let mut session = Session::new(&shared.handle, shared.options.batch_threads);
-    let batch_cap = shared.options.max_batch;
-    let mut batch = Batch::default();
-    // Bytes of a line whose terminator has not arrived yet.  Lines are assembled at
-    // the byte level (not via `read_line`) so a read timeout can never discard
-    // partially received multi-byte characters mid-line.  It never exceeds
-    // `MAX_LINE_BYTES`: past that, `discarding` drops the rest of the line.
-    let mut partial: Vec<u8> = Vec::new();
-    let mut discarding = false;
+    let mut core = Connection::new(shared.options.max_batch, &shared.shed_line);
+    let mut out = String::new();
     loop {
-        let chunk_len = match reader.fill_buf() {
-            Ok([]) => {
-                // EOF: the unterminated tail is still one request, then drain.
-                if discarding {
-                    reject_long_line(&mut batch.slots, shared);
-                } else if !partial.is_empty() && !queue_line(&partial, &mut batch, shared) {
-                    shutdown_connection(&mut session, &mut batch, &mut writer, shared);
-                    return;
-                }
-                let _ = flush_batch(&mut session, &mut batch, &mut writer, shared);
-                return;
-            }
+        // Every pass answers the whole batch before the next read, which may block:
+        // a stalled partial line never withholds the answers of the lines before it.
+        let fed = match reader.fill_buf() {
             Ok(chunk) => {
-                let mut consumed = 0usize;
-                while let Some(offset) = chunk[consumed..].iter().position(|&b| b == b'\n') {
-                    let line = &chunk[consumed..consumed + offset];
-                    consumed += offset + 1;
-                    if discarding || partial.len() + line.len() > MAX_LINE_BYTES {
-                        discarding = false;
-                        partial.clear();
-                        reject_long_line(&mut batch.slots, shared);
-                    } else {
-                        let line = if partial.is_empty() {
-                            line
-                        } else {
-                            partial.extend_from_slice(line);
-                            &partial
-                        };
-                        // Strip an optional `\r` exactly like `str::lines` in batch
-                        // mode — parse-error byte offsets must match it.
-                        let line = line.strip_suffix(b"\r").unwrap_or(line);
-                        let more = queue_line(line, &mut batch, shared);
-                        partial.clear();
-                        if !more {
-                            shutdown_connection(&mut session, &mut batch, &mut writer, shared);
-                            return;
-                        }
-                    }
-                    if batch.slots.len() >= batch_cap
-                        && flush_batch(&mut session, &mut batch, &mut writer, shared).is_err()
-                    {
-                        return;
-                    }
-                }
-                let tail = &chunk[consumed..];
-                if discarding || partial.len() + tail.len() > MAX_LINE_BYTES {
-                    discarding = true;
-                    partial = Vec::new();
-                } else {
-                    partial.extend_from_slice(tail);
-                }
-                chunk.len()
+                let fed = core.feed(chunk, || shared.try_admit());
+                reader.consume(fed.consumed);
+                fed
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    let _ = flush_batch(&mut session, &mut batch, &mut writer, shared);
-                    return;
-                }
-                continue;
+            // A read timeout is the shutdown poll below.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                Fed::default()
             }
-            Err(_) => return,
+            Err(_) => break,
         };
-        reader.consume(chunk_len);
-        // The whole chunk was consumed, so the internal buffer is drained and the
-        // next read may block: answer everything complete now.  A stalled partial
-        // line never withholds the responses of the requests before it.
-        if flush_batch(&mut session, &mut batch, &mut writer, shared).is_err() {
-            return;
+        shared.metrics.rejected_line_too_long.add(fed.too_long);
+        let written = core.pending() == 0 || {
+            // Batch-assembly-and-dispatch span, nested in the connection trace; the
+            // arg is the batch size.  Per-request spans open inside `Session::process`.
+            let _batch_span = tcp_obs::span!("serve.batch.flush", core.pending() as u64);
+            out.clear();
+            let (served, shed) = core.answer(&mut session, &mut out);
+            let written = {
+                let _write_span = tcp_obs::span!("serve.write", out.len() as u64);
+                (&stream).write_all(out.as_bytes())
+            };
+            // Permits are released only after the responses hit the socket: "in
+            // flight" covers the full admission-to-response window, which is what
+            // backpressure must bound.
+            shared.release(served, shed);
+            written.is_ok()
+        };
+        if fed.next == Next::Shutdown {
+            // Acknowledge, counting the connections still waiting for a worker; drain.
+            let draining = shared.queue.lock().map_or(0, |queue| queue.len());
+            let ack = ShutdownLine {
+                control: "shutdown".to_string(),
+                draining,
+            };
+            let _ = (&stream).write_all(format!("{}\n", render_line(&ack)).as_bytes());
+            shared.trigger_shutdown();
+            break;
         }
-        // A drain was requested (by `!shutdown` on another connection): everything
-        // read so far is answered — close rather than stream forever, or the server
-        // could never exit while an active client keeps sending.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-/// Acknowledges a `!shutdown` control line: answer everything before it, emit the
-/// ack, and trigger the server-wide drain.
-fn shutdown_connection(
-    session: &mut Session<'_>,
-    batch: &mut Batch,
-    writer: &mut BufWriter<TcpStream>,
-    shared: &Shared,
-) {
-    let _ = flush_batch(session, batch, writer, shared);
-    let draining = shared
-        .queue
-        .lock()
-        .map(|queue| queue.len())
-        .unwrap_or_default();
-    let ack = render_line(&ShutdownLine {
-        control: "shutdown".to_string(),
-        draining,
-    });
-    let _ = writer.write_all(ack.as_bytes());
-    let _ = writer.write_all(b"\n");
-    let _ = writer.flush();
-    shared.trigger_shutdown();
-}
-
-/// A connection's batch: the slots read since the last flush, the text of their
-/// lines, and the answer text and request-run buffers that every flush reuses.
-#[derive(Default)]
-struct Batch {
-    slots: Vec<Slot>,
-    /// The lines of the `Slot::Line`s, back to back; emptied by each flush.
-    lines: String,
-    out: String,
-    /// Empty between flushes; only its allocation carries over.
-    run: Vec<&'static str>,
-}
-
-/// Empties `run` and hands back its allocation for borrows of another lifetime (an
-/// in-place `collect` of an empty iterator keeps the buffer).
-fn recycle<'b>(mut run: Vec<&str>) -> Vec<&'b str> {
-    run.clear();
-    run.into_iter().map(|_| "").collect()
-}
-
-/// Answers one batch of slots in input order, writes the responses, and returns the
-/// in-flight permits.  An `Err` means the client is gone; the caller closes.
-fn flush_batch(
-    session: &mut Session<'_>,
-    batch: &mut Batch,
-    writer: &mut BufWriter<TcpStream>,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    let Batch {
-        slots: pending,
-        lines,
-        out,
-        run: reused_run,
-    } = batch;
-    if pending.is_empty() {
-        return Ok(());
-    }
-    // Batch-assembly-and-dispatch span, nested in the connection trace; the arg is
-    // the batch size.  Per-request spans open inside `Session::process`.
-    let _batch_span = tcp_obs::span!("serve.batch.flush", pending.len() as u64);
-    out.clear();
-    let mut run = recycle(std::mem::take(reused_run));
-    let mut permits = 0usize;
-    let mut served = 0u64;
-    let mut overloaded = 0u64;
-    for slot in pending.iter() {
-        match slot {
-            Slot::Line(range, holds_permit) => {
-                run.push(&lines[range.clone()]);
-                if *holds_permit {
-                    permits += 1;
-                    served += 1;
-                }
-            }
-            Slot::Overloaded | Slot::LineTooLong => {
-                // Answered in place: the lines queued before it are answered first.
-                session.process(&run, out);
-                run.clear();
-                let line = if let Slot::Overloaded = slot {
-                    overloaded += 1;
-                    render_line(&OverloadLine {
-                        error: format!(
-                            "overloaded: in-flight budget exhausted (max {}); retry later",
-                            shared.options.max_inflight
-                        ),
-                        code: 503,
-                        id: None,
-                    })
-                } else {
-                    render_line(&ErrorLine {
-                        error: format!(
-                            "line too long: more than {MAX_LINE_BYTES} bytes before its \
-                             newline; discarded"
-                        ),
-                        id: None,
-                    })
-                };
-                out.push_str(&line);
-                out.push('\n');
-            }
+        // Close at EOF, once the client is gone, or when a drain was requested (by
+        // `!shutdown` on another connection) and everything read is answered: an
+        // active client must not keep the server from exiting.
+        let drain = fed.next == Next::Read && shared.shutdown.load(Ordering::SeqCst);
+        if !written || fed.next == Next::Close || drain {
+            break;
         }
     }
-    session.process(&run, out);
-    *reused_run = recycle(run);
-    pending.clear();
-    lines.clear();
-    let outcome = {
-        let _write_span = tcp_obs::span!("serve.write", out.len() as u64);
-        writer
-            .write_all(out.as_bytes())
-            .and_then(|()| writer.flush())
-    };
-    // Permits are released only after the responses hit the socket: "in flight"
-    // covers the full admission-to-response window, which is what backpressure
-    // must bound.
-    shared.release(permits);
-    shared
-        .counters
-        .requests
-        // lint:allow(ordering-audit) monotone stat counter; read only after join or for reporting
-        .fetch_add(served, Ordering::Relaxed);
-    shared
-        .counters
-        .overloads
-        // lint:allow(ordering-audit) monotone stat counter; read only after join or for reporting
-        .fetch_add(overloaded, Ordering::Relaxed);
-    if served > 0 {
-        shared.metrics.requests_served.add(served);
-    }
-    if overloaded > 0 {
-        shared.metrics.requests_shed.add(overloaded);
-    }
-    outcome
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn a_recycled_run_keeps_its_allocation() {
-        let line = String::from("{\"kind\":\"best-policy\"}");
-        let mut run: Vec<&str> = Vec::with_capacity(64);
-        run.push(&line);
-        let buffer = run.as_ptr() as usize;
-        let recycled: Vec<&'static str> = super::recycle(run);
-        assert!(recycled.is_empty());
-        assert_eq!(recycled.capacity(), 64);
-        assert_eq!(recycled.as_ptr() as usize, buffer);
-    }
+    shared.metrics.connections_active.sub(1.0);
 }
