@@ -924,9 +924,24 @@ dp_step_minutes = 30.0
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "top-level !stats keys must be sorted");
+        // The whole top-level schema, in order: `crates/serve/src/lib.rs`
+        // documents exactly these keys.
+        assert_eq!(
+            keys,
+            [
+                "cells",
+                "control",
+                "current",
+                "dp_families",
+                "pack",
+                "pack_age_secs",
+                "pack_format_version",
+                "served",
+                "served_families",
+                "uptime_secs",
+            ],
+            "top-level !stats keys must be the documented schema, sorted"
+        );
         for stats_key in ["current", "served"] {
             let nested: Vec<&str> = value
                 .get(stats_key)

@@ -2,15 +2,16 @@
 //!
 //! Both formats are rendered from an owned [`RegistrySnapshot`] so the output is a
 //! consistent point-in-time view, and both iterate the snapshot's `BTreeMap`, so
-//! output ordering is deterministic (sorted by metric name).  Neither pulls in a
-//! serializer: the formats are simple enough that hand-rolled escaping keeps the
-//! crate dependency-free.
+//! output ordering is deterministic (sorted by metric name).  Every JSON string
+//! the crate writes goes through `serde_json::append`.
+//! [`RegistrySnapshot::from_prometheus`] reads the Prometheus text back.
 
 use crate::hist::HistogramSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One metric's value inside a [`RegistrySnapshot`].
+#[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotValue {
     /// Monotone counter total.
     Counter(u64),
@@ -21,29 +22,10 @@ pub enum SnapshotValue {
 }
 
 /// A point-in-time view of a whole registry, keyed by metric name (sorted).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
     /// Metric name → value, in sorted order.
     pub values: BTreeMap<String, SnapshotValue>,
-}
-
-/// Escapes a string for inclusion in a JSON document (shared with the trace
-/// exporters).
-pub(crate) fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Renders an `f64` as a JSON number (`null` for non-finite values, integers
@@ -107,7 +89,7 @@ impl RegistrySnapshot {
                 out.push(',');
             }
             first = false;
-            json_escape(name, &mut out);
+            serde_json::append(name, &mut out);
             out.push(':');
             match value {
                 SnapshotValue::Counter(n) => {
@@ -169,12 +151,145 @@ impl RegistrySnapshot {
         }
         out
     }
+
+    /// Reads a Prometheus text exposition back into a snapshot, keyed by the
+    /// exposition's (sanitized) names: the inverse of
+    /// [`RegistrySnapshot::to_prometheus`].  Each family's `# TYPE` line says how
+    /// to read its samples; a histogram is rebuilt by
+    /// [`HistogramSnapshot::from_cumulative_buckets`], whose `max` is a bound, as
+    /// the text has none.  Everything else comes back exactly, and renders to the
+    /// same text.
+    pub fn from_prometheus(text: &str) -> Result<RegistrySnapshot, String> {
+        let mut values = BTreeMap::new();
+        let mut lines = text.lines();
+        while let Some(line) = lines.next() {
+            let (name, kind) = line
+                .strip_prefix("# TYPE ")
+                .and_then(|rest| rest.split_once(' '))
+                .ok_or_else(|| format!("expected a `# TYPE` line, found `{line}`"))?;
+            let mut sample = |suffix: &str| {
+                let line = lines.next().unwrap_or_default();
+                line.strip_prefix(name)
+                    .and_then(|rest| rest.strip_prefix(suffix))
+                    .ok_or_else(|| format!("expected a `{name}{suffix}` sample, found `{line}`"))
+            };
+            let value = match kind {
+                "counter" => SnapshotValue::Counter(parse(sample(" ")?)?),
+                "gauge" => SnapshotValue::Gauge(parse(sample(" ")?)?),
+                "histogram" => {
+                    let mut cumulative = Vec::new();
+                    loop {
+                        let rest = sample("_bucket{le=\"")?;
+                        let (upper, count) = rest
+                            .split_once("\"} ")
+                            .ok_or_else(|| format!("bad bucket sample `{rest}` in `{name}`"))?;
+                        if upper == "+Inf" {
+                            break;
+                        }
+                        cumulative.push((parse(upper)?, parse(count)?));
+                    }
+                    let sum = parse(sample("_sum ")?)?;
+                    SnapshotValue::Histogram(HistogramSnapshot::from_cumulative_buckets(
+                        &cumulative,
+                        sum,
+                        parse(sample("_count ")?)?,
+                    ))
+                }
+                other => return Err(format!("unknown metric type `{other}` for `{name}`")),
+            };
+            values.insert(name.to_string(), value);
+        }
+        Ok(RegistrySnapshot { values })
+    }
+
+    /// Sum of the named counters (missing or non-counter names read 0).
+    pub fn counter_sum<S: AsRef<str>>(&self, names: &[S]) -> u64 {
+        names
+            .iter()
+            .filter_map(|name| match self.values.get(name.as_ref()) {
+                Some(SnapshotValue::Counter(n)) => Some(*n),
+                _ => None,
+            })
+            .sum()
+    }
+
+    /// The named gauge's reading (missing or non-gauge names read 0).
+    pub fn gauge_value(&self, name: &str) -> f64 {
+        match self.values.get(name) {
+            Some(SnapshotValue::Gauge(v)) => *v,
+            _ => 0.0,
+        }
+    }
+
+    /// The named histograms, merged (missing or non-histogram names contribute
+    /// nothing).
+    pub fn merged_histogram<S: AsRef<str>>(&self, names: &[S]) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::empty();
+        for name in names {
+            if let Some(SnapshotValue::Histogram(h)) = self.values.get(name.as_ref()) {
+                merged.merge(h);
+            }
+        }
+        merged
+    }
+}
+
+/// Parses one sample value: `f64` parsing reads [`prometheus_number`]'s `NaN`,
+/// `+Inf` and `-Inf` too.
+fn parse<T: std::str::FromStr>(text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("bad sample value `{text}`"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hist::Histogram;
+    use proptest::prelude::*;
+
+    /// The escaper the crate carried before its strings went through
+    /// `serde_json::append`, kept as the oracle that both escape alike.
+    fn json_escape(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Draws below 160 are ASCII and C1 characters (every control character,
+        // `"` and `\` among them); the rest spread over all of Unicode, two- to
+        // four-byte UTF-8 included.
+        #[test]
+        fn serde_json_escapes_every_string_like_the_old_escaper(
+            draws in proptest::collection::vec(0u64..1024, 0..48),
+        ) {
+            let text: String = draws
+                .iter()
+                .map(|&d| {
+                    let code = if d < 160 { d } else { d * 0x10ff % 0x11_0000 };
+                    char::from_u32(code as u32).unwrap_or('\u{fffd}')
+                })
+                .collect();
+            let (mut old, mut new) = (String::new(), String::new());
+            json_escape(&text, &mut old);
+            serde_json::append(&text, &mut new);
+            prop_assert_eq!(new, old);
+        }
+    }
 
     fn sample_snapshot() -> RegistrySnapshot {
         let h = Histogram::new();

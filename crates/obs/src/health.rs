@@ -37,8 +37,7 @@
 //! severity = "critical"
 //! ```
 
-use crate::export::{json_escape, json_number, RegistrySnapshot, SnapshotValue};
-use crate::hist::HistogramSnapshot;
+use crate::export::{json_number, RegistrySnapshot};
 use crate::log::now_monotonic_secs;
 use crate::Periodic;
 use serde::Deserialize;
@@ -371,9 +370,9 @@ impl Alert {
         out.push_str("{\"long_value\":");
         json_number(self.long_value, &mut out);
         out.push_str(",\"rule\":");
-        json_escape(&self.rule, &mut out);
+        serde_json::append(&self.rule, &mut out);
         out.push_str(",\"severity\":");
-        json_escape(self.severity.as_str(), &mut out);
+        serde_json::append(self.severity.as_str(), &mut out);
         out.push_str(",\"short_value\":");
         json_number(self.short_value, &mut out);
         out.push_str(",\"t_secs\":");
@@ -381,7 +380,7 @@ impl Alert {
         out.push_str(",\"threshold\":");
         json_number(self.threshold, &mut out);
         out.push_str(",\"transition\":");
-        json_escape(self.transition.as_str(), &mut out);
+        serde_json::append(self.transition.as_str(), &mut out);
         out.push('}');
         out
     }
@@ -433,9 +432,9 @@ impl RuleReport {
         out.push_str(",\"long_value\":");
         json_number(self.long_value, out);
         out.push_str(",\"name\":");
-        json_escape(&self.name, out);
+        serde_json::append(&self.name, out);
         out.push_str(",\"severity\":");
-        json_escape(self.severity.as_str(), out);
+        serde_json::append(self.severity.as_str(), out);
         out.push_str(",\"short_value\":");
         json_number(self.short_value, out);
         out.push_str(",\"threshold\":");
@@ -486,36 +485,6 @@ pub struct Evaluator {
     latest: Vec<(f64, f64)>,
     /// Ring retention horizon: the longest window plus one tick of slack.
     horizon_secs: f64,
-}
-
-/// Sum of the named counters in a snapshot (missing or non-counter names read 0).
-fn counter_sum(snapshot: &RegistrySnapshot, names: &[String]) -> u64 {
-    names
-        .iter()
-        .filter_map(|name| match snapshot.values.get(name) {
-            Some(SnapshotValue::Counter(n)) => Some(*n),
-            _ => None,
-        })
-        .sum()
-}
-
-/// The named gauge's reading in a snapshot (missing reads 0).
-fn gauge_value(snapshot: &RegistrySnapshot, name: &str) -> f64 {
-    match snapshot.values.get(name) {
-        Some(SnapshotValue::Gauge(v)) => *v,
-        _ => 0.0,
-    }
-}
-
-/// The named histograms in a snapshot, merged (missing names contribute nothing).
-fn merged_histogram(snapshot: &RegistrySnapshot, names: &[String]) -> HistogramSnapshot {
-    let mut merged = HistogramSnapshot::empty();
-    for name in names {
-        if let Some(SnapshotValue::Histogram(h)) = snapshot.values.get(name) {
-            merged.merge(h);
-        }
-    }
-    merged
 }
 
 impl Evaluator {
@@ -571,13 +540,13 @@ impl Evaluator {
             } => {
                 let (num0, den0) = match start {
                     Some((_, earlier)) => (
-                        counter_sum(earlier, numerator),
-                        counter_sum(earlier, denominator),
+                        earlier.counter_sum(numerator),
+                        earlier.counter_sum(denominator),
                     ),
                     None => (0, 0),
                 };
-                let dn = counter_sum(snapshot, numerator).saturating_sub(num0);
-                let dd = counter_sum(snapshot, denominator).saturating_sub(den0);
+                let dn = snapshot.counter_sum(numerator).saturating_sub(num0);
+                let dd = snapshot.counter_sum(denominator).saturating_sub(den0);
                 if dd == 0 {
                     0.0
                 } else {
@@ -586,17 +555,19 @@ impl Evaluator {
             }
             Signal::Rate { counter } => {
                 let (t0, c0) = match start {
-                    Some((t, earlier)) => (*t, counter_sum(earlier, std::slice::from_ref(counter))),
+                    Some((t, earlier)) => (*t, earlier.counter_sum(std::slice::from_ref(counter))),
                     None => (now, 0),
                 };
-                let delta = counter_sum(snapshot, std::slice::from_ref(counter)).saturating_sub(c0);
+                let delta = snapshot
+                    .counter_sum(std::slice::from_ref(counter))
+                    .saturating_sub(c0);
                 crate::rate_per_sec(delta, now - t0)
             }
             Signal::Quantile { histograms, q } => {
-                let current = merged_histogram(snapshot, histograms);
+                let current = snapshot.merged_histogram(histograms);
                 let delta = match start {
                     Some((_, earlier)) => {
-                        current.delta_since(&merged_histogram(earlier, histograms))
+                        current.delta_since(&earlier.merged_histogram(histograms))
                     }
                     None => current,
                 };
@@ -604,16 +575,16 @@ impl Evaluator {
             }
             Signal::Gauge { gauge } => {
                 let target = now - window_secs;
-                let mut max = gauge_value(snapshot, gauge);
+                let mut max = snapshot.gauge_value(gauge);
                 for (t, earlier) in self.ring.iter().rev() {
                     if *t < target {
                         break;
                     }
-                    max = max.max(gauge_value(earlier, gauge));
+                    max = max.max(earlier.gauge_value(gauge));
                 }
                 max
             }
-            Signal::Age { gauge } => (now - gauge_value(snapshot, gauge)).max(0.0),
+            Signal::Age { gauge } => (now - snapshot.gauge_value(gauge)).max(0.0),
         }
     }
 

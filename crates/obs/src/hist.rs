@@ -240,19 +240,7 @@ impl HistogramSnapshot {
         let max = if count == 0 {
             0
         } else {
-            let bound = buckets
-                .iter()
-                .rposition(|&n| n > 0)
-                .map(|i| {
-                    let (lo, hi) = bucket_bounds(i);
-                    if hi == u64::MAX {
-                        u64::MAX
-                    } else {
-                        (hi - 1).max(lo)
-                    }
-                })
-                .unwrap_or(self.max);
-            self.max.min(bound)
+            self.max.min(top_ceiling(&buckets).unwrap_or(self.max))
         };
         HistogramSnapshot {
             count,
@@ -275,6 +263,36 @@ impl HistogramSnapshot {
             }
         }
         out
+    }
+
+    /// Rebuilds a snapshot from `(upper_bound, cumulative_count)` pairs, the
+    /// inverse of [`HistogramSnapshot::cumulative_buckets`]: each pair's new
+    /// samples go to the bucket holding `upper_bound - 1`.  The pairs carry no
+    /// maximum, so `max` is the top non-empty bucket's largest value, the bound
+    /// [`HistogramSnapshot::delta_since`] clamps to; a quantile then reads the
+    /// bucket midpoint even where the exact max sat below it.
+    pub fn from_cumulative_buckets(cumulative: &[(u64, u64)], sum: u64, count: u64) -> Self {
+        let mut buckets = vec![0u64; BUCKETS];
+        let mut below = 0u64;
+        for &(upper, total) in cumulative {
+            buckets[bucket_index(upper.saturating_sub(1))] += total.saturating_sub(below);
+            below = below.max(total);
+        }
+        HistogramSnapshot {
+            count,
+            sum,
+            max: top_ceiling(&buckets).unwrap_or(0),
+            buckets,
+        }
+    }
+}
+
+/// The largest value the highest non-empty bucket holds (`None` when all are
+/// empty): its upper bound less one, or `u64::MAX`, where the top bound saturates.
+fn top_ceiling(buckets: &[u64]) -> Option<u64> {
+    match bucket_bounds(buckets.iter().rposition(|&n| n > 0)?).1 {
+        u64::MAX => Some(u64::MAX),
+        upper => Some(upper - 1),
     }
 }
 

@@ -23,7 +23,7 @@
 //!   in-memory ring ([`recent_errors`]) so health probes (`!health`) can report
 //!   what went wrong lately without scraping the log stream.
 
-use crate::export::{json_escape, json_number};
+use crate::export::json_number;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -137,7 +137,7 @@ impl EventValue {
                 let _ = write!(out, "{v}");
             }
             EventValue::Float(v) => json_number(*v, out),
-            EventValue::Str(v) => json_escape(v, out),
+            EventValue::Str(v) => serde_json::append(v, out),
         }
     }
 }
@@ -172,14 +172,14 @@ impl EventRecord {
             if i > 0 {
                 out.push(',');
             }
-            json_escape(key, &mut out);
+            serde_json::append(key, &mut out);
             out.push(':');
             value.render(&mut out);
         }
         out.push_str("},\"level\":");
-        json_escape(self.level.as_str(), &mut out);
+        serde_json::append(self.level.as_str(), &mut out);
         out.push_str(",\"site\":");
-        json_escape(&self.site, &mut out);
+        serde_json::append(&self.site, &mut out);
         let _ = write!(out, ",\"suppressed\":{}", self.suppressed);
         let _ = write!(out, ",\"ts_ns\":{}}}", self.ts_ns);
         out

@@ -645,7 +645,7 @@ pub fn profile_json(snapshot: &ProfileSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        crate::export::json_escape(&site.site, &mut out);
+        serde_json::append(&site.site, &mut out);
         let _ = write!(
             out,
             ":{{\"allocs\":{},\"bytes\":{}}}",
@@ -661,7 +661,7 @@ pub fn profile_json(snapshot: &ProfileSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        crate::export::json_escape(&path.join(";"), &mut out);
+        serde_json::append(&path.join(";"), &mut out);
         let _ = write!(out, ":{count}");
     }
     let _ = write!(

@@ -719,7 +719,7 @@ pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
         );
         push_us(r.dur_ns, &mut out);
         out.push_str(",\"name\":");
-        crate::export::json_escape(&site_name(r.site), &mut out);
+        serde_json::append(&site_name(r.site), &mut out);
         let _ = write!(out, ",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":", r.lane);
         push_us(r.start_ns, &mut out);
         out.push('}');
@@ -760,7 +760,7 @@ pub fn summary_json(records: &[SpanRecord]) -> String {
         if i > 0 {
             out.push(',');
         }
-        crate::export::json_escape(site, &mut out);
+        serde_json::append(site, &mut out);
         let _ = write!(
             out,
             ":{{\"count\":{count},\"self_ns\":{self_total},\"total_ns\":{total}}}"
@@ -785,7 +785,7 @@ pub fn spans_json(records: &[SpanRecord]) -> String {
             "{{\"arg\":{},\"dur_ns\":{},\"lane\":{},\"parent\":{},\"site\":",
             r.arg, r.dur_ns, r.lane, r.parent_id
         );
-        crate::export::json_escape(&site_name(r.site), &mut out);
+        serde_json::append(&site_name(r.site), &mut out);
         let _ = write!(
             out,
             ",\"slow\":{},\"span\":{},\"start_ns\":{},\"trace\":{}}}",

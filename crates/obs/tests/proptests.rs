@@ -1,9 +1,11 @@
 //! Property-based tests for the observability core: histogram quantile accuracy
-//! against exact sorted-sample quantiles, concurrent-recording consistency, and
-//! the continuous profiler's collapsed-stack invariants.
+//! against exact sorted-sample quantiles, concurrent-recording consistency, the
+//! Prometheus exposition's round trip, and the continuous profiler's
+//! collapsed-stack invariants.
 
 use proptest::prelude::*;
-use tcp_obs::{Counter, Histogram};
+use std::collections::BTreeMap;
+use tcp_obs::{Counter, Histogram, RegistrySnapshot, SnapshotValue};
 
 /// Frame alphabet for synthetic span stacks: interned-looking dotted names the
 /// draw indices below map onto.
@@ -53,6 +55,32 @@ fn assert_prefix_closed(node: &tcp_obs::profile::FrameNode) {
     for child in node.children.values() {
         assert!(child.count <= node.count);
         assert_prefix_closed(child);
+    }
+}
+
+/// A dotted metric name drawn from `{'.', 'a'..='z'}` after a kind letter.  Over
+/// that alphabet the exposition's `.` → `_` rename keeps names distinct and in
+/// the same order, so a snapshot and its read-back pair up entry by entry.
+fn metric_name(kind: char, draw: u64) -> String {
+    let mut name = String::from(kind);
+    let mut rest = draw;
+    while rest > 0 {
+        name.push(match rest % 27 {
+            0 => '.',
+            letter => char::from(b'a' + letter as u8 - 1),
+        });
+        rest /= 27;
+    }
+    name
+}
+
+/// Spreads a draw over a histogram's whole range: the exact buckets below 16,
+/// every octave, and the top bucket `[15 · 2^60, 2^64)`.
+fn latency_sample(draw: u64) -> u64 {
+    match draw % 3 {
+        0 => draw % 16,
+        1 => draw >> (draw % 61),
+        _ => u64::MAX - draw % (1 << 60),
     }
 }
 
@@ -307,6 +335,67 @@ proptest! {
                 prop_assert!(node.count >= *count);
             }
             prop_assert!(node.terminal >= *count);
+        }
+    }
+
+    // `from_prometheus` inverts `to_prometheus`: every counter, every gauge
+    // (NaN and the infinities included), and every histogram's count, sum and
+    // bucket counts come back under the exposition's names, and the read-back
+    // snapshot renders the same text byte for byte.
+    #[test]
+    fn prometheus_exposition_reads_back_exactly(
+        counters in proptest::collection::vec(0u64..u64::MAX, 0..6),
+        gauge_kinds in proptest::collection::vec(0u64..8, 0..6),
+        gauge_values in proptest::collection::vec(-1e12f64..1e12, 6..7),
+        histograms in proptest::collection::vec(
+            proptest::collection::vec(0u64..u64::MAX, 0..40), 0..4),
+        names in proptest::collection::vec(0u64..1 << 30, 16..17),
+    ) {
+        let mut values = BTreeMap::new();
+        for (i, &n) in counters.iter().enumerate() {
+            values.insert(metric_name('c', names[i]), SnapshotValue::Counter(n));
+        }
+        for (i, &kind) in gauge_kinds.iter().enumerate() {
+            let v = gauge_values[i];
+            let reading = match kind {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -0.0,
+                4 => v * 1e-300,
+                5 => v * 1e290,
+                _ => v,
+            };
+            values.insert(metric_name('g', names[6 + i]), SnapshotValue::Gauge(reading));
+        }
+        for (i, draws) in histograms.iter().enumerate() {
+            let h = Histogram::new();
+            for &draw in draws {
+                h.record(latency_sample(draw));
+            }
+            values.insert(metric_name('h', names[12 + i]), SnapshotValue::Histogram(h.snapshot()));
+        }
+        let snapshot = RegistrySnapshot { values };
+        let text = snapshot.to_prometheus();
+        let back = RegistrySnapshot::from_prometheus(&text).unwrap();
+        prop_assert_eq!(back.to_prometheus(), text);
+        prop_assert_eq!(back.values.len(), snapshot.values.len());
+        for ((name, want), (read_name, got)) in snapshot.values.iter().zip(&back.values) {
+            prop_assert_eq!(read_name, &name.replace('.', "_"));
+            match (want, got) {
+                (SnapshotValue::Counter(a), SnapshotValue::Counter(b)) => prop_assert_eq!(a, b),
+                (SnapshotValue::Gauge(a), SnapshotValue::Gauge(b)) => {
+                    prop_assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()), "{} vs {}", a, b)
+                }
+                (SnapshotValue::Histogram(a), SnapshotValue::Histogram(b)) => {
+                    prop_assert_eq!(a.count, b.count);
+                    prop_assert_eq!(a.sum, b.sum);
+                    prop_assert_eq!(a.cumulative_buckets(), b.cumulative_buckets());
+                    // The text has no max: the read-back one is its bucket's ceiling.
+                    prop_assert!(a.max <= b.max, "max {} read back as {}", a.max, b.max);
+                }
+                _ => panic!("`{name}` changed kind"),
+            }
         }
     }
 }

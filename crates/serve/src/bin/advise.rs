@@ -81,9 +81,10 @@ commands:
       --max-inflight M           in-flight request budget; beyond it requests get
                                  typed 503-style overload lines (default 4096)
       --max-batch K              largest per-connection batch (default 256)
-      --batch-threads T          threads per request batch (default 1)
       --max-pending P            most connections waiting for a worker (default 1024)
       --port-file FILE           write the bound address here once listening
+                                 (atomically, via rename; a stale one is removed
+                                 at startup, before anything can fail)
       --metrics-file FILE        write a Prometheus text exposition here periodically
                                  (atomically, via rename; final write after drain)
       --metrics-interval S       seconds between exposition writes (default 5)
@@ -321,17 +322,16 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
 
 /// Writes `text` to `path` atomically: to the sibling `path.with_extension(tmp_ext)`
 /// first, then renamed over `path`, so a reader never sees a half-written file.
-fn write_atomic(path: &Path, tmp_ext: &str, text: &str) {
+fn write_atomic(path: &Path, tmp_ext: &str, text: &str) -> std::io::Result<()> {
     let tmp = path.with_extension(tmp_ext);
-    if std::fs::write(&tmp, text).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Writes the global registry as a Prometheus text exposition to `path`.
 fn write_exposition(path: &Path) {
     let text = tcp_obs::Registry::global().snapshot().to_prometheus();
-    write_atomic(path, "prom.tmp", &text);
+    let _ = write_atomic(path, "prom.tmp", &text);
 }
 
 /// Parses `--trace-sample`, accepting both `1/N` (the documented reading) and a bare
@@ -367,7 +367,6 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
             "--workers" => options.workers = parse(next_value(&mut it, arg)?, arg)?,
             "--max-inflight" => options.max_inflight = parse(next_value(&mut it, arg)?, arg)?,
             "--max-batch" => options.max_batch = parse(next_value(&mut it, arg)?, arg)?,
-            "--batch-threads" => options.batch_threads = parse(next_value(&mut it, arg)?, arg)?,
             "--max-pending" => options.max_pending = parse(next_value(&mut it, arg)?, arg)?,
             "--port-file" => port_file = Some(PathBuf::from(next_value(&mut it, arg)?)),
             "--metrics-file" => metrics_file = Some(PathBuf::from(next_value(&mut it, arg)?)),
@@ -382,6 +381,11 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
             "--profile-hz" => profile_hz = Some(parse(next_value(&mut it, arg)?, arg)?),
             other => return Err(format!("unknown option `{other}`")),
         }
+    }
+    // A port file left by an earlier run names a dead address: remove it before
+    // anything else can fail, so a readiness loop only ever reads this run's.
+    if let Some(path) = &port_file {
+        let _ = std::fs::remove_file(path);
     }
     let metrics_interval = tcp_obs::cli::positive_secs("--metrics-interval", metrics_interval)?;
     if alert_log.is_some() && slo_file.is_none() {
@@ -427,8 +431,8 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
     // The evaluator reads registry snapshots on its own thread (like the exposition
     // writer below); dropping the handle after the drain stops and joins it.
     let _evaluator = slo_spec.map(|spec| tcp_obs::health::spawn_evaluator(spec, alert_log.clone()));
-    if let Some(path) = port_file {
-        std::fs::write(&path, format!("{addr}\n"))
+    if let Some(path) = &port_file {
+        write_atomic(path, "port.tmp", &format!("{addr}\n"))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     // The exposition writer is strictly out-of-band: it reads registry snapshots on
@@ -451,7 +455,7 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
         // Written once, after the drain: the flight recorder keeps the most recent
         // retained spans at bounded memory, so this is a dump, not an append log.
         let text = tcp_obs::trace::chrome_trace_json(&tcp_obs::trace::recent_spans());
-        write_atomic(path, "trace.tmp", &text);
+        let _ = write_atomic(path, "trace.tmp", &text);
     }
     if let Some(path) = &profile_file {
         // Disarm first (stops and joins the sampler thread), then dump everything
@@ -526,7 +530,6 @@ fn cmd_top(argv: &[String]) -> Result<(), String> {
             "--addr" => options.addr = next_value(&mut it, arg)?.clone(),
             "--interval" => options.interval_secs = parse(next_value(&mut it, arg)?, arg)?,
             "--once" => options.once = true,
-            "--frames" => options.max_frames = Some(parse(next_value(&mut it, arg)?, arg)?),
             other => return Err(format!("unknown option `{other}`")),
         }
     }

@@ -53,17 +53,28 @@
 //!  "current":  {"best_policy": 2, "checkpoint_plan": 0, "expected_cost_makespan": 0, "should_reuse": 0},
 //!  "dp_families": {"bathtub": 2},
 //!  "pack": "tiny-pack",
+//!  "pack_age_secs": 12.5,
+//!  "pack_format_version": 3,
 //!  "served":   {"best_policy": 2, "checkpoint_plan": 0, "expected_cost_makespan": 0, "should_reuse": 0},
-//!  "served_families": {"bathtub": 2}}
+//!  "served_families": {"bathtub": 2},
+//!  "uptime_secs": 42.0}
 //! ```
 //!
 //! * `cells` — routable cell packs currently loaded (`0` for a single pack);
 //! * `current` — query counters of the pack currently being served (server-wide since
 //!   the last `!reload`);
+//! * `pack_age_secs` — seconds since the served pack was loaded or reloaded;
+//! * `pack_format_version` — the served pack's format version;
 //! * `served` — counters summed over every pack this *session* (connection) has
 //!   served from, surviving reloads;
 //! * `served_families` / `dp_families` — queries per model family of the answering
-//!   regime's served curves / DP tables (non-zero entries only, sorted).
+//!   regime's served curves / DP tables (non-zero entries only, sorted);
+//! * `uptime_secs` — seconds since the process's observability epoch, the clock
+//!   `!health` reports too.
+//!
+//! The two clock fields make every document that contains a `!stats` line answer
+//! differently from run to run, in file mode (`advise serve`) as over TCP; every
+//! other answer byte is deterministic.
 //!
 //! `!metrics` answers with `{"control":"metrics","metrics":{...}}` where `metrics` is
 //! the process-global registry snapshot: counters as integers, gauges as numbers, and

@@ -7,20 +7,29 @@
 //! over the refresh interval — rather than process-lifetime aggregates, then
 //! repaints the terminal with plain ANSI escapes (no TTY crates).
 //!
-//! Latency quantiles are rebuilt client-side from the Prometheus exposition: each
-//! `advisor_latency_*` family's cumulative `_bucket{le="..."}` series is
-//! de-cumulated, merged across the four request-kind families, and differenced
-//! between polls; a nearest-rank walk over the merged delta buckets yields the
-//! interval's quantiles (reported at the bucket's `le` upper bound, so the figure
-//! is conservative).
+//! Latency quantiles are the server's own: each exposition is read back by
+//! [`RegistrySnapshot::from_prometheus`], and the interval's p50/p99 are the
+//! quantiles of the merged `advisor_latency_*` histograms' delta between polls,
+//! the bucket midpoint (≤ 6.25 % off) the `quantile` SLO rule reads too.  Only
+//! where the rule clamps to the exact max, which the text lacks, `top` reads
+//! the midpoint above it.
 //!
 //! `--once` mode takes exactly two samples one interval apart and emits a single
 //! sorted-key JSON line ([`snapshot_json`]) for scripts and CI instead of drawing.
 
 use crate::client::run_client;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
+use tcp_obs::health::{RuleReport, Severity};
+use tcp_obs::RegistrySnapshot;
+
+/// The per-request-kind advisor latency histograms, as the exposition names them.
+const LATENCY: [&str; 4] = [
+    "advisor_latency_best_policy",
+    "advisor_latency_checkpoint_plan",
+    "advisor_latency_expected_cost_makespan",
+    "advisor_latency_should_reuse",
+];
 
 /// Options for [`run_top`].
 #[derive(Debug, Clone)]
@@ -31,9 +40,6 @@ pub struct TopOptions {
     pub interval_secs: f64,
     /// Take two samples, print one JSON snapshot line, exit.
     pub once: bool,
-    /// Stop after this many repaints (`None` = until the server goes away).
-    /// Mostly for tests; `--once` ignores it.
-    pub max_frames: Option<u64>,
 }
 
 impl Default for TopOptions {
@@ -42,47 +48,21 @@ impl Default for TopOptions {
             addr: String::new(),
             interval_secs: 2.0,
             once: false,
-            max_frames: None,
         }
     }
 }
 
-/// One rule's state as reported by `!health`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuleRow {
-    /// Rule name.
-    pub name: String,
-    /// `warn` or `critical`.
-    pub severity: String,
-    /// Whether the rule is firing.
-    pub firing: bool,
-    /// Latest short-window signal value.
-    pub short_value: f64,
-    /// Latest long-window signal value.
-    pub long_value: f64,
-    /// The rule's firing threshold.
-    pub threshold: f64,
-}
-
-/// One polled sample: the scalar metrics, merged latency buckets, and health
-/// state the dashboard windows between two of these.
+/// One polled sample: the registry snapshot and health state the dashboard
+/// windows between two of these.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TopSample {
-    /// `serve_requests_served` counter total.
-    pub served: u64,
-    /// `serve_requests_shed` counter total.
-    pub shed: u64,
-    /// `serve_queue_depth` gauge.
-    pub queue_depth: f64,
-    /// `serve_inflight` gauge.
-    pub inflight: f64,
-    /// Non-cumulative bucket counts (`le` upper bound → samples), merged across
-    /// the four `advisor_latency_*` families.
-    pub latency_buckets: BTreeMap<u64, u64>,
+    /// The server's registry, read back from its `!metrics prom` exposition
+    /// (keyed by exposition names: `serve_requests_served`, ...).
+    pub metrics: RegistrySnapshot,
     /// `!health` verdict (`healthy` / `degraded` / `unhealthy`).
     pub verdict: String,
     /// Per-rule states from `!health`.
-    pub rules: Vec<RuleRow>,
+    pub rules: Vec<RuleReport>,
     /// Served pack name.
     pub pack_name: String,
     /// Seconds since the pack was swapped in.
@@ -107,80 +87,6 @@ impl TopSample {
     }
 }
 
-/// Extracts scalars and merged non-cumulative latency buckets from a Prometheus
-/// text exposition.
-///
-/// Scalar samples (`name value`) land in the returned map as-is.  For every
-/// `advisor_latency_*` histogram family, the cumulative `_bucket{le="..."}`
-/// series is de-cumulated (families are contiguous in the exposition and their
-/// buckets ascend, so a running per-family subtraction recovers per-bucket
-/// counts) and merged into one `le → count` map across families.
-pub fn parse_prometheus(text: &str) -> (BTreeMap<String, f64>, BTreeMap<u64, u64>) {
-    let mut scalars = BTreeMap::new();
-    let mut buckets: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut family = "";
-    let mut last_cumulative = 0u64;
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((name_and_label, value)) = line.rsplit_once(' ') {
-            if let Some((name, label)) = name_and_label.split_once("_bucket{le=\"") {
-                if name != family {
-                    family = name;
-                    last_cumulative = 0;
-                }
-                if !name.starts_with("advisor_latency_") {
-                    continue;
-                }
-                let le = label.trim_end_matches("\"}");
-                let (Ok(cumulative), Ok(le)) = (value.parse::<u64>(), le.parse::<u64>()) else {
-                    continue; // the +Inf bucket; the last finite bucket covered it
-                };
-                *buckets.entry(le).or_insert(0) += cumulative.saturating_sub(last_cumulative);
-                last_cumulative = cumulative;
-            } else if let Ok(v) = value.parse::<f64>() {
-                scalars.insert(name_and_label.to_string(), v);
-            }
-        }
-    }
-    (scalars, buckets)
-}
-
-/// Per-bucket difference `current - earlier` (saturating; keys union'd).
-pub fn bucket_delta(
-    current: &BTreeMap<u64, u64>,
-    earlier: &BTreeMap<u64, u64>,
-) -> BTreeMap<u64, u64> {
-    let mut delta = BTreeMap::new();
-    for (&le, &count) in current {
-        let before = earlier.get(&le).copied().unwrap_or(0);
-        let d = count.saturating_sub(before);
-        if d > 0 {
-            delta.insert(le, d);
-        }
-    }
-    delta
-}
-
-/// Nearest-rank quantile over non-cumulative `le → count` buckets, reported at
-/// the holding bucket's `le` upper bound (0 when empty).
-pub fn quantile_from_buckets(buckets: &BTreeMap<u64, u64>, q: f64) -> f64 {
-    let total: u64 = buckets.values().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-    let mut cumulative = 0u64;
-    for (&le, &count) in buckets {
-        cumulative += count;
-        if cumulative >= target {
-            return le as f64;
-        }
-    }
-    0.0
-}
-
 /// Parses one `!metrics prom` response line and one `!health` response line into
 /// a [`TopSample`].
 pub fn parse_sample(metrics_line: &str, health_line: &str) -> Result<TopSample, String> {
@@ -190,8 +96,7 @@ pub fn parse_sample(metrics_line: &str, health_line: &str) -> Result<TopSample, 
         .get("text")
         .and_then(|v| v.as_str())
         .ok_or("!metrics prom reply has no `text`")?;
-    let (scalars, latency_buckets) = parse_prometheus(text);
-    let scalar = |name: &str| scalars.get(name).copied().unwrap_or(0.0);
+    let metrics = RegistrySnapshot::from_prometheus(text)?;
 
     let health_value = serde_json::parse_value(health_line.trim())
         .map_err(|e| format!("bad !health line: {e}"))?;
@@ -206,9 +111,12 @@ pub fn parse_sample(metrics_line: &str, health_line: &str) -> Result<TopSample, 
         .and_then(|v| v.as_seq())
         .unwrap_or(&[])
         .iter()
-        .map(|rule| RuleRow {
+        .map(|rule| RuleReport {
             name: str_of(rule.get("name")),
-            severity: str_of(rule.get("severity")),
+            severity: match str_of(rule.get("severity")).as_str() {
+                "critical" => Severity::Critical,
+                _ => Severity::Warn,
+            },
             firing: rule
                 .get("firing")
                 .and_then(|v| v.as_bool())
@@ -238,11 +146,7 @@ pub fn parse_sample(metrics_line: &str, health_line: &str) -> Result<TopSample, 
         .collect();
 
     Ok(TopSample {
-        served: scalar("serve_requests_served") as u64,
-        shed: scalar("serve_requests_shed") as u64,
-        queue_depth: scalar("serve_queue_depth"),
-        inflight: scalar("serve_inflight"),
-        latency_buckets,
+        metrics,
         verdict: str_of(health.get("verdict")),
         rules,
         pack_name: str_of(pack.and_then(|p| p.get("name"))),
@@ -303,10 +207,17 @@ pub struct Window {
 
 /// Derives the windowed qps/shed%/latency figures between two samples.
 pub fn window_between(prev: &TopSample, curr: &TopSample, elapsed_secs: f64) -> Window {
-    let served = curr.served.saturating_sub(prev.served);
-    let shed = curr.shed.saturating_sub(prev.shed);
+    let delta = |name: &str| {
+        let count = |sample: &TopSample| sample.metrics.counter_sum(&[name]);
+        count(curr).saturating_sub(count(prev))
+    };
+    let served = delta("serve_requests_served");
+    let shed = delta("serve_requests_shed");
     let answered = served + shed;
-    let delta = bucket_delta(&curr.latency_buckets, &prev.latency_buckets);
+    let latency = curr
+        .metrics
+        .merged_histogram(&LATENCY)
+        .delta_since(&prev.metrics.merged_histogram(&LATENCY));
     Window {
         qps: tcp_obs::rate_per_sec(served, elapsed_secs),
         shed_pct: if answered == 0 {
@@ -314,8 +225,8 @@ pub fn window_between(prev: &TopSample, curr: &TopSample, elapsed_secs: f64) -> 
         } else {
             100.0 * shed as f64 / answered as f64
         },
-        p50_us: quantile_from_buckets(&delta, 0.50) / 1e3,
-        p99_us: quantile_from_buckets(&delta, 0.99) / 1e3,
+        p50_us: latency.quantile(0.50) / 1e3,
+        p99_us: latency.quantile(0.99) / 1e3,
     }
 }
 
@@ -370,27 +281,29 @@ pub fn render_frame(addr: &str, curr: &TopSample, window: &Window) -> String {
     let _ = writeln!(
         out,
         "window  qps {BOLD}{:.0}{RESET}  p50 {:.1}us  p99 {:.1}us  shed {:.2}%  queue {:.0}  inflight {:.0}",
-        window.qps, window.p50_us, window.p99_us, window.shed_pct, curr.queue_depth, curr.inflight,
+        window.qps,
+        window.p50_us,
+        window.p99_us,
+        window.shed_pct,
+        curr.metrics.gauge_value("serve_queue_depth"),
+        curr.metrics.gauge_value("serve_inflight"),
     );
     if !curr.rules.is_empty() {
         let _ = writeln!(out, "{DIM}rules{RESET}");
         for rule in &curr.rules {
-            let (mark, color) = if rule.firing {
-                (
-                    "!!",
-                    if rule.severity == "critical" {
-                        RED
-                    } else {
-                        YELLOW
-                    },
-                )
-            } else {
-                ("ok", GREEN)
+            let (mark, color) = match (rule.firing, rule.severity) {
+                (false, _) => ("ok", GREEN),
+                (true, Severity::Critical) => ("!!", RED),
+                (true, Severity::Warn) => ("!!", YELLOW),
             };
             let _ = writeln!(
                 out,
                 "  {color}[{mark}]{RESET} {:<24} short {:>12.4}  long {:>12.4}  thr {:.4} ({})",
-                rule.name, rule.short_value, rule.long_value, rule.threshold, rule.severity,
+                rule.name,
+                rule.short_value,
+                rule.long_value,
+                rule.threshold,
+                rule.severity.as_str(),
             );
         }
     }
@@ -443,34 +356,24 @@ fn poll(addr: &str) -> Result<TopSample, String> {
 /// Runs the dashboard: polls every `interval_secs`, repainting the terminal —
 /// or, with `once`, emits a single [`snapshot_json`] line after one interval.
 ///
-/// The live loop ends when `max_frames` is reached (Ok) or the server stops
-/// answering (Err; a drained server is how `advise top` normally exits).
+/// The live loop ends when the server stops answering (Err; a drained server is
+/// how `advise top` normally exits).
 pub fn run_top(options: &TopOptions) -> Result<(), String> {
     let interval = tcp_obs::cli::positive_secs("interval_secs", options.interval_secs.max(0.05))?;
     let mut prev = poll(&options.addr)?;
     let mut prev_at = Instant::now();
-    if options.once {
-        std::thread::sleep(interval);
-        let curr = poll(&options.addr)?;
-        let window = window_between(&prev, &curr, prev_at.elapsed().as_secs_f64());
-        println!("{}", snapshot_json(&curr, &window));
-        return Ok(());
-    }
-    let mut frames = 0u64;
     loop {
         std::thread::sleep(interval);
         let curr = poll(&options.addr)?;
-        let elapsed = prev_at.elapsed().as_secs_f64();
+        let window = window_between(&prev, &curr, prev_at.elapsed().as_secs_f64());
         prev_at = Instant::now();
-        let window = window_between(&prev, &curr, elapsed);
-        print!("{}", render_frame(&options.addr, &curr, &window));
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        prev = curr;
-        frames += 1;
-        if options.max_frames.is_some_and(|max| frames >= max) {
+        if options.once {
+            println!("{}", snapshot_json(&curr, &window));
             return Ok(());
         }
+        print!("{}", render_frame(&options.addr, &curr, &window));
+        let _ = std::io::Write::flush(&mut std::io::stdout());
+        prev = curr;
     }
 }
 
@@ -479,60 +382,69 @@ mod tests {
     use super::*;
 
     const PROM: &str = "\
-# TYPE serve_requests_served counter
-serve_requests_served 1000
-# TYPE serve_requests_shed counter
-serve_requests_shed 50
-# TYPE serve_queue_depth gauge
-serve_queue_depth 3
-# TYPE serve_inflight gauge
-serve_inflight 2
 # TYPE advisor_latency_best_policy histogram
-advisor_latency_best_policy_bucket{le=\"1000\"} 10
-advisor_latency_best_policy_bucket{le=\"2000\"} 30
+advisor_latency_best_policy_bucket{le=\"1024\"} 10
+advisor_latency_best_policy_bucket{le=\"2048\"} 30
 advisor_latency_best_policy_bucket{le=\"+Inf\"} 30
 advisor_latency_best_policy_sum 45000
 advisor_latency_best_policy_count 30
 # TYPE advisor_latency_should_reuse histogram
-advisor_latency_should_reuse_bucket{le=\"2000\"} 5
+advisor_latency_should_reuse_bucket{le=\"2048\"} 5
 advisor_latency_should_reuse_bucket{le=\"+Inf\"} 5
 advisor_latency_should_reuse_sum 9000
 advisor_latency_should_reuse_count 5
+# TYPE serve_inflight gauge
+serve_inflight 2
+# TYPE serve_queue_depth gauge
+serve_queue_depth 3
+# TYPE serve_requests_served counter
+serve_requests_served 1000
+# TYPE serve_requests_shed counter
+serve_requests_shed 50
 ";
 
-    #[test]
-    fn parses_scalars_and_decumulates_merged_buckets() {
-        let (scalars, buckets) = parse_prometheus(PROM);
-        assert_eq!(scalars.get("serve_requests_served"), Some(&1000.0));
-        assert_eq!(scalars.get("serve_requests_shed"), Some(&50.0));
-        assert_eq!(scalars.get("serve_queue_depth"), Some(&3.0));
-        // best_policy: 10 at le=1000, 20 at le=2000 (de-cumulated); should_reuse
-        // adds 5 more at le=2000.  The `+Inf` lines don't add phantom buckets.
-        assert_eq!(buckets.get(&1000), Some(&10));
-        assert_eq!(buckets.get(&2000), Some(&25));
-        assert_eq!(buckets.len(), 2);
-        // _sum/_count scalars still parse as scalars.
-        assert_eq!(
-            scalars.get("advisor_latency_best_policy_count"),
-            Some(&30.0)
-        );
+    /// A `!metrics prom` reply line carrying `text`.
+    fn metrics_line(text: &str) -> String {
+        format!(
+            "{{\"control\":\"metrics\",\"encoding\":\"prometheus-0.0.4\",\"text\":{}}}",
+            serde_json::to_string(text).unwrap()
+        )
     }
 
+    const HEALTHY: &str = "{\"control\":\"health\",\"health\":{\"verdict\":\"healthy\"}}";
+
     #[test]
-    fn quantile_walk_reports_bucket_upper_bounds() {
-        let buckets: BTreeMap<u64, u64> = [(1000, 10), (2000, 25)].into_iter().collect();
-        assert_eq!(quantile_from_buckets(&buckets, 0.01), 1000.0);
-        // rank ceil(0.5*35)=18 > 10 → second bucket.
-        assert_eq!(quantile_from_buckets(&buckets, 0.50), 2000.0);
-        assert_eq!(quantile_from_buckets(&buckets, 1.0), 2000.0);
-        assert_eq!(quantile_from_buckets(&BTreeMap::new(), 0.5), 0.0);
+    fn parse_sample_reads_the_exposition_into_a_snapshot() {
+        let sample = parse_sample(&metrics_line(PROM), HEALTHY).unwrap();
+        let metrics = &sample.metrics;
+        assert_eq!(metrics.counter_sum(&["serve_requests_served"]), 1000);
+        assert_eq!(metrics.counter_sum(&["serve_requests_shed"]), 50);
+        assert_eq!(metrics.gauge_value("serve_queue_depth"), 3.0);
+        assert_eq!(metrics.gauge_value("serve_inflight"), 2.0);
+        // best_policy: 10 in [960, 1024), 20 in [1920, 2048); should_reuse adds
+        // 5 more to the second.  The `+Inf` lines add no bucket.
+        let merged = metrics.merged_histogram(&LATENCY);
+        assert_eq!(merged.count, 35);
+        assert_eq!(merged.sum, 54_000);
+        assert_eq!(merged.cumulative_buckets(), [(1024, 10), (2048, 35)]);
+        // The snapshot renders back to the exposition it was read from.
+        assert_eq!(metrics.to_prometheus(), PROM);
+        assert!(parse_sample(&metrics_line("serve_requests_served 1\n"), HEALTHY).is_err());
     }
 
-    fn sample(served: u64, shed: u64, buckets: &[(u64, u64)]) -> TopSample {
+    /// A sample polled from a registry holding these counters and
+    /// `advisor.latency.best_policy` samples, read through its exposition.
+    fn sample(served: u64, shed: u64, latencies_ns: &[u64]) -> TopSample {
+        let registry = tcp_obs::Registry::new();
+        registry.counter("serve.requests.served").add(served);
+        registry.counter("serve.requests.shed").add(shed);
+        let latency = registry.histogram("advisor.latency.best_policy");
+        for &ns in latencies_ns {
+            latency.record(ns);
+        }
         TopSample {
-            served,
-            shed,
-            latency_buckets: buckets.iter().copied().collect(),
+            metrics: RegistrySnapshot::from_prometheus(&registry.snapshot().to_prometheus())
+                .unwrap(),
             verdict: "healthy".to_string(),
             pack_name: "tiny-pack".to_string(),
             ..TopSample::default()
@@ -541,15 +453,99 @@ advisor_latency_should_reuse_count 5
 
     #[test]
     fn windows_are_deltas_not_lifetime_aggregates() {
-        let prev = sample(1000, 0, &[(1000, 1000)]);
-        let curr = sample(1500, 500, &[(1000, 1000), (8000, 100)]);
+        let prev = sample(1000, 0, &[1000; 1000]);
+        let curr = sample(1500, 500, &[[1000; 1000].as_slice(), &[8000; 100]].concat());
         let window = window_between(&prev, &curr, 10.0);
         assert_eq!(window.qps, 50.0);
         assert_eq!(window.shed_pct, 50.0);
-        // All interval samples sit in the 8000ns bucket: the old 1000ns mass
-        // cancels out of the delta entirely.
-        assert_eq!(window.p50_us, 8.0);
-        assert_eq!(window.p99_us, 8.0);
+        // All interval samples sit in the [7680, 8192) bucket, read at its
+        // midpoint: the old 1000ns mass cancels out of the delta entirely.
+        assert_eq!(window.p50_us, 7.936);
+        assert_eq!(window.p99_us, 7.936);
+    }
+
+    /// Records `history`, snapshots, records `window`, snapshots again, all
+    /// spread over the four `advisor.latency.*` histograms.  Returns top's
+    /// windowed (p50, p99) read from the two snapshots' exposition text, and
+    /// a two-rule (q = 0.5, 0.99) SLO evaluator's short-window values over the
+    /// same two snapshots, both in microseconds.
+    fn top_and_rule_quantiles(history: &[u64], window: &[u64]) -> ([f64; 2], [f64; 2]) {
+        const NAMES: [&str; 4] = [
+            "advisor.latency.should_reuse",
+            "advisor.latency.checkpoint_plan",
+            "advisor.latency.expected_cost_makespan",
+            "advisor.latency.best_policy",
+        ];
+        let rule = |name: &str, q: f64| {
+            format!(
+                "[[rule]]\nname = \"{name}\"\nkind = \"quantile\"\nhistograms = {NAMES:?}\n\
+                 q = {q}\nthreshold = 1e12\nshort_window_secs = 10.0\nlong_window_secs = 30.0\n"
+            )
+        };
+        let spec = format!("{}{}", rule("p50", 0.5), rule("p99", 0.99));
+        let mut evaluator =
+            tcp_obs::health::Evaluator::new(tcp_obs::health::SloSpec::from_str(&spec).unwrap());
+        let registry = tcp_obs::Registry::new();
+        let record = |samples: &[u64]| {
+            for (i, &ns) in samples.iter().enumerate() {
+                registry.histogram(NAMES[i % NAMES.len()]).record(ns);
+            }
+        };
+        let mut poll = |t_secs: f64| {
+            let snapshot = registry.snapshot();
+            let line = metrics_line(&snapshot.to_prometheus());
+            evaluator.tick_with(t_secs, snapshot);
+            parse_sample(&line, HEALTHY).unwrap()
+        };
+        record(history);
+        let prev = poll(0.0);
+        record(window);
+        let curr = poll(10.0);
+        let top = window_between(&prev, &curr, 10.0);
+        let rules = evaluator.report(10.0).rules;
+        (
+            [top.p50_us, top.p99_us],
+            [rules[0].short_value / 1e3, rules[1].short_value / 1e3],
+        )
+    }
+
+    #[test]
+    fn window_quantiles_agree_with_the_slo_quantile_rule() {
+        // A 1,000 ns sample is read at its bucket's midpoint, 992 ns, by both.
+        let (top, rule) = top_and_rule_quantiles(&[50_000; 10], &[1_000; 100]);
+        assert_eq!(top, [0.992, 0.992]);
+        assert_eq!(rule, top);
+
+        // Random latencies, log-uniform over 100 ns .. 10 ms, before and inside
+        // the window.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(33);
+        let mut draw = |n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|_| 10f64.powf(rand::Rng::gen_range(&mut rng, 2.0..7.0)) as u64)
+                .collect()
+        };
+        const CASES: usize = 100;
+        let mut clamped = 0;
+        for case in 0..CASES {
+            let history = draw(case % 7 * 40);
+            let window = draw(1 + case % 11 * 30);
+            let largest = history.iter().chain(&window).copied().max().unwrap();
+            let (top, rule) = top_and_rule_quantiles(&history, &window);
+            for (top, rule) in top.into_iter().zip(rule) {
+                if top == rule {
+                    continue;
+                }
+                // The rule clamps an estimate to the registry's exact max; the
+                // exposition has none, so top reads the bucket midpoint, less
+                // than half a (≤ 1/8-wide) bucket above it.
+                clamped += 1;
+                assert_eq!(rule, largest as f64 / 1e3, "case {case}");
+                assert!(rule < top && top < rule * (1.0 + 1.0 / 16.0), "case {case}");
+            }
+        }
+        // The clamp needs the holding bucket to be the one with the largest
+        // sample, in its lower half: most quantiles agree exactly.
+        assert!(clamped * 4 < 2 * CASES, "{clamped} of {} differ", 2 * CASES);
     }
 
     #[test]
@@ -582,18 +578,12 @@ advisor_latency_should_reuse_count 5
 
     #[test]
     fn parse_sample_reads_metrics_and_health_lines() {
-        let metrics_line = format!(
-            "{{\"control\":\"metrics\",\"encoding\":\"prometheus-0.0.4\",\"text\":{}}}",
-            serde_json::to_string(&PROM.to_string()).unwrap()
-        );
         let health_line = "{\"control\":\"health\",\"health\":{\"pack\":{\"age_secs\":12.5,\
              \"cells\":2,\"format_version\":3,\"name\":\"prod-pack\"},\"recent_errors\":[],\
              \"rules\":[{\"firing\":true,\"long_value\":0.2,\"name\":\"shed-ratio\",\
              \"severity\":\"critical\",\"short_value\":0.5,\"threshold\":0.05}],\
              \"uptime_secs\":100,\"verdict\":\"unhealthy\"}}";
-        let sample = parse_sample(&metrics_line, health_line).unwrap();
-        assert_eq!(sample.served, 1000);
-        assert_eq!(sample.shed, 50);
+        let sample = parse_sample(&metrics_line(PROM), health_line).unwrap();
         assert_eq!(sample.verdict, "unhealthy");
         assert_eq!(sample.pack_name, "prod-pack");
         assert_eq!(sample.pack_format_version, 3);
@@ -609,6 +599,7 @@ advisor_latency_should_reuse_count 5
         );
         assert!(frame.contains("UNHEALTHY"));
         assert!(frame.contains("shed-ratio"));
+        assert!(frame.contains("queue 3  inflight 2"));
     }
 
     #[test]
