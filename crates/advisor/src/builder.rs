@@ -100,12 +100,12 @@ impl PackBuilder {
             .workload
             .as_ref()
             .and_then(|w| w.checkpoint_cost_minutes.clone())
-            .unwrap_or_else(|| vec![1.0]);
+            .unwrap_or_else(|| vec![CheckpointConfig::DEFAULT_CHECKPOINT_COST_MINUTES]);
         let dp_step_minutes = spec
             .workload
             .as_ref()
             .and_then(|w| w.dp_step_minutes)
-            .unwrap_or(5.0);
+            .unwrap_or(CheckpointConfig::DEFAULT_DP_STEP_MINUTES);
 
         let mut regimes = Vec::with_capacity(regime_specs.len());
         for (i, regime_spec) in regime_specs.iter().enumerate() {
@@ -333,7 +333,7 @@ impl PackBuilder {
         let mut checkpoint_cells = Vec::with_capacity(checkpoint_costs.len());
         let mut card_policy = None;
         for &cost_minutes in checkpoint_costs {
-            let config = Self::checkpoint_config(cost_minutes, dp_step_minutes);
+            let config = CheckpointConfig::from_minutes(cost_minutes, dp_step_minutes);
             let policy = DpCheckpointPolicy::from_model(model.clone(), config)?;
             let mut longest_job = self.max_checkpoint_job_hours;
             if card_policy.is_none() {
@@ -371,15 +371,6 @@ impl PackBuilder {
             checkpoint_cells,
             policy_card,
         })
-    }
-
-    fn checkpoint_config(cost_minutes: f64, dp_step_minutes: f64) -> CheckpointConfig {
-        CheckpointConfig {
-            checkpoint_cost_hours: cost_minutes / 60.0,
-            step_hours: dp_step_minutes / 60.0,
-            // Same restart overhead as the sweep grid (1 minute, the paper's setting).
-            restart_overhead_hours: 1.0 / 60.0,
-        }
     }
 
     /// Tabulates one checkpoint cell from `policy`, whose DP is already solved for the
@@ -760,7 +751,7 @@ dp_step_minutes = 15.0
             let fresh = |cost: f64| {
                 DpCheckpointPolicy::from_model(
                     model.clone(),
-                    PackBuilder::checkpoint_config(cost, 15.0),
+                    CheckpointConfig::from_minutes(cost, 15.0),
                 )
                 .unwrap()
             };

@@ -5,6 +5,14 @@
 //! completions, VM preemptions and hot-spare expiries, and applying the model-driven
 //! scheduling and checkpointing policies.
 //!
+//! One capacity rule bounds the cluster: dispatch starts a job only while fewer than
+//! `cluster_size` VMs are busy.  Busy plus idle VMs never exceed `cluster_size`, so that
+//! test alone keeps the cluster in bounds.  Reusing an idle spare moves a VM from idle
+//! to busy.  A fresh launch happens either with no spare at all, when the loop test gave
+//! busy < `cluster_size`, or after the first spare was dropped (dead, or rejected by the
+//! scheduler), which freed its place.  A finished job moves its VM from busy to idle, or
+//! drops it if it is dead; preemptions and spare expiries only remove VMs.
+//!
 //! Each trial runs in buffers (provider, event queue, job and assignment tables) borrowed
 //! from a per-thread scratch that carries only capacity between trials, never values:
 //! every buffer is cleared or rebuilt before use, so a report never depends on what the
@@ -81,14 +89,6 @@ impl Assignment {
     }
 }
 
-/// Per-job bookkeeping.
-#[derive(Debug, Clone)]
-struct JobState {
-    remaining_work: f64,
-    restarts: usize,
-    completed: bool,
-}
-
 /// The running assignments, at index `vm.0`: a trial's provider hands out VM ids densely
 /// from 0, so a slot table replaces a map keyed by `VmId`.
 #[derive(Debug, Default)]
@@ -96,11 +96,18 @@ struct Assignments {
     slots: Vec<Option<Assignment>>,
     /// Number of occupied slots.
     busy: usize,
+    /// Id of the next assignment, unique within the trial.
+    next_id: u64,
 }
 
 impl Assignments {
     fn len(&self) -> usize {
         self.busy
+    }
+
+    fn next_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id - 1
     }
 
     fn get(&self, vm: VmId) -> Option<&Assignment> {
@@ -135,6 +142,7 @@ impl Assignments {
     fn clear(&mut self) {
         self.slots.clear();
         self.busy = 0;
+        self.next_id = 0;
     }
 }
 
@@ -145,14 +153,6 @@ impl Assignments {
 struct IdleVms(Vec<(VmId, u64)>);
 
 impl IdleVms {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     fn first(&self) -> Option<VmId> {
         self.0.first().map(|&(vm, _)| vm)
     }
@@ -189,7 +189,8 @@ impl IdleVms {
 struct Scratch {
     provider: Option<CloudProvider>,
     queue: EventQueue<Event>,
-    jobs: Vec<JobState>,
+    /// Work (hours) each job still has to do, by job index.
+    remaining: Vec<f64>,
     pending: VecDeque<usize>,
     assignments: Assignments,
     idle_vms: IdleVms,
@@ -288,172 +289,61 @@ impl BatchService {
             )));
         }
         let mut scratch = SCRATCH.take();
-        let report = self.run_trial(bag, template, seed, &mut scratch);
+        let mut provider = match scratch.provider.take() {
+            Some(mut provider) => {
+                template.build_into(&mut provider, seed);
+                provider
+            }
+            None => template.build(seed),
+        };
+        let report = self.run_trial(bag, &mut provider, &mut scratch);
+        scratch.provider = Some(provider);
         SCRATCH.set(scratch);
         report
     }
 
-    /// One trial of [`BatchService::run_bag_with`] in the buffers of `scratch`.
+    /// One trial of [`BatchService::run_bag_with`] on `provider`, in the buffers of `s`.
     fn run_trial(
         &self,
         prepared: &PreparedBag,
-        template: &ProviderTemplate,
-        seed: u64,
-        scratch: &mut Scratch,
+        provider: &mut CloudProvider,
+        s: &mut Scratch,
     ) -> Result<RunReport> {
         let bag = &prepared.bag;
         if bag.is_empty() {
             return Err(NumericsError::invalid("bag must contain at least one job"));
         }
-        let billing = if self.config.use_preemptible {
-            BillingClass::Preemptible
-        } else {
-            BillingClass::OnDemand
-        };
-        let Scratch {
-            provider,
-            queue,
-            jobs,
-            pending,
-            assignments,
-            idle_vms,
-            interval_pool,
-        } = scratch;
-        let provider = match provider {
-            Some(provider) => {
-                template.build_into(provider, seed);
-                provider
-            }
-            None => provider.insert(template.build(seed)),
-        };
-        queue.clear();
-        jobs.clear();
-        jobs.extend(bag.jobs.iter().map(|j| JobState {
-            remaining_work: j.estimated_runtime_hours,
-            restarts: 0,
-            completed: false,
-        }));
-        pending.clear();
-        pending.extend(0..jobs.len());
-
-        // VM bookkeeping.
-        assignments.clear();
-        idle_vms.clear();
-        let mut live_vms: usize = 0;
-        let mut next_assignment_id: u64 = 0;
+        s.queue.clear();
+        s.remaining.clear();
+        s.remaining
+            .extend(bag.jobs.iter().map(|j| j.estimated_runtime_hours));
+        s.pending.clear();
+        s.pending.extend(0..bag.len());
+        s.assignments.clear();
+        s.idle_vms.clear();
         let mut idle_generation: u64 = 0;
         let mut preemptions_hitting_jobs = 0usize;
-        let mut total_restarts = 0usize;
         let mut completed_jobs = 0usize;
         let mut last_completion_time = 0.0f64;
 
-        // Helper closures are impractical with so much shared mutable state; use a small
-        // macro-like inline routine instead via a function-local loop.
-
-        // Seed: dispatch as many jobs as the cluster allows.
-        // The main dispatch routine is invoked whenever capacity or work changes.
-        macro_rules! dispatch {
-            ($now:expr) => {{
-                let now: f64 = $now;
-                while !pending.is_empty()
-                    && live_vms.max(assignments.len()) < self.config.cluster_size + idle_vms.len()
-                {
-                    // ensure we do not exceed the cluster size counting idle + busy VMs
-                    if assignments.len() + idle_vms.len() >= self.config.cluster_size
-                        && idle_vms.is_empty()
-                    {
-                        break;
-                    }
-                    let job_index = *pending.front().expect("non-empty");
-                    let job_len = jobs[job_index].remaining_work;
-
-                    // Choose a VM: prefer an idle hot spare if the policy approves reuse.
-                    let mut chosen: Option<VmId> = None;
-                    let mut launch_fresh = false;
-                    if let Some(vm_id) = idle_vms.first() {
-                        let age = provider.get(vm_id).map(|vm| vm.age_at(now)).unwrap_or(0.0);
-                        let alive = provider.is_running(vm_id, now);
-                        if alive && self.config.use_preemptible {
-                            match self.scheduler.decide(age, job_len) {
-                                SchedulingDecision::ReuseExisting => chosen = Some(vm_id),
-                                SchedulingDecision::LaunchFresh => {
-                                    // relinquish the stale VM and fall through to a fresh launch
-                                    provider.terminate(vm_id, now);
-                                    idle_vms.remove(vm_id);
-                                    live_vms = live_vms.saturating_sub(1);
-                                    launch_fresh = true;
-                                }
-                            }
-                        } else if alive {
-                            chosen = Some(vm_id);
-                        } else {
-                            idle_vms.remove(vm_id);
-                            live_vms = live_vms.saturating_sub(1);
-                        }
-                    }
-
-                    if chosen.is_none() {
-                        if assignments.len() + idle_vms.len() >= self.config.cluster_size
-                            && !launch_fresh
-                        {
-                            break;
-                        }
-                        let vm =
-                            provider.launch(self.config.vm_type, self.config.zone, billing, now)?;
-                        live_vms += 1;
-                        if let Some(p) = vm.preemption_time {
-                            queue.schedule_at(p, Event::VmPreempted { vm: vm.id });
-                        }
-                        chosen = Some(vm.id);
-                    }
-
-                    let vm_id = chosen.expect("vm chosen or launched");
-                    idle_vms.remove(vm_id);
-                    pending.pop_front();
-
-                    let vm_age = provider.get(vm_id).map(|vm| vm.age_at(now)).unwrap_or(0.0);
-                    let mut intervals = interval_pool.pop().unwrap_or_default();
-                    let checkpoint_cost = self.plan_intervals(job_len, vm_age, &mut intervals)?;
-                    let assignment = Assignment {
-                        assignment_id: next_assignment_id,
-                        job_index,
-                        started_at: now,
-                        base_progress: bag.jobs[job_index].estimated_runtime_hours - job_len,
-                        intervals,
-                        checkpoint_cost,
-                    };
-                    next_assignment_id += 1;
-                    let finish_at = now + assignment.planned_duration();
-                    queue.schedule_at(
-                        finish_at,
-                        Event::JobFinished {
-                            vm: vm_id,
-                            assignment: assignment.assignment_id,
-                        },
-                    );
-                    assignments.insert(vm_id, assignment);
-                }
-            }};
-        }
-
-        dispatch!(0.0);
+        self.dispatch(0.0, bag, provider, s)?;
 
         let mut safety_counter = 0usize;
         let safety_limit = 200_000 + bag.len() * 1_000;
-        while completed_jobs < jobs.len() {
+        while completed_jobs < bag.len() {
             safety_counter += 1;
             if safety_counter > safety_limit {
                 return Err(NumericsError::DidNotConverge {
                     what: "batch service simulation".into(),
                     iterations: safety_counter,
-                    residual: (jobs.len() - completed_jobs) as f64,
+                    residual: (bag.len() - completed_jobs) as f64,
                 });
             }
-            let Some((now, event)) = queue.pop() else {
+            let Some((now, event)) = s.queue.pop() else {
                 // No pending events but jobs remain: dispatch more work (e.g. after all VMs
                 // died simultaneously).
-                dispatch!(last_completion_time);
-                if queue.is_empty() {
+                self.dispatch(last_completion_time, bag, provider, s)?;
+                if s.queue.is_empty() {
                     return Err(NumericsError::invalid(
                         "service deadlocked with pending jobs",
                     ));
@@ -463,65 +353,55 @@ impl BatchService {
 
             match event {
                 Event::JobFinished { vm, assignment } => {
-                    let matches = assignments
+                    let matches = s
+                        .assignments
                         .get(vm)
                         .is_some_and(|a| a.assignment_id == assignment);
                     if !matches {
                         continue; // stale completion from a preempted assignment
                     }
-                    let a = assignments.remove(vm).expect("checked above");
-                    let job = &mut jobs[a.job_index];
-                    job.remaining_work = 0.0;
-                    job.completed = true;
+                    let a = s.assignments.remove(vm).expect("checked above");
                     completed_jobs += 1;
                     last_completion_time = now;
-                    interval_pool.push(a.intervals);
+                    s.interval_pool.push(a.intervals);
 
                     // The VM becomes a hot spare (only meaningful for preemptible VMs that
                     // are still alive).
                     if provider.is_running(vm, now) {
                         idle_generation += 1;
-                        idle_vms.insert(vm, idle_generation);
-                        queue.schedule_after(
+                        s.idle_vms.insert(vm, idle_generation);
+                        s.queue.schedule_after(
                             self.config.hot_spare_hours,
                             Event::HotSpareExpired {
                                 vm,
                                 idle_since: idle_generation,
                             },
                         );
-                    } else {
-                        live_vms = live_vms.saturating_sub(1);
                     }
-                    dispatch!(now);
+                    self.dispatch(now, bag, provider, s)?;
                 }
                 Event::VmPreempted { vm } => {
                     let was_running = provider.preempt(vm, now);
                     if !was_running {
                         continue;
                     }
-                    live_vms = live_vms.saturating_sub(1);
-                    idle_vms.remove(vm);
-                    if let Some(a) = assignments.remove(vm) {
+                    s.idle_vms.remove(vm);
+                    if let Some(a) = s.assignments.remove(vm) {
                         // the preemption interrupted a running job
                         preemptions_hitting_jobs += 1;
                         let elapsed = (now - a.started_at).max(0.0);
-                        let persisted = a.checkpointed_progress(elapsed);
-                        let job = &mut jobs[a.job_index];
-                        let done = a.base_progress + persisted;
-                        job.remaining_work =
+                        let done = a.base_progress + a.checkpointed_progress(elapsed);
+                        s.remaining[a.job_index] =
                             (bag.jobs[a.job_index].estimated_runtime_hours - done).max(1e-6);
-                        job.restarts += 1;
-                        total_restarts += 1;
-                        pending.push_back(a.job_index);
-                        interval_pool.push(a.intervals);
+                        s.pending.push_back(a.job_index);
+                        s.interval_pool.push(a.intervals);
                     }
-                    dispatch!(now);
+                    self.dispatch(now, bag, provider, s)?;
                 }
                 Event::HotSpareExpired { vm, idle_since } => {
-                    if idle_vms.generation(vm) == Some(idle_since) {
-                        idle_vms.remove(vm);
+                    if s.idle_vms.generation(vm) == Some(idle_since) {
+                        s.idle_vms.remove(vm);
                         provider.terminate(vm, now);
-                        live_vms = live_vms.saturating_sub(1);
                     }
                 }
             }
@@ -529,10 +409,10 @@ impl BatchService {
 
         // Terminate any remaining VMs so billing stops at the makespan.
         let end = last_completion_time;
-        for vm in idle_vms.vms() {
+        for vm in s.idle_vms.vms() {
             provider.terminate(vm, end);
         }
-        for vm in assignments.vms() {
+        for vm in s.assignments.vms() {
             provider.terminate(vm, end);
         }
         let usage = provider.usage_report(end);
@@ -542,13 +422,95 @@ impl BatchService {
             makespan_hours: end,
             ideal_makespan_hours: prepared.ideal_makespan_hours,
             preemptions: preemptions_hitting_jobs,
-            job_restarts: total_restarts,
+            // Every job-hitting preemption restarts its job.
+            job_restarts: preemptions_hitting_jobs,
             vms_launched: usage.vms_launched,
             total_cost: usage.total_cost,
             total_work_hours: prepared.total_work_hours,
             vm_hours: usage.preemptible_vm_hours + usage.on_demand_vm_hours,
         })
     }
+
+    /// Starts pending jobs, in queue order, while fewer than `cluster_size` VMs are busy.
+    /// A job takes the lowest-id idle spare if that spare is alive and, on preemptible
+    /// billing, the scheduler approves reusing it; otherwise the spare is dropped (and
+    /// terminated if alive) and the job runs on a freshly launched VM.
+    fn dispatch(
+        &self,
+        now: f64,
+        bag: &BagOfJobs,
+        provider: &mut CloudProvider,
+        s: &mut Scratch,
+    ) -> Result<()> {
+        let billing = if self.config.use_preemptible {
+            BillingClass::Preemptible
+        } else {
+            BillingClass::OnDemand
+        };
+        while s.assignments.len() < self.config.cluster_size {
+            let Some(&job_index) = s.pending.front() else {
+                break;
+            };
+            let job_len = s.remaining[job_index];
+
+            let mut chosen = None;
+            if let Some(spare) = s.idle_vms.first() {
+                s.idle_vms.remove(spare);
+                if !provider.is_running(spare, now) {
+                    // Preempted while idle; its `VmPreempted` event is still queued.
+                } else if !self.config.use_preemptible
+                    || self.scheduler.decide(vm_age(provider, spare, now), job_len)
+                        == SchedulingDecision::ReuseExisting
+                {
+                    chosen = Some(spare);
+                } else {
+                    provider.terminate(spare, now);
+                }
+            }
+            let vm = match chosen {
+                Some(vm) => vm,
+                None => {
+                    let vm =
+                        provider.launch(self.config.vm_type, self.config.zone, billing, now)?;
+                    if let Some(p) = vm.preemption_time {
+                        s.queue.schedule_at(p, Event::VmPreempted { vm: vm.id });
+                    }
+                    vm.id
+                }
+            };
+            s.pending.pop_front();
+
+            let mut intervals = s.interval_pool.pop().unwrap_or_default();
+            let checkpoint_cost =
+                self.plan_intervals(job_len, vm_age(provider, vm, now), &mut intervals)?;
+            let assignment = Assignment {
+                assignment_id: s.assignments.next_id(),
+                job_index,
+                started_at: now,
+                base_progress: bag.jobs[job_index].estimated_runtime_hours - job_len,
+                intervals,
+                checkpoint_cost,
+            };
+            s.queue.schedule_at(
+                now + assignment.planned_duration(),
+                Event::JobFinished {
+                    vm,
+                    assignment: assignment.assignment_id,
+                },
+            );
+            s.assignments.insert(vm, assignment);
+        }
+        debug_assert!(
+            s.assignments.len() + s.idle_vms.0.len() <= self.config.cluster_size,
+            "busy plus idle VMs exceed the cluster size"
+        );
+        Ok(())
+    }
+}
+
+/// Age of `vm` at `now`, in hours (0 for an unknown id).
+fn vm_age(provider: &CloudProvider, vm: VmId, now: f64) -> f64 {
+    provider.get(vm).map_or(0.0, |vm| vm.age_at(now))
 }
 
 /// A bag of jobs with the figures of it that no trial changes: its total work and its

@@ -32,4 +32,4 @@ pub use events::EventQueue;
 pub use montecarlo::{resolve_threads, run_tasks, MonteCarloSummary};
 pub use pricing::PricingModel;
 pub use provider::{CloudProvider, ProviderConfig, ProviderTemplate, UsageReport};
-pub use vm::{BillingClass, VmHandle, VmId, VmInstance, VmState};
+pub use vm::{BillingClass, VmId, VmInstance, VmState};

@@ -81,30 +81,6 @@ impl VmInstance {
     }
 }
 
-/// A lightweight handle the controller keeps for a VM it owns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VmHandle {
-    /// Instance identifier.
-    pub id: VmId,
-    /// Machine type.
-    pub vm_type: VmType,
-    /// Zone.
-    pub zone: Zone,
-    /// Launch time.
-    pub launch_time: f64,
-}
-
-impl From<&VmInstance> for VmHandle {
-    fn from(vm: &VmInstance) -> Self {
-        VmHandle {
-            id: vm.id,
-            vm_type: vm.vm_type,
-            zone: vm.zone,
-            launch_time: vm.launch_time,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,14 +133,5 @@ mod tests {
         let vm = instance();
         assert_eq!(vm.billed_hours_at(2.0), 0.0);
         assert_eq!(vm.billed_hours_at(4.5), 2.5);
-    }
-
-    #[test]
-    fn handle_from_instance() {
-        let vm = instance();
-        let h = VmHandle::from(&vm);
-        assert_eq!(h.id, vm.id);
-        assert_eq!(h.vm_type, vm.vm_type);
-        assert_eq!(h.launch_time, vm.launch_time);
     }
 }

@@ -52,24 +52,36 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
+    /// The paper's checkpoint cost, minutes.
+    pub const DEFAULT_CHECKPOINT_COST_MINUTES: f64 = 1.0;
+    /// The paper's DP step, minutes.
+    pub const DEFAULT_DP_STEP_MINUTES: f64 = 5.0;
+    /// Time to acquire a replacement VM, minutes (the paper's setting).
+    const RESTART_OVERHEAD_MINUTES: f64 = 1.0;
+
+    /// A configuration from a checkpoint cost and a DP step, both in minutes, with the
+    /// paper's restart overhead.
+    pub fn from_minutes(checkpoint_cost_minutes: f64, dp_step_minutes: f64) -> Self {
+        CheckpointConfig {
+            checkpoint_cost_hours: checkpoint_cost_minutes / 60.0,
+            step_hours: dp_step_minutes / 60.0,
+            restart_overhead_hours: Self::RESTART_OVERHEAD_MINUTES / 60.0,
+        }
+    }
+
     /// The paper's evaluation settings: 1-minute checkpoints, 5-minute DP steps, 1-minute
     /// restart overhead.
     pub fn paper_defaults() -> Self {
-        CheckpointConfig {
-            checkpoint_cost_hours: 1.0 / 60.0,
-            step_hours: 5.0 / 60.0,
-            restart_overhead_hours: 1.0 / 60.0,
-        }
+        Self::from_minutes(
+            Self::DEFAULT_CHECKPOINT_COST_MINUTES,
+            Self::DEFAULT_DP_STEP_MINUTES,
+        )
     }
 
     /// A coarse configuration (15-minute steps) suitable for unit tests and quick sweeps.
     // lint:allow(dead-api) fast DP grid for tests in tcp-policy, tcp-advisor, tcp-calibrate and the root tests
     pub fn coarse() -> Self {
-        CheckpointConfig {
-            checkpoint_cost_hours: 1.0 / 60.0,
-            step_hours: 0.25,
-            restart_overhead_hours: 1.0 / 60.0,
-        }
+        Self::from_minutes(Self::DEFAULT_CHECKPOINT_COST_MINUTES, 15.0)
     }
 
     fn validate(&self) -> Result<()> {
@@ -584,14 +596,7 @@ mod tests {
             // (config, job steps): 15-minute steps with 1-minute checkpoints, and
             // 5-minute steps with 5-minute checkpoints.
             (CheckpointConfig::coarse(), 24),
-            (
-                CheckpointConfig {
-                    checkpoint_cost_hours: 5.0 / 60.0,
-                    step_hours: 5.0 / 60.0,
-                    restart_overhead_hours: 1.0 / 60.0,
-                },
-                16,
-            ),
+            (CheckpointConfig::from_minutes(5.0, 5.0), 16),
         ];
         for model in served_families() {
             let family = model.family().to_string();
@@ -833,11 +838,7 @@ mod tests {
             let family = model.family().to_string();
             let mut prev = 0.0f64;
             for &cost_minutes in &[0.5, 2.0, 8.0] {
-                let config = CheckpointConfig {
-                    checkpoint_cost_hours: cost_minutes / 60.0,
-                    step_hours: 0.25,
-                    restart_overhead_hours: 1.0 / 60.0,
-                };
+                let config = CheckpointConfig::from_minutes(cost_minutes, 15.0);
                 let policy = DpCheckpointPolicy::from_model(model.clone(), config).unwrap();
                 let v = policy.expected_makespan(4.0, 0.0).unwrap();
                 assert!(

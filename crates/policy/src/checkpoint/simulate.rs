@@ -28,9 +28,6 @@ pub trait CheckpointPlanner: Send + Sync {
 
     /// Cost of writing one checkpoint, hours.
     fn checkpoint_cost(&self) -> f64;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
 }
 
 impl CheckpointPlanner for DpCheckpointPolicy {
@@ -44,10 +41,6 @@ impl CheckpointPlanner for DpCheckpointPolicy {
     fn checkpoint_cost(&self) -> f64 {
         self.config().checkpoint_cost_hours
     }
-
-    fn name(&self) -> &'static str {
-        "model-driven-dp"
-    }
 }
 
 impl CheckpointPlanner for YoungDalyPolicy {
@@ -60,10 +53,6 @@ impl CheckpointPlanner for YoungDalyPolicy {
 
     fn checkpoint_cost(&self) -> f64 {
         self.checkpoint_cost_hours
-    }
-
-    fn name(&self) -> &'static str {
-        "young-daly"
     }
 }
 
@@ -83,10 +72,6 @@ impl CheckpointPlanner for NoCheckpointPlanner {
 
     fn checkpoint_cost(&self) -> f64 {
         0.0
-    }
-
-    fn name(&self) -> &'static str {
-        "no-checkpointing"
     }
 }
 
@@ -344,9 +329,6 @@ mod tests {
     fn planner_trait_metadata() {
         let m = model();
         let dp = DpCheckpointPolicy::new(m, CheckpointConfig::coarse()).unwrap();
-        assert_eq!(dp.name(), "model-driven-dp");
-        assert_eq!(YoungDalyPolicy::paper_baseline().name(), "young-daly");
-        assert_eq!(NoCheckpointPlanner.name(), "no-checkpointing");
         assert_eq!(NoCheckpointPlanner.checkpoint_cost(), 0.0);
         assert!(dp.checkpoint_cost() > 0.0);
     }

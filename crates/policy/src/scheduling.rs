@@ -32,9 +32,6 @@ pub trait SchedulerPolicy: Send + Sync {
     /// Decides where a job of length `job_len` (hours) should run, given the age (hours)
     /// of the currently available VM.
     fn decide(&self, vm_age: f64, job_len: f64) -> SchedulingDecision;
-
-    /// Human-readable policy name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// The paper's model-driven scheduler, generic over the lifetime model: the reuse rule
@@ -104,10 +101,6 @@ impl SchedulerPolicy for ModelDrivenScheduler {
             SchedulingDecision::LaunchFresh
         }
     }
-
-    fn name(&self) -> &'static str {
-        "model-driven"
-    }
 }
 
 /// The memoryless baseline: always reuse the running VM (VM age is ignored).
@@ -117,10 +110,6 @@ pub struct MemorylessScheduler;
 impl SchedulerPolicy for MemorylessScheduler {
     fn decide(&self, _vm_age: f64, _job_len: f64) -> SchedulingDecision {
         SchedulingDecision::ReuseExisting
-    }
-
-    fn name(&self) -> &'static str {
-        "memoryless"
     }
 }
 
@@ -178,7 +167,6 @@ mod tests {
         assert_eq!(sched.decide(8.0, 6.0), SchedulingDecision::ReuseExisting);
         // Do not reuse a VM about to hit the 24 h deadline for a 6 h job.
         assert_eq!(sched.decide(21.0, 6.0), SchedulingDecision::LaunchFresh);
-        assert_eq!(sched.name(), "model-driven");
     }
 
     #[test]
@@ -187,7 +175,6 @@ mod tests {
         for age in [0.0, 5.0, 20.0, 23.9] {
             assert_eq!(sched.decide(age, 6.0), SchedulingDecision::ReuseExisting);
         }
-        assert_eq!(sched.name(), "memoryless");
     }
 
     #[test]

@@ -137,8 +137,10 @@ pub fn expand(spec: &SweepSpec) -> Result<ExpandedGrid> {
     let jobs_axis = workload.jobs.unwrap_or_else(|| vec![40]);
     let ckpt_cost_axis = workload
         .checkpoint_cost_minutes
-        .unwrap_or_else(|| vec![1.0]);
-    let dp_step_minutes = workload.dp_step_minutes.unwrap_or(5.0);
+        .unwrap_or_else(|| vec![CheckpointConfig::DEFAULT_CHECKPOINT_COST_MINUTES]);
+    let dp_step_minutes = workload
+        .dp_step_minutes
+        .unwrap_or(CheckpointConfig::DEFAULT_DP_STEP_MINUTES);
     if !(dp_step_minutes > 0.0) || !dp_step_minutes.is_finite() {
         return Err(NumericsError::invalid(
             "workload.dp_step_minutes must be positive",
@@ -237,11 +239,10 @@ pub fn expand(spec: &SweepSpec) -> Result<ExpandedGrid> {
             use_preemptible: billings[bi],
             scheduling: schedulings[pi],
             checkpointing: checkpointings[ki],
-            checkpoint_config: CheckpointConfig {
-                checkpoint_cost_hours: checkpoint_cost_minutes / 60.0,
-                step_hours: dp_step_minutes / 60.0,
-                restart_overhead_hours: 1.0 / 60.0,
-            },
+            checkpoint_config: CheckpointConfig::from_minutes(
+                checkpoint_cost_minutes,
+                dp_step_minutes,
+            ),
             hot_spare_hours: hot_spares[hi],
             seed: 0, // per-trial seeds are derived by the runner
         };

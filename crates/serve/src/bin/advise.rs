@@ -41,6 +41,7 @@ use tcp_advisor::{
 use tcp_calibrate::RegimeCatalog;
 use tcp_obs::cli::{next_value, parse};
 use tcp_obs::Periodic;
+use tcp_policy::CheckpointConfig;
 use tcp_scenarios::SweepSpec;
 use tcp_serve::{run_client, run_top, ServeOptions, Server, TopOptions};
 
@@ -86,12 +87,15 @@ commands:
                                  (atomically, via rename; a stale one is removed
                                  at startup, before anything can fail)
       --metrics-file FILE        write a Prometheus text exposition here periodically
-                                 (atomically, via rename; final write after drain)
+                                 (atomically, via rename; final write after drain;
+                                 exits 1 if the first write fails, later failures
+                                 log a `serve.metrics.write_failed` warning)
       --metrics-interval S       seconds between exposition writes (default 5)
       --no-metrics               disable latency recording (histograms/span timers;
                                  counters keep serving `!stats`)
       --trace-file FILE          write a Chrome trace-event JSON dump of the flight
-                                 recorder here at shutdown (atomically, via rename);
+                                 recorder here at shutdown (atomically, via rename;
+                                 a failed write logs `serve.trace.dump_failed`);
                                  load it in chrome://tracing or Perfetto
       --trace-sample R           deterministic trace sampling rate as `1/N` or `N`
                                  (0 = off; default 1 = every request when
@@ -143,7 +147,7 @@ fn cmd_build(argv: &[String]) -> Result<(), String> {
     let mut out = PathBuf::from("pack.json");
     let mut builder = PackBuilder::default();
     let mut checkpoint_costs: Vec<f64> = Vec::new();
-    let mut dp_step_minutes = 5.0f64;
+    let mut dp_step_minutes = CheckpointConfig::DEFAULT_DP_STEP_MINUTES;
     let mut threads = 0usize;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -181,7 +185,7 @@ fn cmd_build(argv: &[String]) -> Result<(), String> {
         }
         let catalog = RegimeCatalog::load(&catalog_path).map_err(|e| e.to_string())?;
         if checkpoint_costs.is_empty() {
-            checkpoint_costs.push(1.0);
+            checkpoint_costs.push(CheckpointConfig::DEFAULT_CHECKPOINT_COST_MINUTES);
         }
         let multi = builder
             .build_from_catalog(&catalog, &checkpoint_costs, dp_step_minutes, threads)
@@ -329,9 +333,21 @@ fn write_atomic(path: &Path, tmp_ext: &str, text: &str) -> std::io::Result<()> {
 }
 
 /// Writes the global registry as a Prometheus text exposition to `path`.
-fn write_exposition(path: &Path) {
+fn write_exposition(path: &Path) -> std::io::Result<()> {
     let text = tcp_obs::Registry::global().snapshot().to_prometheus();
-    let _ = write_atomic(path, "prom.tmp", &text);
+    write_atomic(path, "prom.tmp", &text)
+}
+
+/// Logs a failed write of `path` as one `warn` event named `site`.
+fn warn_if_failed(site: &str, path: &Path, written: std::io::Result<()>) {
+    if let Err(e) = written {
+        tcp_obs::event!(
+            warn,
+            site,
+            path = path.display().to_string(),
+            error = e.to_string(),
+        );
+    }
 }
 
 /// Parses `--trace-sample`, accepting both `1/N` (the documented reading) and a bare
@@ -431,6 +447,11 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
     // The evaluator reads registry snapshots on its own thread (like the exposition
     // writer below); dropping the handle after the drain stops and joins it.
     let _evaluator = slo_spec.map(|spec| tcp_obs::health::spawn_evaluator(spec, alert_log.clone()));
+    // The first exposition is written before the port file, so a metrics path that
+    // cannot be written fails the run before a readiness loop sees the address.
+    if let Some(path) = &metrics_file {
+        write_exposition(path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
     if let Some(path) = &port_file {
         write_atomic(path, "port.tmp", &format!("{addr}\n"))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -438,24 +459,26 @@ fn cmd_listen(argv: &[String]) -> Result<(), String> {
     // The exposition writer is strictly out-of-band: it reads registry snapshots on
     // its own thread and never touches the serving path, so response bytes are
     // unaffected by whether (or how often) it runs.
-    let metrics_writer = metrics_file.as_ref().map(|path| {
-        write_exposition(path);
-        let path = path.clone();
+    let metrics_writer = metrics_file.clone().map(|path| {
         Periodic::spawn("advise-metrics", metrics_interval, move || {
-            write_exposition(&path)
+            warn_if_failed("serve.metrics.write_failed", &path, write_exposition(&path))
         })
     });
     let report = server.join();
     drop(metrics_writer);
     if let Some(path) = &metrics_file {
         // One final write after the drain so the file holds the complete totals.
-        write_exposition(path);
+        warn_if_failed("serve.metrics.write_failed", path, write_exposition(path));
     }
     if let Some(path) = &trace_file {
         // Written once, after the drain: the flight recorder keeps the most recent
         // retained spans at bounded memory, so this is a dump, not an append log.
         let text = tcp_obs::trace::chrome_trace_json(&tcp_obs::trace::recent_spans());
-        let _ = write_atomic(path, "trace.tmp", &text);
+        warn_if_failed(
+            "serve.trace.dump_failed",
+            path,
+            write_atomic(path, "trace.tmp", &text),
+        );
     }
     if let Some(path) = &profile_file {
         // Disarm first (stops and joins the sampler thread), then dump everything
