@@ -849,9 +849,22 @@ pub fn dump_to(path: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Depth of the calling thread's stack mirror: the span guards it holds open
+    /// while the profiler gate is on.
+    pub(crate) fn thread_mirror_depth() -> u64 {
+        MIRRORS
+            .with_local(
+                &THREAD_MIRROR,
+                |_| StackMirror::new(),
+                |mirror| mirror.0.read(|words| words[0].load(Ordering::Relaxed)),
+            )
+            .flatten()
+            .expect("the owning thread reads its own mirror untorn")
+    }
 
     fn stacks(raw: &[(&[&str], u64)]) -> Vec<(Vec<String>, u64)> {
         raw.iter()

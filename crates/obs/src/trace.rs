@@ -1055,4 +1055,245 @@ mod tests {
         assert_eq!(wait.arg, 77);
         configure(0, 0);
     }
+
+    /// The `trace.*` counters: sampled, slow-retained and discarded roots, then
+    /// committed and truncated spans.
+    fn counter_values() -> [u64; 5] {
+        let c = trace_counters();
+        [
+            c.roots_sampled.get(),
+            c.roots_slow.get(),
+            c.roots_discarded.get(),
+            c.spans_committed.get(),
+            c.spans_truncated.get(),
+        ]
+    }
+
+    /// What the active trace of a guard program should have buffered: spans
+    /// kept and spans past [`MAX_SPANS_PER_TRACE`].
+    struct Buffered {
+        spans: u64,
+        truncated: u64,
+    }
+
+    /// A random guard program, decoded draw by draw (`draw % 8` picks the step)
+    /// and run through fixed macro call sites.  It keeps its own account of the
+    /// guards it holds open and of what the active trace buffers, and checks
+    /// every trace-level root against the recorder when it closes.
+    struct Program<'a> {
+        draws: &'a [u64],
+        next: usize,
+        next_seed: u64,
+        open: u64,
+        mirrored: bool,
+        trace: Option<Buffered>,
+        /// Counter moves of the trace-level roots checked so far.
+        accounted: [u64; 5],
+    }
+
+    impl Program<'_> {
+        fn run(&mut self, depth: usize) {
+            while let Some(&draw) = self.draws.get(self.next) {
+                self.next += 1;
+                match draw % 8 {
+                    0 if depth > 0 => return,
+                    0 | 7 => {
+                        let _leaf = crate::span!("test.prop.leaf", draw);
+                        self.opened();
+                        self.closed();
+                    }
+                    1 | 2 => {
+                        let _span = crate::span!("test.prop.span", draw);
+                        self.opened();
+                        self.run(depth + 1);
+                        self.closed();
+                    }
+                    3 => self.root(draw, depth),
+                    4 => {
+                        let started = Instant::now();
+                        std::hint::black_box((0..draw % 64).sum::<u64>());
+                        complete_span(site_id("test.prop.wait"), started, draw);
+                        self.buffer_one();
+                    }
+                    5 => {
+                        for i in 0..1 + (draw >> 3) % 6 {
+                            let _leaf = crate::span!("test.prop.fanout", i);
+                            self.opened();
+                            self.closed();
+                        }
+                    }
+                    _ => {
+                        // One draw in eight of these overfills the trace.
+                        let leaves = if (draw >> 3) % 8 == 0 {
+                            MAX_SPANS_PER_TRACE as u64 + 1 + (draw >> 6) % 4
+                        } else {
+                            1
+                        };
+                        for i in 0..leaves {
+                            let _leaf = crate::span!("test.prop.burst", i);
+                            self.opened();
+                            self.closed();
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A guard was just opened: one more buffered span and one more mirror
+        /// frame.
+        fn opened(&mut self) {
+            self.open += 1;
+            self.buffer_one();
+            let expected = if self.mirrored { self.open } else { 0 };
+            assert_eq!(crate::profile::tests::thread_mirror_depth(), expected);
+        }
+
+        fn closed(&mut self) {
+            self.open -= 1;
+        }
+
+        fn buffer_one(&mut self) {
+            if let Some(trace) = &mut self.trace {
+                if trace.spans < MAX_SPANS_PER_TRACE as u64 {
+                    trace.spans += 1;
+                } else {
+                    trace.truncated += 1;
+                }
+            }
+        }
+
+        fn root(&mut self, draw: u64, depth: usize) {
+            let seed = self.next_seed;
+            self.next_seed += 1;
+            if self.trace.is_some() {
+                // Inside an active trace a root is an ordinary child.
+                let _root = crate::root_span!("test.prop.root", seed, draw);
+                self.opened();
+                self.run(depth + 1);
+                self.closed();
+                return;
+            }
+            let active = tracing_configured() && (sampled(seed) || slow_threshold_ns() > 0);
+            if active {
+                clear();
+            }
+            let (before, accounted) = (counter_values(), self.accounted);
+            {
+                let _root = crate::root_span!("test.prop.root", seed, draw);
+                self.open += 1;
+                if active {
+                    self.trace = Some(Buffered {
+                        spans: 1,
+                        truncated: 0,
+                    });
+                }
+                let expected = if self.mirrored { self.open } else { 0 };
+                assert_eq!(crate::profile::tests::thread_mirror_depth(), expected);
+                self.run(depth + 1);
+            }
+            self.open -= 1;
+            assert!(ACTIVE.with(|cell| cell.borrow().is_none()));
+            let mut delta = counter_values();
+            for (d, b) in delta.iter_mut().zip(before) {
+                *d -= b;
+            }
+            let records = recent_spans();
+            let Some(buffered) = self.trace.take() else {
+                // An inert root commits nothing: only the roots opened inside it
+                // moved the counters.
+                let mut inner = self.accounted;
+                for (i, a) in inner.iter_mut().zip(accounted) {
+                    *i -= a;
+                }
+                assert_eq!(delta, inner, "an inert root moved the counters");
+                let trace_id = mix64(seed) | 1;
+                assert!(!records.iter().any(|r| r.trace_id == trace_id));
+                return;
+            };
+            for (a, d) in self.accounted.iter_mut().zip(delta) {
+                *a += d;
+            }
+            let is_sampled = sampled(seed);
+            let is_slow = delta[1] == 1;
+            let committed = is_sampled || is_slow;
+            assert_eq!(delta[0], is_sampled as u64);
+            assert!(delta[1] <= 1);
+            if matches!(slow_threshold_ns(), 0 | u64::MAX) {
+                assert!(!is_slow, "slow retention without a reachable threshold");
+            }
+            assert_eq!(delta[2], !committed as u64);
+            if !committed {
+                assert_eq!(&delta[3..], [0, 0], "a discarded trace counted spans");
+                assert!(records.is_empty(), "a discarded trace left records");
+                return;
+            }
+            assert_eq!(delta[3], buffered.spans);
+            assert_eq!(delta[4], buffered.truncated);
+            assert_eq!(
+                records.len() as u64,
+                buffered.spans.min(RING_CAPACITY as u64)
+            );
+            let trace_id = records[0].trace_id;
+            assert!(records.iter().all(|r| r.trace_id == trace_id));
+            if buffered.spans > RING_CAPACITY as u64 {
+                return; // the ring kept only the newest records of this trace
+            }
+            let by_id: BTreeMap<u64, &SpanRecord> =
+                records.iter().map(|r| (r.span_id, r)).collect();
+            assert_eq!(by_id.len(), records.len(), "span ids repeat");
+            let roots: Vec<&SpanRecord> = records.iter().filter(|r| r.parent_id == 0).collect();
+            assert_eq!(roots.len(), 1, "a committed trace has exactly one root");
+            assert_eq!(site_name(roots[0].site), "test.prop.root");
+            assert_eq!(roots[0].arg, draw);
+            assert_eq!(roots[0].flags & FLAG_SLOW != 0, is_slow);
+            for r in records.iter().filter(|r| r.parent_id != 0) {
+                let parent = by_id[&r.parent_id];
+                assert_eq!(r.flags, 0);
+                assert!(
+                    r.start_ns >= parent.start_ns,
+                    "child starts before its parent"
+                );
+                assert!(
+                    r.start_ns + r.dur_ns <= parent.start_ns + parent.dur_ns,
+                    "child ends after its parent"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        // Random guard programs (nesting, fan-out, nested roots, waits, bursts
+        // past the span cap) under random sampling, slow-log and profiler
+        // settings: every committed trace is one tree, every other root leaves
+        // nothing, the counters agree, and the stack mirror unwinds.
+        #[test]
+        fn random_guard_programs_commit_trees_and_unwind(
+            draws in proptest::collection::vec(0u64..1 << 16, 0..48),
+            setting in 0u64..32,
+            first_seed in 0u64..1 << 32,
+        ) {
+            let _gate = lock();
+            let slow_ns = [0, 1, 20_000, u64::MAX][(setting / 4 % 4) as usize];
+            configure(setting % 4, slow_ns);
+            let mirrored = setting >= 16;
+            set_profile_gate(mirrored);
+            let mut program = Program {
+                draws: &draws,
+                next: 0,
+                next_seed: first_seed,
+                open: 0,
+                mirrored,
+                trace: None,
+                accounted: [0; 5],
+            };
+            program.run(0);
+            assert_eq!(program.open, 0);
+            assert_eq!(crate::profile::tests::thread_mirror_depth(), 0);
+            assert!(ACTIVE.with(|cell| cell.borrow().is_none()));
+            set_profile_gate(false);
+            configure(0, 0);
+        }
+    }
 }
