@@ -35,8 +35,8 @@ use tcp_workloads::BagOfJobs;
 /// Events the controller reacts to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
-    /// A job assignment finished successfully (stale if the assignment id is outdated).
-    JobFinished { vm: VmId, assignment: u64 },
+    /// A job assignment finished successfully (stale if the VM was preempted first).
+    JobFinished { vm: VmId },
     /// The provider preempted a VM.
     VmPreempted { vm: VmId },
     /// An idle hot spare reached its retention limit (stale if the VM was reused since).
@@ -46,7 +46,6 @@ enum Event {
 /// State of a job currently assigned to a VM.
 #[derive(Debug, Clone)]
 struct Assignment {
-    assignment_id: u64,
     job_index: usize,
     started_at: f64,
     /// Work (hours) already safely checkpointed before this assignment started.
@@ -96,22 +95,11 @@ struct Assignments {
     slots: Vec<Option<Assignment>>,
     /// Number of occupied slots.
     busy: usize,
-    /// Id of the next assignment, unique within the trial.
-    next_id: u64,
 }
 
 impl Assignments {
     fn len(&self) -> usize {
         self.busy
-    }
-
-    fn next_id(&mut self) -> u64 {
-        self.next_id += 1;
-        self.next_id - 1
-    }
-
-    fn get(&self, vm: VmId) -> Option<&Assignment> {
-        self.slots.get(vm.0 as usize)?.as_ref()
     }
 
     fn insert(&mut self, vm: VmId, assignment: Assignment) {
@@ -142,7 +130,6 @@ impl Assignments {
     fn clear(&mut self) {
         self.slots.clear();
         self.busy = 0;
-        self.next_id = 0;
     }
 }
 
@@ -352,15 +339,12 @@ impl BatchService {
             };
 
             match event {
-                Event::JobFinished { vm, assignment } => {
-                    let matches = s
-                        .assignments
-                        .get(vm)
-                        .is_some_and(|a| a.assignment_id == assignment);
-                    if !matches {
-                        continue; // stale completion from a preempted assignment
-                    }
-                    let a = s.assignments.remove(vm).expect("checked above");
+                Event::JobFinished { vm } => {
+                    // A stale completion belongs to a preempted VM, whose slot stays
+                    // empty: dispatch never reassigns a dead VM.
+                    let Some(a) = s.assignments.remove(vm) else {
+                        continue;
+                    };
                     completed_jobs += 1;
                     last_completion_time = now;
                     s.interval_pool.push(a.intervals);
@@ -484,7 +468,6 @@ impl BatchService {
             let checkpoint_cost =
                 self.plan_intervals(job_len, vm_age(provider, vm, now), &mut intervals)?;
             let assignment = Assignment {
-                assignment_id: s.assignments.next_id(),
                 job_index,
                 started_at: now,
                 base_progress: bag.jobs[job_index].estimated_runtime_hours - job_len,
@@ -493,10 +476,7 @@ impl BatchService {
             };
             s.queue.schedule_at(
                 now + assignment.planned_duration(),
-                Event::JobFinished {
-                    vm,
-                    assignment: assignment.assignment_id,
-                },
+                Event::JobFinished { vm },
             );
             s.assignments.insert(vm, assignment);
         }

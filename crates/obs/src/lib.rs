@@ -21,10 +21,10 @@
 //! - **Exposition** — [`RegistrySnapshot::to_json_line`] (one line of sorted-key
 //!   JSON for log pipelines) and [`RegistrySnapshot::to_prometheus`] (text
 //!   exposition format 0.0.4 for scraping).
-//! - **[`trace`]** — request-scoped structured tracing: RAII spans on an implicit
-//!   thread-local stack ([`span!`] / [`root_span!`]), a per-thread flight-recorder
-//!   ring buffer, deterministic `1/N` trace sampling, a slow-request log, and
-//!   Chrome trace-event / per-site summary exporters.  Aggregates say how the
+//! - **[`trace`]** — request-scoped structured tracing: one RAII span guard on
+//!   an implicit thread-local stack ([`span!`] / [`root_span!`]), a per-thread
+//!   flight-recorder ring buffer, deterministic `1/N` trace sampling, a
+//!   slow-request log, and Chrome trace-event / per-site summary exporters.  Aggregates say how the
 //!   fleet is doing; traces say where one request's time went.
 //! - **[`log`]** — a leveled structured event log ([`event!`]): one-line sorted-key
 //!   JSON records with per-site token-bucket rate limiting and a bounded ring of
@@ -239,8 +239,8 @@ macro_rules! span {
 /// If the thread already has an active trace the root nests as a child span, so
 /// per-request roots compose with an enclosing per-connection root.  At drop the
 /// trace commits to the flight recorder if sampled — or, regardless of sampling,
-/// if the root reached the configured slow threshold.  See
-/// [`trace::RootSpan::enter`].
+/// if the root reached the configured slow threshold.  The guard is the same
+/// [`trace::Span`] type [`span!`] returns; see [`trace::Span::root`].
 #[macro_export]
 macro_rules! root_span {
     ($name:expr, $seed:expr) => {
@@ -249,13 +249,13 @@ macro_rules! root_span {
     ($name:expr, $seed:expr, $arg:expr) => {{
         if $crate::trace::instrumented() {
             static SITE: ::std::sync::OnceLock<u32> = ::std::sync::OnceLock::new();
-            $crate::trace::RootSpan::enter(
+            $crate::trace::Span::root(
                 *SITE.get_or_init(|| $crate::trace::site_id($name)),
                 $seed as u64,
                 $arg as u64,
             )
         } else {
-            $crate::trace::RootSpan::inert()
+            $crate::trace::Span::inert()
         }
     }};
 }

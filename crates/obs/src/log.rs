@@ -33,11 +33,9 @@ use std::time::Instant;
 /// How many warn/error records [`recent_errors`] retains.
 const ERROR_RING_CAPACITY: usize = 128;
 
-/// Event severity, ordered: `Debug < Info < Warn < Error`.
+/// Event severity, ordered: `Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
-    /// Development-time detail, off by default.
-    Debug,
     /// Normal operational milestones (startup, drain, heartbeat).
     Info,
     /// Something degraded but the process keeps serving.
@@ -50,7 +48,6 @@ impl Level {
     /// The lowercase name used in rendered records.
     pub fn as_str(self) -> &'static str {
         match self {
-            Level::Debug => "debug",
             Level::Info => "info",
             Level::Warn => "warn",
             Level::Error => "error",
@@ -193,13 +190,6 @@ pub fn now_monotonic_secs() -> f64 {
     crate::trace::since_epoch_ns(Instant::now()) as f64 / 1e9
 }
 
-/// Whether `level` reaches the sink (and the ring): [`Level::Info`] and above.
-/// Records below it are dropped at the macro call site.
-#[inline]
-pub fn level_enabled(level: Level) -> bool {
-    level >= Level::Info
-}
-
 /// Token bucket state for one site.
 struct SiteBucket {
     tokens: f64,
@@ -280,12 +270,8 @@ pub fn clear_recent_errors() {
 
 /// Emits one event: applies the per-site token bucket, renders the record as one
 /// JSON line into the sink, and retains warn/error records in the recent ring.
-/// Most call sites use the [`crate::event!`] macro, which also applies the
-/// min-level filter before paying for argument construction.
+/// Most call sites use the [`crate::event!`] macro.
 pub fn emit(level: Level, site: &str, args: Vec<(String, EventValue)>) {
-    if !level_enabled(level) {
-        return;
-    }
     let now_secs = now_monotonic_secs();
     let ts_ns = (now_secs * 1e9) as u64;
     let mut st = state().lock().expect("log state poisoned");
@@ -332,18 +318,14 @@ pub fn emit(level: Level, site: &str, args: Vec<(String, EventValue)>) {
 /// Emits a structured event record: `obs::event!(warn, "serve.overload",
 /// shed = n, inflight = m);`.
 ///
-/// The first argument is the level ident (`debug` / `info` / `warn` / `error`),
-/// the second the dotted site name, then any number of `key = value` pairs where
-/// the value converts into [`log::EventValue`](crate::log::EventValue) (integers,
-/// floats, bools, strings).  `debug` records are dropped at the call site
-/// ([`log::level_enabled`](crate::log::level_enabled)); passing records are rendered as one line of sorted-key JSON on stderr,
-/// rate-limited per site, with warn/error records additionally retained for
-/// [`log::recent_errors`](crate::log::recent_errors).
+/// The first argument is the level ident (`info` / `warn` / `error`), the second
+/// the dotted site name, then any number of `key = value` pairs where the value
+/// converts into [`log::EventValue`](crate::log::EventValue) (integers, floats,
+/// bools, strings).  Records are rendered as one line of sorted-key JSON on
+/// stderr, rate-limited per site, with warn/error records additionally retained
+/// for [`log::recent_errors`](crate::log::recent_errors).
 #[macro_export]
 macro_rules! event {
-    (debug, $site:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::event!(@emit $crate::log::Level::Debug, $site $(, $key = $value)*)
-    };
     (info, $site:expr $(, $key:ident = $value:expr)* $(,)?) => {
         $crate::event!(@emit $crate::log::Level::Info, $site $(, $key = $value)*)
     };
@@ -353,20 +335,18 @@ macro_rules! event {
     (error, $site:expr $(, $key:ident = $value:expr)* $(,)?) => {
         $crate::event!(@emit $crate::log::Level::Error, $site $(, $key = $value)*)
     };
-    (@emit $level:expr, $site:expr $(, $key:ident = $value:expr)*) => {{
-        if $crate::log::level_enabled($level) {
-            $crate::log::emit(
-                $level,
-                $site,
-                ::std::vec![$(
-                    (
-                        ::std::string::String::from(::std::stringify!($key)),
-                        $crate::log::EventValue::from($value),
-                    )
-                ),*],
-            );
-        }
-    }};
+    (@emit $level:expr, $site:expr $(, $key:ident = $value:expr)*) => {
+        $crate::log::emit(
+            $level,
+            $site,
+            ::std::vec![$(
+                (
+                    ::std::string::String::from(::std::stringify!($key)),
+                    $crate::log::EventValue::from($value),
+                )
+            ),*],
+        )
+    };
 }
 
 #[cfg(test)]
@@ -412,7 +392,6 @@ mod tests {
 
     #[test]
     fn levels_order_and_filter() {
-        assert!(Level::Debug < Level::Info);
         assert!(Level::Info < Level::Warn);
         assert!(Level::Warn < Level::Error);
         assert_eq!(Level::Warn.as_str(), "warn");
@@ -464,14 +443,6 @@ mod tests {
             .unwrap()
             .iter()
             .any(|l| l.contains("test.info_only")));
-
-        // Min-level filtering drops debug events entirely.
-        crate::event!(debug, "test.debug_dropped");
-        assert!(buffer
-            .lock()
-            .unwrap()
-            .iter()
-            .all(|l| !l.contains("test.debug_dropped")));
 
         set_rate_limit(16, 8.0);
         capture_stop();

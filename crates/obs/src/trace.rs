@@ -13,10 +13,11 @@
 //!   `u32` id), a start offset and duration in monotonic nanoseconds since the
 //!   process trace epoch, a small `u64` argument, and its position in a tree
 //!   (`trace_id`, `span_id`, `parent_id`).
-//! * Spans nest through an implicit thread-local stack: [`RootSpan`] opens a
-//!   request-scoped trace, [`Span`] guards opened underneath it become children of
-//!   whatever is innermost, and everything is RAII — no context threading by hand.
-//!   (See the [`crate::root_span!`] and [`crate::span!`] macros.)
+//! * Spans nest through an implicit thread-local stack, behind one RAII guard:
+//!   [`Span::root`] opens a request-scoped trace (or, inside an active trace, an
+//!   ordinary child), [`Span::enter`] opens a child of whatever is innermost, and
+//!   the root's drop commits or discards the whole trace — no context threading
+//!   by hand.  (See the [`crate::root_span!`] and [`crate::span!`] macros.)
 //! * Completed traces are committed to the **flight recorder**: per-thread
 //!   fixed-capacity ring buffers ([`RING_CAPACITY`] records each) that the owning
 //!   thread writes without locks and any thread snapshots via [`recent_spans`].
@@ -346,6 +347,7 @@ struct ActiveTrace {
     /// Indices into `spans` of the currently open ancestors, innermost last.
     stack: Vec<usize>,
     /// Every span of this trace, committed or discarded wholesale at root exit.
+    /// The root's record is always at index 0.
     spans: Vec<SpanRecord>,
     truncated: u64,
 }
@@ -373,16 +375,74 @@ fn trace_counters() -> &'static TraceCounters {
     })
 }
 
-/// An RAII guard for a span nested inside the current thread's active trace.
+impl ActiveTrace {
+    /// Buffers a record for `site` under the innermost open span (a parent id of
+    /// `0` makes it the root) and returns its index, or `None` past
+    /// [`MAX_SPANS_PER_TRACE`].  Every span record is opened here.
+    fn open_record(&mut self, site: u32, started: Instant, dur_ns: u64, arg: u64) -> Option<usize> {
+        if self.spans.len() >= MAX_SPANS_PER_TRACE {
+            self.truncated += 1;
+            return None;
+        }
+        let parent_id = self.stack.last().map_or(0, |&i| self.spans[i].span_id);
+        self.spans.push(SpanRecord {
+            trace_id: self.trace_id,
+            span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
+            parent_id,
+            site,
+            lane: 0,
+            flags: 0,
+            start_ns: since_epoch_ns(started),
+            dur_ns,
+            arg,
+        });
+        Some(self.spans.len() - 1)
+    }
+
+    /// Commits the closed trace to this thread's flight recorder if it was
+    /// sampled or its root reached the slow threshold; otherwise discards it.
+    fn commit(mut self) {
+        let dur_ns = self.spans[0].dur_ns;
+        let slow_ns = slow_threshold_ns();
+        let is_slow = slow_ns > 0 && dur_ns >= slow_ns;
+        let counters = trace_counters();
+        if !self.is_sampled && !is_slow {
+            counters.roots_discarded.incr();
+            return;
+        }
+        if is_slow {
+            self.spans[0].flags |= FLAG_SLOW;
+            counters.roots_slow.incr();
+        }
+        if self.is_sampled {
+            counters.roots_sampled.incr();
+        }
+        counters.spans_committed.add(self.spans.len() as u64);
+        if self.truncated > 0 {
+            counters.spans_truncated.add(self.truncated);
+        }
+        let make = |lane: usize| Ring::new(lane as u16);
+        RECORDERS.with_local(&THREAD_RING, make, |ring| {
+            for record in &mut self.spans {
+                record.lane = ring.lane;
+                ring.push(record);
+            }
+        });
+    }
+}
+
+/// An RAII span guard: a child of the innermost open span on this thread, or
+/// the root of a request-scoped trace that its drop commits or discards.
 ///
-/// Created by [`Span::enter`] (usually via the [`crate::span!`] macro).  Inert —
-/// a no-op shell — when tracing is off or no trace is active on this thread, so
+/// Created by [`Span::enter`] and [`Span::root`] (usually via the
+/// [`crate::span!`] and [`crate::root_span!`] macros).  Inert — a no-op shell —
+/// when tracing is off or the guard has no trace to record into, so
 /// instrumented code needs no conditionals.
 #[must_use = "a span measures until dropped; binding it to `_` drops immediately"]
 pub struct Span {
-    /// Index into the active trace's span buffer, or `usize::MAX` when inert.
-    index: usize,
-    started: Option<Instant>,
+    /// The guard's index in the active trace's span buffer (`0` for the root)
+    /// and its start, or `None` when it records nothing.
+    record: Option<(usize, Instant)>,
     /// Whether this guard pushed the profiler's stack mirror and owes a pop.
     mirror_pushed: bool,
 }
@@ -392,253 +452,118 @@ impl Span {
     pub fn inert() -> Span {
         // No clock read: the inert guard must cost nothing beyond its construction.
         Span {
-            index: usize::MAX,
-            started: None,
+            record: None,
             mirror_pushed: false,
         }
     }
 
     /// Opens a child of the innermost open span on this thread, carrying `arg`.
-    ///
-    /// Inert when neither tracing nor the profiler is on.  When only the
-    /// profiler is armed the guard records no trace span but still maintains
-    /// the thread's stack mirror, so wall-clock samples see the full stack.
+    /// Records nothing when no trace is active on this thread.
     #[inline]
     pub fn enter(site: u32, arg: u64) -> Span {
+        Span::open(site, None, arg)
+    }
+
+    /// Opens a trace root at `site` for the request identified by `seed`.
+    ///
+    /// `seed` drives deterministic sampling (see [`sampled`]); `arg` is stored on
+    /// the root record.  If this thread already has an active trace the root is
+    /// an ordinary child, which lets per-request roots compose with an enclosing
+    /// per-connection root when batches run inline.  Otherwise the guard's drop
+    /// commits the trace to the flight recorder if its seed was sampled, or —
+    /// whatever the sampling decision — if the root ran at least the configured
+    /// slow threshold (the slow-request log); every other trace is discarded,
+    /// leaving nothing behind but one counter increment.
+    #[inline]
+    pub fn root(site: u32, seed: u64, arg: u64) -> Span {
+        Span::open(site, Some(seed), arg)
+    }
+
+    /// Both constructors' gate check and stack-mirror push.  Inert when neither
+    /// tracing nor the profiler is on.  When the profiler is armed the guard
+    /// maintains the thread's stack mirror whether or not it records a trace
+    /// span, so wall-clock samples see the full stack.
+    #[inline]
+    fn open(site: u32, seed: Option<u64>, arg: u64) -> Span {
         let gates = gates();
         if gates == 0 {
             return Span::inert();
         }
         let mirror_pushed = gates & GATE_PROFILE != 0 && crate::profile::push_site(site);
-        if gates & GATE_TRACE == 0 {
-            return Span {
-                index: usize::MAX,
-                started: None,
-                mirror_pushed,
-            };
-        }
-        ACTIVE.with(|cell| {
-            let mut active = cell.borrow_mut();
-            let Some(trace) = active.as_mut() else {
-                return Span {
-                    index: usize::MAX,
-                    started: None,
-                    mirror_pushed,
-                };
-            };
-            let mut span = Span::open_in(trace, site, arg);
-            span.mirror_pushed = mirror_pushed;
-            span
-        })
-    }
-
-    fn open_in(trace: &mut ActiveTrace, site: u32, arg: u64) -> Span {
-        if trace.spans.len() >= MAX_SPANS_PER_TRACE {
-            trace.truncated += 1;
-            return Span::inert();
-        }
-        let started = Instant::now();
-        let parent_id = trace
-            .stack
-            .last()
-            .map(|&i| trace.spans[i].span_id)
-            .unwrap_or(0);
-        let index = trace.spans.len();
-        trace.spans.push(SpanRecord {
-            trace_id: trace.trace_id,
-            span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-            parent_id,
-            site,
-            lane: 0,
-            flags: 0,
-            start_ns: since_epoch_ns(started),
-            dur_ns: 0,
-            arg,
-        });
-        trace.stack.push(index);
+        let record = if gates & GATE_TRACE != 0 {
+            ACTIVE.with(|cell| Span::record_in(&mut cell.borrow_mut(), site, seed, arg))
+        } else {
+            None
+        };
         Span {
-            index,
-            started: Some(started),
-            mirror_pushed: false,
+            record,
+            mirror_pushed,
         }
     }
 
-    fn close_in(trace: &mut ActiveTrace, index: usize, started: Instant) {
-        trace.spans[index].dur_ns = started.elapsed().as_nanos() as u64;
-        // Guards drop in LIFO order, so the top of the stack is this span; tolerate
-        // out-of-order drops (mem::forget'd siblings) by searching from the top.
-        if let Some(pos) = trace.stack.iter().rposition(|&i| i == index) {
-            trace.stack.remove(pos);
+    /// Opens the guard's record in the thread's active trace, first starting
+    /// one if `seed` makes this a root that is sampled or the slow log watches.
+    fn record_in(
+        active: &mut Option<ActiveTrace>,
+        site: u32,
+        seed: Option<u64>,
+        arg: u64,
+    ) -> Option<(usize, Instant)> {
+        let trace = match active {
+            Some(trace) => trace,
+            None => {
+                let seed = seed?;
+                let is_sampled = sampled(seed);
+                if !is_sampled && slow_threshold_ns() == 0 {
+                    return None;
+                }
+                active.insert(ActiveTrace {
+                    trace_id: mix64(seed) | 1,
+                    is_sampled,
+                    stack: Vec::with_capacity(8),
+                    spans: Vec::with_capacity(8),
+                    truncated: 0,
+                })
+            }
+        };
+        let started = Instant::now();
+        let index = trace.open_record(site, started, 0, arg)?;
+        trace.stack.push(index);
+        Some((index, started))
+    }
+
+    /// Closes the record at `index`; the root's close ends and commits the trace.
+    fn close(index: usize, started: Instant) {
+        let closed = ACTIVE.with(|cell| {
+            let mut active = cell.borrow_mut();
+            let trace = active.as_mut()?;
+            trace.spans[index].dur_ns = started.elapsed().as_nanos() as u64;
+            // Guards drop in LIFO order, so the top of the stack is this span;
+            // tolerate out-of-order drops (mem::forget'd siblings) by searching
+            // from the top.
+            if let Some(pos) = trace.stack.iter().rposition(|&i| i == index) {
+                trace.stack.remove(pos);
+            }
+            if index == 0 {
+                active.take()
+            } else {
+                None
+            }
+        });
+        if let Some(trace) = closed {
+            trace.commit();
         }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.index != usize::MAX {
-            if let Some(started) = self.started {
-                ACTIVE.with(|cell| {
-                    if let Some(trace) = cell.borrow_mut().as_mut() {
-                        Span::close_in(trace, self.index, started);
-                    }
-                });
-            }
+        if let Some((index, started)) = self.record {
+            Span::close(index, started);
         }
         if self.mirror_pushed {
             crate::profile::pop_site();
         }
-    }
-}
-
-enum RootState {
-    Inert,
-    /// A root opened while a trace was already active nests as a plain child; the
-    /// guard is held only for its drop.
-    Nested {
-        _child: Span,
-    },
-    Root {
-        started: Instant,
-    },
-}
-
-/// An RAII guard opening (and at drop, committing or discarding) one
-/// request-scoped trace on the current thread.
-///
-/// Created by [`RootSpan::enter`] (usually via the [`crate::root_span!`] macro).
-/// The trace is committed to the flight recorder if its seed was sampled, or —
-/// whatever the sampling decision — if the root ran at least the configured slow
-/// threshold (the slow-request log).  Otherwise every buffered span is discarded:
-/// unsampled requests leave nothing behind but one counter increment.
-#[must_use = "a root span measures until dropped; binding it to `_` drops immediately"]
-pub struct RootSpan {
-    state: RootState,
-    /// Whether this guard pushed the profiler's stack mirror and owes a pop.
-    mirror_pushed: bool,
-}
-
-impl RootSpan {
-    /// A root that records nothing.
-    pub fn inert() -> RootSpan {
-        RootSpan {
-            state: RootState::Inert,
-            mirror_pushed: false,
-        }
-    }
-
-    /// Opens a trace root at `site` for the request identified by `seed`.
-    ///
-    /// `seed` drives deterministic sampling (see [`sampled`]); `arg` is stored on
-    /// the root record.  If this thread already has an active trace the "root"
-    /// nests as an ordinary child span, which lets per-request roots compose with
-    /// an enclosing per-connection root when batches run inline.  When the
-    /// profiler is armed the guard also maintains the thread's stack mirror,
-    /// independent of the sampling decision.
-    #[inline]
-    pub fn enter(site: u32, seed: u64, arg: u64) -> RootSpan {
-        let gates = gates();
-        if gates == 0 {
-            return RootSpan::inert();
-        }
-        let mirror_pushed = gates & GATE_PROFILE != 0 && crate::profile::push_site(site);
-        if gates & GATE_TRACE == 0 {
-            return RootSpan {
-                state: RootState::Inert,
-                mirror_pushed,
-            };
-        }
-        ACTIVE.with(|cell| {
-            let mut active = cell.borrow_mut();
-            if let Some(trace) = active.as_mut() {
-                return RootSpan {
-                    state: RootState::Nested {
-                        _child: Span::open_in(trace, site, arg),
-                    },
-                    mirror_pushed,
-                };
-            }
-            let is_sampled = sampled(seed);
-            if !is_sampled && slow_threshold_ns() == 0 {
-                return RootSpan {
-                    state: RootState::Inert,
-                    mirror_pushed,
-                };
-            }
-            let started = Instant::now();
-            let mut trace = ActiveTrace {
-                trace_id: mix64(seed) | 1,
-                is_sampled,
-                stack: Vec::with_capacity(8),
-                spans: Vec::with_capacity(8),
-                truncated: 0,
-            };
-            trace.spans.push(SpanRecord {
-                trace_id: trace.trace_id,
-                span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-                parent_id: 0,
-                site,
-                lane: 0,
-                flags: 0,
-                start_ns: since_epoch_ns(started),
-                dur_ns: 0,
-                arg,
-            });
-            trace.stack.push(0);
-            *active = Some(trace);
-            RootSpan {
-                state: RootState::Root { started },
-                mirror_pushed,
-            }
-        })
-    }
-}
-
-impl Drop for RootSpan {
-    fn drop(&mut self) {
-        // The Nested state's child guard drops here (a no-op for the mirror:
-        // its flag is false — the root-level push below covers the site).
-        let state = std::mem::replace(&mut self.state, RootState::Inert);
-        if let RootState::Root { started } = state {
-            Self::commit(started);
-        }
-        if self.mirror_pushed {
-            crate::profile::pop_site();
-        }
-    }
-}
-
-impl RootSpan {
-    fn commit(started: Instant) {
-        let Some(mut trace) = ACTIVE.with(|cell| cell.borrow_mut().take()) else {
-            return;
-        };
-        let dur_ns = started.elapsed().as_nanos() as u64;
-        trace.spans[0].dur_ns = dur_ns;
-        let slow_ns = slow_threshold_ns();
-        let is_slow = slow_ns > 0 && dur_ns >= slow_ns;
-        let counters = trace_counters();
-        if !trace.is_sampled && !is_slow {
-            counters.roots_discarded.incr();
-            return;
-        }
-        if is_slow {
-            trace.spans[0].flags |= FLAG_SLOW;
-            counters.roots_slow.incr();
-        }
-        if trace.is_sampled {
-            counters.roots_sampled.incr();
-        }
-        counters.spans_committed.add(trace.spans.len() as u64);
-        if trace.truncated > 0 {
-            counters.spans_truncated.add(trace.truncated);
-        }
-        let make = |lane: usize| Ring::new(lane as u16);
-        RECORDERS.with_local(&THREAD_RING, make, |ring| {
-            for record in &mut trace.spans {
-                record.lane = ring.lane;
-                ring.push(record);
-            }
-        });
     }
 }
 
@@ -653,30 +578,10 @@ pub fn complete_span(site: u32, started: Instant, arg: u64) {
         return;
     }
     ACTIVE.with(|cell| {
-        let mut active = cell.borrow_mut();
-        let Some(trace) = active.as_mut() else {
-            return;
-        };
-        if trace.spans.len() >= MAX_SPANS_PER_TRACE {
-            trace.truncated += 1;
-            return;
+        if let Some(trace) = cell.borrow_mut().as_mut() {
+            let dur_ns = started.elapsed().as_nanos() as u64;
+            trace.open_record(site, started, dur_ns, arg);
         }
-        let parent_id = trace
-            .stack
-            .last()
-            .map(|&i| trace.spans[i].span_id)
-            .unwrap_or(0);
-        trace.spans.push(SpanRecord {
-            trace_id: trace.trace_id,
-            span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-            parent_id,
-            site,
-            lane: 0,
-            flags: 0,
-            start_ns: since_epoch_ns(started),
-            dur_ns: started.elapsed().as_nanos() as u64,
-            arg,
-        });
     });
 }
 
@@ -870,7 +775,7 @@ mod tests {
         configure(0, 0);
         clear();
         {
-            let _root = RootSpan::enter(site_id("test.inert.root"), 7, 0);
+            let _root = Span::root(site_id("test.inert.root"), 7, 0);
             let _child = Span::enter(site_id("test.inert.child"), 0);
         }
         assert!(!recent_spans()
@@ -901,7 +806,7 @@ mod tests {
         let root_site = site_id("test.nest.root");
         let child_site = site_id("test.nest.child");
         {
-            let _root = RootSpan::enter(root_site, 42, 9);
+            let _root = Span::root(root_site, 42, 9);
             let _a = Span::enter(child_site, 1);
             drop(_a);
             let _b = Span::enter(child_site, 2);
@@ -934,7 +839,7 @@ mod tests {
         clear();
         let site = site_id("test.slowgate.fast");
         {
-            let _root = RootSpan::enter(site, 3, 0);
+            let _root = Span::root(site, 3, 0);
             let _child = Span::enter(site_id("test.slowgate.fast.child"), 0);
         }
         assert!(!recent_spans().iter().any(|r| r.site == site));
@@ -943,7 +848,7 @@ mod tests {
         configure(0, 1);
         let slow_site = site_id("test.slowgate.slow");
         {
-            let _root = RootSpan::enter(slow_site, 3, 0);
+            let _root = Span::root(slow_site, 3, 0);
             std::hint::black_box((0..64).sum::<u64>());
         }
         let retained: Vec<SpanRecord> = recent_spans()
@@ -962,7 +867,7 @@ mod tests {
         clear();
         let site = site_id("test.ring.bound");
         for i in 0..(RING_CAPACITY as u64 + 64) {
-            let _root = RootSpan::enter(site, i, i);
+            let _root = Span::root(site, i, i);
         }
         let mine: Vec<SpanRecord> = recent_spans()
             .into_iter()
@@ -1010,7 +915,7 @@ mod tests {
         let root_site = site_id("test.mirrorgate.root");
         let child_site = site_id("test.mirrorgate.child");
         {
-            let _root = RootSpan::enter(root_site, 9, 0);
+            let _root = Span::root(root_site, 9, 0);
             let _child = Span::enter(child_site, 0);
             crate::profile::tick();
         }
@@ -1045,7 +950,7 @@ mod tests {
         let root_site = site_id("test.complete.root");
         let wait_site = site_id("test.complete.wait");
         {
-            let _root = RootSpan::enter(root_site, 5, 0);
+            let _root = Span::root(root_site, 5, 0);
             complete_span(wait_site, Instant::now(), 77);
         }
         let records = recent_spans();
