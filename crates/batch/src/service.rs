@@ -13,6 +13,10 @@
 //! scheduler), which freed its place.  A finished job moves its VM from busy to idle, or
 //! drops it if it is dead; preemptions and spare expiries only remove VMs.
 //!
+//! An assignment replays one [`PlannedRun`], by the rule the Figure 8 replay also follows:
+//! it finishes `run.duration()` after it starts, and a preemption keeps
+//! `run.progress_at(elapsed)` of its work, or finishes the job at the run's end.
+//!
 //! Each trial runs in buffers (provider, event queue, job and assignment tables) borrowed
 //! from a per-thread scratch that carries only capacity between trials, never values:
 //! every buffer is cleared or rebuilt before use, so a report never depends on what the
@@ -28,7 +32,7 @@ use tcp_core::LifetimeModel;
 use tcp_numerics::{NumericsError, Result};
 use tcp_policy::{
     CheckpointPlanner, DpCheckpointPolicy, MemorylessScheduler, ModelDrivenScheduler,
-    NoCheckpointPlanner, SchedulerPolicy, SchedulingDecision, YoungDalyPolicy,
+    NoCheckpointPlanner, PlannedRun, SchedulerPolicy, SchedulingDecision, YoungDalyPolicy,
 };
 use tcp_workloads::BagOfJobs;
 
@@ -52,40 +56,6 @@ struct Assignment {
     base_progress: f64,
     /// Planned checkpoint intervals for the remaining work of this assignment.
     intervals: Vec<f64>,
-    /// Checkpoint cost per checkpoint, hours.
-    checkpoint_cost: f64,
-}
-
-impl Assignment {
-    /// Total wall time this assignment needs if it is not preempted (the final segment
-    /// carries no trailing checkpoint).
-    fn planned_duration(&self) -> f64 {
-        let work: f64 = self.intervals.iter().sum();
-        let checkpoints = self.intervals.len().saturating_sub(1) as f64;
-        work + checkpoints * self.checkpoint_cost
-    }
-
-    /// Work safely persisted after `elapsed` hours of this assignment (completed
-    /// checkpoint intervals only).
-    fn checkpointed_progress(&self, elapsed: f64) -> f64 {
-        let mut done = 0.0;
-        let mut t = 0.0;
-        let last = self.intervals.len().saturating_sub(1);
-        for (idx, &work) in self.intervals.iter().enumerate() {
-            let segment = if idx == last {
-                work
-            } else {
-                work + self.checkpoint_cost
-            };
-            if t + segment <= elapsed + 1e-12 {
-                done += work;
-                t += segment;
-            } else {
-                break;
-            }
-        }
-        done
-    }
 }
 
 /// The running assignments, at index `vm.0`: a trial's provider hands out VM ids densely
@@ -118,13 +88,6 @@ impl Assignments {
             self.busy -= 1;
         }
         removed
-    }
-
-    fn vms(&self) -> impl Iterator<Item = VmId> + '_ {
-        (0u64..)
-            .zip(&self.slots)
-            .filter(|(_, slot)| slot.is_some())
-            .map(|(id, _)| VmId(id))
     }
 
     fn clear(&mut self) {
@@ -229,12 +192,12 @@ impl BatchService {
         })
     }
 
-    /// Plans `remaining` hours of work on a VM of age `vm_age` into `intervals` and
-    /// returns the cost of one checkpoint.
-    fn plan_intervals(&self, remaining: f64, vm_age: f64, intervals: &mut Vec<f64>) -> Result<f64> {
-        let age = vm_age.min(self.model.horizon() - 1e-6);
-        self.planner.plan_into(remaining, age, intervals)?;
-        Ok(self.planner.checkpoint_cost())
+    /// The run of `assignment`'s planned intervals, under this service's checkpoint cost.
+    fn run<'a>(&self, assignment: &'a Assignment) -> PlannedRun<'a> {
+        PlannedRun {
+            intervals: &assignment.intervals,
+            checkpoint_cost: self.planner.checkpoint_cost(),
+        }
     }
 
     /// Runs a bag of jobs to completion and reports cost/performance metrics, using the
@@ -371,13 +334,21 @@ impl BatchService {
                     }
                     s.idle_vms.remove(vm);
                     if let Some(a) = s.assignments.remove(vm) {
-                        // the preemption interrupted a running job
-                        preemptions_hitting_jobs += 1;
+                        let run = self.run(&a);
                         let elapsed = (now - a.started_at).max(0.0);
-                        let done = a.base_progress + a.checkpointed_progress(elapsed);
-                        s.remaining[a.job_index] =
-                            (bag.jobs[a.job_index].estimated_runtime_hours - done).max(1e-6);
-                        s.pending.push_back(a.job_index);
+                        if run.is_done_at(elapsed) {
+                            // The preemption came as the run ended (it ties the run's
+                            // `JobFinished`, which is now stale): the job finished.
+                            completed_jobs += 1;
+                            last_completion_time = now;
+                        } else {
+                            // the preemption interrupted a running job
+                            preemptions_hitting_jobs += 1;
+                            let done = a.base_progress + run.progress_at(elapsed);
+                            s.remaining[a.job_index] =
+                                (bag.jobs[a.job_index].estimated_runtime_hours - done).max(1e-6);
+                            s.pending.push_back(a.job_index);
+                        }
                         s.interval_pool.push(a.intervals);
                     }
                     self.dispatch(now, bag, provider, s)?;
@@ -391,12 +362,11 @@ impl BatchService {
             }
         }
 
-        // Terminate any remaining VMs so billing stops at the makespan.
+        // Terminate the idle spares so billing stops at the makespan.  No VM is busy:
+        // each job left its assignment when it finished.
+        debug_assert_eq!(s.assignments.len(), 0);
         let end = last_completion_time;
         for vm in s.idle_vms.vms() {
-            provider.terminate(vm, end);
-        }
-        for vm in s.assignments.vms() {
             provider.terminate(vm, end);
         }
         let usage = provider.usage_report(end);
@@ -465,17 +435,16 @@ impl BatchService {
             s.pending.pop_front();
 
             let mut intervals = s.interval_pool.pop().unwrap_or_default();
-            let checkpoint_cost =
-                self.plan_intervals(job_len, vm_age(provider, vm, now), &mut intervals)?;
+            let age = vm_age(provider, vm, now).min(self.model.horizon() - 1e-6);
+            self.planner.plan_into(job_len, age, &mut intervals)?;
             let assignment = Assignment {
                 job_index,
                 started_at: now,
                 base_progress: bag.jobs[job_index].estimated_runtime_hours - job_len,
                 intervals,
-                checkpoint_cost,
             };
             s.queue.schedule_at(
-                now + assignment.planned_duration(),
+                now + self.run(&assignment).duration(),
                 Event::JobFinished { vm },
             );
             s.assignments.insert(vm, assignment);
@@ -727,6 +696,66 @@ mod tests {
             assert!(first.preemptions > 0 && b.preemptions > 0, "{mode:?}");
             assert_eq!(report_bits(&again), report_bits(&first), "{mode:?}");
             assert_eq!(report_bits(&fresh), report_bits(&first), "{mode:?}");
+        }
+    }
+
+    /// A VM lifetime of exactly `self.0` hours.
+    struct Fixed(f64);
+
+    impl tcp_dists::LifetimeDistribution for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+
+        fn cdf(&self, t: f64) -> f64 {
+            if t >= self.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+
+        fn quantile(&self, _u: f64) -> f64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn a_preemption_at_the_run_end_finishes_the_job() {
+        // One 2 h job on a VM that is preempted exactly when its run ends: the
+        // `VmPreempted` event was queued at launch, so it pops before the tying
+        // `JobFinished`.
+        let bag = BagOfJobs::new(
+            "t",
+            vec![tcp_workloads::JobSpec::new(0, "a", 2.0, 1, "").unwrap()],
+        )
+        .unwrap();
+        for mode in [CheckpointingMode::None, CheckpointingMode::YoungDaly] {
+            let service = BatchService::new(
+                ServiceConfig {
+                    cluster_size: 1,
+                    checkpointing: mode,
+                    ..base_config(1)
+                },
+                model(),
+            )
+            .unwrap();
+            let mut intervals = Vec::new();
+            service.planner.plan_into(2.0, 0.0, &mut intervals).unwrap();
+            let end = PlannedRun {
+                intervals: &intervals,
+                checkpoint_cost: service.planner.checkpoint_cost(),
+            }
+            .duration();
+            let mut template = ProviderTemplate::from_distribution(Arc::new(Fixed(end)));
+            template.config.provisioning_delay_hours = 0.0;
+            let report = service
+                .run_bag_with(&service.prepare_bag(bag.clone()), &template, 3)
+                .unwrap();
+            assert_eq!(report.preemptions, 0, "{mode:?}");
+            assert_eq!(report.job_restarts, 0, "{mode:?}");
+            assert_eq!(report.vms_launched, 1, "{mode:?}");
+            assert_eq!(report.makespan_hours, end, "{mode:?}");
         }
     }
 

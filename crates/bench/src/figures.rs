@@ -9,7 +9,7 @@ use tcp_core::analysis::{running_time_analysis, RunningTimeAnalysis};
 use tcp_core::{fit_bathtub_model, fit_model_comparison, LifetimeModel, ModelComparison};
 use tcp_dists::ConstrainedBathtub;
 use tcp_numerics::Result;
-use tcp_policy::checkpoint::simulate::{simulate_checkpointed_job, SimulationOptions};
+use tcp_policy::checkpoint::simulate::simulate_checkpointed_job;
 use tcp_policy::{
     average_failure_probability, job_failure_probability, CheckpointConfig, DpCheckpointPolicy,
     MemorylessScheduler, ModelDrivenScheduler, YoungDalyPolicy,
@@ -260,16 +260,12 @@ pub fn checkpoint_schedule_example(model: &ConstrainedBathtub) -> Result<FigureD
 pub fn figure8a(model: &ConstrainedBathtub, trials: usize) -> Result<FigureData> {
     let dp = DpCheckpointPolicy::new(*model, CheckpointConfig::paper_defaults())?;
     let yd = YoungDalyPolicy::paper_baseline();
-    let options = SimulationOptions {
-        trials,
-        ..SimulationOptions::default()
-    };
     let mut fig = FigureData::new("fig8a", &["start_time_hours", "percent_increase"]);
     let mut rng = rand::rngs::StdRng::seed_from_u64(808);
     use rand::SeedableRng;
     for start in [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0] {
-        let ours = simulate_checkpointed_job(&dp, model, 4.0, start, &options, &mut rng)?;
-        let baseline = simulate_checkpointed_job(&yd, model, 4.0, start, &options, &mut rng)?;
+        let ours = simulate_checkpointed_job(&dp, model, 4.0, start, trials, &mut rng)?;
+        let baseline = simulate_checkpointed_job(&yd, model, 4.0, start, trials, &mut rng)?;
         fig.push(
             "Our Policy",
             vec![start, 100.0 * ours.mean_overhead_fraction],
@@ -286,16 +282,12 @@ pub fn figure8a(model: &ConstrainedBathtub, trials: usize) -> Result<FigureData>
 pub fn figure8b(model: &ConstrainedBathtub, trials: usize) -> Result<FigureData> {
     let dp = DpCheckpointPolicy::new(*model, CheckpointConfig::paper_defaults())?;
     let yd = YoungDalyPolicy::paper_baseline();
-    let options = SimulationOptions {
-        trials,
-        ..SimulationOptions::default()
-    };
     let mut fig = FigureData::new("fig8b", &["job_length_hours", "percent_increase"]);
     let mut rng = rand::rngs::StdRng::seed_from_u64(809);
     use rand::SeedableRng;
     for job_len in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0] {
-        let ours = simulate_checkpointed_job(&dp, model, job_len, 0.0, &options, &mut rng)?;
-        let baseline = simulate_checkpointed_job(&yd, model, job_len, 0.0, &options, &mut rng)?;
+        let ours = simulate_checkpointed_job(&dp, model, job_len, 0.0, trials, &mut rng)?;
+        let baseline = simulate_checkpointed_job(&yd, model, job_len, 0.0, trials, &mut rng)?;
         fig.push(
             "Our Policy",
             vec![job_len, 100.0 * ours.mean_overhead_fraction],

@@ -43,6 +43,7 @@ use crate::lane::{Lanes, LocalLane, SeqLock};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -362,6 +363,7 @@ struct TraceCounters {
     roots_discarded: &'static crate::Counter,
     spans_committed: &'static crate::Counter,
     spans_truncated: &'static crate::Counter,
+    spans_stray: &'static crate::Counter,
 }
 
 fn trace_counters() -> &'static TraceCounters {
@@ -372,6 +374,7 @@ fn trace_counters() -> &'static TraceCounters {
         roots_discarded: crate::counter("trace.roots.discarded"),
         spans_committed: crate::counter("trace.spans.committed"),
         spans_truncated: crate::counter("trace.spans.truncated"),
+        spans_stray: crate::counter("trace.spans.stray"),
     })
 }
 
@@ -438,13 +441,35 @@ impl ActiveTrace {
 /// [`crate::span!`] and [`crate::root_span!`] macros).  Inert — a no-op shell —
 /// when tracing is off or the guard has no trace to record into, so
 /// instrumented code needs no conditionals.
+///
+/// A guard closes only the record it opened, in the trace it opened it in.  One
+/// that outlives its trace (a child kept past its root's drop) is a stray: its
+/// drop changes no record and counts in `trace.spans.stray`.  A guard stays on
+/// the thread that opened it, so it is not `Send`:
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(tcp_obs::trace::Span::inert());
+/// ```
 #[must_use = "a span measures until dropped; binding it to `_` drops immediately"]
 pub struct Span {
-    /// The guard's index in the active trace's span buffer (`0` for the root)
-    /// and its start, or `None` when it records nothing.
-    record: Option<(usize, Instant)>,
+    /// The guard's record, or `None` when it records nothing.
+    record: Option<OpenRecord>,
     /// Whether this guard pushed the profiler's stack mirror and owes a pop.
     mirror_pushed: bool,
+    /// Keeps the guard on its thread, whose trace holds its record.
+    _thread_bound: PhantomData<*const ()>,
+}
+
+/// Where a recording guard's span lives.
+#[derive(Clone, Copy)]
+struct OpenRecord {
+    /// Span id of the root of the trace the record was opened in: unique in the
+    /// process, unlike a trace id, which repeats with its request seed.
+    root_id: u64,
+    /// The record's index in that trace's span buffer (`0` for the root).
+    index: usize,
+    started: Instant,
 }
 
 impl Span {
@@ -454,6 +479,7 @@ impl Span {
         Span {
             record: None,
             mirror_pushed: false,
+            _thread_bound: PhantomData,
         }
     }
 
@@ -498,6 +524,7 @@ impl Span {
         Span {
             record,
             mirror_pushed,
+            _thread_bound: PhantomData,
         }
     }
 
@@ -508,7 +535,7 @@ impl Span {
         site: u32,
         seed: Option<u64>,
         arg: u64,
-    ) -> Option<(usize, Instant)> {
+    ) -> Option<OpenRecord> {
         let trace = match active {
             Some(trace) => trace,
             None => {
@@ -529,14 +556,32 @@ impl Span {
         let started = Instant::now();
         let index = trace.open_record(site, started, 0, arg)?;
         trace.stack.push(index);
-        Some((index, started))
+        Some(OpenRecord {
+            root_id: trace.spans[0].span_id,
+            index,
+            started,
+        })
     }
 
-    /// Closes the record at `index`; the root's close ends and commits the trace.
-    fn close(index: usize, started: Instant) {
+    /// Closes the guard's record; the root's close ends and commits the trace.
+    /// A stray guard, whose trace is no longer this thread's active one, only
+    /// counts itself.
+    fn close(
+        OpenRecord {
+            root_id,
+            index,
+            started,
+        }: OpenRecord,
+    ) {
         let closed = ACTIVE.with(|cell| {
             let mut active = cell.borrow_mut();
-            let trace = active.as_mut()?;
+            let Some(trace) = active.as_mut().filter(|trace| {
+                trace.spans.first().map(|root| root.span_id) == Some(root_id)
+                    && index < trace.spans.len()
+            }) else {
+                trace_counters().spans_stray.incr();
+                return None;
+            };
             trace.spans[index].dur_ns = started.elapsed().as_nanos() as u64;
             // Guards drop in LIFO order, so the top of the stack is this span;
             // tolerate out-of-order drops (mem::forget'd siblings) by searching
@@ -558,8 +603,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((index, started)) = self.record {
-            Span::close(index, started);
+        if let Some(open) = self.record {
+            Span::close(open);
         }
         if self.mirror_pushed {
             crate::profile::pop_site();
@@ -994,6 +1039,11 @@ mod tests {
         trace: Option<Buffered>,
         /// Counter moves of the trace-level roots checked so far.
         accounted: [u64; 5],
+        /// Child guards kept past their trace's root, each with whether it
+        /// opened a record.
+        strays: Vec<(Span, bool)>,
+        /// Strays dropped so far that had opened a record.
+        strays_recorded: u64,
     }
 
     impl Program<'_> {
@@ -1057,6 +1107,15 @@ mod tests {
             self.open -= 1;
         }
 
+        /// Drops every kept stray: each must close nothing, wherever it drops.
+        fn drop_strays(&mut self) {
+            for (stray, recorded) in self.strays.drain(..) {
+                drop(stray);
+                self.open -= 1;
+                self.strays_recorded += recorded as u64;
+            }
+        }
+
         fn buffer_one(&mut self) {
             if let Some(trace) = &mut self.trace {
                 if trace.spans < MAX_SPANS_PER_TRACE as u64 {
@@ -1068,6 +1127,10 @@ mod tests {
         }
 
         fn root(&mut self, draw: u64, depth: usize) {
+            if (draw >> 3) % 2 == 1 {
+                // After their root: outside any trace, or inside a later one.
+                self.drop_strays();
+            }
             let seed = self.next_seed;
             self.next_seed += 1;
             if self.trace.is_some() {
@@ -1094,7 +1157,22 @@ mod tests {
                 }
                 let expected = if self.mirrored { self.open } else { 0 };
                 assert_eq!(crate::profile::tests::thread_mirror_depth(), expected);
+                if (draw >> 4) % 2 == 1 {
+                    // Inside a later root, a stray's index may name one of its spans.
+                    self.drop_strays();
+                }
                 self.run(depth + 1);
+                if (draw >> 5) % 2 == 1 {
+                    // A child that outlives the root: opened last, so nothing in
+                    // this trace nests under it.
+                    let recorded = self
+                        .trace
+                        .as_ref()
+                        .is_some_and(|trace| trace.spans < MAX_SPANS_PER_TRACE as u64);
+                    self.strays
+                        .push((crate::span!("test.prop.stray", draw), recorded));
+                    self.opened();
+                }
             }
             self.open -= 1;
             assert!(ACTIVE.with(|cell| cell.borrow().is_none()));
@@ -1170,9 +1248,10 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
         // Random guard programs (nesting, fan-out, nested roots, waits, bursts
-        // past the span cap) under random sampling, slow-log and profiler
-        // settings: every committed trace is one tree, every other root leaves
-        // nothing, the counters agree, and the stack mirror unwinds.
+        // past the span cap, child guards dropped after their root) under random
+        // sampling, slow-log and profiler settings: every committed trace is one
+        // tree, every other root leaves nothing, the counters agree, every stray
+        // is counted and closes nothing, and the stack mirror unwinds.
         #[test]
         fn random_guard_programs_commit_trees_and_unwind(
             draws in proptest::collection::vec(0u64..1 << 16, 0..48),
@@ -1192,8 +1271,14 @@ mod tests {
                 mirrored,
                 trace: None,
                 accounted: [0; 5],
+                strays: Vec::new(),
+                strays_recorded: 0,
             };
+            let strays_before = trace_counters().spans_stray.get();
             program.run(0);
+            program.drop_strays();
+            let strays = trace_counters().spans_stray.get() - strays_before;
+            assert_eq!(strays, program.strays_recorded);
             assert_eq!(program.open, 0);
             assert_eq!(crate::profile::tests::thread_mirror_depth(), 0);
             assert!(ACTIVE.with(|cell| cell.borrow().is_none()));

@@ -57,7 +57,7 @@ impl CheckpointConfig {
     /// The paper's DP step, minutes.
     pub const DEFAULT_DP_STEP_MINUTES: f64 = 5.0;
     /// Time to acquire a replacement VM, minutes (the paper's setting).
-    const RESTART_OVERHEAD_MINUTES: f64 = 1.0;
+    pub(crate) const RESTART_OVERHEAD_MINUTES: f64 = 1.0;
 
     /// A configuration from a checkpoint cost and a DP step, both in minutes, with the
     /// paper's restart overhead.

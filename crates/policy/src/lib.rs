@@ -26,6 +26,7 @@ pub use checkpoint::simulate::{
     simulate_checkpointed_job, CheckpointExecutionStats, CheckpointPlanner, NoCheckpointPlanner,
 };
 pub use checkpoint::young_daly::YoungDalyPolicy;
+pub use checkpoint::PlannedRun;
 pub use scheduling::{
     average_failure_probability, job_failure_probability, MemorylessScheduler,
     ModelDrivenScheduler, SchedulerPolicy, SchedulingDecision,

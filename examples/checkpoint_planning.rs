@@ -5,9 +5,7 @@
 //! Run with: `cargo run --release --example checkpoint_planning`
 
 use constrained_preemption::dists::ConstrainedBathtub;
-use constrained_preemption::policy::checkpoint::simulate::{
-    simulate_checkpointed_job, SimulationOptions,
-};
+use constrained_preemption::policy::checkpoint::simulate::simulate_checkpointed_job;
 use constrained_preemption::policy::{CheckpointConfig, DpCheckpointPolicy, YoungDalyPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,18 +33,14 @@ fn main() {
 
     // Compare simulated overhead against Young–Daly for a 4-hour job at various VM ages.
     let young_daly = YoungDalyPolicy::paper_baseline();
-    let options = SimulationOptions {
-        trials: 300,
-        ..SimulationOptions::default()
-    };
     let mut rng = StdRng::seed_from_u64(7);
     println!("\nsimulated % increase in running time for a 4 h job (Figure 8a):");
     println!("  start age    our policy    young-daly");
     for start in [0.0, 4.0, 8.0, 12.0] {
-        let ours = simulate_checkpointed_job(&policy, &model, 4.0, start, &options, &mut rng)
-            .expect("sim");
-        let yd = simulate_checkpointed_job(&young_daly, &model, 4.0, start, &options, &mut rng)
-            .expect("sim");
+        let ours =
+            simulate_checkpointed_job(&policy, &model, 4.0, start, 300, &mut rng).expect("sim");
+        let yd =
+            simulate_checkpointed_job(&young_daly, &model, 4.0, start, 300, &mut rng).expect("sim");
         println!(
             "  {:>6.1} h   {:>8.1}%     {:>8.1}%",
             start,

@@ -6,9 +6,7 @@ use constrained_preemption::calibrate::{Calibrator, CellKey, TodSlot};
 use constrained_preemption::dists::{ConstrainedBathtub, LifetimeDistribution};
 use constrained_preemption::model::analysis::running_time_analysis;
 use constrained_preemption::model::fit_model_comparison;
-use constrained_preemption::policy::checkpoint::simulate::{
-    simulate_checkpointed_job, SimulationOptions,
-};
+use constrained_preemption::policy::checkpoint::simulate::simulate_checkpointed_job;
 use constrained_preemption::policy::{
     average_failure_probability, CheckpointConfig, DpCheckpointPolicy, MemorylessScheduler,
     ModelDrivenScheduler, YoungDalyPolicy,
@@ -93,13 +91,9 @@ fn figure8_checkpointing_policy_beats_young_daly_with_fitted_model() {
     let model = fitted_model();
     let dp = DpCheckpointPolicy::new(model, CheckpointConfig::coarse()).unwrap();
     let yd = YoungDalyPolicy::from_initial_failure_rate(&model, 1.0 / 60.0).unwrap();
-    let options = SimulationOptions {
-        trials: 200,
-        ..SimulationOptions::default()
-    };
     let mut rng = StdRng::seed_from_u64(3);
-    let ours = simulate_checkpointed_job(&dp, &model, 4.0, 6.0, &options, &mut rng).unwrap();
-    let baseline = simulate_checkpointed_job(&yd, &model, 4.0, 6.0, &options, &mut rng).unwrap();
+    let ours = simulate_checkpointed_job(&dp, &model, 4.0, 6.0, 200, &mut rng).unwrap();
+    let baseline = simulate_checkpointed_job(&yd, &model, 4.0, 6.0, 200, &mut rng).unwrap();
     assert!(
         ours.mean_overhead_fraction < baseline.mean_overhead_fraction,
         "ours {} vs young-daly {}",
