@@ -76,17 +76,17 @@ fn empirical_grid(lifetimes: &[f64], horizon: f64, points: usize) -> Result<(Vec
 pub fn fit_bathtub_model(lifetimes: &[f64], horizon: f64) -> Result<ModelFit> {
     let (xs, ys) = empirical_grid(lifetimes, horizon, DEFAULT_FIT_GRID_POINTS)?;
     let fitted = fit_distribution(DistributionFamily::ConstrainedBathtub, &xs, &ys, horizon)?;
-    let dist = ConstrainedBathtub::from_parts(
-        fitted.params[0],
-        fitted.params[1],
-        fitted.params[2],
-        fitted.params[3],
-    )?;
+    bathtub_model_fit(&fitted, lifetimes.len())
+}
+
+/// The [`ModelFit`] of a bathtub-family fit over `sample_count` lifetimes.
+fn bathtub_model_fit(fitted: &FittedDistribution, sample_count: usize) -> Result<ModelFit> {
+    let p = &fitted.params;
     Ok(ModelFit {
-        model: dist,
+        model: ConstrainedBathtub::from_parts(p[0], p[1], p[2], p[3])?,
         r_squared: fitted.r_squared,
         rmse: fitted.rmse,
-        sample_count: lifetimes.len(),
+        sample_count,
         converged: fitted.converged,
     })
 }
@@ -116,19 +116,7 @@ pub fn fit_model_comparison(lifetimes: &[f64], horizon: f64) -> Result<ModelComp
         .iter()
         .find(|f| f.family == DistributionFamily::ConstrainedBathtub)
         .expect("bathtub family always fitted");
-    let dist = ConstrainedBathtub::from_parts(
-        bathtub_fit.params[0],
-        bathtub_fit.params[1],
-        bathtub_fit.params[2],
-        bathtub_fit.params[3],
-    )?;
-    let bathtub = ModelFit {
-        model: dist,
-        r_squared: bathtub_fit.r_squared,
-        rmse: bathtub_fit.rmse,
-        sample_count: lifetimes.len(),
-        converged: bathtub_fit.converged,
-    };
+    let bathtub = bathtub_model_fit(bathtub_fit, lifetimes.len())?;
 
     Ok(ModelComparison {
         bathtub,

@@ -24,8 +24,10 @@
 //! - **[`trace`]** — request-scoped structured tracing: one RAII span guard on
 //!   an implicit thread-local stack ([`span!`] / [`root_span!`]), a per-thread
 //!   flight-recorder ring buffer, deterministic `1/N` trace sampling, a
-//!   slow-request log, and Chrome trace-event / per-site summary exporters.  Aggregates say how the
-//!   fleet is doing; traces say where one request's time went.
+//!   slow-request log, and Chrome trace-event / per-site summary exporters.
+//!   [`trace::RING_CAPACITY`] bounds both a ring and a trace, and a lapped
+//!   trace loses leaves before parents.  Aggregates say how the fleet is doing;
+//!   traces say where one request's time went.
 //! - **[`log`]** — a leveled structured event log ([`event!`]): one-line sorted-key
 //!   JSON records with per-site token-bucket rate limiting and a bounded ring of
 //!   recent warn/error events (surfaced by the serve layer's `!health` line).

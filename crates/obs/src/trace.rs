@@ -22,6 +22,11 @@
 //!   fixed-capacity ring buffers ([`RING_CAPACITY`] records each) that the owning
 //!   thread writes without locks and any thread snapshots via [`recent_spans`].
 //!   Memory is bounded; old records are overwritten, never reallocated.
+//! * [`RING_CAPACITY`] also bounds a trace: it keeps its first spans, root
+//!   included, and counts the rest in `trace.spans.truncated`.  A trace is
+//!   pushed newest index first and a parent's index is below its children's, so
+//!   a lapped trace loses leaves before parents: a snapshot taken while no
+//!   thread commits holds the parent of every record in it.
 //! * **Sampling** is deterministic: a request is traced iff
 //!   `mix64(seed) % sample_every == 0`, where `seed` is a caller-supplied request
 //!   ordinal — no wall-clock, no RNG, so a given corpus samples the same requests
@@ -48,12 +53,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Records each per-thread ring buffer holds before overwriting the oldest.
+/// The flight recorder's one bound: the records a per-thread ring holds before
+/// overwriting the oldest, and the spans a trace keeps, root included (spans
+/// past it count in `trace.spans.truncated`), so a trace always fits its ring.
 pub const RING_CAPACITY: usize = 4096;
-
-/// Hard cap on spans buffered inside one in-flight trace (runaway-recursion guard):
-/// spans opened beyond this are dropped and counted in `trace.spans.truncated`.
-pub const MAX_SPANS_PER_TRACE: usize = 8192;
 
 /// Flag bit set on a root span that was force-retained by the slow-request log.
 pub const FLAG_SLOW: u16 = 1;
@@ -381,9 +384,9 @@ fn trace_counters() -> &'static TraceCounters {
 impl ActiveTrace {
     /// Buffers a record for `site` under the innermost open span (a parent id of
     /// `0` makes it the root) and returns its index, or `None` past
-    /// [`MAX_SPANS_PER_TRACE`].  Every span record is opened here.
+    /// [`RING_CAPACITY`].  Every span record is opened here.
     fn open_record(&mut self, site: u32, started: Instant, dur_ns: u64, arg: u64) -> Option<usize> {
-        if self.spans.len() >= MAX_SPANS_PER_TRACE {
+        if self.spans.len() >= RING_CAPACITY {
             self.truncated += 1;
             return None;
         }
@@ -404,6 +407,7 @@ impl ActiveTrace {
 
     /// Commits the closed trace to this thread's flight recorder if it was
     /// sampled or its root reached the slow threshold; otherwise discards it.
+    /// Pushes newest index first, so a ring evicts children before parents.
     fn commit(mut self) {
         let dur_ns = self.spans[0].dur_ns;
         let slow_ns = slow_threshold_ns();
@@ -426,7 +430,7 @@ impl ActiveTrace {
         }
         let make = |lane: usize| Ring::new(lane as u16);
         RECORDERS.with_local(&THREAD_RING, make, |ring| {
-            for record in &mut self.spans {
+            for record in self.spans.iter_mut().rev() {
                 record.lane = ring.lane;
                 ring.push(record);
             }
@@ -924,6 +928,83 @@ mod tests {
         configure(0, 0);
     }
 
+    /// How many of `records` name a parent that is not among them.
+    fn orphans(records: &[SpanRecord]) -> usize {
+        let ids: std::collections::BTreeSet<u64> = records.iter().map(|r| r.span_id).collect();
+        records
+            .iter()
+            .filter(|r| r.parent_id != 0 && !ids.contains(&r.parent_id))
+            .count()
+    }
+
+    #[test]
+    fn an_oversized_trace_keeps_its_root_and_counts_the_rest() {
+        let _gate = lock();
+        configure(1, 0);
+        clear();
+        let root_site = site_id("test.oversize.root");
+        let leaf_site = site_id("test.oversize.leaf");
+        let before = counter_values();
+        {
+            let _root = Span::root(root_site, 1, 0);
+            for i in 0..6_000 {
+                let _leaf = Span::enter(leaf_site, i);
+            }
+        }
+        let after = counter_values();
+        let records: Vec<SpanRecord> = recent_spans()
+            .into_iter()
+            .filter(|r| r.site == root_site || r.site == leaf_site)
+            .collect();
+        let roots = records.iter().filter(|r| r.site == root_site).count();
+        assert_eq!(
+            (
+                records.len(),
+                roots,
+                orphans(&records),
+                after[3] - before[3],
+                after[4] - before[4]
+            ),
+            (RING_CAPACITY, 1, 0, RING_CAPACITY as u64, 1_905),
+            "(records, roots, orphans, committed, truncated) of a root plus 6,000 leaves"
+        );
+        configure(0, 0);
+    }
+
+    #[test]
+    fn evicting_an_older_trace_keeps_its_root_and_orphans_nothing() {
+        let _gate = lock();
+        configure(1, 0);
+        clear();
+        let root_site = site_id("test.evict.root");
+        let outer_site = site_id("test.evict.outer");
+        let inner_site = site_id("test.evict.inner");
+        // Two traces on this thread's lane, of a root plus 3,000 and then 2,000
+        // spans in nested pairs: 5,002 records for a ring of 4,096.
+        for (seed, spans) in [(1, 3_000), (2, 2_000)] {
+            let _root = Span::root(root_site, seed, spans);
+            for i in 0..spans / 2 {
+                let _outer = Span::enter(outer_site, i);
+                let _inner = Span::enter(inner_site, i);
+            }
+        }
+        let records: Vec<SpanRecord> = recent_spans()
+            .into_iter()
+            .filter(|r| [root_site, outer_site, inner_site].contains(&r.site))
+            .collect();
+        let roots: Vec<u64> = records
+            .iter()
+            .filter(|r| r.site == root_site)
+            .map(|r| r.arg)
+            .collect();
+        assert_eq!(
+            (records.len(), orphans(&records), roots),
+            (RING_CAPACITY, 0, vec![3_000, 2_000]),
+            "(records, orphans, root args) of both traces"
+        );
+        configure(0, 0);
+    }
+
     #[test]
     fn chrome_export_shape() {
         let _gate = lock();
@@ -1020,7 +1101,7 @@ mod tests {
     }
 
     /// What the active trace of a guard program should have buffered: spans
-    /// kept and spans past [`MAX_SPANS_PER_TRACE`].
+    /// kept and spans past [`RING_CAPACITY`].
     struct Buffered {
         spans: u64,
         truncated: u64,
@@ -1080,7 +1161,7 @@ mod tests {
                     _ => {
                         // One draw in eight of these overfills the trace.
                         let leaves = if (draw >> 3) % 8 == 0 {
-                            MAX_SPANS_PER_TRACE as u64 + 1 + (draw >> 6) % 4
+                            RING_CAPACITY as u64 + 1 + (draw >> 6) % 4
                         } else {
                             1
                         };
@@ -1118,7 +1199,7 @@ mod tests {
 
         fn buffer_one(&mut self) {
             if let Some(trace) = &mut self.trace {
-                if trace.spans < MAX_SPANS_PER_TRACE as u64 {
+                if trace.spans < RING_CAPACITY as u64 {
                     trace.spans += 1;
                 } else {
                     trace.truncated += 1;
@@ -1168,7 +1249,7 @@ mod tests {
                     let recorded = self
                         .trace
                         .as_ref()
-                        .is_some_and(|trace| trace.spans < MAX_SPANS_PER_TRACE as u64);
+                        .is_some_and(|trace| trace.spans < RING_CAPACITY as u64);
                     self.strays
                         .push((crate::span!("test.prop.stray", draw), recorded));
                     self.opened();
@@ -1212,15 +1293,9 @@ mod tests {
             }
             assert_eq!(delta[3], buffered.spans);
             assert_eq!(delta[4], buffered.truncated);
-            assert_eq!(
-                records.len() as u64,
-                buffered.spans.min(RING_CAPACITY as u64)
-            );
+            assert_eq!(records.len() as u64, buffered.spans);
             let trace_id = records[0].trace_id;
             assert!(records.iter().all(|r| r.trace_id == trace_id));
-            if buffered.spans > RING_CAPACITY as u64 {
-                return; // the ring kept only the newest records of this trace
-            }
             let by_id: BTreeMap<u64, &SpanRecord> =
                 records.iter().map(|r| (r.span_id, r)).collect();
             assert_eq!(by_id.len(), records.len(), "span ids repeat");
@@ -1248,10 +1323,11 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
         // Random guard programs (nesting, fan-out, nested roots, waits, bursts
-        // past the span cap, child guards dropped after their root) under random
-        // sampling, slow-log and profiler settings: every committed trace is one
-        // tree, every other root leaves nothing, the counters agree, every stray
-        // is counted and closes nothing, and the stack mirror unwinds.
+        // past the ring's capacity, child guards dropped after their root) under
+        // random sampling, slow-log and profiler settings: every committed trace
+        // is one rooted tree, every other root leaves nothing, the counters
+        // agree, every stray is counted and closes nothing, and the stack mirror
+        // unwinds.
         #[test]
         fn random_guard_programs_commit_trees_and_unwind(
             draws in proptest::collection::vec(0u64..1 << 16, 0..48),

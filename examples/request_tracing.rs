@@ -67,7 +67,8 @@ dp_step_minutes = 30.0
     println!("  {} root spans (sampled 1/4 + slow-log)", roots);
 
     // Per-site rollup: count, total time, self time (total minus child time).
-    println!("\nper-site summary (also what `advise listen` serves for `!trace`):");
+    // (`advise listen`'s `!trace` line serves the raw spans, `trace::spans_json`.)
+    println!("\nper-site summary (also in the `advise listen --trace-file` dump):");
     println!("{}", trace::summary_json(&spans));
 
     // The Chrome export: write this string to a file and load it in chrome://tracing.
